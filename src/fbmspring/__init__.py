@@ -33,6 +33,7 @@ from .errors import (
     IndefiniteCovariance,
     InvalidExponent,
     MaxIterations,
+    MissingRingModes,
     NoConvergence,
     NonpositiveG1,
     NoSignChange,
@@ -117,6 +118,6 @@ __all__ = [
     "sample_gaussian", "uniform_grid_increment_cov", "uniform_ring_grid",
     # errors
     "FbmSpringError", "DivergentSeries", "IndefiniteCovariance", "InvalidExponent",
-    "MaxIterations", "NoConvergence", "NonpositiveG1", "NoSignChange",
+    "MaxIterations", "MissingRingModes", "NoConvergence", "NonpositiveG1", "NoSignChange",
     "NotPositiveDefinite", "NotSymmetricCirculant", "QuadratureFailure",
 ]

@@ -6,9 +6,10 @@ k > 0, and then its eigenvalues are the real cosine transform of the first row,
 
     lambda_m = sum_k c_k cos(2 pi k m / N),  m = 0..N-1,
 
-with the degeneracy lambda_m == lambda_{N-m}. The implementation folds the
-angle k*m mod N onto [0, N/2] before taking the cosine, which makes that
-degeneracy bitwise exact.
+with the degeneracy lambda_m == lambda_{N-m}. The implementation takes the
+real FFT (``np.fft.rfft``) over modes 0..floor(N/2) and mirrors it onto
+N/2..N-1, which makes that degeneracy bitwise exact and costs O(N log N) time
+and O(N) memory.
 """
 
 from __future__ import annotations
@@ -57,19 +58,17 @@ def _require_symmetric(c: Circulant) -> Circulant:
     return c
 
 
-def _folded_cos(n: int, m: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """cos(2 pi k m / N) with the angle folded so lambda_m == lambda_{N-m} exactly."""
-    j = (m[:, None] * k[None, :]) % n
-    j = np.minimum(j, n - j)
-    return np.cos(2.0 * np.pi * j / n)
+def _cosine_transform(row: np.ndarray) -> np.ndarray:
+    """sum_k row_k cos(2 pi k m / N), m = 0..N-1, of a symmetric row: rfft, mirrored."""
+    n = row.size
+    half = np.fft.rfft(row).real
+    return np.concatenate((half, half[1 : n - n // 2][::-1]))
 
 
 def circulant_eigenvalues(c: Circulant) -> np.ndarray:
     """All N eigenvalues in natural mode order m = 0..N-1."""
     _require_symmetric(c)
-    n = c.n
-    m = np.arange(n)
-    return _folded_cos(n, m, m) @ c.first_row
+    return _cosine_transform(c.first_row)
 
 
 def circulant_eigenvector_basis(c: Circulant) -> tuple[np.ndarray, np.ndarray]:
@@ -115,12 +114,11 @@ def ring_mode_spectrum(g_by_distance: np.ndarray, sites: int) -> np.ndarray:
     """Energy eigenvalues of a distance-coupled ring, all modes m = 0..N-1.
 
     lambda_m = sum_{k=1}^{N-1} g_k (1 - cos(2 pi k m / N)) over the mirrored
-    coupling row; the m = 0 value is the structural zero of the Laplacian.
+    coupling row, i.e. F_0 - F_m with F the cosine transform of (0, row); the
+    m = 0 value is the structural zero of the Laplacian, exactly 0.0.
     """
-    ext = mirrored_distance_row(g_by_distance, sites)
-    m = np.arange(sites)
-    k = np.arange(1, sites)
-    return (1.0 - _folded_cos(sites, m, k)) @ ext
+    f = _cosine_transform(np.concatenate(([0.0], mirrored_distance_row(g_by_distance, sites))))
+    return f[0] - f
 
 
 def ring_lambda(g_by_distance: np.ndarray, sites: int, mode: int) -> float:

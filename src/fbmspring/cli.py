@@ -31,6 +31,7 @@ from .errors import (
     IndefiniteCovariance,
     InvalidExponent,
     MaxIterations,
+    MissingRingModes,
     NoConvergence,
     NonpositiveG1,
     NoSignChange,
@@ -116,6 +117,16 @@ def _write_gnuplot(out: Path, xlabel: str, ylabel: str) -> Path:
     return script
 
 
+def _write_series(args: argparse.Namespace, command: str, echo: dict, xlabel: str, ylabel: str, rows) -> None:
+    """Two-column CSV; with --out also the manifest and, on --gnuplot, a plot script."""
+    _write_csv(args.out, echo, f"{xlabel},{ylabel}", rows)
+    if args.out is not None:
+        outputs = [args.out]
+        if args.gnuplot:
+            outputs.append(_write_gnuplot(args.out, xlabel, ylabel))
+        _write_manifest(args.out, command, args, outputs)
+
+
 def _resolve_center(monomers: int, center_flag: int | None) -> int:
     """CLI centers are 1-based monomer labels; internal indices are 0-based."""
     if center_flag is None:
@@ -123,6 +134,17 @@ def _resolve_center(monomers: int, center_flag: int | None) -> int:
     if not 1 <= center_flag <= monomers:
         raise CliInputError(f"--center must lie in 1..{monomers}, got {center_flag}")
     return center_flag - 1
+
+
+def _ring_profile(sites: int, hurst: float) -> RingModel:
+    """Ring couplings; a ring without a Gaussian model is invalid input."""
+    try:
+        return ring_coupling_profile(sites, hurst)
+    except MissingRingModes as exc:
+        hint = "; periodic admissibility requires hurst <= 0.5" if hurst > 0.5 else ""
+        raise CliInputError(
+            f"no Gaussian ring model with {sites} sites at hurst = {hurst}: {exc}{hint}"
+        ) from exc
 
 
 # ----------------------------------------------------------------- couplings
@@ -141,27 +163,12 @@ def _cmd_couplings(args: argparse.Namespace) -> int:
         echo["center"] = center + 1
         profile = chain_coupling_matrix(args.monomers, args.hurst)
         rows = [(i + 1, float(profile.g[center, i])) for i in range(profile.size) if i != center]
-        header = "index,g"
         xlabel = "index"
     else:
-        try:
-            rm = ring_coupling_profile(args.monomers, args.hurst)
-        except NotPositiveDefinite as exc:
-            raise CliInputError(
-                f"no Gaussian ring model exists here (covariance not positive "
-                f"definite): periodic admissibility requires hurst <= 0.5, "
-                f"got hurst = {args.hurst}"
-            ) from exc
+        rm = _ring_profile(args.monomers, args.hurst)
         rows = [(d + 1, float(g)) for d, g in enumerate(rm.g_by_distance)]
-        header = "distance,g"
         xlabel = "distance"
-    out = args.out
-    _write_csv(out, echo, header, rows)
-    if out is not None:
-        outputs = [out]
-        if args.gnuplot:
-            outputs.append(_write_gnuplot(out, xlabel, "g"))
-        _write_manifest(out, "couplings", args, outputs)
+    _write_series(args, "couplings", echo, xlabel, "g", rows)
     return EXIT_OK
 
 
@@ -253,13 +260,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             lam = circulant_eigenvalues(Circulant(first_row=row))
         else:
             echo["series"] = "energy eigenvalues"
-            try:
-                rm = ring_coupling_profile(args.monomers, args.hurst)
-            except NotPositiveDefinite as exc:
-                raise CliInputError(
-                    f"no Gaussian ring model at hurst = {args.hurst}; "
-                    "periodic admissibility requires hurst <= 0.5"
-                ) from exc
+            rm = _ring_profile(args.monomers, args.hurst)
             lam = ring_mode_spectrum(rm.g_by_distance, rm.sites)
     elif args.mode == "chain":
         if args.monomers is None or args.hurst is None:
@@ -274,13 +275,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     else:
         raise CliInputError("spectrum needs either --g/--g-file or --mode with --monomers/--hurst")
     rows = [(m, float(v)) for m, v in enumerate(lam)]
-    out = args.out
-    _write_csv(out, echo, "mode,lambda", rows)
-    if out is not None:
-        outputs = [out]
-        if args.gnuplot:
-            outputs.append(_write_gnuplot(out, "mode", "lambda"))
-        _write_manifest(out, "spectrum", args, outputs)
+    _write_series(args, "spectrum", echo, "mode", "lambda", rows)
     return EXIT_OK
 
 
@@ -412,13 +407,7 @@ def _cmd_fourier_energy(args: argparse.Namespace) -> int:
         raise CliInputError("--mode-max must be >= 1")
     echo = {"command": "fourier-energy", "hurst": _fmt(args.hurst), "mode_max": args.mode_max}
     rows = [(mode, fourier_mode_energy(args.hurst, mode)) for mode in range(1, args.mode_max + 1)]
-    out = args.out
-    _write_csv(out, echo, "mode,value", rows)
-    if out is not None:
-        outputs = [out]
-        if args.gnuplot:
-            outputs.append(_write_gnuplot(out, "mode", "value"))
-        _write_manifest(out, "fourier-energy", args, outputs)
+    _write_series(args, "fourier-energy", echo, "mode", "value", rows)
     return EXIT_OK
 
 

@@ -19,6 +19,24 @@ class NotPositiveDefinite(FbmSpringError):
         )
 
 
+class MissingRingModes(NotPositiveDefinite):
+    """Ring covariance modes (in 1..floor(N/2)) without positive weight.
+
+    ``min_eigenvalue`` is the smallest covariance eigenvalue among ``modes``;
+    there is no Cholesky pivot, so ``pivot_index`` is None.
+    """
+
+    def __init__(self, modes: list[int], min_eigenvalue: float):
+        self.modes, self.min_eigenvalue = modes, min_eigenvalue
+        self.pivot_index, self.pivot_value = None, min_eigenvalue
+        shown = ", ".join(str(m) for m in modes[:8]) + (", ..." if len(modes) > 8 else "")
+        FbmSpringError.__init__(
+            self,
+            f"ring increment covariance is not positive definite: no positive weight on "
+            f"modes {shown} ({len(modes)} modes; smallest eigenvalue {min_eigenvalue:.6e})",
+        )
+
+
 class NoConvergence(FbmSpringError):
     """The symmetric eigensolver exhausted its iteration budget."""
 

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circulant import Circulant
+
 
 @dataclass(frozen=True)
 class ChainModel:
@@ -98,16 +100,17 @@ def ring_increment_cov(geom: RingGeometry, hurst: float) -> np.ndarray:
     singular for every H; for H > 1/2 it generally stops being positive
     semidefinite altogether.
     """
-    _check_hurst(hurst)
-    row = ring_increment_row(geom, hurst)
-    idx = np.arange(geom.sites)
-    return row[(idx[None, :] - idx[:, None]) % geom.sites]
+    return Circulant(first_row=ring_increment_row(geom, hurst)).dense()
 
 
 def ring_increment_row(geom: RingGeometry, hurst: float) -> np.ndarray:
     """First row of :func:`ring_increment_cov` (length N)."""
+    return _ring_increment_row(geom.sites, hurst)
+
+
+def _ring_increment_row(n: int, hurst: float) -> np.ndarray:
+    """First row for n unit steps around a circle; any n >= 1, unlike RingGeometry."""
     _check_hurst(hurst)
-    n = geom.sites
     j = np.arange(-1, n + 1)
     dpow = _geodesic_array(n, j).astype(float) ** (2.0 * hurst)
     return 0.5 * ((dpow[2:] + dpow[:-2]) - 2.0 * dpow[1:-1])

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import couplings as couplings_mod
-from . import kernels, linalg
-from .circulant import Circulant, mirrored_distance_row, ring_mode_spectrum
-from .errors import DivergentSeries, InvalidExponent, NonpositiveG1
+from . import kernels
+from .circulant import Circulant, circulant_eigenvalues, mirrored_distance_row, ring_mode_spectrum
+from .errors import DivergentSeries, InvalidExponent, MissingRingModes, NonpositiveG1
 
 
 @dataclass(frozen=True)
@@ -182,27 +181,23 @@ def power_law_ring(
 def ring_coupling_profile(sites: int, hurst: float) -> RingModel:
     """Distance-indexed couplings of a periodic fractional Brownian ring.
 
-    The ring's N increments are linearly constrained (they sum to zero), so
-    the energy matrix is taken as the inverse of the covariance of the first
-    N - 1 increments; the resulting pairwise couplings depend on the geodesic
-    distance only, and are averaged per distance class after an internal
-    consistency check. Raises NotPositiveDefinite when no Gaussian ring with
-    this Hurst index exists (H > 1/2, apart from small odd rings).
+    The energy matrix is the inverse covariance of the first N - 1 increments.
+    With mu_m the eigenvalues of the circulant increment covariance and
+    theta_m = 2 pi m / N, the couplings are the closed form
+
+        g_k = -1/2 IDFT[2 (1 - cos theta_m) / mu_m]_k,  k = 1..floor(N/2),
+
+    with the m = 0 term zero. Raises MissingRingModes (a NotPositiveDefinite)
+    naming each mode m <= N/2 with mu_m <= 1e-9 N max|c|: then no Gaussian
+    ring exists (H > 1/2 apart from small odd rings; even rings at H = 1/2).
     """
-    geom = kernels.RingGeometry(sites=sites)
-    cov = kernels.ring_increment_cov(geom, hurst)
-    energy = linalg.invert(cov[: sites - 1, : sites - 1])
-    table = couplings_mod.couplings_from_energy(energy).g
-    scale = float(np.abs(table).max(initial=0.0))
-    means = np.empty(sites // 2)
-    for dist in range(1, sites // 2 + 1):
-        idx = np.arange(sites)
-        values = table[idx, (idx + dist) % sites]
-        spread = float(values.max() - values.min())
-        if spread > 1e-6 * max(scale, 1e-300):
-            raise ValueError(
-                f"couplings at distance {dist} are not distance-homogeneous "
-                f"(spread {spread:.3e} at scale {scale:.3e})"
-            )
-        means[dist - 1] = values.mean()
-    return RingModel(sites=sites, g_by_distance=means)
+    row = kernels.ring_increment_row(kernels.RingGeometry(sites=sites), hurst)
+    modes = np.arange(1, sites // 2 + 1)
+    mu = circulant_eigenvalues(Circulant(first_row=row))[modes]
+    missing = mu <= 1e-9 * sites * float(np.abs(row).max())  # scale of linalg.default_tol_pd
+    if missing.any():
+        raise MissingRingModes(modes=[int(m) for m in modes[missing]], min_eigenvalue=float(mu.min()))
+    lam = (1.0 - np.cos(2.0 * np.pi * modes / sites)) / mu
+    lam_row = np.concatenate(([0.0], mirrored_distance_row(lam, sites)))
+    g = -circulant_eigenvalues(Circulant(first_row=lam_row))[modes] / sites
+    return RingModel(sites=sites, g_by_distance=g)

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import kernels, linalg
+from .circulant import Circulant
 from .errors import IndefiniteCovariance, QuadratureFailure
 
 TWO_PI = 2.0 * math.pi
@@ -115,15 +116,30 @@ def piecewise_ring_cov(s: float, t: float) -> float:
 
 
 def piecewise_ring_cov_matrix(grid: np.ndarray) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    return np.array([[piecewise_ring_cov(s, t) for t in grid] for s in grid])
+    """:func:`piecewise_ring_cov` at every pair of grid times."""
+    grid = _check_ring_times(grid)
+    s = np.minimum(grid[:, None], grid[None, :])
+    t = np.maximum(grid[:, None], grid[None, :])
+    straddle = np.maximum(math.pi + s - t, 0.0)
+    return np.where(t <= math.pi, s, np.where(s >= math.pi, TWO_PI - t, straddle))
 
 
-def _source_paths(stops: np.ndarray, paths: int, seed: int) -> np.ndarray:
-    """Wiener values at the sorted time points ``stops`` (one row per path)."""
-    steps = np.diff(np.concatenate(([0.0], stops)))
-    z = _normals((paths, stops.size), seed)
-    return np.cumsum(z * np.sqrt(steps), axis=1)
+def _check_ring_times(t_grid: np.ndarray) -> np.ndarray:
+    """The grid as a float array, after checking it is 1-d, nonempty and in [0, 2*pi]."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0:
+        raise ValueError("t_grid must be a nonempty 1-d array")
+    if t_grid.min() < 0.0 or t_grid.max() > TWO_PI:
+        raise ValueError("grid out of range: times must lie in [0, 2*pi]")
+    return t_grid
+
+
+def _wiener_at(times: np.ndarray, paths: int, seed: int) -> np.ndarray:
+    """Wiener values (one row per path) at sorted ``times``, which start at 0."""
+    z = _normals((paths, times.size - 1), seed)
+    wiener = np.zeros((paths, times.size))
+    np.cumsum(z * np.sqrt(np.diff(times)), axis=1, out=wiener[:, 1:])
+    return wiener
 
 
 def reflected_brownian_ring(t_grid: np.ndarray, paths: int, seed: int) -> SampleBatch:
@@ -134,39 +150,22 @@ def reflected_brownian_ring(t_grid: np.ndarray, paths: int, seed: int) -> Sample
     two halves are assembled from the same path, so b(0) = b(2*pi) = 0 holds
     exactly per sample.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0:
-        raise ValueError("t_grid must be a nonempty 1-d array")
-    if t_grid.min() < 0.0 or t_grid.max() > TWO_PI:
-        raise ValueError("grid out of range: times must lie in [0, 2*pi]")
+    t_grid = _check_ring_times(t_grid)
     source = np.where(t_grid <= math.pi, t_grid, t_grid - math.pi)
-    stops = np.unique(np.concatenate((source[source > 0.0], [math.pi])))
-    wiener = _source_paths(stops, paths, seed)
-    half = wiener[:, np.searchsorted(stops, math.pi)]
-    values = np.empty((paths, t_grid.size))
-    for j, t in enumerate(t_grid):
-        if t <= math.pi:
-            values[:, j] = wiener[:, np.searchsorted(stops, t)] if t > 0.0 else 0.0
-        else:
-            back = t - math.pi
-            values[:, j] = half - (wiener[:, np.searchsorted(stops, back)] if back > 0.0 else 0.0)
+    times = np.unique(np.concatenate(([0.0, math.pi], source)))
+    wiener = _wiener_at(times, paths, seed)
+    half = wiener[:, np.searchsorted(times, math.pi), None]
+    at_source = wiener[:, np.searchsorted(times, source)]
+    values = np.where(t_grid <= math.pi, at_source, half - at_source)
     return SampleBatch(values=values, seed=seed, model_tag=f"reflected_ring[{t_grid.size}]")
 
 
 def brownian_bridge_ring(t_grid: np.ndarray, paths: int, seed: int) -> SampleBatch:
     """Rescaled-bridge construction B(t) - t/(2*pi) B(2*pi) (negative control)."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0:
-        raise ValueError("t_grid must be a nonempty 1-d array")
-    if t_grid.min() < 0.0 or t_grid.max() > TWO_PI:
-        raise ValueError("grid out of range: times must lie in [0, 2*pi]")
-    stops = np.unique(np.concatenate((t_grid[t_grid > 0.0], [TWO_PI])))
-    wiener = _source_paths(stops, paths, seed)
-    final = wiener[:, -1]
-    values = np.empty((paths, t_grid.size))
-    for j, t in enumerate(t_grid):
-        base = wiener[:, np.searchsorted(stops, t)] if t > 0.0 else 0.0
-        values[:, j] = base - (t / TWO_PI) * final
+    t_grid = _check_ring_times(t_grid)
+    times = np.unique(np.concatenate(([0.0, TWO_PI], t_grid)))
+    wiener = _wiener_at(times, paths, seed)
+    values = wiener[:, np.searchsorted(times, t_grid)] - (t_grid / TWO_PI) * wiener[:, -1:]
     return SampleBatch(values=values, seed=seed, model_tag=f"bridge_ring[{t_grid.size}]")
 
 
@@ -180,23 +179,14 @@ def uniform_ring_grid(n_points: int) -> np.ndarray:
 def uniform_grid_increment_cov(n_increments: int, hurst: float = 0.5) -> np.ndarray:
     """Circulant increment covariance of the periodic model on a uniform grid.
 
-    Spacing h = 2*pi/n on the circumference-2*pi circle; first row
-    c_j = (d((j+1)h)^{2H} + d((j-1)h)^{2H} - 2 d(jh)^{2H}) / 2 with the arc
-    geodesic distance d.
+    Spacing h = 2*pi/n on the circumference-2*pi circle. Arc distances are h
+    times integer-ring distances, so the first row is h^{2H} times that of the
+    n-site integer ring (:func:`fbmspring.kernels.ring_increment_row`).
     """
     if n_increments < 2:
         raise ValueError("need at least 2 increments")
-    h = TWO_PI / n_increments
-
-    def arc(x: np.ndarray) -> np.ndarray:
-        r = np.abs(x) % TWO_PI
-        return np.minimum(r, TWO_PI - r)
-
-    j = np.arange(-1, n_increments + 1, dtype=float)
-    dpow = arc(j * h) ** (2.0 * hurst)
-    row = 0.5 * ((dpow[2:] + dpow[:-2]) - 2.0 * dpow[1:-1])
-    idx = np.arange(n_increments)
-    return row[(idx[None, :] - idx[:, None]) % n_increments]
+    scale = (TWO_PI / n_increments) ** (2.0 * hurst)
+    return Circulant(first_row=scale * kernels._ring_increment_row(n_increments, hurst)).dense()
 
 
 def grid_increments(batch: SampleBatch) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -131,6 +133,17 @@ class TestRingModeSpectrum:
             assert ring_lambda(g, 5, m) == ring_mode_spectrum(g, 5)[m]
         with pytest.raises(ValueError):
             ring_lambda(g, 5, 5)
+
+    def test_memory_is_linear_in_sites(self):
+        g = np.zeros(2048)
+        g[0], g[1] = 1.0, -0.2
+        tracemalloc.start()
+        try:
+            ring_mode_spectrum(g, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # an N x N cosine matrix would take 128 MB
 
     def test_mirror_extension(self):
         np.testing.assert_array_equal(mirrored_distance_row(np.array([1.0, 2.0]), 4), [1, 2, 1])

@@ -66,6 +66,20 @@ class TestCouplingsCommand:
         assert "hurst <= 0.5" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ring_names_missing_modes(self, tmp_path, capsys):
+        # the Brownian even ring has no weight on its even modes; H = 0.5 is
+        # not above 0.5, so the message must not blame the Hurst range
+        out = tmp_path / "bad.csv"
+        code = main([
+            "couplings", "--mode", "ring", "--monomers", "6",
+            "--hurst", "0.5", "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "modes 2 " in err
+        assert "requires hurst <= 0.5" not in err
+        assert not out.exists()
+
     def test_manifest_and_replay_bytes(self, tmp_path):
         args = ["couplings", "--mode", "chain", "--monomers", "21", "--hurst", "0.4"]
         first = tmp_path / "a.csv"

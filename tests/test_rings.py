@@ -1,12 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import zeta as scipy_zeta
 
 from fbmspring.circulant import circulant_eigenvalues, ring_mode_spectrum
-from fbmspring.errors import DivergentSeries, InvalidExponent, NonpositiveG1, NotPositiveDefinite
-from fbmspring.linalg import eigen_sym
+from fbmspring.couplings import couplings_from_energy
+from fbmspring.errors import (
+    DivergentSeries,
+    InvalidExponent,
+    MissingRingModes,
+    NonpositiveG1,
+    NotPositiveDefinite,
+)
+from fbmspring.kernels import RingGeometry, ring_increment_cov
+from fbmspring.linalg import eigen_sym, invert
 from fbmspring.rings import (
     RingModel,
     build_distance_circulant,
@@ -274,3 +283,42 @@ class TestRingCouplingProfile:
             lhs = float(x @ lap @ x)
             rhs = 0.5 * float(y @ energy @ y)
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+
+    def test_even_brownian_ring_names_missing_modes(self):
+        # at H = 1/2 an even ring's increment covariance vanishes on every even mode
+        with pytest.raises(MissingRingModes) as info:
+            ring_coupling_profile(8, 0.5)
+        assert info.value.modes == [2, 4]
+        assert abs(info.value.min_eigenvalue) < 1e-12
+        assert "modes 2, 4 " in str(info.value)
+
+    def test_memory_is_linear_in_sites(self):
+        tracemalloc.start()
+        try:
+            ring_coupling_profile(2048, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # a dense (N-1)^2 inverse alone takes 32 MB
+
+
+def dense_ring_coupling_profile(sites, hurst):
+    """Reference pipeline: invert the (N-1) increment block, take the pairwise
+    couplings, and average each geodesic distance class."""
+    cov = ring_increment_cov(RingGeometry(sites), hurst)
+    table = couplings_from_energy(invert(cov[: sites - 1, : sites - 1])).g
+    idx = np.arange(sites)
+    return np.array([table[idx, (idx + d) % sites].mean() for d in range(1, sites // 2 + 1)])
+
+
+@pytest.mark.parametrize("hurst", [0.05, 0.2, 0.3, 0.45, 0.5, 0.55, 0.6, 0.65, 0.8])
+@pytest.mark.parametrize("sites", [5, 6, 7, 8, 9, 12, 24, 61, 64, 128])
+def test_closed_form_matches_dense_oracle(sites, hurst):
+    try:
+        expected = dense_ring_coupling_profile(sites, hurst)
+    except NotPositiveDefinite:
+        with pytest.raises(NotPositiveDefinite):
+            ring_coupling_profile(sites, hurst)
+        return
+    got = ring_coupling_profile(sites, hurst).g_by_distance
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()

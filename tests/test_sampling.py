@@ -191,6 +191,47 @@ class TestUniformGridCov:
         np.testing.assert_allclose(cov[0], expected, atol=1e-13)
 
 
+def _loop_wiener(stops, paths, seed):
+    z = np.random.Generator(np.random.Philox(key=seed)).standard_normal((paths, stops.size))
+    return np.cumsum(z * np.sqrt(np.diff(np.concatenate(([0.0], stops)))), axis=1)
+
+
+def loop_reflected(t_grid, paths, seed):
+    """Per-column reference for reflected_brownian_ring."""
+    source = np.where(t_grid <= math.pi, t_grid, t_grid - math.pi)
+    stops = np.unique(np.concatenate((source[source > 0.0], [math.pi])))
+    wiener = _loop_wiener(stops, paths, seed)
+    half = wiener[:, np.searchsorted(stops, math.pi)]
+    values = np.empty((paths, t_grid.size))
+    for j, t in enumerate(t_grid):
+        if t <= math.pi:
+            values[:, j] = wiener[:, np.searchsorted(stops, t)] if t > 0.0 else 0.0
+        else:
+            values[:, j] = half - wiener[:, np.searchsorted(stops, t - math.pi)]
+    return values
+
+
+def loop_bridge(t_grid, paths, seed):
+    """Per-column reference for brownian_bridge_ring."""
+    stops = np.unique(np.concatenate((t_grid[t_grid > 0.0], [TWO_PI])))
+    wiener = _loop_wiener(stops, paths, seed)
+    values = np.empty((paths, t_grid.size))
+    for j, t in enumerate(t_grid):
+        base = wiener[:, np.searchsorted(stops, t)] if t > 0.0 else 0.0
+        values[:, j] = base - (t / TWO_PI) * wiener[:, -1]
+    return values
+
+
+@pytest.mark.parametrize("n", [8, 12, 64, 256])
+def test_vectorized_ring_paths_equal_loop_references(n):
+    # the grid also carries t = 0, t = pi and a repeated time
+    grid = np.concatenate(([0.0, math.pi], uniform_ring_grid(n), [1.0, 1.0]))
+    assert np.array_equal(reflected_brownian_ring(grid, 30, n).values, loop_reflected(grid, 30, n))
+    assert np.array_equal(brownian_bridge_ring(grid, 30, n).values, loop_bridge(grid, 30, n))
+    loop_cov = np.array([[piecewise_ring_cov(s, t) for t in grid] for s in grid])
+    assert np.array_equal(piecewise_ring_cov_matrix(grid), loop_cov)
+
+
 class TestFourierModeEnergy:
     def test_even_modes_vanish_at_half(self):
         for mode in (2, 4, 6, 8):
