@@ -483,29 +483,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Stderr prefix and exit code per failure class; the first match wins.
+_INVALID, _NUMERICAL = ("error", EXIT_INVALID), ("numerical failure", EXIT_NUMERICAL)
+_FAILURES = {
+    CliInputError: _INVALID,
+    NoSignChange: ("no result", EXIT_NO_RESULT),
+    **dict.fromkeys((IndefiniteCovariance, NonpositiveG1, InvalidExponent, NotSymmetricCirculant), _INVALID),
+    **dict.fromkeys((ValueError, IndexError, OSError), _INVALID),
+    **dict.fromkeys((NotPositiveDefinite, NoConvergence, QuadratureFailure, MaxIterations), _NUMERICAL),
+    FbmSpringError: ("error", EXIT_NUMERICAL),  # safety net for future error types
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except NoSignChange as exc:
-        print(f"no result: {exc}", file=sys.stderr)
-        return EXIT_NO_RESULT
-    except (IndefiniteCovariance, NonpositiveG1, InvalidExponent, NotSymmetricCirculant) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ValueError, IndexError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (NotPositiveDefinite, NoConvergence, QuadratureFailure, MaxIterations) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except FbmSpringError as exc:  # safety net for future error types
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except tuple(_FAILURES) as exc:
+        prefix, code = next(status for cls, status in _FAILURES.items() if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 def run() -> None:

@@ -113,6 +113,8 @@ def chain_coupling_matrix(monomers: int, hurst: float) -> CouplingProfile:
     Pipeline: increment covariance -> inverse (energy matrix) -> couplings.
     ``monomers`` counts positions, so the covariance has monomers - 1 rows.
     """
+    if not 0.0 < hurst < 1.0:
+        raise ValueError(f"chain couplings need 0 < hurst < 1 (a rigid rod at 1), got hurst = {hurst}")
     model = kernels.ChainModel(n=monomers - 1, hurst=hurst)
     energy = linalg.invert(kernels.chain_increment_cov(model))
     return couplings_from_energy(energy)

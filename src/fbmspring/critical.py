@@ -60,8 +60,6 @@ def coupling_at(monomers: int, hurst: float, center: int | None, offset: int) ->
     covariance is positive definite for H in (0, 1), so a failure signals a
     numerically ill-conditioned request rather than an invalid model.
     """
-    if not 0.0 < hurst < 1.0:
-        raise ValueError(f"hurst must be in (0, 1) for the chain pipeline, got {hurst}")
     query = SignChangeQuery(monomers=monomers, offset=offset, center=center)
     center_idx = query.resolved_center()
     profile = chain_coupling_matrix(monomers, hurst)

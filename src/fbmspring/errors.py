@@ -38,11 +38,7 @@ class MissingRingModes(NotPositiveDefinite):
 
 
 class NoConvergence(FbmSpringError):
-    """The symmetric eigensolver exhausted its iteration budget."""
-
-    def __init__(self, sweeps: int):
-        self.sweeps = sweeps
-        super().__init__(f"eigensolver failed to converge within {sweeps} sweeps")
+    """LAPACK's symmetric eigensolver (``eigh``) did not converge."""
 
 
 class NotSymmetricCirculant(FbmSpringError):

@@ -1,11 +1,11 @@
 """Dense symmetric linear algebra: factorization, inversion, eigensolution,
-and definiteness classification.
+and definiteness classification, as a thin layer over numpy's LAPACK.
 
 All functions operate on plain ``numpy`` arrays that are *exactly* symmetric
 (``a[i, k] == a[k, i]`` bitwise). Builders elsewhere in the package construct
 matrices so this holds by construction; :func:`require_symmetric` is the guard
-at every entry point. Matrices here are small (dimension up to a few hundred),
-so everything is dense and no attempt is made at large-scale performance.
+at every entry point. What this layer adds to LAPACK is the package's
+positive-definiteness tolerance and its error types.
 """
 
 from __future__ import annotations
@@ -14,15 +14,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import NoConvergence, NotPositiveDefinite
 
 #: Relative scale of the default positive-definiteness tolerance.
 DEFAULT_PD_SCALE = 1e-9
-
-#: Iteration budget reported when the backend eigensolver gives up.
-EIGEN_SWEEP_BUDGET = 100
 
 
 class Definiteness(str, Enum):
@@ -82,15 +78,25 @@ def cholesky(a: np.ndarray, tol_pd: float | None = None) -> np.ndarray:
     a = require_symmetric(a)
     if tol_pd is None:
         tol_pd = default_tol_pd(a)
-    n = a.shape[0]
-    low = np.zeros((n, n))
-    for i in range(n):
-        pivot = a[i, i] - np.dot(low[i, :i], low[i, :i])
-        if pivot <= tol_pd:
-            raise NotPositiveDefinite(pivot_index=i, pivot_value=float(pivot))
-        low[i, i] = np.sqrt(pivot)
-        if i + 1 < n:
-            low[i + 1 :, i] = (a[i + 1 :, i] - low[i + 1 :, :i] @ low[i, :i]) / low[i, i]
+    try:
+        low = np.linalg.cholesky(a)
+        pivots = np.diag(low) ** 2
+    except np.linalg.LinAlgError:
+        # LAPACK does not say where it stopped: bisect (O(log n) calls) for the longest leading
+        # block it factors; the next pivot is that block's Schur complement a_kk - |L^-1 a_k|^2.
+        ok, bad, low = 0, a.shape[0], np.zeros((0, 0))
+        while bad - ok > 1:
+            mid = (ok + bad) // 2
+            try:
+                low, ok = np.linalg.cholesky(a[:mid, :mid]), mid
+            except np.linalg.LinAlgError:
+                bad = mid
+        w = np.linalg.solve(low, a[:ok, ok])
+        low, pivots = None, np.append(np.diag(low) ** 2, a[ok, ok] - w @ w)
+    small = np.flatnonzero(pivots <= tol_pd)
+    if small.size or low is None:
+        i = int(small[0]) if small.size else pivots.size - 1
+        raise NotPositiveDefinite(pivot_index=i, pivot_value=float(pivots[i]))
     return low
 
 
@@ -100,9 +106,7 @@ def invert(a: np.ndarray, tol_pd: float | None = None) -> np.ndarray:
     The result is exactly symmetric. Raises :class:`NotPositiveDefinite`
     when the input is not PD at tolerance ``tol_pd``.
     """
-    low = cholesky(a, tol_pd=tol_pd)
-    n = low.shape[0]
-    linv = solve_triangular(low, np.eye(n), lower=True)
+    linv = np.linalg.inv(cholesky(a, tol_pd=tol_pd))
     return symmetrize(linv.T @ linv)
 
 
@@ -110,10 +114,9 @@ def eigen_sym(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of ``a``."""
     a = require_symmetric(a)
     try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise NoConvergence(sweeps=EIGEN_SWEEP_BUDGET) from exc
-    return w, v
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigh did not converge: {exc}") from exc
 
 
 def classify_definiteness(a: np.ndarray, tol_pd: float | None = None) -> DefinitenessVerdict:

@@ -170,10 +170,13 @@ def brownian_bridge_ring(t_grid: np.ndarray, paths: int, seed: int) -> SampleBat
 
 
 def uniform_ring_grid(n_points: int) -> np.ndarray:
-    """n_points equally spaced times 2*pi*k/n, k = 1..n (endpoint included)."""
+    """n_points equally spaced times 2*pi*k/n, k = 1..n; the last is exactly 2*pi.
+
+    ``TWO_PI * n / n`` rounds one ulp above 2*pi for n = 13, 26, 47, ...
+    """
     if n_points < 2:
         raise ValueError("need at least 2 grid points")
-    return TWO_PI * np.arange(1, n_points + 1) / n_points
+    return np.append(TWO_PI * np.arange(1, n_points) / n_points, TWO_PI)
 
 
 def uniform_grid_increment_cov(n_increments: int, hurst: float = 0.5) -> np.ndarray:

@@ -1,10 +1,29 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fbmspring.cli import main
+import fbmspring
+from fbmspring import cli
+from fbmspring.cli import CliInputError, main
+from fbmspring.errors import (
+    DivergentSeries,
+    IndefiniteCovariance,
+    InvalidExponent,
+    MaxIterations,
+    MissingRingModes,
+    NoConvergence,
+    NonpositiveG1,
+    NoSignChange,
+    NotPositiveDefinite,
+    NotSymmetricCirculant,
+    QuadratureFailure,
+)
 
 
 def read_csv(path):
@@ -279,6 +298,10 @@ class TestSampleCommand:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_reflected_grid_with_overshooting_endpoint(self, capsys):
+        # 2*pi*13/13 rounds one ulp above 2*pi
+        assert main(["sample", "--model", "reflected", "--grid", "13", "--paths", "2"]) == 0
+
 
 class TestFourierEnergyCommand:
     def test_series_and_closed_form(self, tmp_path):
@@ -307,3 +330,62 @@ class TestArgumentValidation:
             "couplings", "--mode", "chain", "--monomers", "11",
             "--hurst", "0.3", "--center", "12",
         ]) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["couplings", "--mode", "chain", "--monomers", "11", "--hurst", "1.0"],
+        ["spectrum", "--mode", "chain", "--monomers", "11", "--hurst", "1.0"],
+    ])
+    def test_rigid_rod_chain_has_no_couplings(self, capsys, command):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "hurst = 1.0" in err
+
+    def test_rigid_rod_chain_can_be_sampled(self, capsys):
+        assert main(["sample", "--model", "chain", "--monomers", "5", "--hurst", "1.0", "--paths", "3"]) == 0
+
+
+class TestExitStatus:
+    @pytest.mark.parametrize("exc, prefix, code", [
+        (CliInputError("bad flag"), "error", 2),
+        (IndefiniteCovariance(-1.0), "error", 2),
+        (NonpositiveG1("g1 <= 0"), "error", 2),
+        (InvalidExponent("gamma <= 3"), "error", 2),
+        (NotSymmetricCirculant("c[1] != c[N-1]"), "error", 2),
+        (ValueError("out of range"), "error", 2),
+        (IndexError("no such monomer"), "error", 2),
+        (FileNotFoundError("no such file"), "error", 2),
+        (NoSignChange("same sign"), "no result", 3),
+        (NotPositiveDefinite(pivot_index=1, pivot_value=0.0), "numerical failure", 4),
+        (MissingRingModes([2], 0.0), "numerical failure", 4),
+        (NoConvergence("eigh"), "numerical failure", 4),
+        (QuadratureFailure(1.0, 1.0, 1e-10), "numerical failure", 4),
+        (MaxIterations(iterations=200, width=1.0), "numerical failure", 4),
+        (DivergentSeries("s <= 1"), "error", 4),
+    ], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
+    def test_error_class_sets_prefix_and_code(self, monkeypatch, capsys, exc, prefix, code):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_fourier_energy", fail)
+        assert main(["fourier-energy", "--hurst", "0.5"]) == code
+        assert capsys.readouterr().err == f"{prefix}: {exc}\n"
+
+    def test_eigensolver_failure_exits_numerical(self, monkeypatch, capsys):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        assert main(["spectrum", "--mode", "chain", "--monomers", "5", "--hurst", "0.3", "--cov"]) == 4
+        assert capsys.readouterr().err.startswith("numerical failure: LAPACK eigh did not converge")
+
+
+def test_cli_import_leaves_scipy_out():
+    src = Path(fbmspring.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, fbmspring.cli; sys.exit('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr or "importing fbmspring.cli loaded scipy"

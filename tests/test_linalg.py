@@ -17,6 +17,36 @@ from fbmspring.linalg import (
 from conftest import random_spd, random_symmetric
 
 
+def loop_cholesky(a, tol_pd):
+    """Python-loop factorization that ``cholesky`` replaced, kept as the reference."""
+    n = a.shape[0]
+    low = np.zeros((n, n))
+    for i in range(n):
+        pivot = a[i, i] - np.dot(low[i, :i], low[i, :i])
+        if pivot <= tol_pd:
+            raise NotPositiveDefinite(pivot_index=i, pivot_value=float(pivot))
+        low[i, i] = np.sqrt(pivot)
+        if i + 1 < n:
+            low[i + 1 :, i] = (a[i + 1 :, i] - low[i + 1 :, :i] @ low[i, :i]) / low[i, i]
+    return low
+
+
+def factor_or_error(factor, a, tol_pd):
+    try:
+        return factor(a, tol_pd)
+    except NotPositiveDefinite as exc:
+        return exc
+
+
+def pivot_error_bound(a, k):
+    """Forward error scale of the Schur complement a_kk - a[:k, k] A_k^-1 a[:k, k]."""
+    if k == 0:
+        return 4 * np.finfo(float).eps * abs(a[0, 0])
+    block = a[:k, :k]
+    quad = a[:k, k] @ np.linalg.solve(block, a[:k, k])
+    return 4 * np.finfo(float).eps * k * np.linalg.cond(block) * (abs(a[k, k]) + abs(quad))
+
+
 class TestCholesky:
     def test_identity(self):
         np.testing.assert_array_equal(cholesky(np.eye(3)), np.eye(3))
@@ -50,6 +80,59 @@ class TestCholesky:
         ones = np.ones((3, 3))
         with pytest.raises(NotPositiveDefinite):
             cholesky(ones)
+
+
+class TestCholeskyAgainstLoop:
+    def test_random_symmetric_matrices(self, rng):
+        # shifts straddle the smallest eigenvalue: about half the cases fail
+        failures = 0
+        for _ in range(400):
+            n = int(rng.integers(1, 40))
+            m = random_spd(rng, n, jitter=0.0)
+            m = symmetrize(m - rng.uniform(-2.0, 2.0) * np.eye(n) - np.linalg.eigvalsh(m)[0] * np.eye(n))
+            tol = default_tol_pd(m)
+            expected = factor_or_error(loop_cholesky, m, tol)
+            got = factor_or_error(cholesky, m, tol)
+            if isinstance(expected, NotPositiveDefinite):
+                failures += 1
+                assert isinstance(got, NotPositiveDefinite)
+                assert got.pivot_index == expected.pivot_index
+                k = expected.pivot_index
+                assert abs(got.pivot_value - expected.pivot_value) <= pivot_error_bound(m, k)
+            else:
+                assert not isinstance(got, NotPositiveDefinite)
+                assert np.abs(got @ got.T - m).max() <= 1e-14 * n * np.abs(m).max()
+        assert 100 < failures < 300
+
+    @pytest.mark.parametrize(
+        "small_at, negative_at, expected_index",
+        [(4, None, 4), (None, 8, 8), (4, 8, 4)],
+        ids=["small-pivot-lapack-succeeds", "lapack-fails", "small-pivot-before-lapack-failure"],
+    )
+    def test_pivot_cases(self, rng, small_at, negative_at, expected_index):
+        # a = U D U.T with unit lower U has Cholesky pivots D
+        d = np.ones(12)
+        if small_at is not None:
+            d[small_at] = 1e-10
+        if negative_at is not None:
+            d[negative_at] = -1.0
+        unit = np.tril(rng.normal(scale=0.3, size=(12, 12)), -1) + np.eye(12)
+        a = symmetrize((unit * d) @ unit.T)
+        tol = default_tol_pd(a)
+        try:
+            np.linalg.cholesky(a)
+            lapack_fails = False
+        except np.linalg.LinAlgError:
+            lapack_fails = True
+        assert lapack_fails == (negative_at is not None)
+        expected = factor_or_error(loop_cholesky, a, tol)
+        with pytest.raises(NotPositiveDefinite) as info:
+            cholesky(a)
+        assert info.value.pivot_index == expected.pivot_index == expected_index
+        assert info.value.pivot_value == pytest.approx(expected.pivot_value, rel=1e-6)
+        assert info.value.pivot_value == pytest.approx(d[expected_index], rel=1e-6)
+        if small_at is not None:
+            assert 0.0 < info.value.pivot_value <= tol
 
 
 class TestInvert:
@@ -106,9 +189,13 @@ class TestEigenSym:
             w, _ = eigen_sym(m)
             assert abs(w.sum() - np.trace(m)) <= 1e-9 * n * np.abs(m).max()
 
-    def test_no_convergence_error_carries_budget(self):
-        err = NoConvergence(sweeps=100)
-        assert err.sweeps == 100
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NoConvergence, match="LAPACK eigh did not converge"):
+            eigen_sym(np.eye(3))
 
 
 class TestClassify:

@@ -264,6 +264,11 @@ class TestHelpers:
         grid = uniform_ring_grid(8)
         assert grid[-1] == TWO_PI
         assert grid[0] == pytest.approx(TWO_PI / 8)
+        # TWO_PI * n / n rounds one ulp above 2*pi at n = 13, 26, 47, ...
+        for n in range(2, 1025):
+            grid = uniform_ring_grid(n)
+            assert grid[-1] == TWO_PI
+            assert np.array_equal(grid[:-1], TWO_PI * np.arange(1, n) / n)
 
     def test_covariance_bound_formula(self):
         cov = np.array([[2.0, 1.0], [1.0, 3.0]])
