@@ -45,6 +45,7 @@ from .kernels import (
     ChainModel,
     RingGeometry,
     chain_increment_cov,
+    chain_increment_row,
     geodesic_distance,
     ring_increment_cov,
     ring_increment_row,
@@ -53,13 +54,11 @@ from .kernels import (
 from .linalg import (
     Definiteness,
     DefinitenessVerdict,
-    cholesky,
     classify_definiteness,
     default_tol_pd,
     eigen_sym,
-    invert,
     require_symmetric,
-    symmetrize,
+    toeplitz_inverse,
 )
 from .rings import (
     AdmissibilityReport,
@@ -92,10 +91,10 @@ from .sampling import (
 __all__ = [
     "__version__",
     # linalg
-    "Definiteness", "DefinitenessVerdict", "cholesky", "classify_definiteness",
-    "default_tol_pd", "eigen_sym", "invert", "require_symmetric", "symmetrize",
+    "Definiteness", "DefinitenessVerdict", "classify_definiteness", "default_tol_pd",
+    "eigen_sym", "require_symmetric", "toeplitz_inverse",
     # kernels
-    "ChainModel", "RingGeometry", "chain_increment_cov", "geodesic_distance",
+    "ChainModel", "RingGeometry", "chain_increment_cov", "chain_increment_row", "geodesic_distance",
     "ring_increment_cov", "ring_increment_row", "ring_position_cov",
     # couplings
     "CouplingProfile", "chain_coupling_matrix", "coupling_laplacian",

@@ -63,6 +63,17 @@ class CliInputError(Exception):
     """Invalid flags, files, or model parameters (exit code 2)."""
 
 
+def _finite(text: str) -> float:
+    """Float flag value; nan and inf would pass every range check downstream."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -176,8 +187,8 @@ def _cmd_couplings(args: argparse.Namespace) -> int:
 
 def _parse_g_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
+        return [_finite(tok) for tok in text.split(",") if tok.strip() != ""]
+    except argparse.ArgumentTypeError as exc:
         raise CliInputError(f"could not parse --g value {text!r}: {exc}") from exc
 
 
@@ -201,15 +212,15 @@ def _parse_g_file(path: Path) -> tuple[int | None, dict[int, float]]:
                     continue
                 if not key.startswith("g"):
                     raise ValueError(f"unknown key {key!r}")
-                table[int(key[1:])] = float(value)
+                table[int(key[1:])] = _finite(value)
                 continue
             parts = body.split()
             if len(parts) != 2:
                 raise ValueError("expected '<k> <value>' pair")
             key = parts[0][1:] if parts[0].startswith("g") else parts[0]
-            table[int(key)] = float(parts[1])
-        except ValueError as exc:
-            raise CliInputError(f"{path}:{lineno}: malformed model line {body!r}: {exc}") from exc
+            table[int(key)] = _finite(parts[1])
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise CliInputError(f"--g-file {path}:{lineno}: malformed model line {body!r}: {exc}") from exc
     return sites, table
 
 
@@ -424,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("couplings", help="pairwise coupling series of a chain or ring model")
     p.add_argument("--mode", choices=["chain", "ring"], required=True)
     p.add_argument("--monomers", type=int, required=True, help="number of positions (ring: sites)")
-    p.add_argument("--hurst", type=float, required=True)
+    p.add_argument("--hurst", type=_finite, required=True)
     p.add_argument("--center", type=int, default=None, help="1-based center monomer (chain; default: middle)")
     p.add_argument("--out", type=Path, default=None, help="CSV path (default: stdout)")
     p.add_argument("--gnuplot", action="store_true", help="also write a ready gnuplot script")
@@ -436,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-file", type=Path, default=None, help="model file with N=... and g<k>=<value> lines")
     p.add_argument("--mode", choices=["chain", "ring"], default=None)
     p.add_argument("--monomers", type=int, default=None)
-    p.add_argument("--hurst", type=float, default=None)
+    p.add_argument("--hurst", type=_finite, default=None)
     p.add_argument("--cov", action="store_true", help="spectrum of the increment covariance instead of the energy")
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--gnuplot", action="store_true")
@@ -446,15 +457,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monomers", type=int, default=61)
     p.add_argument("--offset", type=int, default=3)
     p.add_argument("--center", type=int, default=None, help="1-based center monomer (default: middle)")
-    p.add_argument("--bracket", type=float, nargs=2, default=(0.6, 0.9), metavar=("LO", "HI"))
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--bracket", type=_finite, nargs=2, default=(0.6, 0.9), metavar=("LO", "HI"))
+    p.add_argument("--tol", type=_finite, default=1e-6)
     p.add_argument("--out", type=Path, default=None, help="JSON path (default: stdout)")
     p.set_defaults(handler=_cmd_critical)
 
     p = sub.add_parser("ring-design", help="build a power-law stiff ring and check admissibility")
-    p.add_argument("--g1", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
+    p.add_argument("--g1", type=_finite, required=True)
+    p.add_argument("--c", type=_finite, required=True)
+    p.add_argument("--gamma", type=_finite, required=True)
     p.add_argument("--sites", type=int, required=True)
     p.add_argument("--infinite-guarantee", action="store_true",
                    help="require the size-independent zeta bound to be meaningful (gamma > 3)")
@@ -466,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monomers", type=int, default=None)
     p.add_argument("--sites", type=int, default=None)
     p.add_argument("--grid", type=int, default=16, help="uniform circle grid size (reflected/bridge)")
-    p.add_argument("--hurst", type=float, default=None)
+    p.add_argument("--hurst", type=_finite, default=None)
     p.add_argument("--paths", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, default=None, help="CSV path for the sampled paths (default: stdout)")
@@ -474,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sample)
 
     p = sub.add_parser("fourier-energy", help="expected squared Fourier coefficients of the periodic model")
-    p.add_argument("--hurst", type=float, required=True)
+    p.add_argument("--hurst", type=_finite, required=True)
     p.add_argument("--mode-max", type=int, default=20)
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--gnuplot", action="store_true")

@@ -59,9 +59,8 @@ def couplings_from_energy(a: np.ndarray) -> CouplingProfile:
     n = a.shape[0]
     padded = np.zeros((n + 2, n + 2))
     padded[1 : n + 1, 1 : n + 1] = a
-    k = np.arange(n + 1)
-    same = padded[np.ix_(k, k)] + padded[np.ix_(k + 1, k + 1)]
-    cross = padded[np.ix_(k, k + 1)] + padded[np.ix_(k + 1, k)]
+    same = padded[:-1, :-1] + padded[1:, 1:]
+    cross = padded[:-1, 1:] + padded[1:, :-1]
     # Grouping (same) - (cross) keeps the table bitwise symmetric.
     g = -0.5 * (same - cross)
     np.fill_diagonal(g, 0.0)
@@ -94,10 +93,10 @@ def coupling_laplacian(profile: CouplingProfile) -> np.ndarray:
 
     L = diag(row sums of g) - g, so that x.T @ L @ x equals the energy summed
     over unordered pairs. The constant vector is always a zero mode: shifting
-    every monomer together costs nothing.
+    every monomer together costs nothing. L is exactly symmetric because g is.
     """
     g = profile.g
-    return linalg.symmetrize(np.diag(g.sum(axis=1)) - g)
+    return np.diag(g.sum(axis=1)) - g
 
 
 def coupling_slice(profile: CouplingProfile, center: int) -> list[tuple[int, float]]:
@@ -110,14 +109,14 @@ def coupling_slice(profile: CouplingProfile, center: int) -> list[tuple[int, flo
 def chain_coupling_matrix(monomers: int, hurst: float) -> CouplingProfile:
     """Full coupling table of a fractional Brownian chain.
 
-    Pipeline: increment covariance -> inverse (energy matrix) -> couplings.
-    ``monomers`` counts positions, so the covariance has monomers - 1 rows.
+    Pipeline: Toeplitz increment covariance -> inverse (energy matrix) ->
+    couplings, in O(n^2) time from the covariance's first row. ``monomers``
+    counts positions, so the covariance has monomers - 1 rows.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"chain couplings need 0 < hurst < 1 (a rigid rod at 1), got hurst = {hurst}")
     model = kernels.ChainModel(n=monomers - 1, hurst=hurst)
-    energy = linalg.invert(kernels.chain_increment_cov(model))
-    return couplings_from_energy(energy)
+    return couplings_from_energy(linalg.toeplitz_inverse(kernels.chain_increment_row(model)))
 
 
 def position_and_increment_spectra(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

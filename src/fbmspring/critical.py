@@ -37,7 +37,7 @@ class SignChangeQuery:
         lo, hi = self.bracket
         if not (0.0 < lo < hi < 1.0):
             raise ValueError(f"bracket must satisfy 0 < lo < hi < 1, got {self.bracket}")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         if self.monomers < 2:
             raise ValueError("need at least 2 monomers")

@@ -8,7 +8,8 @@ Brownian motion with Hurst index H is stationary,
 
     r(d) = (|d+1|^{2H} + |d-1|^{2H}) / 2 - |d|^{2H},
 
-so the chain covariance is Toeplitz with unit diagonal.
+so the chain covariance is Toeplitz with unit diagonal and first row
+:func:`chain_increment_row`.
 
 A ring has ``N`` sites at integer positions on a circle of circumference N;
 the metric is the geodesic distance d(m) = min(|m| mod N, N - |m| mod N). The
@@ -56,11 +57,15 @@ class RingGeometry:
 
 def chain_increment_cov(model: ChainModel) -> np.ndarray:
     """Toeplitz increment covariance of the open chain, shape (n, n)."""
+    idx = np.arange(model.n)
+    return chain_increment_row(model)[np.abs(idx[:, None] - idx[None, :])]
+
+
+def chain_increment_row(model: ChainModel) -> np.ndarray:
+    """First row r(0), ..., r(n - 1) of :func:`chain_increment_cov` (length n)."""
     h2 = 2.0 * model.hurst
     d = np.arange(model.n, dtype=float)
-    row = 0.5 * np.abs(d + 1.0) ** h2 + 0.5 * np.abs(d - 1.0) ** h2 - d**h2
-    idx = np.arange(model.n)
-    return row[np.abs(idx[:, None] - idx[None, :])]
+    return 0.5 * np.abs(d + 1.0) ** h2 + 0.5 * np.abs(d - 1.0) ** h2 - d**h2
 
 
 def geodesic_distance(geom: RingGeometry, i: int, k: int) -> int:

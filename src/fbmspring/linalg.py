@@ -1,11 +1,11 @@
-"""Dense symmetric linear algebra: factorization, inversion, eigensolution,
-and definiteness classification, as a thin layer over numpy's LAPACK.
+"""Linear algebra: one Toeplitz solver, and numpy's LAPACK ``eigh`` elsewhere.
 
-All functions operate on plain ``numpy`` arrays that are *exactly* symmetric
-(``a[i, k] == a[k, i]`` bitwise). Builders elsewhere in the package construct
-matrices so this holds by construction; :func:`require_symmetric` is the guard
-at every entry point. What this layer adds to LAPACK is the package's
-positive-definiteness tolerance and its error types.
+Chain covariances are symmetric Toeplitz, so :func:`toeplitz_inverse` works
+from their first row in O(n^2) time; symmetric matrices without such structure
+go through ``eigh``. Dense inputs must be *exactly* symmetric (``a[i, k] ==
+a[k, i]`` bitwise); builders elsewhere construct them so, and
+:func:`require_symmetric` is the guard at every entry point. What this layer
+adds to numpy is the package's positive-definiteness tolerance and its errors.
 """
 
 from __future__ import annotations
@@ -54,60 +54,43 @@ def require_symmetric(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return the exactly symmetric average (a + a.T) / 2."""
-    a = np.asarray(a, dtype=float)
-    return (a + a.T) / 2.0
-
-
 def default_tol_pd(a: np.ndarray) -> float:
-    """Default PD tolerance, scaling with dimension and magnitude."""
+    """Default PD tolerance of a matrix or of a Toeplitz first row: 1e-9 n max|a|."""
     a = np.asarray(a, dtype=float)
     return DEFAULT_PD_SCALE * a.shape[0] * float(np.abs(a).max(initial=0.0))
 
 
-def cholesky(a: np.ndarray, tol_pd: float | None = None) -> np.ndarray:
-    """Lower-triangular factor L with L @ L.T == a.
+def toeplitz_inverse(first_row: np.ndarray, tol_pd: float | None = None) -> np.ndarray:
+    """Inverse of the symmetric positive definite Toeplitz matrix with ``first_row``.
 
-    Raises
-    ------
-    NotPositiveDefinite
-        When a pivot falls at or below ``tol_pd``. Cheap probe for whether a
-        matrix is a valid (nondegenerate) covariance.
+    The Durbin recursion (Durbin 1960) gives the predictor ``a`` (``a_0 = 1``)
+    and the prediction-error variances ``e_k``, which are the Cholesky pivots:
+    the first ``e_k <= tol_pd`` (default :func:`default_tol_pd`) raises
+    NotPositiveDefinite. The inverse is the Gohberg-Semencul (1972) sum
+    (L(a) L(a).T - L(b) L(b).T) / e_{n-1} with b = (0, a_{n-1}, ..., a_1) and
+    L(v) lower-triangular Toeplitz of first column v; it is exactly symmetric.
     """
-    a = require_symmetric(a)
-    if tol_pd is None:
-        tol_pd = default_tol_pd(a)
-    try:
-        low = np.linalg.cholesky(a)
-        pivots = np.diag(low) ** 2
-    except np.linalg.LinAlgError:
-        # LAPACK does not say where it stopped: bisect (O(log n) calls) for the longest leading
-        # block it factors; the next pivot is that block's Schur complement a_kk - |L^-1 a_k|^2.
-        ok, bad, low = 0, a.shape[0], np.zeros((0, 0))
-        while bad - ok > 1:
-            mid = (ok + bad) // 2
-            try:
-                low, ok = np.linalg.cholesky(a[:mid, :mid]), mid
-            except np.linalg.LinAlgError:
-                bad = mid
-        w = np.linalg.solve(low, a[:ok, ok])
-        low, pivots = None, np.append(np.diag(low) ** 2, a[ok, ok] - w @ w)
-    small = np.flatnonzero(pivots <= tol_pd)
-    if small.size or low is None:
-        i = int(small[0]) if small.size else pivots.size - 1
-        raise NotPositiveDefinite(pivot_index=i, pivot_value=float(pivots[i]))
-    return low
-
-
-def invert(a: np.ndarray, tol_pd: float | None = None) -> np.ndarray:
-    """Inverse of a positive definite symmetric matrix, via Cholesky.
-
-    The result is exactly symmetric. Raises :class:`NotPositiveDefinite`
-    when the input is not PD at tolerance ``tol_pd``.
-    """
-    linv = np.linalg.inv(cholesky(a, tol_pd=tol_pd))
-    return symmetrize(linv.T @ linv)
+    row = np.asarray(first_row, dtype=float)
+    if row.ndim != 1 or row.size < 1:
+        raise ValueError(f"expected a nonempty first row, got shape {row.shape}")
+    tol_pd = default_tol_pd(row) if tol_pd is None else tol_pd
+    a, e = np.zeros(row.size), row[0]
+    a[0] = 1.0
+    for k in range(row.size):
+        if k:
+            kappa = -(a[:k] @ row[k:0:-1]) / e
+            a[: k + 1] = a[: k + 1] + kappa * a[k::-1]
+            e = e * (1.0 - kappa * kappa)
+        if not e > tol_pd:
+            raise NotPositiveDefinite(pivot_index=k, pivot_value=float(e))
+    b = np.concatenate(([0.0], a[:0:-1]))
+    inv = np.multiply.outer(a, a)
+    inv -= np.multiply.outer(b, b)
+    # Diagonal sums of the two products; row and column 0 stay as they are, so
+    # (i, j) and (j, i) add the same numbers in the same order.
+    for i in range(1, row.size):
+        inv[i, 1:] += inv[i - 1, :-1]
+    return np.divide(inv, e, out=inv)
 
 
 def eigen_sym(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, linalg
 from .circulant import Circulant, circulant_eigenvalues, mirrored_distance_row, ring_mode_spectrum
 from .errors import DivergentSeries, InvalidExponent, MissingRingModes, NonpositiveG1
 
@@ -83,7 +83,7 @@ def check_admissible(rm: RingModel, tol: float | None = None) -> AdmissibilityRe
     """Sweep all nonzero modes; admissible iff every lambda_m exceeds ``tol``.
 
     Degenerate pairs (m, N-m) are counted once, so violating modes are
-    reported in 1..floor(N/2).
+    reported in 1..floor(N/2); a nan lambda_m violates.
     """
     if tol is None:
         tol = default_admissibility_tol(rm)
@@ -92,7 +92,7 @@ def check_admissible(rm: RingModel, tol: float | None = None) -> AdmissibilityRe
     spectrum = ring_mode_spectrum(rm.g_by_distance, rm.sites)
     modes = np.arange(1, rm.sites // 2 + 1)
     lam = spectrum[modes]
-    violating = [int(m) for m, v in zip(modes, lam) if v <= tol]
+    violating = [int(m) for m, v in zip(modes, lam) if not v > tol]
     return AdmissibilityReport(
         admissible=not violating,
         lambda_min_nonzero=float(lam.min()),
@@ -152,11 +152,11 @@ def power_law_ring(
     size-independent bound g1 > c pi^2 (zeta(gamma-2) - 1) is meaningful;
     the bound itself is evaluated whenever gamma > 3.
     """
-    if g1 <= 0.0:
+    if not g1 > 0.0:
         raise ValueError("g1 must be positive")
-    if c < 0.0:
+    if not c >= 0.0:
         raise ValueError("repulsion amplitude c must be nonnegative")
-    if infinite_guarantee and gamma <= 3.0:
+    if infinite_guarantee and not gamma > 3.0:
         raise InvalidExponent(
             f"size-independent guarantee needs gamma > 3, got gamma = {gamma}"
         )
@@ -188,13 +188,13 @@ def ring_coupling_profile(sites: int, hurst: float) -> RingModel:
         g_k = -1/2 IDFT[2 (1 - cos theta_m) / mu_m]_k,  k = 1..floor(N/2),
 
     with the m = 0 term zero. Raises MissingRingModes (a NotPositiveDefinite)
-    naming each mode m <= N/2 with mu_m <= 1e-9 N max|c|: then no Gaussian
+    naming each mode m <= N/2 with mu_m <= default_tol_pd(c): then no Gaussian
     ring exists (H > 1/2 apart from small odd rings; even rings at H = 1/2).
     """
     row = kernels.ring_increment_row(kernels.RingGeometry(sites=sites), hurst)
     modes = np.arange(1, sites // 2 + 1)
     mu = circulant_eigenvalues(Circulant(first_row=row))[modes]
-    missing = mu <= 1e-9 * sites * float(np.abs(row).max())  # scale of linalg.default_tol_pd
+    missing = mu <= linalg.default_tol_pd(row)
     if missing.any():
         raise MissingRingModes(modes=[int(m) for m in modes[missing]], min_eigenvalue=float(mu.min()))
     lam = (1.0 - np.cos(2.0 * np.pi * modes / sites)) / mu

@@ -99,6 +99,15 @@ class TestCouplingsCommand:
         assert "requires hurst <= 0.5" not in err
         assert not out.exists()
 
+    def test_chain_near_rigid_rod_reports_pivot(self, capsys):
+        # r(1) = 2^(2H - 1) - 1 is within 6e-12 of 1, so the second pivot 1 - r(1)^2
+        # falls below the tolerance
+        argv = ["couplings", "--mode", "chain", "--monomers", "61", "--hurst", "0.999999999999"]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: matrix is not positive definite: pivot 1 = 5.544898e-12\n"
+        )
+
     def test_manifest_and_replay_bytes(self, tmp_path):
         args = ["couplings", "--mode", "chain", "--monomers", "21", "--hurst", "0.4"]
         first = tmp_path / "a.csv"
@@ -342,6 +351,59 @@ class TestArgumentValidation:
 
     def test_rigid_rod_chain_can_be_sampled(self, capsys):
         assert main(["sample", "--model", "chain", "--monomers", "5", "--hurst", "1.0", "--paths", "3"]) == 0
+
+
+def parse_error(argv, capsys):
+    """Exit code and stderr of an argument that argparse itself rejects."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    return info.value.code, capsys.readouterr().err
+
+
+class TestNonFiniteNumbers:
+    def test_ring_design_nan_g1(self, capsys):
+        code, err = parse_error(["ring-design", "--g1", "nan", "--c", "1", "--gamma", "4", "--sites", "32"], capsys)
+        assert code == 2 and "argument --g1: not a finite number: 'nan'" in err
+
+    def test_ring_design_nan_gamma_with_guarantee(self, capsys):
+        argv = ["ring-design", "--g1", "7", "--c", "1", "--gamma", "nan", "--sites", "32", "--infinite-guarantee"]
+        code, err = parse_error(argv, capsys)
+        assert code == 2 and "argument --gamma: not a finite number: 'nan'" in err
+
+    def test_critical_nan_tol(self, capsys):
+        code, err = parse_error(["critical", "--tol", "nan"], capsys)
+        assert code == 2 and "argument --tol: not a finite number: 'nan'" in err
+
+    def test_spectrum_nan_coupling(self, capsys):
+        assert main(["spectrum", "--sites", "8", "--g", "nan,0.1"]) == 2
+        assert capsys.readouterr().err == "error: could not parse --g value 'nan,0.1': not a finite number: 'nan'\n"
+
+    def test_spectrum_infinite_coupling_in_model_file(self, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text("N=8\ng1=1.0\ng2 -inf\n")
+        assert main(["spectrum", "--g-file", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --g-file {model}:3: ") and "not a finite number: '-inf'" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["couplings", "--mode", "chain", "--monomers", "11", "--hurst", "X"], "--hurst"),
+        (["spectrum", "--mode", "chain", "--monomers", "11", "--hurst", "X"], "--hurst"),
+        (["critical", "--bracket", "0.6", "X"], "--bracket"),
+        (["critical", "--tol", "X"], "--tol"),
+        (["ring-design", "--g1", "X", "--c", "1", "--gamma", "4", "--sites", "8"], "--g1"),
+        (["ring-design", "--g1", "1", "--c", "X", "--gamma", "4", "--sites", "8"], "--c"),
+        (["ring-design", "--g1", "1", "--c", "1", "--gamma", "X", "--sites", "8"], "--gamma"),
+        (["sample", "--model", "chain", "--monomers", "5", "--hurst", "X", "--paths", "3"], "--hurst"),
+        (["fourier-energy", "--hurst", "X"], "--hurst"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+    def test_every_float_flag_rejects_non_finite(self, capsys, argv, flag, value):
+        code, err = parse_error([value if token == "X" else token for token in argv], capsys)
+        assert code == 2 and f"argument {flag}: not a finite number: '{value}'" in err
+
+    def test_malformed_number_keeps_float_message(self, capsys):
+        code, err = parse_error(["critical", "--tol", "abc"], capsys)
+        assert code == 2 and "argument --tol: invalid float value: 'abc'" in err
 
 
 class TestExitStatus:

@@ -12,6 +12,7 @@ from fbmspring.couplings import (
     energy_from_couplings,
     position_and_increment_spectra,
 )
+from fbmspring.kernels import ChainModel, chain_increment_cov
 from fbmspring.linalg import eigen_sym
 
 from conftest import random_coupling_profile, random_symmetric
@@ -67,6 +68,23 @@ class TestCouplingsFromEnergy:
         rhs = pair_energy(g, x)
         scale = max(abs(lhs), abs(rhs), 1e-30)
         assert abs(lhs - rhs) <= 1e-10 * scale
+
+    def test_slices_equal_fancy_index_reference(self, rng):
+        # the np.ix_ gathers that the slices replaced add the same values in the same order
+        def reference(a):
+            n = a.shape[0]
+            padded = np.zeros((n + 2, n + 2))
+            padded[1 : n + 1, 1 : n + 1] = a
+            k = np.arange(n + 1)
+            same = padded[np.ix_(k, k)] + padded[np.ix_(k + 1, k + 1)]
+            cross = padded[np.ix_(k, k + 1)] + padded[np.ix_(k + 1, k)]
+            g = -0.5 * (same - cross)
+            np.fill_diagonal(g, 0.0)
+            return g
+
+        for n in (1, 2, 7, 60):
+            a = random_symmetric(rng, n, scale=3.0)
+            assert np.array_equal(couplings_from_energy(a).g, reference(a))
 
     def test_ordered_sum_identity_random_probes(self, rng):
         for _ in range(25):
@@ -131,6 +149,7 @@ class TestCouplingLaplacian:
     def test_zero_mode(self, rng):
         for size in (2, 6, 12):
             lap = coupling_laplacian(CouplingProfile(random_coupling_profile(rng, size)))
+            assert np.array_equal(lap, (lap + lap.T) / 2)  # exactly symmetric, no averaging needed
             scale = max(np.abs(lap).max(), 1e-30)
             assert np.abs(lap @ np.ones(size)).max() <= 1e-10 * size * scale
             w, v = eigen_sym(lap)
@@ -202,6 +221,19 @@ class TestChainPipeline:
         g = chain_coupling_matrix(61, 0.5).g
         assert g[30, 31] == pytest.approx(0.5, abs=1e-10)
         assert abs(g[30, 32]) <= 1e-10
+
+    def test_needs_no_dense_solver(self, monkeypatch):
+        # the Toeplitz recursion alone, checked against a dense inverse taken beforehand
+        inv = np.linalg.inv(chain_increment_cov(ChainModel(n=60, hurst=0.7)))
+        expected = couplings_from_energy((inv + inv.T) / 2).g
+
+        def fail(*args, **kwargs):
+            raise AssertionError("dense solver called")
+
+        for name in ("cholesky", "inv", "solve"):
+            monkeypatch.setattr(np.linalg, name, fail)
+        g = chain_coupling_matrix(61, 0.7).g
+        assert np.abs(g - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestSpectraSideBySide:

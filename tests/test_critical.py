@@ -25,6 +25,13 @@ class TestCouplingAt:
             coupling_at(11, 0.4, 9, 3)
 
 
+class TestSignChangeQuery:
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            SignChangeQuery(tol=tol)
+
+
 class TestFindCriticalHurst:
     def test_third_neighbor_critical_point(self):
         h_star, iterations = find_critical_hurst(SignChangeQuery())

@@ -2,23 +2,27 @@ import numpy as np
 import pytest
 
 from fbmspring.errors import NoConvergence, NotPositiveDefinite
-from fbmspring.kernels import ChainModel, RingGeometry, chain_increment_cov, ring_increment_cov
+from fbmspring.kernels import (
+    ChainModel,
+    RingGeometry,
+    chain_increment_cov,
+    chain_increment_row,
+    ring_increment_cov,
+)
 from fbmspring.linalg import (
     Definiteness,
-    cholesky,
     classify_definiteness,
     default_tol_pd,
     eigen_sym,
-    invert,
     require_symmetric,
-    symmetrize,
+    toeplitz_inverse,
 )
 
-from conftest import random_spd, random_symmetric
+from conftest import random_symmetric
 
 
 def loop_cholesky(a, tol_pd):
-    """Python-loop factorization that ``cholesky`` replaced, kept as the reference."""
+    """Python-loop Cholesky factorization, the reference for the Toeplitz pivots."""
     n = a.shape[0]
     low = np.zeros((n, n))
     for i in range(n):
@@ -47,52 +51,82 @@ def pivot_error_bound(a, k):
     return 4 * np.finfo(float).eps * k * np.linalg.cond(block) * (abs(a[k, k]) + abs(quad))
 
 
+def toeplitz(row):
+    idx = np.arange(len(row))
+    return np.asarray(row, dtype=float)[np.abs(np.subtract.outer(idx, idx))]
+
+
+def random_spd_row(rng, n):
+    """First row of a random symmetric positive definite Toeplitz matrix, lambda_min = 1."""
+    row = rng.normal(size=n) / (1.0 + np.arange(n))
+    row[0] -= np.linalg.eigvalsh(toeplitz(row))[0] - 1.0
+    return row
+
+
 class TestCholesky:
+    """The Durbin prediction errors of ``toeplitz_inverse`` are the Cholesky pivots."""
+
     def test_identity(self):
-        np.testing.assert_array_equal(cholesky(np.eye(3)), np.eye(3))
+        # every pivot of the identity is 1: a tolerance of 1 stops at the first
+        with pytest.raises(NotPositiveDefinite) as info:
+            toeplitz_inverse([1.0, 0.0, 0.0], tol_pd=1.0)
+        assert (info.value.pivot_index, info.value.pivot_value) == (0, 1.0)
+        inv = toeplitz_inverse([1.0, 0.0, 0.0], tol_pd=np.nextafter(1.0, 0.0))
+        np.testing.assert_array_equal(inv, np.eye(3))
 
     def test_hand_expanded_2x2(self):
-        # [[4,2],[2,5]]: l00 = 2, l10 = 2/2 = 1, l11 = sqrt(5 - 1) = 2
-        low = cholesky(np.array([[4.0, 2.0], [2.0, 5.0]]))
-        np.testing.assert_allclose(low, [[2.0, 0.0], [1.0, 2.0]], atol=1e-15)
+        # [[4,2],[2,4]]: l00^2 = 4, l10 = 2/2 = 1, l11^2 = 4 - 1 = 3
+        with pytest.raises(NotPositiveDefinite) as info:
+            toeplitz_inverse([4.0, 2.0], tol_pd=3.0)
+        assert (info.value.pivot_index, info.value.pivot_value) == (1, 3.0)
+        # inverse [[4,-2],[-2,4]] / (4 * 4 - 2 * 2)
+        inv = toeplitz_inverse([4.0, 2.0], tol_pd=2.9)
+        np.testing.assert_allclose(inv, [[1 / 3, -1 / 6], [-1 / 6, 1 / 3]], atol=1e-15)
 
     def test_chain_covariance_is_pd(self):
         # oracle: all eigenvalues of the 6x6 are positive (independent solver)
-        r = chain_increment_cov(ChainModel(n=6, hurst=0.6))
+        model = ChainModel(n=6, hurst=0.6)
+        r = chain_increment_cov(model)
         assert np.linalg.eigvalsh(r).min() > 0
-        low = cholesky(r)
-        np.testing.assert_allclose(low @ low.T, r, atol=1e-12)
+        inv = toeplitz_inverse(chain_increment_row(model))
+        np.testing.assert_allclose(inv @ r, np.eye(6), atol=1e-12)
 
     def test_reconstruction_tolerance(self, rng):
         for n in (2, 5, 17, 40):
-            m = random_spd(rng, n)
-            low = cholesky(m)
-            tol = 1e-10 * n * np.abs(m).max()
-            assert np.abs(low @ low.T - m).max() <= tol
+            row = random_spd_row(rng, n)
+            m = toeplitz(row)
+            inv = toeplitz_inverse(row)
+            assert np.abs(inv @ m - np.eye(n)).max() <= 1e-15 * n * np.linalg.cond(m)
 
     def test_not_positive_definite_reports_pivot(self):
+        # second pivot of [[1,2],[2,1]]: 1 - 2 * 2 / 1
         with pytest.raises(NotPositiveDefinite) as info:
-            cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            toeplitz_inverse([1.0, 2.0])
         assert info.value.pivot_index == 1
-        assert info.value.pivot_value <= 0
+        assert info.value.pivot_value == -3.0
 
     def test_semidefinite_matrix_rejected(self):
-        ones = np.ones((3, 3))
-        with pytest.raises(NotPositiveDefinite):
-            cholesky(ones)
+        with pytest.raises(NotPositiveDefinite) as info:
+            toeplitz_inverse([1.0, 1.0, 1.0])
+        assert info.value.pivot_index == 1
 
 
 class TestCholeskyAgainstLoop:
+    """Pivot index and value of ``toeplitz_inverse`` against ``loop_cholesky``."""
+
     def test_random_symmetric_matrices(self, rng):
-        # shifts straddle the smallest eigenvalue: about half the cases fail
+        # random symmetric Toeplitz rows whose diagonal shifts straddle the
+        # smallest eigenvalue: about half the cases fail
         failures = 0
-        for _ in range(400):
+        for _ in range(2000):
             n = int(rng.integers(1, 40))
-            m = random_spd(rng, n, jitter=0.0)
-            m = symmetrize(m - rng.uniform(-2.0, 2.0) * np.eye(n) - np.linalg.eigvalsh(m)[0] * np.eye(n))
+            row = rng.normal(size=n) / (1.0 + np.arange(n))
+            row[0] -= np.linalg.eigvalsh(toeplitz(row))[0] + rng.uniform(-2.0, 2.0)
+            m = toeplitz(row)
             tol = default_tol_pd(m)
+            assert default_tol_pd(row) == tol
             expected = factor_or_error(loop_cholesky, m, tol)
-            got = factor_or_error(cholesky, m, tol)
+            got = factor_or_error(toeplitz_inverse, row, tol)
             if isinstance(expected, NotPositiveDefinite):
                 failures += 1
                 assert isinstance(got, NotPositiveDefinite)
@@ -101,65 +135,122 @@ class TestCholeskyAgainstLoop:
                 assert abs(got.pivot_value - expected.pivot_value) <= pivot_error_bound(m, k)
             else:
                 assert not isinstance(got, NotPositiveDefinite)
-                assert np.abs(got @ got.T - m).max() <= 1e-14 * n * np.abs(m).max()
-        assert 100 < failures < 300
+                assert np.array_equal(got, got.T)
+                assert np.abs(got @ m - np.eye(n)).max() <= 1e-15 * n * np.linalg.cond(m)
+        assert 800 < failures < 1200
+
+    # 12-point rows with reflection coefficients 0 except at lag 4 (rho) and lag 8:
+    # pivots 0..3 are 1, pivot 4 is 1 - rho^2
+    RHO = -np.sqrt(1.0 - 1e-10)
 
     @pytest.mark.parametrize(
-        "small_at, negative_at, expected_index",
-        [(4, None, 4), (None, 8, 8), (4, 8, 4)],
+        "lags, expected_index, lapack_fails",
+        [({4: RHO, 8: RHO * RHO}, 4, False), ({8: 1.5}, 8, True), ({4: RHO}, 4, True)],
         ids=["small-pivot-lapack-succeeds", "lapack-fails", "small-pivot-before-lapack-failure"],
     )
-    def test_pivot_cases(self, rng, small_at, negative_at, expected_index):
-        # a = U D U.T with unit lower U has Cholesky pivots D
-        d = np.ones(12)
-        if small_at is not None:
-            d[small_at] = 1e-10
-        if negative_at is not None:
-            d[negative_at] = -1.0
-        unit = np.tril(rng.normal(scale=0.3, size=(12, 12)), -1) + np.eye(12)
-        a = symmetrize((unit * d) @ unit.T)
+    def test_pivot_cases(self, lags, expected_index, lapack_fails):
+        # the first pivot <= tol_pd is reported whether or not a dense Cholesky
+        # of the same matrix would break down, and at whatever index it does
+        row = np.zeros(12)
+        row[0] = 1.0
+        for lag, value in lags.items():
+            row[lag] = value
+        a = toeplitz(row)
         tol = default_tol_pd(a)
         try:
             np.linalg.cholesky(a)
-            lapack_fails = False
+            dense_fails = False
         except np.linalg.LinAlgError:
-            lapack_fails = True
-        assert lapack_fails == (negative_at is not None)
+            dense_fails = True
+        assert dense_fails == lapack_fails
         expected = factor_or_error(loop_cholesky, a, tol)
         with pytest.raises(NotPositiveDefinite) as info:
-            cholesky(a)
+            toeplitz_inverse(row)
         assert info.value.pivot_index == expected.pivot_index == expected_index
         assert info.value.pivot_value == pytest.approx(expected.pivot_value, rel=1e-6)
-        assert info.value.pivot_value == pytest.approx(d[expected_index], rel=1e-6)
-        if small_at is not None:
+        if expected_index == 4:
+            assert info.value.pivot_value == pytest.approx(1.0 - self.RHO**2, rel=1e-6)
             assert 0.0 < info.value.pivot_value <= tol
+        else:
+            # 1 - 1.5^2, exact in binary
+            assert info.value.pivot_value == -1.25
 
 
 class TestInvert:
+    """``toeplitz_inverse`` as an inverse."""
+
     def test_identity(self):
-        np.testing.assert_array_equal(invert(np.eye(5)), np.eye(5))
+        np.testing.assert_array_equal(toeplitz_inverse([1.0, 0.0, 0.0, 0.0, 0.0]), np.eye(5))
 
     def test_diagonal(self):
-        np.testing.assert_allclose(invert(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]), atol=1e-15)
+        # a diagonal Toeplitz matrix is a multiple of the identity
+        np.testing.assert_array_equal(toeplitz_inverse([2.0, 0.0]), np.diag([0.5, 0.5]))
+        np.testing.assert_allclose(toeplitz_inverse([4.0, 0.0, 0.0]), 0.25 * np.eye(3), atol=1e-15)
 
     def test_chain_residual(self):
         # the residual against the identity is the oracle here
-        r = chain_increment_cov(ChainModel(n=5, hurst=0.3))
-        a = invert(r)
-        assert np.abs(a @ r - np.eye(5)).max() <= 1e-8 * 5
+        row = chain_increment_row(ChainModel(n=6, hurst=0.6))
+        assert np.linalg.eigvalsh(toeplitz(row)).min() > 0
+        assert np.abs(toeplitz_inverse(row) @ toeplitz(row) - np.eye(6)).max() <= 1e-14
 
     def test_double_inverse_is_identity_map(self, rng):
+        # the inverse of a Toeplitz matrix is not Toeplitz, so the second
+        # inversion is a dense solve
         for n in (2, 7, 19, 32):
-            m = random_spd(rng, n)
-            assert np.abs(invert(invert(m)) - m).max() <= 1e-7
+            row = random_spd_row(rng, n)
+            back = np.linalg.solve(toeplitz_inverse(row), np.eye(n))
+            assert np.abs(back - toeplitz(row)).max() <= 1e-7
 
     def test_output_exactly_symmetric(self, rng):
-        a = invert(random_spd(rng, 12))
+        a = toeplitz_inverse(random_spd_row(rng, 12))
         assert np.array_equal(a, a.T)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
-            invert(np.array([[1.0, 3.0], [3.0, 1.0]]))
+            toeplitz_inverse([1.0, 3.0])
+
+
+class TestToeplitzInverse:
+    def test_hand_expanded_3x3(self):
+        # tridiagonal [[2,-1,0],[-1,2,-1],[0,-1,2]]: inverse [[3,2,1],[2,4,2],[1,2,3]] / 4
+        inv = toeplitz_inverse([2.0, -1.0, 0.0])
+        np.testing.assert_allclose(inv, np.array([[3, 2, 1], [2, 4, 2], [1, 2, 3]]) / 4, atol=1e-15)
+
+    def test_first_pivot_checked(self):
+        with pytest.raises(NotPositiveDefinite) as info:
+            toeplitz_inverse([0.0, 0.5])
+        assert (info.value.pivot_index, info.value.pivot_value) == (0, 0.0)
+
+    def test_default_tolerance(self):
+        # second pivot 1 - (1 - 1e-12)^2 ~ 2e-12 lies below 1e-9 * 2 * 1
+        row = np.array([1.0, 1.0 - 1e-12])
+        with pytest.raises(NotPositiveDefinite) as info:
+            toeplitz_inverse(row)
+        assert 0.0 < info.value.pivot_value <= default_tol_pd(row) == default_tol_pd(toeplitz(row))
+        inv = toeplitz_inverse(row, tol_pd=0.0)
+        assert np.abs(inv @ toeplitz(row) - np.eye(2)).max() <= 1e-3
+
+    def test_nan_is_not_positive_definite(self):
+        with pytest.raises(NotPositiveDefinite):
+            toeplitz_inverse([1.0, np.nan, 0.0])
+
+    @pytest.mark.parametrize("row", [[], [[1.0, 0.0], [0.0, 1.0]]], ids=["empty", "matrix"])
+    def test_rejects_non_row(self, row):
+        with pytest.raises(ValueError, match="first row"):
+            toeplitz_inverse(row)
+
+
+@pytest.mark.parametrize("hurst", [0.05, 0.3, 0.7, 0.95, 0.999])
+@pytest.mark.parametrize("n", [1, 2, 60, 512, 2048])
+def test_chain_inverse_matches_dense_oracle(n, hurst):
+    row = chain_increment_row(ChainModel(n=n, hurst=hurst))
+    m = toeplitz(row)
+    expected = np.linalg.inv(m)
+    w = np.linalg.eigvalsh(m)
+    cond = w[-1] / w[0]
+    got = toeplitz_inverse(row)
+    assert np.array_equal(got, got.T)
+    assert np.abs(got - expected).max() <= 1e-15 * cond * np.abs(expected).max()
 
 
 class TestEigenSym:
@@ -225,11 +316,8 @@ class TestClassify:
                 if rng.random() < 0.5:
                     m = m + (abs(np.linalg.eigvalsh(m).min()) + 1.0) * np.eye(n)
                 verdict = classify_definiteness(m)
-                try:
-                    cholesky(m)
-                    factored = True
-                except NotPositiveDefinite:
-                    factored = False
+                outcome = factor_or_error(loop_cholesky, m, default_tol_pd(m))
+                factored = not isinstance(outcome, NotPositiveDefinite)
                 assert factored == (verdict.kind is Definiteness.POSITIVE_DEFINITE)
                 if verdict.kind is Definiteness.INDEFINITE:
                     assert not factored
@@ -247,10 +335,6 @@ class TestGuards:
     def test_require_symmetric_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             require_symmetric(np.zeros((2, 3)))
-
-    def test_symmetrize_is_exactly_symmetric(self, rng):
-        s = symmetrize(rng.normal(size=(9, 9)))
-        assert np.array_equal(s, s.T)
 
     def test_default_tol_scales(self):
         assert default_tol_pd(np.eye(4)) == pytest.approx(4e-9)

@@ -15,7 +15,7 @@ from fbmspring.errors import (
     NotPositiveDefinite,
 )
 from fbmspring.kernels import RingGeometry, ring_increment_cov
-from fbmspring.linalg import eigen_sym, invert
+from fbmspring.linalg import default_tol_pd, eigen_sym
 from fbmspring.rings import (
     RingModel,
     build_distance_circulant,
@@ -102,6 +102,12 @@ class TestAdmissibility:
         assert 1 in report.violating_modes
         expected = 2 * (1 - math.cos(math.pi / 6)) - 0.6 * (1 - math.cos(math.pi / 3))
         assert report.lambda_min_nonzero == pytest.approx(expected, abs=1e-12)
+
+    def test_nan_coupling_violates_every_mode(self):
+        # nan reaches every mode's lambda_m and the default tolerance alike
+        report = check_admissible(RingModel(8, np.array([math.nan, 0.1, 0.0, 0.0])))
+        assert not report.admissible
+        assert report.violating_modes == [1, 2, 3, 4]
 
     def test_nearest_neighbor_ring(self):
         model = RingModel(8, np.array([1.0, 0.0, 0.0, 0.0]))
@@ -236,6 +242,14 @@ class TestPowerLawRing:
         with pytest.raises(ValueError):
             power_law_ring(sites=8, g1=1.0, c=-1.0, gamma=4.0)
 
+    def test_nan_parameters_rejected(self):
+        with pytest.raises(ValueError, match="g1"):
+            power_law_ring(sites=8, g1=math.nan, c=1.0, gamma=4.0)
+        with pytest.raises(ValueError, match="repulsion"):
+            power_law_ring(sites=8, g1=1.0, c=math.nan, gamma=4.0)
+        with pytest.raises(InvalidExponent):
+            power_law_ring(sites=8, g1=7.0, c=1.0, gamma=math.nan, infinite_guarantee=True)
+
 
 class TestRingCouplingProfile:
     def test_periodic_low_hurst_profile(self):
@@ -269,13 +283,10 @@ class TestRingCouplingProfile:
     def test_profile_laplacian_reproduces_reduced_energy(self):
         # the distance-reduced Laplacian quadratic form must equal half the
         # increment energy of the first N-1 increments, for arbitrary x
-        from fbmspring.kernels import RingGeometry, ring_increment_cov
-        from fbmspring.linalg import invert
-
         sites, hurst = 12, 0.4
         model = ring_coupling_profile(sites, hurst)
         lap = ring_laplacian_circulant(model).dense()
-        energy = invert(ring_increment_cov(RingGeometry(sites), hurst)[: sites - 1, : sites - 1])
+        energy = dense_inverse(ring_increment_cov(RingGeometry(sites), hurst)[: sites - 1, : sites - 1])
         rng = np.random.default_rng(6)
         for _ in range(5):
             x = rng.normal(size=sites)
@@ -302,11 +313,24 @@ class TestRingCouplingProfile:
         assert peak < 4 * 2**20  # a dense (N-1)^2 inverse alone takes 32 MB
 
 
+def dense_inverse(a):
+    """np.linalg.inv behind the package's PD check: every Cholesky pivot above default_tol_pd."""
+    try:
+        pivots = np.diag(np.linalg.cholesky(a)) ** 2
+    except np.linalg.LinAlgError:
+        pivots = np.array([-np.inf])
+    small = np.flatnonzero(pivots <= default_tol_pd(a))
+    if small.size:
+        raise NotPositiveDefinite(pivot_index=int(small[0]), pivot_value=float(pivots[small[0]]))
+    inv = np.linalg.inv(a)
+    return (inv + inv.T) / 2
+
+
 def dense_ring_coupling_profile(sites, hurst):
     """Reference pipeline: invert the (N-1) increment block, take the pairwise
     couplings, and average each geodesic distance class."""
     cov = ring_increment_cov(RingGeometry(sites), hurst)
-    table = couplings_from_energy(invert(cov[: sites - 1, : sites - 1])).g
+    table = couplings_from_energy(dense_inverse(cov[: sites - 1, : sites - 1])).g
     idx = np.arange(sites)
     return np.array([table[idx, (idx + d) % sites].mean() for d in range(1, sites // 2 + 1)])
 
