@@ -8,6 +8,9 @@ re-running the recorded command reproduces the outputs byte for byte.
 
 CSV conventions: ``#``-prefixed model echo lines, then a header, then rows
 with full round-trip precision (17 significant digits) and LF line endings.
+Every CSV goes through one writer that formats each row with a ``%`` template
+built once per file and streams it to the file or stdout, so a ``sample`` run
+holds its ``paths x dim`` batch as one float array and never a text copy.
 
 Exit codes: 0 success, 2 invalid input or model, 3 no result (e.g. the
 bracketed coupling has no sign change), 4 numerical failure.
@@ -16,6 +19,7 @@ bracketed coupling has no sign change), 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -78,15 +82,17 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(path: Path | None, echo: dict, header: str, rows) -> None:
-    lines = [f"# {key}={value}" for key, value in echo.items()]
-    lines.append(header)
-    lines.extend(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        path.write_text(text, newline="\n")
+def _write_csv(path: Path | None, echo: dict, header: str, template: str, values: np.ndarray) -> None:
+    """Echo lines and header, then ``template % row`` for each row of ``values``.
+
+    Rows stream to the file (or stdout) one at a time, so no text copy of the
+    table is ever held. ``%.17g`` prints the same bytes as ``_fmt``.
+    """
+    with contextlib.nullcontext(sys.stdout) if path is None else path.open("w", newline="\n") as out:
+        out.writelines(f"# {key}={value}\n" for key, value in echo.items())
+        out.write(header + "\n")
+        for row in values:
+            out.write(template % tuple(row.tolist()))
 
 
 def _write_json(path: Path | None, payload: dict) -> None:
@@ -128,9 +134,10 @@ def _write_gnuplot(out: Path, xlabel: str, ylabel: str) -> Path:
     return script
 
 
-def _write_series(args: argparse.Namespace, command: str, echo: dict, xlabel: str, ylabel: str, rows) -> None:
-    """Two-column CSV; with --out also the manifest and, on --gnuplot, a plot script."""
-    _write_csv(args.out, echo, f"{xlabel},{ylabel}", rows)
+def _write_series(args: argparse.Namespace, command: str, echo: dict, xlabel: str, ylabel: str, x, y) -> None:
+    """Integer ``x`` and float ``y`` as a two-column CSV; with --out also the
+    manifest and, on --gnuplot, a plot script."""
+    _write_csv(args.out, echo, f"{xlabel},{ylabel}", "%d,%.17g\n", np.column_stack((x, y)))
     if args.out is not None:
         outputs = [args.out]
         if args.gnuplot:
@@ -173,13 +180,14 @@ def _cmd_couplings(args: argparse.Namespace) -> int:
         center = _resolve_center(args.monomers, args.center)
         echo["center"] = center + 1
         profile = chain_coupling_matrix(args.monomers, args.hurst)
-        rows = [(i + 1, float(profile.g[center, i])) for i in range(profile.size) if i != center]
+        others = np.delete(np.arange(profile.size), center)
+        x, y = others + 1, profile.g[center, others]
         xlabel = "index"
     else:
-        rm = _ring_profile(args.monomers, args.hurst)
-        rows = [(d + 1, float(g)) for d, g in enumerate(rm.g_by_distance)]
+        y = _ring_profile(args.monomers, args.hurst).g_by_distance
+        x = np.arange(1, y.size + 1)
         xlabel = "distance"
-    _write_series(args, "couplings", echo, xlabel, "g", rows)
+    _write_series(args, "couplings", echo, xlabel, "g", x, y)
     return EXIT_OK
 
 
@@ -285,8 +293,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             lam = eigen_sym(coupling_laplacian(chain_coupling_matrix(args.monomers, args.hurst)))[0]
     else:
         raise CliInputError("spectrum needs either --g/--g-file or --mode with --monomers/--hurst")
-    rows = [(m, float(v)) for m, v in enumerate(lam)]
-    _write_series(args, "spectrum", echo, "mode", "lambda", rows)
+    _write_series(args, "spectrum", echo, "mode", "lambda", np.arange(lam.size), lam)
     return EXIT_OK
 
 
@@ -397,9 +404,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         "max_error_over_bound": float(ratio.max()),
         "within_bound": bool((error <= bound + 1e-15).all()),
     }
-    rows = [tuple(float(v) for v in row) for row in batch.values]
     header = ",".join(f"v{i}" for i in range(batch.dim))
-    _write_csv(args.out, echo, header, rows)
+    _write_csv(args.out, echo, header, ",".join(["%.17g"] * batch.dim) + "\n", batch.values)
     report_path = args.report
     if report_path is None and args.out is not None:
         report_path = args.out.with_suffix(".report.json")
@@ -417,8 +423,9 @@ def _cmd_fourier_energy(args: argparse.Namespace) -> int:
     if args.mode_max < 1:
         raise CliInputError("--mode-max must be >= 1")
     echo = {"command": "fourier-energy", "hurst": _fmt(args.hurst), "mode_max": args.mode_max}
-    rows = [(mode, fourier_mode_energy(args.hurst, mode)) for mode in range(1, args.mode_max + 1)]
-    _write_series(args, "fourier-energy", echo, "mode", "value", rows)
+    modes = range(1, args.mode_max + 1)
+    energies = [fourier_mode_energy(args.hurst, mode) for mode in modes]
+    _write_series(args, "fourier-energy", echo, "mode", "value", modes, energies)
     return EXIT_OK
 
 
@@ -501,6 +508,7 @@ _FAILURES = {
     NoSignChange: ("no result", EXIT_NO_RESULT),
     **dict.fromkeys((IndefiniteCovariance, NonpositiveG1, InvalidExponent, NotSymmetricCirculant), _INVALID),
     **dict.fromkeys((ValueError, IndexError, OSError), _INVALID),
+    MemoryError: _INVALID,  # a request too large to allocate
     **dict.fromkeys((NotPositiveDefinite, NoConvergence, QuadratureFailure, MaxIterations), _NUMERICAL),
     FbmSpringError: ("error", EXIT_NUMERICAL),  # safety net for future error types
 }

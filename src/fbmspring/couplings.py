@@ -59,10 +59,14 @@ def couplings_from_energy(a: np.ndarray) -> CouplingProfile:
     n = a.shape[0]
     padded = np.zeros((n + 2, n + 2))
     padded[1 : n + 1, 1 : n + 1] = a
-    same = padded[:-1, :-1] + padded[1:, 1:]
+    # Grouping (same) - (cross) keeps the table bitwise symmetric; working in
+    # place holds at most the padded copy and two tables at once.
+    g = padded[:-1, :-1] + padded[1:, 1:]
     cross = padded[:-1, 1:] + padded[1:, :-1]
-    # Grouping (same) - (cross) keeps the table bitwise symmetric.
-    g = -0.5 * (same - cross)
+    del padded
+    g -= cross
+    del cross
+    g *= -0.5
     np.fill_diagonal(g, 0.0)
     return CouplingProfile(g=g)
 

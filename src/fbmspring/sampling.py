@@ -129,16 +129,17 @@ def _check_ring_times(t_grid: np.ndarray) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t_grid must be a nonempty 1-d array")
-    if t_grid.min() < 0.0 or t_grid.max() > TWO_PI:
-        raise ValueError("grid out of range: times must lie in [0, 2*pi]")
+    if not np.all((t_grid >= 0.0) & (t_grid <= TWO_PI)):  # also false for nan
+        raise ValueError("grid out of range: times must be finite and lie in [0, 2*pi]")
     return t_grid
 
 
 def _wiener_at(times: np.ndarray, paths: int, seed: int) -> np.ndarray:
     """Wiener values (one row per path) at sorted ``times``, which start at 0."""
     z = _normals((paths, times.size - 1), seed)
+    z *= np.sqrt(np.diff(times))
     wiener = np.zeros((paths, times.size))
-    np.cumsum(z * np.sqrt(np.diff(times)), axis=1, out=wiener[:, 1:])
+    np.cumsum(z, axis=1, out=wiener[:, 1:])
     return wiener
 
 
@@ -155,8 +156,8 @@ def reflected_brownian_ring(t_grid: np.ndarray, paths: int, seed: int) -> Sample
     times = np.unique(np.concatenate(([0.0, math.pi], source)))
     wiener = _wiener_at(times, paths, seed)
     half = wiener[:, np.searchsorted(times, math.pi), None]
-    at_source = wiener[:, np.searchsorted(times, source)]
-    values = np.where(t_grid <= math.pi, at_source, half - at_source)
+    values = wiener[:, np.searchsorted(times, source)]
+    np.subtract(half, values, out=values, where=t_grid > math.pi)
     return SampleBatch(values=values, seed=seed, model_tag=f"reflected_ring[{t_grid.size}]")
 
 
@@ -165,7 +166,8 @@ def brownian_bridge_ring(t_grid: np.ndarray, paths: int, seed: int) -> SampleBat
     t_grid = _check_ring_times(t_grid)
     times = np.unique(np.concatenate(([0.0, TWO_PI], t_grid)))
     wiener = _wiener_at(times, paths, seed)
-    values = wiener[:, np.searchsorted(times, t_grid)] - (t_grid / TWO_PI) * wiener[:, -1:]
+    values = wiener[:, np.searchsorted(times, t_grid)]
+    values -= (t_grid / TWO_PI) * wiener[:, -1:]
     return SampleBatch(values=values, seed=seed, model_tag=f"bridge_ring[{t_grid.size}]")
 
 

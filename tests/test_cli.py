@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import fbmspring
 from fbmspring import cli
 from fbmspring.cli import CliInputError, main
+from fbmspring.couplings import chain_coupling_matrix, coupling_laplacian
 from fbmspring.errors import (
     DivergentSeries,
     IndefiniteCovariance,
@@ -24,6 +26,9 @@ from fbmspring.errors import (
     NotSymmetricCirculant,
     QuadratureFailure,
 )
+from fbmspring.linalg import eigen_sym
+from fbmspring.rings import ring_coupling_profile
+from fbmspring.sampling import fourier_mode_energy
 
 
 def read_csv(path):
@@ -324,6 +329,112 @@ class TestFourierEnergyCommand:
         assert values[3] == pytest.approx(8 * math.pi**2 / 81, rel=1e-9)
 
 
+def per_value_write_csv(path, echo, header, rows):
+    """The writer that formatted each value with an f-string and joined the
+    whole table into one string; the row-template writer must match its bytes."""
+    lines = [f"# {key}={value}" for key, value in echo.items()]
+    lines.append(header)
+    lines.extend(",".join(f"{float(v):.17g}" if isinstance(v, float) else str(v) for v in row) for row in rows)
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        path.write_text(text, newline="\n")
+
+
+def awkward_values(rng, dim):
+    """Rows spanning 1e-300..1e300, then subnormals, signed zeros and integral floats."""
+    spread = rng.standard_normal((40, dim)) * 10.0 ** rng.integers(-300, 301, size=(40, dim))
+    special = np.array([
+        5e-324, -2.5e-320, 2.2250738585072014e-308, -0.0, 0.0, 1.0, -3.0, 2.0**52,
+        1e16, 1e17, 123456789012345678.0, -1.7976931348623157e308, 0.1, 1 / 3,
+    ])
+    return np.concatenate((spread, np.resize(special, (-(-special.size // dim), dim))))
+
+
+# Each series command with the row list its handler built before rows were
+# streamed: exact ints in the first column, floats in the second.
+SERIES = {
+    "couplings-chain": (
+        ["couplings", "--mode", "chain", "--monomers", "61", "--hurst", "0.3", "--center", "7"],
+        lambda: [(i + 1, float(g)) for i, g in enumerate(chain_coupling_matrix(61, 0.3).g[6]) if i != 6],
+    ),
+    "couplings-ring": (
+        ["couplings", "--mode", "ring", "--monomers", "64", "--hurst", "0.2"],
+        lambda: [(d + 1, float(g)) for d, g in enumerate(ring_coupling_profile(64, 0.2).g_by_distance)],
+    ),
+    "spectrum-chain": (
+        ["spectrum", "--mode", "chain", "--monomers", "33", "--hurst", "0.7"],
+        lambda: list(enumerate(map(float, eigen_sym(coupling_laplacian(chain_coupling_matrix(33, 0.7)))[0]))),
+    ),
+    "spectrum-g": (
+        ["spectrum", "--sites", "12", "--g", "1,-0.05"],
+        lambda: list(enumerate(map(float, fbmspring.ring_mode_spectrum(np.array([1.0, -0.05, 0, 0, 0, 0]), 12)))),
+    ),
+    "fourier-energy": (
+        ["fourier-energy", "--hurst", "0.3", "--mode-max", "12"],
+        lambda: [(m, fourier_mode_energy(0.3, m)) for m in range(1, 13)],
+    ),
+}
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("dim", [1, 2, 64])
+    def test_rows_match_per_value_writer(self, tmp_path, capsys, rng, dim):
+        values = awkward_values(rng, dim)
+        echo = {"command": "sample", "paths": len(values), "hurst": "0.29999999999999999"}
+        header = ",".join(f"v{i}" for i in range(dim))
+        template = ",".join(["%.17g"] * dim) + "\n"
+        rows = [tuple(float(v) for v in row) for row in values]
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        cli._write_csv(new, echo, header, template, values)
+        per_value_write_csv(ref, echo, header, rows)
+        assert new.read_bytes() == ref.read_bytes()
+        cli._write_csv(None, echo, header, template, values)
+        streamed = capsys.readouterr().out
+        per_value_write_csv(None, echo, header, rows)
+        assert streamed == capsys.readouterr().out == ref.read_text()
+
+    @pytest.mark.parametrize("name", SERIES)
+    def test_series_commands_match_per_value_writer(self, tmp_path, capsys, monkeypatch, name):
+        argv, reference_rows = SERIES[name]
+        calls = []
+        write_csv = cli._write_csv
+
+        def spy(path, echo, header, template, values):
+            calls.append((echo, header))
+            write_csv(path, echo, header, template, values)
+
+        monkeypatch.setattr(cli, "_write_csv", spy)
+        out, ref = tmp_path / "series.csv", tmp_path / "ref.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        echo, header = calls[-1]
+        per_value_write_csv(ref, echo, header, reference_rows())
+        assert out.read_bytes() == ref.read_bytes()
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == ref.read_text()
+
+
+@pytest.mark.parametrize("model", [
+    ["--model", "reflected", "--grid", "64"],
+    ["--model", "bridge", "--grid", "64"],
+    ["--model", "chain", "--monomers", "65", "--hurst", "0.3"],
+    ["--model", "ring", "--sites", "64", "--hurst", "0.3"],
+], ids=lambda model: model[1])
+def test_sample_memory_is_a_few_batches(tmp_path, model):
+    paths, dim = 20_000, 64
+    tracemalloc.start()
+    try:
+        argv = ["sample", *model, "--paths", str(paths), "--seed", "3", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the batch itself plus the draws and one gathered copy; no text copy of the table
+    assert peak < 5 * paths * dim * 8
+
+
 class TestArgumentValidation:
     def test_bad_monomer_count(self, capsys):
         assert main(["couplings", "--mode", "chain", "--monomers", "2", "--hurst", "0.3"]) == 2
@@ -431,6 +542,16 @@ class TestExitStatus:
         monkeypatch.setattr(cli, "_cmd_fourier_energy", fail)
         assert main(["fourier-energy", "--hurst", "0.5"]) == code
         assert capsys.readouterr().err == f"{prefix}: {exc}\n"
+
+    def test_out_of_memory_is_invalid_input(self, monkeypatch, capsys):
+        message = "Unable to allocate 3.64 TiB for an array with shape (10000000000, 50) and data type float64"
+
+        def fail(t_grid, paths, seed):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "reflected_brownian_ring", fail)
+        assert main(["sample", "--model", "reflected", "--grid", "64", "--paths", "10000000000"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_eigensolver_failure_exits_numerical(self, monkeypatch, capsys):
         def fail(a):

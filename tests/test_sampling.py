@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fbmspring import sampling
 from fbmspring.errors import IndefiniteCovariance, QuadratureFailure
 from fbmspring.kernels import RingGeometry, ring_increment_cov
 from fbmspring.linalg import eigen_sym
@@ -103,6 +104,10 @@ class TestPiecewiseCov:
         with pytest.raises(ValueError):
             piecewise_ring_cov(1.0, 7.0)
 
+    def test_matrix_rejects_nan_time(self):
+        with pytest.raises(ValueError, match="finite"):
+            piecewise_ring_cov_matrix(np.array([1.0, math.nan, 6.0]))
+
 
 class TestReflectedRing:
     def test_closes_exactly(self):
@@ -134,6 +139,10 @@ class TestReflectedRing:
     def test_grid_range_validated(self):
         with pytest.raises(ValueError, match="grid out of range"):
             reflected_brownian_ring(np.array([1.0, 6.9]), paths=10, seed=0)
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            reflected_brownian_ring(np.array([1.0, math.nan, 6.0]), paths=10, seed=0)
 
     def test_increments_match_ring_model_circulant(self):
         # stationarity on a uniform grid: the empirical lag covariance matches
@@ -170,6 +179,10 @@ class TestBridgeNegativeControl:
     def test_bridge_grid_validated(self):
         with pytest.raises(ValueError, match="grid out of range"):
             brownian_bridge_ring(np.array([-0.2]), paths=5, seed=0)
+
+    def test_bridge_nan_time_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            brownian_bridge_ring(np.array([1.0, math.nan, 6.0]), paths=5, seed=0)
 
 
 class TestUniformGridCov:
@@ -230,6 +243,33 @@ def test_vectorized_ring_paths_equal_loop_references(n):
     assert np.array_equal(brownian_bridge_ring(grid, 30, n).values, loop_bridge(grid, 30, n))
     loop_cov = np.array([[piecewise_ring_cov(s, t) for t in grid] for s in grid])
     assert np.array_equal(piecewise_ring_cov_matrix(grid), loop_cov)
+
+
+def full_size_wiener_at(times, paths, seed):
+    """``_wiener_at`` before it scaled the draws in place."""
+    z = np.random.Generator(np.random.Philox(key=seed)).standard_normal((paths, times.size - 1))
+    wiener = np.zeros((paths, times.size))
+    np.cumsum(z * np.sqrt(np.diff(times)), axis=1, out=wiener[:, 1:])
+    return wiener
+
+
+def full_size_reflected(t_grid, paths, seed):
+    """``reflected_brownian_ring`` before it subtracted in place: np.where over two full arrays."""
+    source = np.where(t_grid <= math.pi, t_grid, t_grid - math.pi)
+    times = np.unique(np.concatenate(([0.0, math.pi], source)))
+    wiener = full_size_wiener_at(times, paths, seed)
+    half = wiener[:, np.searchsorted(times, math.pi), None]
+    at_source = wiener[:, np.searchsorted(times, source)]
+    return np.where(t_grid <= math.pi, at_source, half - at_source)
+
+
+@pytest.mark.parametrize("paths", [1, 7, 1000])
+@pytest.mark.parametrize("n", [8, 13, 64, 256])
+def test_in_place_paths_equal_full_size_formulas(n, paths):
+    grid = uniform_ring_grid(n)
+    times = np.unique(np.concatenate(([0.0], grid)))
+    assert np.array_equal(sampling._wiener_at(times, paths, n), full_size_wiener_at(times, paths, n))
+    assert np.array_equal(reflected_brownian_ring(grid, paths, n).values, full_size_reflected(grid, paths, n))
 
 
 class TestFourierModeEnergy:
