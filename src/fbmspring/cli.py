@@ -8,9 +8,10 @@ re-running the recorded command reproduces the outputs byte for byte.
 
 CSV conventions: ``#``-prefixed model echo lines, then a header, then rows
 with full round-trip precision (17 significant digits) and LF line endings.
-Every CSV goes through one writer that formats each row with a ``%`` template
-built once per file and streams it to the file or stdout, so a ``sample`` run
-holds its ``paths x dim`` batch as one float array and never a text copy.
+Every CSV goes through one writer: it turns blocks of about 16k values into
+ASCII with numpy, byte for byte what ``'%.17g' %`` prints for each float, and
+streams them to the file or stdout, so a ``sample`` run holds its
+``paths x dim`` batch as one float array and never a text copy of the table.
 
 Exit codes: 0 success, 2 invalid input or model, 3 no result (e.g. the
 bracketed coupling has no sign change), 4 numerical failure.
@@ -78,21 +79,164 @@ def _finite(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """Seed flag value: a Philox key is an integer in [0, 2**128)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= value < 2**128:
+        raise argparse.ArgumentTypeError(f"must satisfy 0 <= seed < 2**128, got {text}")
+    return value
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(path: Path | None, echo: dict, header: str, template: str, values: np.ndarray) -> None:
-    """Echo lines and header, then ``template % row`` for each row of ``values``.
+#: Values formatted per block: bounds the text and temporaries held at once.
+_BLOCK_VALUES = 16_384
+_U64 = np.uint64
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp splits a double into two 26-bit halves
 
-    Rows stream to the file (or stdout) one at a time, so no text copy of the
-    table is ever held. ``%.17g`` prints the same bytes as ``_fmt``.
+
+def _split(a):
+    c = a * _SPLIT
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _words(table) -> np.ndarray:
+    return np.array(table, dtype=_U64)
+
+
+def _low_bytes(k: int) -> int:
+    """Mask of the low ``k`` bytes of a word (k clipped to 0..8)."""
+    return (1 << (8 * min(max(k, 0), 8))) - 1
+
+
+_POW10 = np.array([float(10**k) for k in range(22)])  # every 10**k, k <= 22, is an exact double
+_POW10_HI, _POW10_LO = _split(_POW10)
+_QUADS = np.arange(10_000, dtype=np.int64)
+# "%04d" of 0..9999 as four ASCII bytes, first digit lowest, and its trailing zero count
+_ASCII4 = sum((_QUADS // 10**(3 - i) % 10 + 48).astype(_U64) << _U64(8 * i) for i in range(4))
+_ZEROS4 = sum((_QUADS % 10**i == 0).astype(np.int64) for i in range(1, 5))
+# A cell is four little-endian words, NUL where nothing prints: byte 0 the
+# sign, bytes 1..5 the "0.000" prefix of exponents -4..-1, byte 7 the leading
+# digit, words 1 and 2 the other 16 digits, byte 25 the separator. Digits at
+# index >= keep are cleared; the point after digit s (0..15) moves the digits
+# behind it up one byte, into byte 24 at most, and s = 16 leaves the digits in
+# place with no point.
+_KEEP1 = _words([_low_bytes(k - 1) for k in range(18)])
+_KEEP2 = _words([_low_bytes(k - 9) for k in range(18)])
+_STAY1 = _words([_low_bytes(s) for s in range(17)])
+_MOVE1 = _words([~_low_bytes(s + 1) & _low_bytes(8) for s in range(17)])
+_STAY2 = _words([_low_bytes(s - 8) for s in range(17)])
+_MOVE2 = _words([~_low_bytes(s - 7) & _low_bytes(8) for s in range(17)])
+_POINT1 = _words([ord(".") << (8 * s) if s < 8 else 0 for s in range(17)])
+_POINT2 = _words([ord(".") << (8 * (s - 8)) if 8 <= s < 16 else 0 for s in range(17)])
+_MOVE3 = _words([0xFF if s < 16 else 0 for s in range(17)])
+_PREFIX = _words([int.from_bytes(b"\0" + b"0." + b"0" * (-1 - x), "little") if x < 0 else 0
+                  for x in range(-4, 17)])
+
+
+def _scaled(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * 10**(16 - x)`` as ``p + t`` exactly, with ``p`` the rounded product (Dekker)."""
+    k = 16 - x
+    p = a * np.take(_POW10, k)
+    ah, al = _split(a)
+    sh, sl = np.take(_POW10_HI, k), np.take(_POW10_LO, k)
+    return p, ((ah * sh - p) + ah * sl + al * sh) + al * sl
+
+
+def _format_rows(block: np.ndarray) -> bytes:
+    """ASCII of ``",".join(["%.17g"] * dim) + "\n"`` for each row of a 2-D float block.
+
+    ``%.17g`` prints a finite value in fixed notation when its decimal
+    exponent x after rounding to 17 digits lies in -4..16. For those values and
+    for zeros the digits come from integer arithmetic: ``|v| * 10**(16 - x)``
+    is split exactly into a double and its error, rounded half to even as
+    Python's ``dtoa`` does, and laid out through the byte tables above. Every
+    other value (nan, inf, exponent notation, subnormals) is formatted with
+    ``%`` on its own and spliced in.
     """
+    rows, dim = block.shape
+    flat = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    a = np.abs(flat)
+    zero = a == 0.0
+    fast = ((a >= 9e-5) & (a < 1e17)) | zero
+    a = np.where(fast & ~zero, a, 1.0)
+    x = np.clip(np.floor(np.log10(a)), -5, 16).astype(np.int64)  # 10**(16 - x) stays exact
+    p, t = _scaled(a, x)
+    # log10 can miss by one next to a power of ten: move x until p + t lies in [1e16, 1e17)
+    low = (p < 1e16) | ((p == 1e16) & (t < 0.0))
+    high = (p > 1e17) | ((p == 1e17) & (t >= 0.0))
+    fix = np.flatnonzero(low | high)
+    if fix.size:
+        x[fix] += high[fix].astype(np.int64) - low[fix].astype(np.int64)
+        p[fix], t[fix] = _scaled(a[fix], x[fix])
+    floor_t = np.floor(t)
+    n = p.astype(np.int64) + floor_t.astype(np.int64)
+    half = floor_t + 0.5
+    n += (t > half) | ((t == half) & (n & 1 == 1))
+    carry = n == 10**17
+    n[carry] = 10**16
+    x += carry
+    slow = ~fast | (x < -4)
+    n[zero | slow] = 0
+    x[zero | slow] = 0
+    # the 17 digits of n: a leading digit, then four groups of four
+    lead = n // 10**16
+    rest = n - lead * 10**16
+    hi = rest // 10**8
+    lo = rest - hi * 10**8
+    g1 = hi // 10**4
+    g2 = hi - g1 * 10**4
+    g3 = lo // 10**4
+    g4 = lo - g3 * 10**4
+    trailing = np.take(_ZEROS4, g4)
+    run = g4 == 0
+    for group in (g3, g2, g1):
+        trailing += run * np.take(_ZEROS4, group)
+        run &= group == 0
+    keep = np.maximum(17 - trailing, x + 1)  # integer digits always print
+    w1 = (np.take(_ASCII4, g1) | (np.take(_ASCII4, g2) << _U64(32))) & np.take(_KEEP1, keep)
+    w2 = (np.take(_ASCII4, g3) | (np.take(_ASCII4, g4) << _U64(32))) & np.take(_KEEP2, keep)
+    s = np.where((x >= 0) & (keep > x + 1), x, 16)
+    w0 = np.take(_PREFIX, x + 4) | ((lead.astype(_U64) + _U64(48)) << _U64(56))
+    w0 |= np.signbit(flat).astype(_U64) * _U64(ord("-"))
+    cells = np.empty((flat.size, 4), dtype="<u8")
+    cells[:, 0] = w0
+    moved1 = (w1 << _U64(8)) | (w0 >> _U64(56))
+    cells[:, 1] = (w1 & np.take(_STAY1, s)) | (moved1 & np.take(_MOVE1, s)) | np.take(_POINT1, s)
+    moved2 = (w2 << _U64(8)) | (w1 >> _U64(56))
+    cells[:, 2] = (w2 & np.take(_STAY2, s)) | (moved2 & np.take(_MOVE2, s)) | np.take(_POINT2, s)
+    separators = np.full(dim, ord(",") << 8, dtype=_U64)
+    separators[-1] = ord("\n") << 8
+    moved3 = (w2 >> _U64(56)) & np.take(_MOVE3, s)
+    cells.reshape(rows, dim, 4)[:, :, 3] = moved3.reshape(rows, dim) | separators
+    text = cells.view(np.uint8)
+    at = np.flatnonzero(slow)
+    if at.size:
+        spliced = b"".join((b"%.17g" % v).ljust(25, b"\0") for v in flat[at].tolist())
+        text[at, :25] = np.frombuffer(spliced, dtype=np.uint8).reshape(-1, 25)
+    return text[:, :26].tobytes().translate(None, b"\0")  # bytes 26..31 are always NUL
+
+
+def _write_csv(path: Path | None, echo: dict, header: str, values: np.ndarray) -> None:
+    """Echo lines and header, then one ``%.17g``-formatted line per row of ``values``.
+
+    Rows are formatted by ``_format_rows`` in blocks of about ``_BLOCK_VALUES``
+    values and streamed to the file (or stdout), so no text copy of the table
+    is ever held. Integral floats below 2**53, such as series indices, print
+    as plain integers.
+    """
+    step = max(1, _BLOCK_VALUES // max(1, values.shape[1]))
     with contextlib.nullcontext(sys.stdout) if path is None else path.open("w", newline="\n") as out:
         out.writelines(f"# {key}={value}\n" for key, value in echo.items())
         out.write(header + "\n")
-        for row in values:
-            out.write(template % tuple(row.tolist()))
+        for start in range(0, len(values), step):
+            out.write(_format_rows(values[start : start + step]).decode("ascii"))
 
 
 def _write_json(path: Path | None, payload: dict) -> None:
@@ -137,7 +281,7 @@ def _write_gnuplot(out: Path, xlabel: str, ylabel: str) -> Path:
 def _write_series(args: argparse.Namespace, command: str, echo: dict, xlabel: str, ylabel: str, x, y) -> None:
     """Integer ``x`` and float ``y`` as a two-column CSV; with --out also the
     manifest and, on --gnuplot, a plot script."""
-    _write_csv(args.out, echo, f"{xlabel},{ylabel}", "%d,%.17g\n", np.column_stack((x, y)))
+    _write_csv(args.out, echo, f"{xlabel},{ylabel}", np.column_stack((x, y)))
     if args.out is not None:
         outputs = [args.out]
         if args.gnuplot:
@@ -405,7 +549,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         "within_bound": bool((error <= bound + 1e-15).all()),
     }
     header = ",".join(f"v{i}" for i in range(batch.dim))
-    _write_csv(args.out, echo, header, ",".join(["%.17g"] * batch.dim) + "\n", batch.values)
+    _write_csv(args.out, echo, header, batch.values)
     report_path = args.report
     if report_path is None and args.out is not None:
         report_path = args.out.with_suffix(".report.json")
@@ -486,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=16, help="uniform circle grid size (reflected/bridge)")
     p.add_argument("--hurst", type=_finite, default=None)
     p.add_argument("--paths", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", type=Path, default=None, help="CSV path for the sampled paths (default: stdout)")
     p.add_argument("--report", type=Path, default=None, help="JSON covariance-error report path")
     p.set_defaults(handler=_cmd_sample)

@@ -24,6 +24,7 @@ class SignChangeQuery:
     """Where to look for a sign change of one coupling constant.
 
     ``center`` is a 0-based monomer index; None selects the middle monomer.
+    ``offset`` is nonzero; a negative offset names a partner left of center.
     ``bracket`` must straddle the sign change of g(center, center + offset).
     """
 
@@ -41,6 +42,8 @@ class SignChangeQuery:
             raise ValueError("tol must be positive")
         if self.monomers < 2:
             raise ValueError("need at least 2 monomers")
+        if self.offset == 0:
+            raise ValueError("offset must be nonzero: a monomer has no coupling to itself, got offset 0")
 
     def resolved_center(self) -> int:
         center = (self.monomers - 1) // 2 if self.center is None else self.center

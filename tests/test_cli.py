@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fbmspring
 from fbmspring import cli
@@ -222,6 +224,11 @@ class TestCriticalCommand:
         payload = json.loads(out.read_text())
         assert payload["iterations"] == math.ceil(math.log2(0.3 / 1e-8))  # 25
 
+    def test_offset_zero_is_invalid_input(self, capsys):
+        assert main(["critical", "--offset", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "offset 0" in err
+
     def test_nearest_neighbor_exit_code(self, capsys):
         code = main(["critical", "--offset", "1", "--bracket", "0.55", "0.95"])
         assert code == 3
@@ -384,13 +391,12 @@ class TestCsvWriter:
         values = awkward_values(rng, dim)
         echo = {"command": "sample", "paths": len(values), "hurst": "0.29999999999999999"}
         header = ",".join(f"v{i}" for i in range(dim))
-        template = ",".join(["%.17g"] * dim) + "\n"
         rows = [tuple(float(v) for v in row) for row in values]
         new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-        cli._write_csv(new, echo, header, template, values)
+        cli._write_csv(new, echo, header, values)
         per_value_write_csv(ref, echo, header, rows)
         assert new.read_bytes() == ref.read_bytes()
-        cli._write_csv(None, echo, header, template, values)
+        cli._write_csv(None, echo, header, values)
         streamed = capsys.readouterr().out
         per_value_write_csv(None, echo, header, rows)
         assert streamed == capsys.readouterr().out == ref.read_text()
@@ -401,9 +407,9 @@ class TestCsvWriter:
         calls = []
         write_csv = cli._write_csv
 
-        def spy(path, echo, header, template, values):
+        def spy(path, echo, header, values):
             calls.append((echo, header))
-            write_csv(path, echo, header, template, values)
+            write_csv(path, echo, header, values)
 
         monkeypatch.setattr(cli, "_write_csv", spy)
         out, ref = tmp_path / "series.csv", tmp_path / "ref.csv"
@@ -414,6 +420,87 @@ class TestCsvWriter:
         capsys.readouterr()
         assert main(argv) == 0
         assert capsys.readouterr().out == ref.read_text()
+
+
+def percent_rows(values):
+    """The per-row ``%`` loop that ``_format_rows`` replaced, as bytes."""
+    template = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    return "".join(template % tuple(row) for row in values.tolist()).encode()
+
+
+def exact_ties(rng, per_exponent=40):
+    """Doubles that lie exactly halfway between two 17-digit decimals, for
+    every fixed-notation exponent x in -4..15: odd / 2**(17 - x) times
+    10**(16 - x) is odd / 2, and odd < 2**53 keeps the quotient exact."""
+    ties = []
+    for x in range(-4, 16):
+        scale = 2 ** (17 - x)
+        lo = -(-scale * 10 ** (x + 4) // 10**4)  # 10**x <= odd / scale < 10**(x + 1)
+        hi = min(2**53, scale * 10 ** (x + 5) // 10**4)
+        odd = rng.integers(lo // 2, hi // 2, size=per_exponent) * 2 + 1
+        ties.extend(int(k) / scale for k in odd)
+    return np.array(ties)
+
+
+DECADES = np.array([float(f"1e{k}") for k in range(-5, 19)])
+BOUNDARY = np.concatenate((
+    DECADES,
+    np.nextafter(DECADES, 0.0),
+    np.nextafter(DECADES, np.inf),
+    [
+        9.9999999999999999e-5,  # rounds up into fixed notation
+        99999999999999999.0,  # carries to 1e17
+        1000000000000000.25, 1000000000000000.75,  # exact ties, half to even
+        0.0, np.inf, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    ],
+))
+
+
+class TestBlockFormatter:
+    """``_format_rows`` prints exactly what ``'%.17g' %`` prints, value by value."""
+
+    def test_boundary_table(self):
+        table = np.concatenate((BOUNDARY, -BOUNDARY, [np.nan, np.copysign(np.nan, -1.0)]))
+        for dim in (1, 2, 16):
+            block = np.resize(table, (-(-table.size // dim), dim))
+            assert cli._format_rows(block) == percent_rows(block)
+
+    def test_exact_ties_round_half_even(self, rng):
+        ties = exact_ties(rng)
+        block = np.concatenate((ties, -ties)).reshape(-1, 8)
+        assert cli._format_rows(block) == percent_rows(block)
+        pair = np.array([[1000000000000000.25, 1000000000000000.75]])
+        assert cli._format_rows(pair) == b"1000000000000000.2,1000000000000000.8\n"
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_float(self, values):
+        block = np.array(values, dtype=np.float64).reshape(1, -1)
+        assert cli._format_rows(block) == percent_rows(block)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(17)
+        bits = rng.integers(0, 2**64, size=2**20, dtype=np.uint64)
+        # three draws in four get an exponent in 2**-14..2**57, the fixed-notation range and its edges
+        exponent_field = np.uint64(0x7FF << 52)
+        exponents = rng.integers(1023 - 14, 1023 + 58, size=bits.size).astype(np.uint64) << np.uint64(52)
+        fixed = rng.random(bits.size) < 0.75
+        bits[fixed] = (bits[fixed] & ~exponent_field) | exponents[fixed]
+        values = bits.view(np.float64).reshape(-1, 16)
+        assert b"".join(cli._format_rows(block) for block in np.array_split(values, 64)) == percent_rows(values)
+
+    @pytest.mark.parametrize("dim", [1, 2, 16, 64])
+    def test_writer_blocks_match_percent_loop(self, tmp_path, capsys, rng, dim):
+        rows = 2 * (cli._BLOCK_VALUES // dim) + 3  # not a whole number of blocks
+        values = np.cumsum(rng.standard_normal((rows, dim)), axis=1)
+        values[::5, -1] = 0.0
+        values[1::5, 0] = -0.0
+        out = tmp_path / "s.csv"
+        cli._write_csv(out, {"command": "sample"}, "h", values)
+        expected = b"# command=sample\nh\n" + percent_rows(values)
+        assert out.read_bytes() == expected
+        cli._write_csv(None, {"command": "sample"}, "h", values)
+        assert capsys.readouterr().out.encode() == expected
 
 
 @pytest.mark.parametrize("model", [
@@ -515,6 +602,26 @@ class TestNonFiniteNumbers:
     def test_malformed_number_keeps_float_message(self, capsys):
         code, err = parse_error(["critical", "--tol", "abc"], capsys)
         assert code == 2 and "argument --tol: invalid float value: 'abc'" in err
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_out_of_range_seed_names_the_flag(self, capsys, seed):
+        code, err = parse_error(["sample", "--model", "reflected", "--seed", seed], capsys)
+        assert code == 2 and f"argument --seed: must satisfy 0 <= seed < 2**128, got {seed}" in err
+
+    def test_malformed_seed_keeps_int_message(self, capsys):
+        code, err = parse_error(["sample", "--model", "reflected", "--seed", "1.5"], capsys)
+        assert code == 2 and "argument --seed: invalid int value: '1.5'" in err
+
+    def test_largest_seed_samples_and_is_recorded(self, tmp_path):
+        seed = 2**128 - 1
+        out = tmp_path / "s.csv"
+        argv = ["sample", "--model", "bridge", "--grid", "8", "--paths", "5", "--seed", str(seed), "--out", str(out)]
+        assert main(argv) == 0
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert manifest["seed"] == manifest["parameters"]["seed"] == seed
+        assert read_csv(out)[0]["seed"] == str(seed)
 
 
 class TestExitStatus:

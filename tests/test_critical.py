@@ -31,6 +31,15 @@ class TestSignChangeQuery:
         with pytest.raises(ValueError, match="tol"):
             SignChangeQuery(tol=tol)
 
+    def test_offset_zero_has_no_partner(self):
+        with pytest.raises(ValueError, match="offset 0"):
+            SignChangeQuery(offset=0)
+        with pytest.raises(ValueError, match="offset 0"):
+            coupling_at(61, 0.3, None, 0)
+
+    def test_negative_offset_is_the_left_partner(self):
+        assert coupling_at(61, 0.3, 20, -2) == coupling_at(61, 0.3, 18, 2)
+
 
 class TestFindCriticalHurst:
     def test_third_neighbor_critical_point(self):
