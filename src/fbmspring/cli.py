@@ -183,8 +183,9 @@ def _format_rows(block: np.ndarray) -> bytes:
     n[carry] = 10**16
     x += carry
     slow = ~fast | (x < -4)
-    n[zero | slow] = 0
-    x[zero | slow] = 0
+    blank = zero | slow
+    n[blank] = 0
+    x[blank] = 0
     # the 17 digits of n: a leading digit, then four groups of four
     lead = n // 10**16
     rest = n - lead * 10**16
@@ -231,7 +232,7 @@ def _write_csv(path: Path | None, echo: dict, header: str, values: np.ndarray) -
     is ever held. Integral floats below 2**53, such as series indices, print
     as plain integers.
     """
-    step = max(1, _BLOCK_VALUES // max(1, values.shape[1]))
+    step = max(1, _BLOCK_VALUES // values.shape[1])
     with contextlib.nullcontext(sys.stdout) if path is None else path.open("w", newline="\n") as out:
         out.writelines(f"# {key}={value}\n" for key, value in echo.items())
         out.write(header + "\n")
