@@ -10,8 +10,10 @@ CSV conventions: ``#``-prefixed model echo lines, then a header, then rows
 with full round-trip precision (17 significant digits) and LF line endings.
 Every CSV goes through one writer: it turns blocks of about 16k values into
 ASCII with numpy, byte for byte what ``'%.17g' %`` prints for each float, and
-streams them to the file or stdout, so a ``sample`` run holds its
-``paths x dim`` batch as one float array and never a text copy of the table.
+writes the bytes to the file or stdout, so no text copy of a table is held.
+``sample --model reflected|bridge`` draws, writes and checks its batch in row
+chunks of about 1 MiB taken from one Philox stream, so its memory depends on
+``--grid`` and not on ``--paths``; chain and ring batches are one chunk.
 
 Exit codes: 0 success, 2 invalid input or model, 3 no result (e.g. the
 bracketed coupling has no sign change), 4 numerical failure.
@@ -50,7 +52,6 @@ from .rings import RingModel, check_admissible, power_law_ring, ring_coupling_pr
 from .sampling import (
     brownian_bridge_ring,
     covariance_bound,
-    empirical_covariance,
     fourier_mode_energy,
     piecewise_ring_cov_matrix,
     reflected_brownian_ring,
@@ -224,20 +225,27 @@ def _format_rows(block: np.ndarray) -> bytes:
     return text[:, :26].tobytes().translate(None, b"\0")  # bytes 26..31 are always NUL
 
 
-def _write_csv(path: Path | None, echo: dict, header: str, values: np.ndarray) -> None:
-    """Echo lines and header, then one ``%.17g``-formatted line per row of ``values``.
+def _write_csv(path: Path | None, echo: dict, header: str, blocks) -> None:
+    """Echo lines and header, then one ``%.17g``-formatted line per row of each 2-D block.
 
-    Rows are formatted by ``_format_rows`` in blocks of about ``_BLOCK_VALUES``
-    values and streamed to the file (or stdout), so no text copy of the table
-    is ever held. Integral floats below 2**53, such as series indices, print
-    as plain integers.
+    Each block is formatted by ``_format_rows`` in pieces of about
+    ``_BLOCK_VALUES`` values and written as bytes to the file (or stdout), so
+    no text copy of the table is ever held and a block may be produced after
+    the ones before it are written. Integral floats below 2**53, such as
+    series indices, print as plain integers.
     """
-    step = max(1, _BLOCK_VALUES // values.shape[1])
-    with contextlib.nullcontext(sys.stdout) if path is None else path.open("w", newline="\n") as out:
-        out.writelines(f"# {key}={value}\n" for key, value in echo.items())
-        out.write(header + "\n")
-        for start in range(0, len(values), step):
-            out.write(_format_rows(values[start : start + step]).decode("ascii"))
+    with contextlib.nullcontext() if path is None else path.open("wb") as out:
+        if out is None:
+            sys.stdout.flush()  # text already written to stdout goes first
+            buffer = getattr(sys.stdout, "buffer", None)  # an io.StringIO redirect has none
+            write = buffer.write if buffer is not None else lambda data: sys.stdout.write(data.decode())
+        else:
+            write = out.write
+        write("".join([*(f"# {key}={value}\n" for key, value in echo.items()), f"{header}\n"]).encode())
+        for block in blocks:
+            step = max(1, _BLOCK_VALUES // block.shape[1])
+            for start in range(0, len(block), step):
+                write(_format_rows(block[start : start + step]))
 
 
 def _write_json(path: Path | None, payload: dict) -> None:
@@ -282,7 +290,7 @@ def _write_gnuplot(out: Path, xlabel: str, ylabel: str) -> Path:
 def _write_series(args: argparse.Namespace, command: str, echo: dict, xlabel: str, ylabel: str, x, y) -> None:
     """Integer ``x`` and float ``y`` as a two-column CSV; with --out also the
     manifest and, on --gnuplot, a plot script."""
-    _write_csv(args.out, echo, f"{xlabel},{ylabel}", np.column_stack((x, y)))
+    _write_csv(args.out, echo, f"{xlabel},{ylabel}", [np.column_stack((x, y))])
     if args.out is not None:
         outputs = [args.out]
         if args.gnuplot:
@@ -506,51 +514,66 @@ def _cmd_ring_design(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- sample
 
+#: Samples per row chunk of a reflected or bridge run (1 MiB of float64): a
+#: chunk is drawn, written and added to the report before the next is drawn.
+_CHUNK_VALUES = 131_072
+
+
 def _cmd_sample(args: argparse.Namespace) -> int:
     if args.paths < 1:
         raise CliInputError("--paths must be >= 1")
     echo: dict = {"command": "sample", "model": args.model, "paths": args.paths, "seed": args.seed}
+    # Chain and ring batches are one chunk: `z @ F.T` in row chunks is not
+    # bit-identical to one GEMM, and the FFT samplers of ROADMAP item 4 will
+    # replace both streams.
     if args.model == "chain":
         if args.monomers is None or args.hurst is None:
             raise CliInputError("chain sampling needs --monomers and --hurst")
         echo.update(monomers=args.monomers, hurst=_fmt(args.hurst))
         reference = chain_increment_cov(ChainModel(args.monomers - 1, args.hurst))
-        batch = sample_gaussian(reference, args.paths, args.seed, model_tag="chain")
+        batches = [sample_gaussian(reference, args.paths, args.seed, model_tag="chain")]
     elif args.model == "ring":
         if args.sites is None or args.hurst is None:
             raise CliInputError("ring sampling needs --sites and --hurst")
         echo.update(sites=args.sites, hurst=_fmt(args.hurst))
         reference = ring_increment_cov(RingGeometry(args.sites), args.hurst)
         try:
-            batch = sample_gaussian(reference, args.paths, args.seed, model_tag="ring")
+            batches = [sample_gaussian(reference, args.paths, args.seed, model_tag="ring")]
         except IndefiniteCovariance as exc:
             raise CliInputError(
                 f"cannot sample: increment covariance is indefinite "
                 f"(min eigenvalue {exc.min_eigenvalue:.6e}); periodic "
                 f"admissibility requires hurst <= 0.5, got {args.hurst}"
             ) from exc
-    else:  # reflected | bridge positions on a uniform circle grid
+    else:  # reflected | bridge positions on a uniform circle grid, in row chunks of one stream
         grid = uniform_ring_grid(args.grid)
         echo.update(grid=args.grid)
         reference = piecewise_ring_cov_matrix(grid)
-        if args.model == "reflected":
-            batch = reflected_brownian_ring(grid, args.paths, args.seed)
-        else:
-            batch = brownian_bridge_ring(grid, args.paths, args.seed)
-    empirical = empirical_covariance(batch)
+        sampler = reflected_brownian_ring if args.model == "reflected" else brownian_bridge_ring
+        rng = np.random.Generator(np.random.Philox(key=args.seed))
+        rows = max(1, _CHUNK_VALUES // grid.size)
+        batches = (sampler(grid, min(rows, args.paths - start), rng) for start in range(0, args.paths, rows))
+    dim = reference.shape[0]
+    gram = np.zeros((dim, dim))
+
+    def blocks():
+        for batch in batches:
+            gram[...] += batch.values.T @ batch.values
+            yield batch.values
+
+    _write_csv(args.out, echo, ",".join(f"v{i}" for i in range(dim)), blocks())
+    empirical = gram / args.paths  # empirical_covariance summed over the chunks
     bound = covariance_bound(reference, args.paths)
     error = np.abs(empirical - reference)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(bound > 0, error / np.where(bound > 0, bound, 1.0), np.where(error > 0, np.inf, 0.0))
     report = {
         "model": {k: v for k, v in echo.items() if k != "command"},
-        "dim": batch.dim,
+        "dim": dim,
         "max_abs_error": float(error.max()),
         "max_error_over_bound": float(ratio.max()),
         "within_bound": bool((error <= bound + 1e-15).all()),
     }
-    header = ",".join(f"v{i}" for i in range(batch.dim))
-    _write_csv(args.out, echo, header, batch.values)
     report_path = args.report
     if report_path is None and args.out is not None:
         report_path = args.out.with_suffix(".report.json")
@@ -671,3 +694,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

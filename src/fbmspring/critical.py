@@ -4,19 +4,28 @@ For an open fractional Brownian chain the coupling between the center monomer
 and a fixed neighbor is a smooth function of the Hurst index; the third
 neighbor's coupling, for example, crosses from repulsive to attractive at
 H = 0.75964... for a 61-monomer chain. The search brackets that root by sign
-and halves the bracket until it is narrower than the tolerance, so the result
-is deterministic and the iteration count is exactly
-ceil(log2(width / tol)).
+and halves the bracket exactly ceil(log2(width / tol)) times, so the result is
+deterministic and the final bracket is no wider than the tolerance, up to the
+rounding of its endpoints (under one ulp of the larger bracket end).
+
+Rounded midpoints stop halving a bracket only a few ulps wide, so a tolerance
+below ``TOL_FLOOR_ULPS`` ulps of the larger bracket end is rejected before any
+chain is built. A sweep over 400 brackets in (0, 1), each with tolerances from
+the floor up to the width (including every width / 2**j), found a midpoint
+that did not lie strictly inside its bracket for floors of 1 and 1.5 ulps and
+none from 2 ulps up; the floor doubles that.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .couplings import chain_coupling_matrix
-from .errors import MaxIterations, NoSignChange
+from .errors import NoSignChange
 
-MAX_BISECTION_STEPS = 200
+#: Smallest accepted ``tol``, in ulps of the larger bracket end.
+TOL_FLOOR_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -26,6 +35,7 @@ class SignChangeQuery:
     ``center`` is a 0-based monomer index; None selects the middle monomer.
     ``offset`` is nonzero; a negative offset names a partner left of center.
     ``bracket`` must straddle the sign change of g(center, center + offset).
+    ``tol`` must be at least ``TOL_FLOOR_ULPS`` ulps of the larger bracket end.
     """
 
     monomers: int = 61
@@ -40,10 +50,22 @@ class SignChangeQuery:
             raise ValueError(f"bracket must satisfy 0 < lo < hi < 1, got {self.bracket}")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
+        floor = TOL_FLOOR_ULPS * math.ulp(hi)
+        if self.tol < floor:
+            raise ValueError(
+                f"tol {self.tol:.3e} is below the floor {floor:.3e} ({TOL_FLOOR_ULPS} ulps of the "
+                f"bracket end {hi}): bisection cannot halve a bracket that narrow"
+            )
         if self.monomers < 2:
             raise ValueError("need at least 2 monomers")
         if self.offset == 0:
             raise ValueError("offset must be nonzero: a monomer has no coupling to itself, got offset 0")
+
+    def steps(self) -> int:
+        """Bisection steps, ceil(log2(width / tol)), or 0 when the bracket is narrow enough."""
+        lo, hi = self.bracket
+        width = hi - lo
+        return math.ceil(math.log2(width / self.tol)) if width > self.tol else 0
 
     def resolved_center(self) -> int:
         center = (self.monomers - 1) // 2 if self.center is None else self.center
@@ -72,9 +94,9 @@ def coupling_at(monomers: int, hurst: float, center: int | None, offset: int) ->
 def find_critical_hurst(query: SignChangeQuery) -> tuple[float, int]:
     """Bisect the Hurst bracket until the sign-change location is pinned.
 
-    Returns (h_star, iterations); h_star is the final bracket midpoint.
-    Raises NoSignChange when the endpoint couplings do not have strictly
-    opposite signs, MaxIterations when the tolerance is unreachable.
+    Returns (h_star, iterations) with iterations = ``query.steps()``; h_star
+    is the final bracket midpoint. Raises NoSignChange when the endpoint
+    couplings do not have strictly opposite signs.
     """
     center = query.resolved_center()
     lo, hi = query.bracket
@@ -88,16 +110,13 @@ def find_critical_hurst(query: SignChangeQuery) -> tuple[float, int]:
             f"coupling has no sign change over {query.bracket}: "
             f"g({lo}) = {f_lo:.6e}, g({hi}) = {f_hi:.6e}"
         )
-    iterations = 0
-    while hi - lo > query.tol:
-        if iterations >= MAX_BISECTION_STEPS:
-            raise MaxIterations(iterations=iterations, width=hi - lo)
+    iterations = query.steps()
+    for _ in range(iterations):
         mid = 0.5 * (lo + hi)
         f_mid = g_at(mid)
         # A zero midpoint value counts as the far side, keeping the root bracketed.
         if f_mid != 0.0 and (f_mid < 0.0) == (f_lo < 0.0):
             lo, f_lo = mid, f_mid
         else:
-            hi, f_hi = mid, f_mid
-        iterations += 1
+            hi = mid
     return 0.5 * (lo + hi), iterations

@@ -3,7 +3,11 @@
 Randomness: every batch is drawn from a counter-based Philox bit generator
 keyed by the user seed (``numpy.random.Philox``), with normal variates from
 numpy's ziggurat transform. A batch is one contiguous vectorized draw, so
-results are bit-reproducible for fixed (seed, model, paths).
+results are bit-reproducible for fixed (seed, model, paths). A sampler also
+accepts a ``numpy.random.Generator`` in place of the seed and continues its
+stream: one Generator passed to consecutive calls gives, row for row, the
+batch that the int seed gives in one call, so a large batch can be drawn in
+row chunks of bounded size.
 
 Covariance factorization is spectral: eigenvalues in [-tol_pd, 0] are clamped
 to zero (exactly semidefinite models such as the Brownian ring live on this
@@ -40,7 +44,7 @@ class SampleBatch:
     """A (paths x dim) block of samples plus the seed that produced it."""
 
     values: np.ndarray
-    seed: int
+    seed: int | np.random.Generator
     model_tag: str
 
     @property
@@ -52,15 +56,16 @@ class SampleBatch:
         return self.values.shape[1]
 
 
-def _normals(shape: tuple[int, int], seed: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=seed))
+def _normals(shape: tuple[int, int], seed: int | np.random.Generator) -> np.ndarray:
+    """Standard normals from a Philox stream keyed by ``seed``, or the next ones of a Generator."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(np.random.Philox(key=seed))
     return rng.standard_normal(shape)
 
 
 def sample_gaussian(
     cov: np.ndarray,
     paths: int,
-    seed: int,
+    seed: int | np.random.Generator,
     tol_pd: float | None = None,
     model_tag: str = "gaussian",
 ) -> SampleBatch:
@@ -68,7 +73,8 @@ def sample_gaussian(
 
     ``cov`` must be positive semidefinite at tolerance ``tol_pd``; a smaller
     eigenvalue raises IndefiniteCovariance (e.g. a periodic model requested
-    above its admissible Hurst range).
+    above its admissible Hurst range). ``seed`` is a Philox key or a
+    Generator whose stream continues.
     """
     cov = linalg.require_symmetric(cov)
     if paths < 1:
@@ -84,7 +90,11 @@ def sample_gaussian(
 
 
 def empirical_covariance(batch: SampleBatch) -> np.ndarray:
-    """Zero-mean covariance estimate values.T @ values / paths."""
+    """Zero-mean covariance estimate values.T @ values / paths.
+
+    A batch drawn in row chunks sums the chunks' ``values.T @ values`` before
+    dividing by the total path count; one chunk is this function.
+    """
     return batch.values.T @ batch.values / batch.paths
 
 
@@ -134,7 +144,13 @@ def _check_ring_times(t_grid: np.ndarray) -> np.ndarray:
     return t_grid
 
 
-def _wiener_at(times: np.ndarray, paths: int, seed: int) -> np.ndarray:
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of finite floats, without the ``numpy.ma`` import it makes on first use."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
+def _wiener_at(times: np.ndarray, paths: int, seed: int | np.random.Generator) -> np.ndarray:
     """Wiener values (one row per path) at sorted ``times``, which start at 0."""
     z = _normals((paths, times.size - 1), seed)
     z *= np.sqrt(np.diff(times))
@@ -143,17 +159,18 @@ def _wiener_at(times: np.ndarray, paths: int, seed: int) -> np.ndarray:
     return wiener
 
 
-def reflected_brownian_ring(t_grid: np.ndarray, paths: int, seed: int) -> SampleBatch:
+def reflected_brownian_ring(t_grid: np.ndarray, paths: int, seed: int | np.random.Generator) -> SampleBatch:
     """Sample the reflected periodic Brownian motion at the given times.
 
     Each path is exact: one Wiener path is evaluated at every needed source
     time (t itself on the outbound half, t - pi on the return half) and the
     two halves are assembled from the same path, so b(0) = b(2*pi) = 0 holds
-    exactly per sample.
+    exactly per sample. ``seed`` is a Philox key or a Generator whose stream
+    continues; each path uses only its own row of draws.
     """
     t_grid = _check_ring_times(t_grid)
     source = np.where(t_grid <= math.pi, t_grid, t_grid - math.pi)
-    times = np.unique(np.concatenate(([0.0, math.pi], source)))
+    times = _sorted_unique(np.concatenate(([0.0, math.pi], source)))
     wiener = _wiener_at(times, paths, seed)
     half = wiener[:, np.searchsorted(times, math.pi), None]
     values = wiener[:, np.searchsorted(times, source)]
@@ -161,10 +178,13 @@ def reflected_brownian_ring(t_grid: np.ndarray, paths: int, seed: int) -> Sample
     return SampleBatch(values=values, seed=seed, model_tag=f"reflected_ring[{t_grid.size}]")
 
 
-def brownian_bridge_ring(t_grid: np.ndarray, paths: int, seed: int) -> SampleBatch:
-    """Rescaled-bridge construction B(t) - t/(2*pi) B(2*pi) (negative control)."""
+def brownian_bridge_ring(t_grid: np.ndarray, paths: int, seed: int | np.random.Generator) -> SampleBatch:
+    """Rescaled-bridge construction B(t) - t/(2*pi) B(2*pi) (negative control).
+
+    ``seed`` is a Philox key or a Generator whose stream continues.
+    """
     t_grid = _check_ring_times(t_grid)
-    times = np.unique(np.concatenate(([0.0, TWO_PI], t_grid)))
+    times = _sorted_unique(np.concatenate(([0.0, TWO_PI], t_grid)))
     wiener = _wiener_at(times, paths, seed)
     values = wiener[:, np.searchsorted(times, t_grid)]
     values -= (t_grid / TWO_PI) * wiener[:, -1:]

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -30,7 +32,14 @@ from fbmspring.errors import (
 )
 from fbmspring.linalg import eigen_sym
 from fbmspring.rings import ring_coupling_profile
-from fbmspring.sampling import fourier_mode_energy
+from fbmspring.sampling import (
+    brownian_bridge_ring,
+    empirical_covariance,
+    fourier_mode_energy,
+    piecewise_ring_cov_matrix,
+    reflected_brownian_ring,
+    uniform_ring_grid,
+)
 
 
 def read_csv(path):
@@ -229,6 +238,12 @@ class TestCriticalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "offset 0" in err
 
+    def test_tolerance_below_float_resolution_is_invalid_input(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "find_critical_hurst", None)  # rejected before any chain is built
+        assert main(["critical", "--tol", "1e-17"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tol 1.000e-17 is below the floor 4.441e-16")
+
     def test_nearest_neighbor_exit_code(self, capsys):
         code = main(["critical", "--offset", "1", "--bracket", "0.55", "0.95"])
         assert code == 3
@@ -393,10 +408,10 @@ class TestCsvWriter:
         header = ",".join(f"v{i}" for i in range(dim))
         rows = [tuple(float(v) for v in row) for row in values]
         new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-        cli._write_csv(new, echo, header, values)
+        cli._write_csv(new, echo, header, [values])
         per_value_write_csv(ref, echo, header, rows)
         assert new.read_bytes() == ref.read_bytes()
-        cli._write_csv(None, echo, header, values)
+        cli._write_csv(None, echo, header, [values])
         streamed = capsys.readouterr().out
         per_value_write_csv(None, echo, header, rows)
         assert streamed == capsys.readouterr().out == ref.read_text()
@@ -407,9 +422,9 @@ class TestCsvWriter:
         calls = []
         write_csv = cli._write_csv
 
-        def spy(path, echo, header, values):
+        def spy(path, echo, header, blocks):
             calls.append((echo, header))
-            write_csv(path, echo, header, values)
+            write_csv(path, echo, header, blocks)
 
         monkeypatch.setattr(cli, "_write_csv", spy)
         out, ref = tmp_path / "series.csv", tmp_path / "ref.csv"
@@ -496,10 +511,10 @@ class TestBlockFormatter:
         values[::5, -1] = 0.0
         values[1::5, 0] = -0.0
         out = tmp_path / "s.csv"
-        cli._write_csv(out, {"command": "sample"}, "h", values)
+        cli._write_csv(out, {"command": "sample"}, "h", [values])
         expected = b"# command=sample\nh\n" + percent_rows(values)
         assert out.read_bytes() == expected
-        cli._write_csv(None, {"command": "sample"}, "h", values)
+        cli._write_csv(None, {"command": "sample"}, "h", [values])
         assert capsys.readouterr().out.encode() == expected
 
 
@@ -520,6 +535,59 @@ def test_sample_memory_is_a_few_batches(tmp_path, model):
         tracemalloc.stop()
     # the batch itself plus the draws and one gathered copy; no text copy of the table
     assert peak < 5 * paths * dim * 8
+
+
+@pytest.mark.parametrize("grid", [13, 64, 256])
+@pytest.mark.parametrize("model, sampler", [("reflected", reflected_brownian_ring), ("bridge", brownian_bridge_ring)])
+def test_chunked_sample_equals_one_call_batch(tmp_path, model, sampler, grid):
+    rows = cli._CHUNK_VALUES // grid
+    for paths in (1, rows + 1, 2 * rows + 3):  # none a whole number of chunks
+        out = tmp_path / f"{paths}.csv"
+        assert main(["sample", "--model", model, "--grid", str(grid), "--paths", str(paths), "--seed", "7",
+                     "--out", str(out)]) == 0
+        batch = sampler(uniform_ring_grid(grid), paths, 7)
+        echo = f"# command=sample\n# model={model}\n# paths={paths}\n# seed=7\n# grid={grid}\n"
+        header = ",".join(f"v{i}" for i in range(grid)) + "\n"
+        assert out.read_bytes() == (echo + header).encode() + percent_rows(batch.values)
+        report = json.loads(out.with_suffix(".report.json").read_text())
+        error = np.abs(empirical_covariance(batch) - piecewise_ring_cov_matrix(uniform_ring_grid(grid)))
+        assert report["max_abs_error"] == pytest.approx(error.max(), rel=1e-12)
+
+
+def test_reflected_sample_memory_is_flat_in_paths(tmp_path):
+    peaks = []
+    for paths in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            argv = ["sample", "--model", "reflected", "--grid", "16", "--paths", str(paths), "--seed", "3",
+                    "--out", str(tmp_path / "s.csv")]
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
+
+
+def test_stdout_stringio_and_file_give_the_same_bytes(tmp_path, capsys):
+    argv = ["sample", "--model", "bridge", "--grid", "16", "--paths", "9000", "--seed", "4"]
+    assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 0
+    expected = (tmp_path / "s.csv").read_bytes()
+    print("before", end="")  # text printed before the rows stays ahead of them
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == b"before" + expected
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        assert main(argv) == 0
+    assert text.getvalue().encode() == expected
+
+
+@pytest.mark.parametrize("model", ["reflected", "bridge"])
+def test_ring_sampling_leaves_numpy_ma_unimported(tmp_path, model):
+    src = Path(fbmspring.__file__).resolve().parents[1]
+    code = "import sys; from fbmspring.cli import main; main(sys.argv[1:]); sys.exit('numpy.ma' in sys.modules)"
+    argv = ["sample", "--model", model, "--grid", "13", "--paths", "5", "--out", str(tmp_path / "s.csv")]
+    result = subprocess.run([sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr or "sampling imported numpy.ma"
 
 
 class TestArgumentValidation:
@@ -679,3 +747,15 @@ def test_cli_import_leaves_scipy_out():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr or "importing fbmspring.cli loaded scipy"
+
+
+def test_module_runs_as_a_script():
+    src = Path(fbmspring.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    critical = subprocess.run([sys.executable, "-m", "fbmspring.cli", "critical"], env=env,
+                              capture_output=True, text=True, timeout=120)
+    assert critical.returncode == 0, critical.stderr
+    assert json.loads(critical.stdout)["h_star"] == pytest.approx(0.75964, abs=1e-4)
+    version = subprocess.run([sys.executable, "-m", "fbmspring.cli", "--version"], env=env,
+                             capture_output=True, text=True, timeout=120)
+    assert (version.returncode, version.stdout) == (0, f"fbmspring {fbmspring.__version__}\n")

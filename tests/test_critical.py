@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from fbmspring import critical
 from fbmspring.critical import SignChangeQuery, coupling_at, find_critical_hurst
-from fbmspring.errors import MaxIterations, NoSignChange
+from fbmspring.errors import NoSignChange
 
 
 class TestCouplingAt:
@@ -68,11 +69,38 @@ class TestFindCriticalHurst:
         with pytest.raises(NoSignChange):
             find_critical_hurst(query)
 
-    def test_unreachable_tolerance(self):
-        # adjacent floats bound the bracket width away from 0
-        query = SignChangeQuery(monomers=11, offset=3, bracket=(0.6, 0.9), tol=1e-300)
-        with pytest.raises(MaxIterations):
-            find_critical_hurst(query)
+    def test_tolerance_below_the_floor_is_rejected(self, monkeypatch):
+        # adjacent floats bound the bracket width away from 0; the query fails before any chain is built
+        monkeypatch.setattr(critical, "chain_coupling_matrix", None)
+        for tol in (1e-300, 1e-17, 1.11e-16, 2.22e-16, math.nextafter(4 * math.ulp(0.9), 0.0)):
+            with pytest.raises(ValueError, match=r"tol .* below the floor 4\.441e-16 \(4 ulps"):
+                SignChangeQuery(monomers=11, offset=3, bracket=(0.6, 0.9), tol=tol)
+
+    @pytest.mark.parametrize("bracket", [(0.6, 0.9), (0.7, 0.8), (0.01, 0.99), (0.3, 0.31), (1e-9, 2e-9)])
+    def test_iteration_count_is_exact_down_to_the_floor(self, monkeypatch, bracket):
+        lo, hi = bracket
+        width, floor = hi - lo, critical.TOL_FLOOR_ULPS * math.ulp(hi)
+        root = lo + 0.3141592653589793 * width
+        midpoints = []
+
+        def linear(monomers, h, center, offset):
+            midpoints.append(h)
+            return h - root
+
+        monkeypatch.setattr(critical, "coupling_at", linear)
+        # width / 2**j is where a loop on the bracket width misses the count by one
+        tols = [floor, 1.5 * floor] + [width / 2**j for j in range(1, 70) if width / 2**j >= floor]
+        for tol in tols:
+            midpoints.clear()
+            h_star, iterations = find_critical_hurst(SignChangeQuery(bracket=bracket, tol=tol))
+            assert iterations == math.ceil(math.log2(width / tol))
+            assert len(set(midpoints)) == iterations + 2  # every halving is strict
+            assert abs(h_star - root) <= 0.5 * tol + math.ulp(hi)
+
+    def test_tolerance_at_least_the_width_takes_no_step(self):
+        query = SignChangeQuery(bracket=(0.6, 0.9), tol=0.5)
+        assert query.steps() == 0
+        assert find_critical_hurst(query) == (0.75, 0)
 
     def test_bracket_validation(self):
         with pytest.raises(ValueError):

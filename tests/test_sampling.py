@@ -315,3 +315,37 @@ class TestHelpers:
         bound = covariance_bound(cov, paths=100, sigmas=5.0)
         assert bound[0, 1] == pytest.approx(5 * math.sqrt((2 * 3 + 1) / 100))
         assert bound[0, 0] == pytest.approx(5 * math.sqrt((4 + 4) / 100))
+
+
+@pytest.mark.parametrize("n", [8, 13, 64, 256])
+def test_sorted_unique_equals_np_unique(n):
+    grid = np.concatenate(([0.0, math.pi, TWO_PI], uniform_ring_grid(n), [1.0, 1.0, math.pi]))
+    source = np.where(grid <= math.pi, grid, grid - math.pi)
+    for times in (np.concatenate(([0.0, math.pi], source)), np.concatenate(([0.0, TWO_PI], grid))):
+        assert sampling._sorted_unique(times).tobytes() == np.unique(times).tobytes()
+
+
+def philox(seed):
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+@pytest.mark.parametrize("sampler", [reflected_brownian_ring, brownian_bridge_ring])
+@pytest.mark.parametrize("n, chunks", [(13, [1, 6, 200, 3]), (64, [1000, 1, 77]), (256, [2, 40])])
+def test_one_generator_continues_the_seeded_batch(sampler, n, chunks):
+    grid = np.concatenate(([0.0, math.pi], uniform_ring_grid(n)))
+    rng = philox(n)
+    parts = [sampler(grid, rows, rng).values for rows in chunks]
+    assert np.array_equal(np.concatenate(parts), sampler(grid, sum(chunks), n).values)
+
+
+def test_one_generator_continues_the_gaussian_draws():
+    # a diagonal covariance factors exactly, so the rows equal the one-call batch bit for bit
+    cov = np.diag([1.0, 2.0, 0.5, 3.0, 0.0])
+    rng = philox(11)
+    parts = [sample_gaussian(cov, rows, rng).values for rows in (1, 999, 38)]
+    assert np.array_equal(np.concatenate(parts), sample_gaussian(cov, 1038, 11).values)
+    # a full covariance multiplies the same draws by the same factor
+    cov = ring_increment_cov(RingGeometry(9), 0.3)
+    rng = philox(12)
+    parts = [sample_gaussian(cov, rows, rng).values for rows in (500, 3)]
+    np.testing.assert_allclose(np.concatenate(parts), sample_gaussian(cov, 503, 12).values, rtol=0, atol=1e-13)
