@@ -30,14 +30,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circulant import Circulant, circulant_eigenvalues, ring_mode_spectrum
+from .circulant import circulant_eigenvalues, ring_mode_spectrum
 from .couplings import chain_coupling_matrix, coupling_laplacian
 from .critical import SignChangeQuery, coupling_at, find_critical_hurst
 from .errors import (
     FbmSpringError,
     IndefiniteCovariance,
     InvalidExponent,
-    MaxIterations,
     MissingRingModes,
     NoConvergence,
     NonpositiveG1,
@@ -428,8 +427,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         echo.update(mode="ring", monomers=args.monomers, hurst=_fmt(args.hurst))
         if args.cov:
             echo["series"] = "increment-covariance eigenvalues"
-            row = ring_increment_row(RingGeometry(args.monomers), args.hurst)
-            lam = circulant_eigenvalues(Circulant(first_row=row))
+            lam = circulant_eigenvalues(ring_increment_row(RingGeometry(args.monomers), args.hurst))
         else:
             echo["series"] = "energy eigenvalues"
             rm = _ring_profile(args.monomers, args.hurst)
@@ -562,7 +560,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             yield batch.values
 
     _write_csv(args.out, echo, ",".join(f"v{i}" for i in range(dim)), blocks())
-    empirical = gram / args.paths  # empirical_covariance summed over the chunks
+    empirical = gram / args.paths
     bound = covariance_bound(reference, args.paths)
     error = np.abs(empirical - reference)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -677,7 +675,7 @@ _FAILURES = {
     **dict.fromkeys((IndefiniteCovariance, NonpositiveG1, InvalidExponent, NotSymmetricCirculant), _INVALID),
     **dict.fromkeys((ValueError, IndexError, OSError), _INVALID),
     MemoryError: _INVALID,  # a request too large to allocate
-    **dict.fromkeys((NotPositiveDefinite, NoConvergence, QuadratureFailure, MaxIterations), _NUMERICAL),
+    **dict.fromkeys((NotPositiveDefinite, NoConvergence, QuadratureFailure), _NUMERICAL),
     FbmSpringError: ("error", EXIT_NUMERICAL),  # safety net for future error types
 }
 

@@ -122,12 +122,3 @@ def chain_coupling_matrix(monomers: int, hurst: float) -> CouplingProfile:
     model = kernels.ChainModel(n=monomers - 1, hurst=hurst)
     return couplings_from_energy(linalg.toeplitz_inverse(kernels.chain_increment_row(model)))
 
-
-def position_and_increment_spectra(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of the position-space Laplacian and of the energy matrix itself.
-
-    Returned side by side (both ascending) for comparison; apart from the
-    Laplacian's structural zero mode the two spectra need not coincide.
-    """
-    lap = coupling_laplacian(couplings_from_energy(a))
-    return linalg.eigen_sym(lap)[0], linalg.eigen_sym(a)[0]

@@ -22,18 +22,20 @@ class NotPositiveDefinite(FbmSpringError):
 class MissingRingModes(NotPositiveDefinite):
     """Ring covariance modes (in 1..floor(N/2)) without positive weight.
 
-    ``min_eigenvalue`` is the smallest covariance eigenvalue among ``modes``;
-    there is no Cholesky pivot, so ``pivot_index`` is None.
+    ``min_eigenvalue`` is the smallest covariance eigenvalue among ``modes``
+    and ``tol`` the tolerance it was compared with; there is no Cholesky
+    pivot, so ``pivot_index`` is None.
     """
 
-    def __init__(self, modes: list[int], min_eigenvalue: float):
-        self.modes, self.min_eigenvalue = modes, min_eigenvalue
+    def __init__(self, modes: list[int], min_eigenvalue: float, tol: float):
+        self.modes, self.min_eigenvalue, self.tol = modes, min_eigenvalue, tol
         self.pivot_index, self.pivot_value = None, min_eigenvalue
         shown = ", ".join(str(m) for m in modes[:8]) + (", ..." if len(modes) > 8 else "")
         FbmSpringError.__init__(
             self,
             f"ring increment covariance is not positive definite: no positive weight on "
-            f"modes {shown} ({len(modes)} modes; smallest eigenvalue {min_eigenvalue:.6e})",
+            f"modes {shown} ({len(modes)} modes; smallest eigenvalue {min_eigenvalue:.6e}, "
+            f"tolerance {tol:.6e})",
         )
 
 
@@ -47,17 +49,6 @@ class NotSymmetricCirculant(FbmSpringError):
 
 class NoSignChange(FbmSpringError):
     """Bisection bracket endpoints do not have strictly opposite signs."""
-
-
-class MaxIterations(FbmSpringError):
-    """Bisection could not reach the requested tolerance within the budget."""
-
-    def __init__(self, iterations: int, width: float):
-        self.iterations = iterations
-        self.width = width
-        super().__init__(
-            f"bracket width {width:.3e} after {iterations} iterations exceeds tolerance"
-        )
 
 
 class IndefiniteCovariance(FbmSpringError):

@@ -17,6 +17,13 @@ periodic process is pinned at site 0 and its structure function is d^{2H}.
 Sites N and 0 coincide (d(N) = 0), so the N increments around the ring sum to
 zero and the increment covariance is a singular circulant for every H.
 
+Both covariances are stationary, so the pipelines work from their first rows
+(:func:`chain_increment_row`, :func:`ring_increment_row`): chain couplings
+through the Toeplitz solver in ``linalg``, ring spectra and couplings through
+the FFT in ``circulant``. The dense matrices are gathered from those rows,
+entry (i, j) = row[|j - i|] or row[(j - i) mod N], for the dense consumers:
+sampling and the chain covariance spectrum.
+
 H is accepted anywhere in (0, 1] at construction time; whether a covariance
 is actually positive semidefinite is a runtime verdict, not a type constraint.
 """
@@ -26,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .circulant import Circulant
 
 
 @dataclass(frozen=True)
@@ -68,33 +73,10 @@ def chain_increment_row(model: ChainModel) -> np.ndarray:
     return 0.5 * np.abs(d + 1.0) ** h2 + 0.5 * np.abs(d - 1.0) ** h2 - d**h2
 
 
-def geodesic_distance(geom: RingGeometry, i: int, k: int) -> int:
-    """Shortest of the two arc distances between sites i and k."""
-    n = geom.sites
-    if not (0 <= i < n and 0 <= k < n):
-        raise IndexError(f"site indices must lie in [0, {n}), got ({i}, {k})")
-    step = abs(i - k)
-    return min(step, n - step)
-
-
 def _geodesic_array(sites: int, m: np.ndarray) -> np.ndarray:
     """Geodesic distance for (possibly negative) integer lags, vectorized."""
     r = np.abs(m) % sites
     return np.minimum(r, sites - r)
-
-
-def ring_position_cov(geom: RingGeometry, hurst: float) -> np.ndarray:
-    """Position covariance of the pinned periodic process, shape (N, N).
-
-    Entry (k, l) is (d(k)^{2H} + d(l)^{2H} - d(k-l)^{2H}) / 2, where distances
-    are measured from the pinned site 0. Row and column 0 are identically zero.
-    """
-    _check_hurst(hurst)
-    n = geom.sites
-    idx = np.arange(n)
-    dpow = _geodesic_array(n, idx).astype(float) ** (2.0 * hurst)
-    cross = _geodesic_array(n, idx[:, None] - idx[None, :]).astype(float) ** (2.0 * hurst)
-    return (dpow[:, None] + dpow[None, :] - cross) / 2.0
 
 
 def ring_increment_cov(geom: RingGeometry, hurst: float) -> np.ndarray:
@@ -105,22 +87,15 @@ def ring_increment_cov(geom: RingGeometry, hurst: float) -> np.ndarray:
     singular for every H; for H > 1/2 it generally stops being positive
     semidefinite altogether.
     """
-    return Circulant(first_row=ring_increment_row(geom, hurst)).dense()
+    idx = np.arange(geom.sites)
+    return ring_increment_row(geom, hurst)[(idx[None, :] - idx[:, None]) % geom.sites]
 
 
 def ring_increment_row(geom: RingGeometry, hurst: float) -> np.ndarray:
     """First row of :func:`ring_increment_cov` (length N)."""
-    return _ring_increment_row(geom.sites, hurst)
-
-
-def _ring_increment_row(n: int, hurst: float) -> np.ndarray:
-    """First row for n unit steps around a circle; any n >= 1, unlike RingGeometry."""
-    _check_hurst(hurst)
+    if not 0.0 < hurst <= 1.0:
+        raise ValueError(f"hurst must be in (0, 1], got {hurst}")
+    n = geom.sites
     j = np.arange(-1, n + 1)
     dpow = _geodesic_array(n, j).astype(float) ** (2.0 * hurst)
     return 0.5 * ((dpow[2:] + dpow[:-2]) - 2.0 * dpow[1:-1])
-
-
-def _check_hurst(hurst: float) -> None:
-    if not 0.0 < hurst <= 1.0:
-        raise ValueError(f"hurst must be in (0, 1], got {hurst}")

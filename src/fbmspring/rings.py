@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, linalg
-from .circulant import Circulant, circulant_eigenvalues, mirrored_distance_row, ring_mode_spectrum
+from . import kernels
+from .circulant import circulant_eigenvalues, mirrored_distance_row, ring_mode_spectrum, spectrum_tol
 from .errors import DivergentSeries, InvalidExponent, MissingRingModes, NonpositiveG1
 
 
@@ -63,22 +63,6 @@ class PowerLawDesign:
     zeta_bound_satisfied: bool | None
 
 
-def build_distance_circulant(rm: RingModel) -> Circulant:
-    """Coupling matrix G = circ(0, g_1, ..., g_2, g_1) as a circulant."""
-    row = np.concatenate(([0.0], mirrored_distance_row(rm.g_by_distance, rm.sites)))
-    return Circulant(first_row=row)
-
-
-def ring_laplacian_circulant(rm: RingModel) -> Circulant:
-    """Energy matrix g*I - G: circ(sum g_k, -g_1, ..., -g_1)."""
-    g_row = mirrored_distance_row(rm.g_by_distance, rm.sites)
-    return Circulant(first_row=np.concatenate(([g_row.sum()], -g_row)))
-
-
-def default_admissibility_tol(rm: RingModel) -> float:
-    return 1e-12 * rm.sites * float(np.abs(rm.g_by_distance).max(initial=0.0))
-
-
 def check_admissible(rm: RingModel, tol: float | None = None) -> AdmissibilityReport:
     """Sweep all nonzero modes; admissible iff every lambda_m exceeds ``tol``.
 
@@ -86,7 +70,7 @@ def check_admissible(rm: RingModel, tol: float | None = None) -> AdmissibilityRe
     reported in 1..floor(N/2); a nan lambda_m violates.
     """
     if tol is None:
-        tol = default_admissibility_tol(rm)
+        tol = 1e-12 * rm.sites * float(np.abs(rm.g_by_distance).max(initial=0.0))
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     spectrum = ring_mode_spectrum(rm.g_by_distance, rm.sites)
@@ -152,6 +136,8 @@ def power_law_ring(
     size-independent bound g1 > c pi^2 (zeta(gamma-2) - 1) is meaningful;
     the bound itself is evaluated whenever gamma > 3.
     """
+    if sites < 3:
+        raise ValueError(f"sites must be >= 3 for a ring, got sites = {sites}")
     if not g1 > 0.0:
         raise ValueError("g1 must be positive")
     if not c >= 0.0:
@@ -162,10 +148,9 @@ def power_law_ring(
         )
     half = sites // 2
     g = np.empty(half)
-    if half > 0:
-        g[0] = g1
-        k = np.arange(2, half + 1, dtype=float)
-        g[1:] = -c * k**-gamma
+    g[0] = g1
+    k = np.arange(2, half + 1, dtype=float)
+    g[1:] = -c * k**-gamma
     model = RingModel(sites=sites, g_by_distance=g)
     finite = stiff_sufficient_bound(model)
     zeta_bound = None
@@ -188,16 +173,17 @@ def ring_coupling_profile(sites: int, hurst: float) -> RingModel:
         g_k = -1/2 IDFT[2 (1 - cos theta_m) / mu_m]_k,  k = 1..floor(N/2),
 
     with the m = 0 term zero. Raises MissingRingModes (a NotPositiveDefinite)
-    naming each mode m <= N/2 with mu_m <= default_tol_pd(c): then no Gaussian
-    ring exists (H > 1/2 apart from small odd rings; even rings at H = 1/2).
+    naming each mode m <= N/2 with mu_m <= spectrum_tol(c), the FFT's rounding
+    error times a safety factor: then no Gaussian ring exists (H > 1/2 apart
+    from small odd rings; even rings at H = 1/2).
     """
     row = kernels.ring_increment_row(kernels.RingGeometry(sites=sites), hurst)
     modes = np.arange(1, sites // 2 + 1)
-    mu = circulant_eigenvalues(Circulant(first_row=row))[modes]
-    missing = mu <= linalg.default_tol_pd(row)
+    mu = circulant_eigenvalues(row)[modes]
+    tol = spectrum_tol(row)
+    missing = mu <= tol
     if missing.any():
-        raise MissingRingModes(modes=[int(m) for m in modes[missing]], min_eigenvalue=float(mu.min()))
+        raise MissingRingModes(modes=[int(m) for m in modes[missing]], min_eigenvalue=float(mu.min()), tol=tol)
     lam = (1.0 - np.cos(2.0 * np.pi * modes / sites)) / mu
-    lam_row = np.concatenate(([0.0], mirrored_distance_row(lam, sites)))
-    g = -circulant_eigenvalues(Circulant(first_row=lam_row))[modes] / sites
+    g = -circulant_eigenvalues(np.concatenate(([0.0], mirrored_distance_row(lam, sites))))[modes] / sites
     return RingModel(sites=sites, g_by_distance=g)

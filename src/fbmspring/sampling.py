@@ -1,4 +1,8 @@
-"""Exact Gaussian sampling and Monte Carlo validation utilities.
+"""Exact Gaussian sampling, its statistical error bound, and Fourier mode energies.
+
+A batch is checked against its model through the zero-mean covariance
+estimate values.T @ values / paths, which callers sum over row chunks, and the
+elementwise bound of :func:`covariance_bound`.
 
 Randomness: every batch is drawn from a counter-based Philox bit generator
 keyed by the user seed (``numpy.random.Philox``), with normal variates from
@@ -32,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, linalg
-from .circulant import Circulant
+from . import linalg
 from .errors import IndefiniteCovariance, QuadratureFailure
 
 TWO_PI = 2.0 * math.pi
@@ -87,15 +90,6 @@ def sample_gaussian(
     factor = v * np.sqrt(np.clip(w, 0.0, None))
     z = _normals((paths, cov.shape[0]), seed)
     return SampleBatch(values=z @ factor.T, seed=seed, model_tag=model_tag)
-
-
-def empirical_covariance(batch: SampleBatch) -> np.ndarray:
-    """Zero-mean covariance estimate values.T @ values / paths.
-
-    A batch drawn in row chunks sums the chunks' ``values.T @ values`` before
-    dividing by the total path count; one chunk is this function.
-    """
-    return batch.values.T @ batch.values / batch.paths
 
 
 def covariance_bound(cov: np.ndarray, paths: int, sigmas: float = 5.0) -> np.ndarray:
@@ -199,24 +193,6 @@ def uniform_ring_grid(n_points: int) -> np.ndarray:
     if n_points < 2:
         raise ValueError("need at least 2 grid points")
     return np.append(TWO_PI * np.arange(1, n_points) / n_points, TWO_PI)
-
-
-def uniform_grid_increment_cov(n_increments: int, hurst: float = 0.5) -> np.ndarray:
-    """Circulant increment covariance of the periodic model on a uniform grid.
-
-    Spacing h = 2*pi/n on the circumference-2*pi circle. Arc distances are h
-    times integer-ring distances, so the first row is h^{2H} times that of the
-    n-site integer ring (:func:`fbmspring.kernels.ring_increment_row`).
-    """
-    if n_increments < 2:
-        raise ValueError("need at least 2 increments")
-    scale = (TWO_PI / n_increments) ** (2.0 * hurst)
-    return Circulant(first_row=scale * kernels._ring_increment_row(n_increments, hurst)).dense()
-
-
-def grid_increments(batch: SampleBatch) -> np.ndarray:
-    """Per-path increments including the step from the implicit start at 0."""
-    return np.diff(batch.values, axis=1, prepend=0.0)
 
 
 # 15-point Kronrod extension of 7-point Gauss (nodes symmetric about 0);

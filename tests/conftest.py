@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from fbmspring.circulant import mirrored_distance_row
+from fbmspring.kernels import RingGeometry, ring_increment_row
+from fbmspring.sampling import TWO_PI
+
 settings.register_profile(
     "ci",
     derandomize=True,
@@ -31,3 +35,52 @@ def random_coupling_profile(rng, size, scale=1.0):
     g = random_symmetric(rng, size, scale)
     np.fill_diagonal(g, 0.0)
     return g
+
+
+# Dense and Monte Carlo oracles. The package works from first rows and sums
+# Gram matrices itself; these build the full objects the tests compare with.
+
+def circulant_dense(row):
+    """Dense circulant with first row ``row``: entry (i, j) is row[(j - i) mod N]."""
+    row = np.asarray(row, dtype=float)
+    idx = np.arange(row.size)
+    return row[(idx[None, :] - idx[:, None]) % row.size]
+
+
+def ring_position_cov(geom, hurst):
+    """Position covariance of the pinned periodic process, shape (N, N).
+
+    Entry (k, l) is (d(k)^{2H} + d(l)^{2H} - d(k-l)^{2H}) / 2 with d the
+    geodesic distance from site 0; row and column 0 are identically zero.
+    """
+    n = geom.sites
+    lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    dpow = np.minimum(lag, n - lag).astype(float) ** (2.0 * hurst)
+    return (dpow[0][:, None] + dpow[0][None, :] - dpow) / 2.0
+
+
+def ring_laplacian_circulant(rm):
+    """First row of the ring energy matrix g*I - G: (sum g_k, -g_1, ..., -g_1)."""
+    g_row = mirrored_distance_row(rm.g_by_distance, rm.sites)
+    return np.concatenate(([g_row.sum()], -g_row))
+
+
+def uniform_grid_increment_cov(n_increments, hurst=0.5):
+    """Circulant increment covariance of the periodic model on a uniform grid.
+
+    Spacing h = 2*pi/n on the circumference-2*pi circle. Arc distances are h
+    times integer-ring distances, so the first row is h^{2H} times that of the
+    n-site integer ring.
+    """
+    scale = (TWO_PI / n_increments) ** (2.0 * hurst)
+    return circulant_dense(scale * ring_increment_row(RingGeometry(n_increments), hurst))
+
+
+def grid_increments(batch):
+    """Per-path increments including the step from the implicit start at 0."""
+    return np.diff(batch.values, axis=1, prepend=0.0)
+
+
+def empirical_covariance(batch):
+    """Zero-mean covariance estimate values.T @ values / paths."""
+    return batch.values.T @ batch.values / batch.paths

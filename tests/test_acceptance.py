@@ -35,7 +35,7 @@ import time
 
 import numpy as np
 
-from fbmspring.circulant import Circulant, circulant_eigenvalues
+from fbmspring.circulant import circulant_eigenvalues
 from fbmspring.cli import main
 from fbmspring.couplings import chain_coupling_matrix, couplings_from_energy, energy_from_couplings
 from fbmspring.critical import SignChangeQuery, find_critical_hurst
@@ -45,14 +45,13 @@ from fbmspring.rings import RingModel, check_admissible, power_law_ring, zeta_mi
 from fbmspring.sampling import (
     brownian_bridge_ring,
     covariance_bound,
-    empirical_covariance,
     fourier_mode_energy,
-    grid_increments,
     piecewise_ring_cov_matrix,
     reflected_brownian_ring,
-    uniform_grid_increment_cov,
     uniform_ring_grid,
 )
+
+from conftest import circulant_dense, empirical_covariance, grid_increments, uniform_grid_increment_cov
 
 
 def report(number, description, passed, detail=""):
@@ -245,9 +244,8 @@ def test_c08_circulant_formula_equals_dense_solver():
         n = int(rng.integers(1, 33))
         half = rng.normal(size=n // 2 + 1)
         row = np.array([half[min(k, n - k)] for k in range(n)])
-        circ = Circulant(first_row=row)
-        lam_formula = np.sort(circulant_eigenvalues(circ))
-        lam_dense = eigen_sym(circ.dense())[0]
+        lam_formula = np.sort(circulant_eigenvalues(row))
+        lam_dense = eigen_sym(circulant_dense(row))[0]
         scale = max(np.abs(lam_dense).max(), 1e-30)
         worst = max(worst, float(np.abs(lam_formula - lam_dense).max() / scale))
     report(8, "circulant cosine-transform spectrum matches dense solver (1e-9)",

@@ -1,0 +1,87 @@
+"""The public surface is what the paper pipeline uses, and nothing else."""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import fbmspring
+
+PUBLIC = [
+    "__version__",
+    # linalg
+    "Definiteness", "DefinitenessVerdict", "classify_definiteness", "default_tol_pd",
+    "eigen_sym", "require_symmetric", "toeplitz_inverse",
+    # kernels
+    "ChainModel", "RingGeometry", "chain_increment_cov", "chain_increment_row",
+    "ring_increment_cov", "ring_increment_row",
+    # couplings
+    "CouplingProfile", "chain_coupling_matrix", "coupling_laplacian",
+    "coupling_slice", "couplings_from_energy", "energy_from_couplings",
+    # circulant
+    "circulant_eigenvalues", "mirrored_distance_row", "ring_mode_spectrum",
+    # rings
+    "AdmissibilityReport", "PowerLawDesign", "RingModel", "check_admissible",
+    "power_law_ring", "ring_coupling_profile", "single_distance_bound",
+    "stiff_sufficient_bound", "zeta_minus_one_tail",
+    # critical
+    "SignChangeQuery", "coupling_at", "find_critical_hurst",
+    # sampling
+    "SampleBatch", "brownian_bridge_ring", "covariance_bound", "fourier_mode_energy",
+    "piecewise_ring_cov", "piecewise_ring_cov_matrix", "reflected_brownian_ring",
+    "sample_gaussian", "uniform_ring_grid",
+    # errors
+    "FbmSpringError", "DivergentSeries", "IndefiniteCovariance", "InvalidExponent",
+    "MissingRingModes", "NoConvergence", "NonpositiveG1", "NoSignChange",
+    "NotPositiveDefinite", "NotSymmetricCirculant", "QuadratureFailure",
+]
+
+SRC = Path(fbmspring.__file__).resolve().parent
+MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+ENTRY_POINTS = {("cli", "build_parser"), ("cli", "main"), ("cli", "run")}
+
+
+def referenced_names(module: str) -> set[str]:
+    """Every name a module's code reads, imports or takes as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_all_is_the_pinned_list():
+    assert len(PUBLIC) == len(set(PUBLIC)) == 55
+    assert fbmspring.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert getattr(fbmspring, name) is not None
+
+
+def test_every_public_function_is_exported_or_called():
+    references = {module: referenced_names(module) for module in MODULES}
+    orphans = []
+    for module in MODULES:
+        namespace = importlib.import_module(f"fbmspring.{module}")
+        for name, value in vars(namespace).items():
+            if name.startswith("_") or not inspect.isfunction(value) or value.__module__ != namespace.__name__:
+                continue
+            called = any(name in references[other] for other in MODULES if other != module)
+            if name not in PUBLIC and not called and (module, name) not in ENTRY_POINTS:
+                orphans.append(f"{module}.{name}")
+    assert orphans == []
+
+
+def test_removed_names_stay_removed():
+    removed = {
+        "Circulant", "circulant_eigenvector_basis", "ring_lambda", "position_and_increment_spectra",
+        "geodesic_distance", "build_distance_circulant", "MaxIterations", "ring_position_cov",
+        "ring_laplacian_circulant", "uniform_grid_increment_cov", "grid_increments",
+        "empirical_covariance", "_ring_increment_row", "default_admissibility_tol",
+    }
+    for module in MODULES:
+        assert removed.isdisjoint(vars(importlib.import_module(f"fbmspring.{module}"))), module
+    assert "linalg" not in referenced_names("rings")

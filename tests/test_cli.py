@@ -21,7 +21,6 @@ from fbmspring.errors import (
     DivergentSeries,
     IndefiniteCovariance,
     InvalidExponent,
-    MaxIterations,
     MissingRingModes,
     NoConvergence,
     NonpositiveG1,
@@ -34,12 +33,13 @@ from fbmspring.linalg import eigen_sym
 from fbmspring.rings import ring_coupling_profile
 from fbmspring.sampling import (
     brownian_bridge_ring,
-    empirical_covariance,
     fourier_mode_energy,
     piecewise_ring_cov_matrix,
     reflected_brownian_ring,
     uniform_ring_grid,
 )
+
+from conftest import empirical_covariance
 
 
 def read_csv(path):
@@ -114,6 +114,13 @@ class TestCouplingsCommand:
         assert "modes 2 " in err
         assert "requires hurst <= 0.5" not in err
         assert not out.exists()
+
+    def test_large_low_hurst_ring_exists(self, tmp_path):
+        # mu_1 = 4.4e-5 here; a tolerance of 1e-9 N max|c| once called it a missing mode
+        out = tmp_path / "ring.csv"
+        assert main(["couplings", "--mode", "ring", "--monomers", "65536", "--hurst", "0.05",
+                     "--out", str(out)]) == 0
+        assert len(read_csv(out)[2]) == 32768
 
     def test_chain_near_rigid_rod_reports_pivot(self, capsys):
         # r(1) = 2^(2H - 1) - 1 is within 6e-12 of 1, so the second pivot 1 - r(1)^2
@@ -282,6 +289,11 @@ class TestRingDesignCommand:
         payload = json.loads(out.read_text())
         assert payload["finite_bound"] is False
         assert payload["admissible"] is True
+
+    @pytest.mark.parametrize("sites", ["-5", "1"])
+    def test_too_few_sites_named(self, capsys, sites):
+        assert main(["ring-design", "--g1", "1", "--c", "0.1", "--gamma", "4", "--sites", sites]) == 2
+        assert capsys.readouterr().err == f"error: sites must be >= 3 for a ring, got sites = {sites}\n"
 
 
 class TestSampleCommand:
@@ -704,10 +716,9 @@ class TestExitStatus:
         (FileNotFoundError("no such file"), "error", 2),
         (NoSignChange("same sign"), "no result", 3),
         (NotPositiveDefinite(pivot_index=1, pivot_value=0.0), "numerical failure", 4),
-        (MissingRingModes([2], 0.0), "numerical failure", 4),
+        (MissingRingModes([2], 0.0, 1e-15), "numerical failure", 4),
         (NoConvergence("eigh"), "numerical failure", 4),
         (QuadratureFailure(1.0, 1.0, 1e-10), "numerical failure", 4),
-        (MaxIterations(iterations=200, width=1.0), "numerical failure", 4),
         (DivergentSeries("s <= 1"), "error", 4),
     ], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
     def test_error_class_sets_prefix_and_code(self, monkeypatch, capsys, exc, prefix, code):

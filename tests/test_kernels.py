@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 from fbmspring.kernels import (
     ChainModel,
     RingGeometry,
+    _geodesic_array,
     chain_increment_cov,
-    geodesic_distance,
     ring_increment_cov,
     ring_increment_row,
-    ring_position_cov,
 )
 from fbmspring.linalg import Definiteness, classify_definiteness
+
+from conftest import ring_position_cov
 
 
 class TestChainCov:
@@ -49,27 +50,28 @@ class TestChainCov:
 
 
 class TestGeodesic:
+    """The geodesic distance of integer lags that ring_increment_row is built on."""
+
     def test_antipodal(self):
-        assert geodesic_distance(RingGeometry(6), 0, 3) == 3
+        assert _geodesic_array(6, np.array([3, -3])).tolist() == [3, 3]
 
     def test_wraparound(self):
-        assert geodesic_distance(RingGeometry(6), 0, 5) == 1
+        assert _geodesic_array(6, np.array([5, -1])).tolist() == [1, 1]
 
     def test_odd_ring(self):
-        assert geodesic_distance(RingGeometry(7), 1, 5) == 3
+        assert _geodesic_array(7, np.array([1 - 5, 5 - 1])).tolist() == [3, 3]
 
     def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            geodesic_distance(RingGeometry(6), 0, 6)
+        # lags of a full turn or more wrap around
+        assert _geodesic_array(6, np.array([6, 7, -9, 12])).tolist() == [0, 1, 3, 0]
 
     @given(n=st.integers(3, 40), i=st.integers(0, 39), k=st.integers(0, 39))
     def test_metric_properties(self, n, i, k):
         i, k = i % n, k % n
-        geom = RingGeometry(n)
-        d = geodesic_distance(geom, i, k)
+        d, d_back, d_self = _geodesic_array(n, np.array([i - k, k - i, 0]))
         assert 0 <= d <= n // 2
-        assert d == geodesic_distance(geom, k, i)
-        assert geodesic_distance(geom, i, i) == 0
+        assert d == d_back == min(abs(i - k), n - abs(i - k))
+        assert d_self == 0
 
 
 class TestRingPositionCov:
@@ -77,7 +79,7 @@ class TestRingPositionCov:
         geom = RingGeometry(7)
         cov = ring_position_cov(geom, 0.4)
         for k in range(7):
-            assert cov[k, k] == pytest.approx(geodesic_distance(geom, k, 0) ** 0.8, rel=1e-14)
+            assert cov[k, k] == pytest.approx(min(k, 7 - k) ** 0.8, rel=1e-14)
 
     def test_hand_evaluated_entries(self):
         cov4 = ring_position_cov(RingGeometry(4), 0.5)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta as scipy_zeta
 
-from fbmspring.circulant import circulant_eigenvalues, ring_mode_spectrum
+from fbmspring.circulant import circulant_eigenvalues, ring_mode_spectrum, spectrum_tol
 from fbmspring.couplings import couplings_from_energy
 from fbmspring.errors import (
     DivergentSeries,
@@ -14,19 +14,19 @@ from fbmspring.errors import (
     NonpositiveG1,
     NotPositiveDefinite,
 )
-from fbmspring.kernels import RingGeometry, ring_increment_cov
+from fbmspring.kernels import RingGeometry, ring_increment_cov, ring_increment_row
 from fbmspring.linalg import default_tol_pd, eigen_sym
 from fbmspring.rings import (
     RingModel,
-    build_distance_circulant,
     check_admissible,
     power_law_ring,
     ring_coupling_profile,
-    ring_laplacian_circulant,
     single_distance_bound,
     stiff_sufficient_bound,
     zeta_minus_one_tail,
 )
+
+from conftest import circulant_dense, ring_laplacian_circulant
 
 
 def two_coupling_model(sites, g1, g2):
@@ -36,35 +36,34 @@ def two_coupling_model(sites, g1, g2):
 
 
 class TestBuilders:
+    """The energy matrix g*I - G of a ring model, a circulant of its mirrored couplings."""
+
     def test_distance_circulant_even(self):
-        circ = build_distance_circulant(RingModel(4, np.array([1.0, 2.0])))
-        np.testing.assert_array_equal(circ.first_row, [0, 1, 2, 1])
+        row = ring_laplacian_circulant(RingModel(4, np.array([1.0, 2.0])))
+        np.testing.assert_array_equal(row, [4, -1, -2, -1])
 
     def test_distance_circulant_odd(self):
-        circ = build_distance_circulant(RingModel(5, np.array([1.0, 2.0])))
-        np.testing.assert_array_equal(circ.first_row, [0, 1, 2, 2, 1])
+        row = ring_laplacian_circulant(RingModel(5, np.array([1.0, 2.0])))
+        np.testing.assert_array_equal(row, [6, -1, -2, -2, -1])
 
     def test_two_coupling_structure(self):
         g1, g2 = 0.7, -0.1
         model = two_coupling_model(6, g1, g2)
         np.testing.assert_allclose(
-            build_distance_circulant(model).first_row, [0, g1, g2, 0, g2, g1], atol=1e-15
-        )
-        np.testing.assert_allclose(
-            ring_laplacian_circulant(model).first_row,
+            ring_laplacian_circulant(model),
             [2 * (g1 + g2), -g1, -g2, 0, -g2, -g1],
             atol=1e-15,
         )
 
     def test_laplacian_zero_profile(self):
         model = RingModel(6, np.zeros(3))
-        np.testing.assert_array_equal(ring_laplacian_circulant(model).dense(), np.zeros((6, 6)))
+        np.testing.assert_array_equal(circulant_dense(ring_laplacian_circulant(model)), np.zeros((6, 6)))
 
     def test_laplacian_row_sums_vanish(self):
         rng = np.random.default_rng(3)
         for sites in (5, 8, 17, 32):
             model = RingModel(sites, rng.normal(size=sites // 2))
-            dense = ring_laplacian_circulant(model).dense()
+            dense = circulant_dense(ring_laplacian_circulant(model))
             scale = max(np.abs(dense).max(), 1e-30)
             # exact zero up to reordered-summation rounding
             assert np.abs(dense.sum(axis=1)).max() <= 1e-13 * sites * scale
@@ -73,11 +72,11 @@ class TestBuilders:
         rng = np.random.default_rng(4)
         for sites in (6, 13, 24):
             model = RingModel(sites, rng.normal(size=sites // 2))
-            circ = ring_laplacian_circulant(model)
+            row = ring_laplacian_circulant(model)
             lam_formula = ring_mode_spectrum(model.g_by_distance, sites)
-            lam_circ = circulant_eigenvalues(circ)
+            lam_circ = circulant_eigenvalues(row)
             np.testing.assert_allclose(lam_formula, lam_circ, atol=1e-10 * max(1, np.abs(lam_circ).max()))
-            lam_dense = eigen_sym(circ.dense())[0]
+            lam_dense = eigen_sym(circulant_dense(row))[0]
             scale = max(np.abs(lam_dense).max(), 1e-30)
             assert np.abs(np.sort(lam_formula) - lam_dense).max() <= 1e-9 * scale
 
@@ -285,7 +284,7 @@ class TestRingCouplingProfile:
         # increment energy of the first N-1 increments, for arbitrary x
         sites, hurst = 12, 0.4
         model = ring_coupling_profile(sites, hurst)
-        lap = ring_laplacian_circulant(model).dense()
+        lap = circulant_dense(ring_laplacian_circulant(model))
         energy = dense_inverse(ring_increment_cov(RingGeometry(sites), hurst)[: sites - 1, : sites - 1])
         rng = np.random.default_rng(6)
         for _ in range(5):
@@ -302,6 +301,40 @@ class TestRingCouplingProfile:
         assert info.value.modes == [2, 4]
         assert abs(info.value.min_eigenvalue) < 1e-12
         assert "modes 2, 4 " in str(info.value)
+
+    @pytest.mark.parametrize("sites", [6, 64, 1024, 65536])
+    def test_brownian_zeros_stay_below_the_fft_tolerance(self, sites):
+        # the even modes are exact zeros; rounding leaves them far under spectrum_tol
+        row = ring_increment_row(RingGeometry(sites), 0.5)
+        with pytest.raises(MissingRingModes) as info:
+            ring_coupling_profile(sites, 0.5)
+        assert info.value.modes == list(range(2, sites // 2 + 1, 2))
+        assert info.value.tol == spectrum_tol(row) > 100 * abs(info.value.min_eigenvalue)
+        assert f"tolerance {info.value.tol:.6e}" in str(info.value)
+
+    @pytest.mark.parametrize("sites", [2**15, 2**16, 2**17])
+    def test_large_low_hurst_rings_exist(self, sites):
+        # 1e-9 N max|c| exceeded mu_1 of these valid rings; the FFT tolerance does not
+        for hurst in (0.01, 0.02, 0.05, 0.1):
+            model = ring_coupling_profile(sites, hurst)
+            assert np.isfinite(model.g_by_distance).all()
+
+    def test_large_ring_couplings_invert_the_spectrum(self):
+        # lambda_m mu_m = 1 - cos theta_m mode by mode, at 2^16 sites and H = 0.05
+        sites, hurst = 2**16, 0.05
+        mu = circulant_eigenvalues(ring_increment_row(RingGeometry(sites), hurst))
+        lam = ring_mode_spectrum(ring_coupling_profile(sites, hurst).g_by_distance, sites)
+        m = np.arange(1, sites)
+        assert np.abs(lam[m] * mu[m] / (1.0 - np.cos(2.0 * np.pi * m / sites)) - 1.0).max() <= 1e-10
+
+    def test_every_mode_below_zero_above_half_is_missing(self):
+        for sites in (5, 6, 7, 64, 65, 4096):
+            for hurst in (0.501, 0.55, 0.7, 0.95):
+                mu = circulant_eigenvalues(ring_increment_row(RingGeometry(sites), hurst))[1 : sites // 2 + 1]
+                if (mu < 0).any():
+                    with pytest.raises(MissingRingModes) as info:
+                        ring_coupling_profile(sites, hurst)
+                    assert set(info.value.modes) >= set(np.flatnonzero(mu < 0) + 1)
 
     def test_memory_is_linear_in_sites(self):
         tracemalloc.start()

@@ -11,16 +11,15 @@ from fbmspring.sampling import (
     TWO_PI,
     brownian_bridge_ring,
     covariance_bound,
-    empirical_covariance,
     fourier_mode_energy,
-    grid_increments,
     piecewise_ring_cov,
     piecewise_ring_cov_matrix,
     reflected_brownian_ring,
     sample_gaussian,
-    uniform_grid_increment_cov,
     uniform_ring_grid,
 )
+
+from conftest import empirical_covariance, grid_increments, uniform_grid_increment_cov
 
 
 class TestSampleGaussian:
