@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .circulant import circulant_eigenvalues, mirrored_distance_row, ring_mode_spectrum
 from .couplings import (
-    CouplingProfile,
     chain_coupling_matrix,
     coupling_laplacian,
     coupling_slice,
@@ -33,8 +32,6 @@ from .errors import (
     QuadratureFailure,
 )
 from .kernels import (
-    ChainModel,
-    RingGeometry,
     chain_increment_cov,
     chain_increment_row,
     ring_increment_cov,
@@ -52,7 +49,6 @@ from .linalg import (
 from .rings import (
     AdmissibilityReport,
     PowerLawDesign,
-    RingModel,
     check_admissible,
     power_law_ring,
     ring_coupling_profile,
@@ -78,17 +74,16 @@ __all__ = [
     "Definiteness", "DefinitenessVerdict", "classify_definiteness", "default_tol_pd",
     "eigen_sym", "require_symmetric", "toeplitz_inverse",
     # kernels
-    "ChainModel", "RingGeometry", "chain_increment_cov", "chain_increment_row",
-    "ring_increment_cov", "ring_increment_row",
+    "chain_increment_cov", "chain_increment_row", "ring_increment_cov", "ring_increment_row",
     # couplings
-    "CouplingProfile", "chain_coupling_matrix", "coupling_laplacian",
-    "coupling_slice", "couplings_from_energy", "energy_from_couplings",
+    "chain_coupling_matrix", "coupling_laplacian", "coupling_slice", "couplings_from_energy",
+    "energy_from_couplings",
     # circulant
     "circulant_eigenvalues", "mirrored_distance_row", "ring_mode_spectrum",
     # rings
-    "AdmissibilityReport", "PowerLawDesign", "RingModel", "check_admissible",
-    "power_law_ring", "ring_coupling_profile", "single_distance_bound",
-    "stiff_sufficient_bound", "zeta_minus_one_tail",
+    "AdmissibilityReport", "PowerLawDesign", "check_admissible", "power_law_ring",
+    "ring_coupling_profile", "single_distance_bound", "stiff_sufficient_bound",
+    "zeta_minus_one_tail",
     # critical
     "SignChangeQuery", "coupling_at", "find_critical_hurst",
     # sampling

@@ -60,14 +60,15 @@ def spectrum_tol(first_row: np.ndarray) -> float:
 def mirrored_distance_row(g_by_distance: np.ndarray, sites: int) -> np.ndarray:
     """Couplings by lag k = 1..N-1, mirroring g_k := g_{N-k} beyond N/2.
 
-    For even N the antipodal coupling g_{N/2} maps onto itself and therefore
-    appears once per row.
+    Needs N >= 3 and one coupling per distance 1..floor(N/2). For even N the
+    antipodal coupling g_{N/2} maps onto itself and therefore appears once per
+    row.
     """
+    if sites < 3:
+        raise ValueError("a ring needs at least 3 sites")
     g = np.asarray(g_by_distance, dtype=float)
-    if g.size != sites // 2:
-        raise ValueError(
-            f"need floor(N/2) = {sites // 2} distance couplings, got {g.size}"
-        )
+    if g.ndim != 1 or g.size != sites // 2:
+        raise ValueError(f"need floor(N/2) = {sites // 2} couplings, got shape {g.shape}")
     k = np.arange(1, sites)
     return g[np.minimum(k, sites - k) - 1]
 

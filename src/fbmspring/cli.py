@@ -11,6 +11,8 @@ with full round-trip precision (17 significant digits) and LF line endings.
 Every CSV goes through one writer: it turns blocks of about 16k values into
 ASCII with numpy, byte for byte what ``'%.17g' %`` prints for each float, and
 writes the bytes to the file or stdout, so no text copy of a table is held.
+A file is written as ``<out>.partial`` and renamed to ``<out>`` only when it
+is complete; a run that fails or is interrupted removes the partial file.
 ``sample --model reflected|bridge`` draws, writes and checks its batch in row
 chunks of about 1 MiB taken from one Philox stream, so its memory depends on
 ``--grid`` and not on ``--paths``; chain and ring batches are one chunk.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -45,9 +48,9 @@ from .errors import (
     NotSymmetricCirculant,
     QuadratureFailure,
 )
-from .kernels import ChainModel, RingGeometry, chain_increment_cov, ring_increment_cov, ring_increment_row
+from .kernels import chain_increment_cov, ring_increment_cov, ring_increment_row
 from .linalg import eigen_sym
-from .rings import RingModel, check_admissible, power_law_ring, ring_coupling_profile
+from .rings import check_admissible, power_law_ring, ring_coupling_profile
 from .sampling import (
     brownian_bridge_ring,
     covariance_bound,
@@ -224,16 +227,30 @@ def _format_rows(block: np.ndarray) -> bytes:
     return text[:, :26].tobytes().translate(None, b"\0")  # bytes 26..31 are always NUL
 
 
+@contextlib.contextmanager
+def _replace_when_done(path: Path):
+    """Binary file that appears at ``path`` only once the block exits without an exception."""
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with partial.open("wb") as out:
+            yield out
+        os.replace(partial, path)
+    except BaseException:  # KeyboardInterrupt too: never leave a truncated file behind
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(path: Path | None, echo: dict, header: str, blocks) -> None:
     """Echo lines and header, then one ``%.17g``-formatted line per row of each 2-D block.
 
     Each block is formatted by ``_format_rows`` in pieces of about
     ``_BLOCK_VALUES`` values and written as bytes to the file (or stdout), so
     no text copy of the table is ever held and a block may be produced after
-    the ones before it are written. Integral floats below 2**53, such as
-    series indices, print as plain integers.
+    the ones before it are written. A file only appears at ``path`` once it is
+    complete. Integral floats below 2**53, such as series indices, print as
+    plain integers.
     """
-    with contextlib.nullcontext() if path is None else path.open("wb") as out:
+    with contextlib.nullcontext() if path is None else _replace_when_done(path) as out:
         if out is None:
             sys.stdout.flush()  # text already written to stdout goes first
             buffer = getattr(sys.stdout, "buffer", None)  # an io.StringIO redirect has none
@@ -306,8 +323,8 @@ def _resolve_center(monomers: int, center_flag: int | None) -> int:
     return center_flag - 1
 
 
-def _ring_profile(sites: int, hurst: float) -> RingModel:
-    """Ring couplings; a ring without a Gaussian model is invalid input."""
+def _ring_profile(sites: int, hurst: float) -> np.ndarray:
+    """Ring couplings by distance; a ring without a Gaussian model is invalid input."""
     try:
         return ring_coupling_profile(sites, hurst)
     except MissingRingModes as exc:
@@ -331,12 +348,12 @@ def _cmd_couplings(args: argparse.Namespace) -> int:
     if args.mode == "chain":
         center = _resolve_center(args.monomers, args.center)
         echo["center"] = center + 1
-        profile = chain_coupling_matrix(args.monomers, args.hurst)
-        others = np.delete(np.arange(profile.size), center)
-        x, y = others + 1, profile.g[center, others]
+        g = chain_coupling_matrix(args.monomers, args.hurst)
+        others = np.delete(np.arange(args.monomers), center)
+        x, y = others + 1, g[center, others]
         xlabel = "index"
     else:
-        y = _ring_profile(args.monomers, args.hurst).g_by_distance
+        y = _ring_profile(args.monomers, args.hurst)
         x = np.arange(1, y.size + 1)
         xlabel = "distance"
     _write_series(args, "couplings", echo, xlabel, "g", x, y)
@@ -384,7 +401,8 @@ def _parse_g_file(path: Path) -> tuple[int | None, dict[int, float]]:
     return sites, table
 
 
-def _ring_model_from_args(args: argparse.Namespace) -> RingModel:
+def _ring_model_from_args(args: argparse.Namespace) -> tuple[int, np.ndarray]:
+    """Ring size and couplings by distance from --sites, --g and --g-file."""
     sites = args.sites
     table: dict[int, float] = {}
     if args.g_file is not None:
@@ -409,36 +427,32 @@ def _ring_model_from_args(args: argparse.Namespace) -> RingModel:
                 f"coupling distance {dist} outside 1..{g.size} for {sites} sites"
             )
         g[dist - 1] = value
-    return RingModel(sites=sites, g_by_distance=g)
+    return sites, g
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     echo: dict = {"command": "spectrum"}
     if args.g is not None or args.g_file is not None:
-        rm = _ring_model_from_args(args)
-        lam = ring_mode_spectrum(rm.g_by_distance, rm.sites)
-        echo.update(
-            sites=rm.sites,
-            g=",".join(_fmt(v) for v in rm.g_by_distance),
-        )
+        sites, g = _ring_model_from_args(args)
+        lam = ring_mode_spectrum(g, sites)
+        echo.update(sites=sites, g=",".join(_fmt(v) for v in g))
     elif args.mode == "ring":
         if args.monomers is None or args.hurst is None:
             raise CliInputError("ring spectrum needs --monomers and --hurst")
         echo.update(mode="ring", monomers=args.monomers, hurst=_fmt(args.hurst))
         if args.cov:
             echo["series"] = "increment-covariance eigenvalues"
-            lam = circulant_eigenvalues(ring_increment_row(RingGeometry(args.monomers), args.hurst))
+            lam = circulant_eigenvalues(ring_increment_row(args.monomers, args.hurst))
         else:
             echo["series"] = "energy eigenvalues"
-            rm = _ring_profile(args.monomers, args.hurst)
-            lam = ring_mode_spectrum(rm.g_by_distance, rm.sites)
+            lam = ring_mode_spectrum(_ring_profile(args.monomers, args.hurst), args.monomers)
     elif args.mode == "chain":
         if args.monomers is None or args.hurst is None:
             raise CliInputError("chain spectrum needs --monomers and --hurst")
         echo.update(mode="chain", monomers=args.monomers, hurst=_fmt(args.hurst))
         if args.cov:
             echo["series"] = "increment-covariance eigenvalues (ascending)"
-            lam = eigen_sym(chain_increment_cov(ChainModel(args.monomers - 1, args.hurst)))[0]
+            lam = eigen_sym(chain_increment_cov(args.monomers - 1, args.hurst))[0]
         else:
             echo["series"] = "energy eigenvalues (ascending)"
             lam = eigen_sym(coupling_laplacian(chain_coupling_matrix(args.monomers, args.hurst)))[0]
@@ -489,14 +503,14 @@ def _cmd_ring_design(args: argparse.Namespace) -> int:
         gamma=args.gamma,
         infinite_guarantee=args.infinite_guarantee,
     )
-    report = check_admissible(design.model)
+    report = check_admissible(design.g_by_distance, args.sites)
     payload = {
         "model": {
             "sites": args.sites,
             "g1": args.g1,
             "c": args.c,
             "gamma": args.gamma,
-            "g_by_distance": [float(v) for v in design.model.g_by_distance],
+            "g_by_distance": [float(v) for v in design.g_by_distance],
         },
         "finite_bound": design.finite_bound_satisfied,
         "zeta_bound": design.zeta_bound_satisfied,
@@ -528,13 +542,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         if args.monomers is None or args.hurst is None:
             raise CliInputError("chain sampling needs --monomers and --hurst")
         echo.update(monomers=args.monomers, hurst=_fmt(args.hurst))
-        reference = chain_increment_cov(ChainModel(args.monomers - 1, args.hurst))
+        reference = chain_increment_cov(args.monomers - 1, args.hurst)
         batches = [sample_gaussian(reference, args.paths, args.seed, model_tag="chain")]
     elif args.model == "ring":
         if args.sites is None or args.hurst is None:
             raise CliInputError("ring sampling needs --sites and --hurst")
         echo.update(sites=args.sites, hurst=_fmt(args.hurst))
-        reference = ring_increment_cov(RingGeometry(args.sites), args.hurst)
+        reference = ring_increment_cov(args.sites, args.hurst)
         try:
             batches = [sample_gaussian(reference, args.paths, args.seed, model_tag="ring")]
         except IndefiniteCovariance as exc:

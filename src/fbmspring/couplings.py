@@ -12,6 +12,11 @@ Both directions of the transform are implemented here, together with the
 position-space quadratic form matrix (the weighted Laplacian of the coupling
 graph) and the figure-style slice of one monomer's couplings to all others.
 
+Tables and energy matrices are plain arrays. Each function checks the array
+its caller passes once (square, exactly symmetric, and for a coupling table a
+zero diagonal); the chain pipeline builds its symmetric inverse itself and
+checks nothing after it.
+
 Sum conventions: the identity above runs over ordered pairs, so the energy
 written over unordered pairs (k > l) is half of (y, A y). The Laplacian built
 by :func:`coupling_laplacian` represents the unordered-pair sum, hence
@@ -20,42 +25,21 @@ by :func:`coupling_laplacian` represents the unordered-pair sum, hence
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels, linalg
 
 
-@dataclass(frozen=True)
-class CouplingProfile:
-    """Symmetric pairwise couplings between ``size`` monomers, zero diagonal."""
-
-    g: np.ndarray
-
-    def __post_init__(self):
-        g = linalg.require_symmetric(self.g)
-        if np.any(np.diag(g) != 0.0):
-            raise ValueError("coupling table must have a zero diagonal")
-        object.__setattr__(self, "g", g)
-
-    @property
-    def size(self) -> int:
-        return self.g.shape[0]
+def _check_table(g: np.ndarray) -> np.ndarray:
+    """A coupling table as a float array, after checking it is square, symmetric and zero-diagonal."""
+    g = linalg.require_symmetric(g)
+    if np.any(np.diag(g) != 0.0):
+        raise ValueError("coupling table must have a zero diagonal")
+    return g
 
 
-def couplings_from_energy(a: np.ndarray) -> CouplingProfile:
-    """Pairwise couplings reproducing the increment energy (y, A y).
-
-    For an n x n symmetric matrix ``a`` (indexed by increments 1..n, with
-    entries taken as zero outside that range) the coupling between monomers
-    k and l (0..n) is
-
-        g_kl = -(a_{k,l} + a_{k+1,l+1} - a_{k,l+1} - a_{k+1,l}) / 2.
-
-    The returned table is exactly symmetric with a zero diagonal.
-    """
-    a = linalg.require_symmetric(a)
+def _second_difference(a: np.ndarray) -> np.ndarray:
+    """The coupling table of a symmetric energy matrix ``a``; see :func:`couplings_from_energy`."""
     n = a.shape[0]
     padded = np.zeros((n + 2, n + 2))
     padded[1 : n + 1, 1 : n + 1] = a
@@ -68,10 +52,25 @@ def couplings_from_energy(a: np.ndarray) -> CouplingProfile:
     del cross
     g *= -0.5
     np.fill_diagonal(g, 0.0)
-    return CouplingProfile(g=g)
+    return g
 
 
-def energy_from_couplings(profile: CouplingProfile) -> np.ndarray:
+def couplings_from_energy(a: np.ndarray) -> np.ndarray:
+    """Pairwise couplings reproducing the increment energy (y, A y).
+
+    For an n x n symmetric matrix ``a`` (indexed by increments 1..n, with
+    entries taken as zero outside that range) the coupling between monomers
+    k and l (0..n) is
+
+        g_kl = -(a_{k,l} + a_{k+1,l+1} - a_{k,l+1} - a_{k+1,l}) / 2.
+
+    The returned (n + 1) x (n + 1) table is exactly symmetric with a zero
+    diagonal.
+    """
+    return _second_difference(linalg.require_symmetric(a))
+
+
+def energy_from_couplings(g: np.ndarray) -> np.ndarray:
     """Increment-energy matrix recovering the couplings (inverse transform).
 
     For s <= t (1-based increment indices) the entry is
@@ -80,8 +79,8 @@ def energy_from_couplings(profile: CouplingProfile) -> np.ndarray:
 
     mirrored to the lower triangle.
     """
-    g = profile.g
-    n = profile.size - 1
+    g = _check_table(g)
+    n = g.shape[0] - 1
     if n == 0:
         return np.zeros((0, 0))
     # suffix sum over columns, then prefix sum over rows:
@@ -92,33 +91,35 @@ def energy_from_couplings(profile: CouplingProfile) -> np.ndarray:
     return a + np.triu(a, 1).T
 
 
-def coupling_laplacian(profile: CouplingProfile) -> np.ndarray:
+def coupling_laplacian(g: np.ndarray) -> np.ndarray:
     """Position-space quadratic form matrix of the coupling graph.
 
     L = diag(row sums of g) - g, so that x.T @ L @ x equals the energy summed
     over unordered pairs. The constant vector is always a zero mode: shifting
     every monomer together costs nothing. L is exactly symmetric because g is.
     """
-    g = profile.g
+    g = _check_table(g)
     return np.diag(g.sum(axis=1)) - g
 
 
-def coupling_slice(profile: CouplingProfile, center: int) -> list[tuple[int, float]]:
+def coupling_slice(g: np.ndarray, center: int) -> list[tuple[int, float]]:
     """Couplings of one monomer to all the others, in index order."""
-    if not 0 <= center < profile.size:
-        raise IndexError(f"center must lie in [0, {profile.size}), got {center}")
-    return [(i, float(profile.g[center, i])) for i in range(profile.size) if i != center]
+    g = _check_table(g)
+    size = g.shape[0]
+    if not 0 <= center < size:
+        raise IndexError(f"center must lie in [0, {size}), got {center}")
+    return [(i, float(g[center, i])) for i in range(size) if i != center]
 
 
-def chain_coupling_matrix(monomers: int, hurst: float) -> CouplingProfile:
+def chain_coupling_matrix(monomers: int, hurst: float) -> np.ndarray:
     """Full coupling table of a fractional Brownian chain.
 
     Pipeline: Toeplitz increment covariance -> inverse (energy matrix) ->
     couplings, in O(n^2) time from the covariance's first row. ``monomers``
-    counts positions, so the covariance has monomers - 1 rows.
+    counts positions, so the covariance has monomers - 1 rows. The
+    Gohberg-Semencul inverse is exactly symmetric, so nothing is checked
+    after it.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"chain couplings need 0 < hurst < 1 (a rigid rod at 1), got hurst = {hurst}")
-    model = kernels.ChainModel(n=monomers - 1, hurst=hurst)
-    return couplings_from_energy(linalg.toeplitz_inverse(kernels.chain_increment_row(model)))
-
+    return _second_difference(linalg.toeplitz_inverse(kernels.chain_increment_row(monomers - 1, hurst)))

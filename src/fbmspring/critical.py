@@ -87,8 +87,7 @@ def coupling_at(monomers: int, hurst: float, center: int | None, offset: int) ->
     """
     query = SignChangeQuery(monomers=monomers, offset=offset, center=center)
     center_idx = query.resolved_center()
-    profile = chain_coupling_matrix(monomers, hurst)
-    return float(profile.g[center_idx, center_idx + offset])
+    return float(chain_coupling_matrix(monomers, hurst)[center_idx, center_idx + offset])
 
 
 def find_critical_hurst(query: SignChangeQuery) -> tuple[float, int]:

@@ -24,52 +24,32 @@ the FFT in ``circulant``. The dense matrices are gathered from those rows,
 entry (i, j) = row[|j - i|] or row[(j - i) mod N], for the dense consumers:
 sampling and the chain covariance spectrum.
 
-H is accepted anywhere in (0, 1] at construction time; whether a covariance
-is actually positive semidefinite is a runtime verdict, not a type constraint.
+The builders take plain scalars and check them where the row is built: a
+chain needs n >= 1 increments, a ring N >= 3 sites, and H may lie anywhere in
+(0, 1]. Whether a covariance is actually positive semidefinite is a runtime
+verdict, not an input check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class ChainModel:
-    """Open chain of ``n`` unit-step increments (n + 1 monomers)."""
-
-    n: int
-    hurst: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("chain needs at least one increment")
-        if not 0.0 < self.hurst <= 1.0:
-            raise ValueError(f"hurst must be in (0, 1], got {self.hurst}")
+def chain_increment_cov(n: int, hurst: float) -> np.ndarray:
+    """Toeplitz increment covariance of an open chain of ``n`` increments, shape (n, n)."""
+    row = chain_increment_row(n, hurst)
+    idx = np.arange(n)
+    return row[np.abs(idx[:, None] - idx[None, :])]
 
 
-@dataclass(frozen=True)
-class RingGeometry:
-    """``sites`` equidistant positions on a circle of circumference ``sites``."""
-
-    sites: int
-
-    def __post_init__(self):
-        if self.sites < 3:
-            raise ValueError("a ring needs at least 3 sites")
-
-
-def chain_increment_cov(model: ChainModel) -> np.ndarray:
-    """Toeplitz increment covariance of the open chain, shape (n, n)."""
-    idx = np.arange(model.n)
-    return chain_increment_row(model)[np.abs(idx[:, None] - idx[None, :])]
-
-
-def chain_increment_row(model: ChainModel) -> np.ndarray:
-    """First row r(0), ..., r(n - 1) of :func:`chain_increment_cov` (length n)."""
-    h2 = 2.0 * model.hurst
-    d = np.arange(model.n, dtype=float)
+def chain_increment_row(n: int, hurst: float) -> np.ndarray:
+    """First row r(0), ..., r(n - 1) of :func:`chain_increment_cov`; needs n >= 1."""
+    if n < 1:
+        raise ValueError("chain needs at least one increment")
+    if not 0.0 < hurst <= 1.0:
+        raise ValueError(f"hurst must be in (0, 1], got {hurst}")
+    h2 = 2.0 * hurst
+    d = np.arange(n, dtype=float)
     return 0.5 * np.abs(d + 1.0) ** h2 + 0.5 * np.abs(d - 1.0) ** h2 - d**h2
 
 
@@ -79,7 +59,7 @@ def _geodesic_array(sites: int, m: np.ndarray) -> np.ndarray:
     return np.minimum(r, sites - r)
 
 
-def ring_increment_cov(geom: RingGeometry, hurst: float) -> np.ndarray:
+def ring_increment_cov(sites: int, hurst: float) -> np.ndarray:
     """Circulant increment covariance of the periodic process, shape (N, N).
 
     First row c_j = (d(j+1)^{2H} + d(j-1)^{2H} - 2 d(j)^{2H}) / 2. Row sums
@@ -87,15 +67,17 @@ def ring_increment_cov(geom: RingGeometry, hurst: float) -> np.ndarray:
     singular for every H; for H > 1/2 it generally stops being positive
     semidefinite altogether.
     """
-    idx = np.arange(geom.sites)
-    return ring_increment_row(geom, hurst)[(idx[None, :] - idx[:, None]) % geom.sites]
+    row = ring_increment_row(sites, hurst)
+    idx = np.arange(sites)
+    return row[(idx[None, :] - idx[:, None]) % sites]
 
 
-def ring_increment_row(geom: RingGeometry, hurst: float) -> np.ndarray:
-    """First row of :func:`ring_increment_cov` (length N)."""
+def ring_increment_row(sites: int, hurst: float) -> np.ndarray:
+    """First row of :func:`ring_increment_cov` (length N); needs N >= 3."""
+    if sites < 3:
+        raise ValueError("a ring needs at least 3 sites")
     if not 0.0 < hurst <= 1.0:
         raise ValueError(f"hurst must be in (0, 1], got {hurst}")
-    n = geom.sites
-    j = np.arange(-1, n + 1)
-    dpow = _geodesic_array(n, j).astype(float) ** (2.0 * hurst)
+    j = np.arange(-1, sites + 1)
+    dpow = _geodesic_array(sites, j).astype(float) ** (2.0 * hurst)
     return 0.5 * ((dpow[2:] + dpow[:-2]) - 2.0 * dpow[1:-1])

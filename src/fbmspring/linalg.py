@@ -104,12 +104,11 @@ def eigen_sym(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def classify_definiteness(a: np.ndarray, tol_pd: float | None = None) -> DefinitenessVerdict:
     """Classify ``a`` as PD / PSD / indefinite at tolerance ``tol_pd``."""
-    a = require_symmetric(a)
-    if tol_pd is None:
-        tol_pd = default_tol_pd(a)
-    if tol_pd < 0:
+    if tol_pd is not None and tol_pd < 0:
         raise ValueError("tol_pd must be nonnegative")
     w, _ = eigen_sym(a)
+    if tol_pd is None:
+        tol_pd = default_tol_pd(a)
     min_eig = float(w[0])
     zero_modes = int(np.count_nonzero(np.abs(w) <= tol_pd))
     if min_eig > tol_pd:

@@ -1,12 +1,13 @@
 """Cyclic Gaussian spring models with distance-indexed couplings.
 
-A ring model assigns one coupling constant per geodesic distance 1..floor(N/2).
-Its energy matrix is the circulant Laplacian g*I - G, where G carries the
-mirrored coupling row and g is G's row sum; the model is admissible (defines a
-Gaussian process) iff every energy eigenvalue apart from the structural zero
-mode is positive. Besides the exact mode sweep this module implements two
-sufficient stability bounds for stiff profiles (attractive nearest neighbor,
-repulsive farther couplings):
+A ring model is a size N and an array g_by_distance of one coupling constant
+per geodesic distance 1..floor(N/2); ``circulant.mirrored_distance_row``
+checks the pair wherever it is unpacked. Its energy matrix is the circulant
+Laplacian g*I - G, where G carries the mirrored coupling row and g is G's row
+sum; the model is admissible (defines a Gaussian process) iff every energy
+eigenvalue apart from the structural zero mode is positive. Besides the exact
+mode sweep this module implements two sufficient stability bounds for stiff
+profiles (attractive nearest neighbor, repulsive farther couplings):
 
 * per-distance: k^2 g_k / g_1 >= -1,
 * summed: g_1 > pi^2 * sum_{k>=2} k^2 |g_k|, with the power-law family
@@ -22,26 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .circulant import circulant_eigenvalues, mirrored_distance_row, ring_mode_spectrum, spectrum_tol
+from .circulant import _cosine_transform, mirrored_distance_row, spectrum_tol
 from .errors import DivergentSeries, InvalidExponent, MissingRingModes, NonpositiveG1
-
-
-@dataclass(frozen=True)
-class RingModel:
-    """``sites`` monomers on a ring, one coupling per geodesic distance."""
-
-    sites: int
-    g_by_distance: np.ndarray
-
-    def __post_init__(self):
-        if self.sites < 3:
-            raise ValueError("a ring needs at least 3 sites")
-        g = np.asarray(self.g_by_distance, dtype=float)
-        if g.ndim != 1 or g.size != self.sites // 2:
-            raise ValueError(
-                f"need floor(N/2) = {self.sites // 2} couplings, got shape {g.shape}"
-            )
-        object.__setattr__(self, "g_by_distance", g)
 
 
 @dataclass(frozen=True)
@@ -58,40 +41,39 @@ class AdmissibilityReport:
 class PowerLawDesign:
     """Power-law ring model together with its two sufficient-bound verdicts."""
 
-    model: RingModel
+    g_by_distance: np.ndarray
     finite_bound_satisfied: bool
     zeta_bound_satisfied: bool | None
 
 
-def check_admissible(rm: RingModel, tol: float | None = None) -> AdmissibilityReport:
-    """Sweep all nonzero modes; admissible iff every lambda_m exceeds ``tol``.
+def check_admissible(g_by_distance: np.ndarray, sites: int) -> AdmissibilityReport:
+    """Sweep all nonzero modes; admissible iff every lambda_m exceeds the FFT's rounding.
 
-    Degenerate pairs (m, N-m) are counted once, so violating modes are
-    reported in 1..floor(N/2); a nan lambda_m violates.
+    The tolerance is :func:`~fbmspring.circulant.spectrum_tol` of the
+    spectrum's first row (0, mirrored g). Degenerate pairs (m, N-m) are
+    counted once, so violating modes are reported in 1..floor(N/2); a nan
+    lambda_m violates.
     """
-    if tol is None:
-        tol = 1e-12 * rm.sites * float(np.abs(rm.g_by_distance).max(initial=0.0))
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    spectrum = ring_mode_spectrum(rm.g_by_distance, rm.sites)
-    modes = np.arange(1, rm.sites // 2 + 1)
-    lam = spectrum[modes]
-    violating = [int(m) for m, v in zip(modes, lam) if not v > tol]
+    row = np.concatenate(([0.0], mirrored_distance_row(g_by_distance, sites)))
+    f = _cosine_transform(row)
+    modes = np.arange(1, sites // 2 + 1)
+    lam = f[0] - f[modes]
+    violating = modes[~(lam > spectrum_tol(row))].tolist()
     return AdmissibilityReport(
         admissible=not violating,
         lambda_min_nonzero=float(lam.min()),
         violating_modes=violating,
-        sufficient_bound_satisfied=stiff_sufficient_bound(rm),
+        sufficient_bound_satisfied=stiff_sufficient_bound(g_by_distance),
     )
 
 
-def stiff_sufficient_bound(rm: RingModel) -> bool | None:
+def stiff_sufficient_bound(g_by_distance: np.ndarray) -> bool | None:
     """Summed sufficient bound g_1 > pi^2 sum k^2 |g_k|, or None if not applicable.
 
     Applies only to stiff profiles: positive nearest-neighbor coupling and
     nonpositive couplings at every larger distance.
     """
-    g = rm.g_by_distance
+    g = np.asarray(g_by_distance, dtype=float)
     if g.size == 0 or g[0] <= 0.0 or np.any(g[1:] > 0.0):
         return None
     k = np.arange(2, g.size + 1, dtype=float)
@@ -151,20 +133,19 @@ def power_law_ring(
     g[0] = g1
     k = np.arange(2, half + 1, dtype=float)
     g[1:] = -c * k**-gamma
-    model = RingModel(sites=sites, g_by_distance=g)
-    finite = stiff_sufficient_bound(model)
+    finite = stiff_sufficient_bound(g)
     zeta_bound = None
     if gamma > 3.0:
         zeta_bound = bool(g1 > c * math.pi**2 * zeta_minus_one_tail(gamma - 2.0))
     return PowerLawDesign(
-        model=model,
+        g_by_distance=g,
         finite_bound_satisfied=bool(finite) if finite is not None else True,
         zeta_bound_satisfied=zeta_bound,
     )
 
 
-def ring_coupling_profile(sites: int, hurst: float) -> RingModel:
-    """Distance-indexed couplings of a periodic fractional Brownian ring.
+def ring_coupling_profile(sites: int, hurst: float) -> np.ndarray:
+    """Couplings g_1..g_{floor(N/2)} of a periodic fractional Brownian ring, by distance.
 
     The energy matrix is the inverse covariance of the first N - 1 increments.
     With mu_m the eigenvalues of the circulant increment covariance and
@@ -177,13 +158,12 @@ def ring_coupling_profile(sites: int, hurst: float) -> RingModel:
     error times a safety factor: then no Gaussian ring exists (H > 1/2 apart
     from small odd rings; even rings at H = 1/2).
     """
-    row = kernels.ring_increment_row(kernels.RingGeometry(sites=sites), hurst)
+    row = kernels.ring_increment_row(sites, hurst)
     modes = np.arange(1, sites // 2 + 1)
-    mu = circulant_eigenvalues(row)[modes]
+    mu = _cosine_transform(row)[modes]
     tol = spectrum_tol(row)
     missing = mu <= tol
     if missing.any():
         raise MissingRingModes(modes=[int(m) for m in modes[missing]], min_eigenvalue=float(mu.min()), tol=tol)
     lam = (1.0 - np.cos(2.0 * np.pi * modes / sites)) / mu
-    g = -circulant_eigenvalues(np.concatenate(([0.0], mirrored_distance_row(lam, sites))))[modes] / sites
-    return RingModel(sites=sites, g_by_distance=g)
+    return -_cosine_transform(np.concatenate(([0.0], mirrored_distance_row(lam, sites))))[modes] / sites

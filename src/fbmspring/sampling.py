@@ -79,16 +79,15 @@ def sample_gaussian(
     above its admissible Hurst range). ``seed`` is a Philox key or a
     Generator whose stream continues.
     """
-    cov = linalg.require_symmetric(cov)
     if paths < 1:
         raise ValueError("paths must be >= 1")
+    w, v = linalg.eigen_sym(cov)
     if tol_pd is None:
         tol_pd = linalg.default_tol_pd(cov)
-    w, v = linalg.eigen_sym(cov)
     if w[0] < -tol_pd:
         raise IndefiniteCovariance(min_eigenvalue=float(w[0]))
     factor = v * np.sqrt(np.clip(w, 0.0, None))
-    z = _normals((paths, cov.shape[0]), seed)
+    z = _normals((paths, w.size), seed)
     return SampleBatch(values=z @ factor.T, seed=seed, model_tag=model_tag)
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from fbmspring.circulant import mirrored_distance_row
-from fbmspring.kernels import RingGeometry, ring_increment_row
+from fbmspring.kernels import ring_increment_row
 from fbmspring.sampling import TWO_PI
 
 settings.register_profile(
@@ -47,21 +47,20 @@ def circulant_dense(row):
     return row[(idx[None, :] - idx[:, None]) % row.size]
 
 
-def ring_position_cov(geom, hurst):
+def ring_position_cov(sites, hurst):
     """Position covariance of the pinned periodic process, shape (N, N).
 
     Entry (k, l) is (d(k)^{2H} + d(l)^{2H} - d(k-l)^{2H}) / 2 with d the
     geodesic distance from site 0; row and column 0 are identically zero.
     """
-    n = geom.sites
-    lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    dpow = np.minimum(lag, n - lag).astype(float) ** (2.0 * hurst)
+    lag = np.abs(np.subtract.outer(np.arange(sites), np.arange(sites)))
+    dpow = np.minimum(lag, sites - lag).astype(float) ** (2.0 * hurst)
     return (dpow[0][:, None] + dpow[0][None, :] - dpow) / 2.0
 
 
-def ring_laplacian_circulant(rm):
+def ring_laplacian_circulant(g_by_distance, sites):
     """First row of the ring energy matrix g*I - G: (sum g_k, -g_1, ..., -g_1)."""
-    g_row = mirrored_distance_row(rm.g_by_distance, rm.sites)
+    g_row = mirrored_distance_row(g_by_distance, sites)
     return np.concatenate(([g_row.sum()], -g_row))
 
 
@@ -73,7 +72,7 @@ def uniform_grid_increment_cov(n_increments, hurst=0.5):
     n-site integer ring.
     """
     scale = (TWO_PI / n_increments) ** (2.0 * hurst)
-    return circulant_dense(scale * ring_increment_row(RingGeometry(n_increments), hurst))
+    return circulant_dense(scale * ring_increment_row(n_increments, hurst))
 
 
 def grid_increments(batch):

@@ -39,9 +39,9 @@ from fbmspring.circulant import circulant_eigenvalues
 from fbmspring.cli import main
 from fbmspring.couplings import chain_coupling_matrix, couplings_from_energy, energy_from_couplings
 from fbmspring.critical import SignChangeQuery, find_critical_hurst
-from fbmspring.kernels import RingGeometry, ring_increment_cov
+from fbmspring.kernels import ring_increment_cov
 from fbmspring.linalg import Definiteness, classify_definiteness, eigen_sym
-from fbmspring.rings import RingModel, check_admissible, power_law_ring, zeta_minus_one_tail
+from fbmspring.rings import check_admissible, power_law_ring, zeta_minus_one_tail
 from fbmspring.sampling import (
     brownian_bridge_ring,
     covariance_bound,
@@ -73,7 +73,7 @@ def test_c01_critical_hurst_value_and_runtime(tmp_path):
 
 
 def test_c02_low_hurst_all_couplings_attract():
-    g = chain_coupling_matrix(61, 0.3).g
+    g = chain_coupling_matrix(61, 0.3)
     values = np.array([g[30, i] for i in range(61) if i != 30])
     report(2, "chain H=0.3: all 60 center couplings strictly positive",
            bool(values.min() > 0), f"min g = {values.min():.6e}")
@@ -97,8 +97,8 @@ def _dense_chain_couplings(monomers, hurst):
 
 def test_c03_high_hurst_sign_pattern_as_stated():
     monomers, center = 61, 30
-    g = chain_coupling_matrix(monomers, 0.8).g
-    g_low = chain_coupling_matrix(monomers, 0.6).g
+    g = chain_coupling_matrix(monomers, 0.8)
+    g_low = chain_coupling_matrix(monomers, 0.6)
     oracle_err = max(
         float(np.abs(table - _dense_chain_couplings(monomers, hurst))[~np.eye(monomers, dtype=bool)].max())
         for table, hurst in ((g, 0.8), (g_low, 0.6))
@@ -140,7 +140,7 @@ def test_c03_high_hurst_sign_pattern_as_stated():
 
 
 def test_c04_near_critical_third_coupling_vanishes():
-    g = chain_coupling_matrix(61, 0.75964).g
+    g = chain_coupling_matrix(61, 0.75964)
     scale = np.abs(g).max()
     worst = max(abs(g[30, 33]), abs(g[30, 27]))
     report(4, "chain H=0.75964: |third-neighbor coupling| < 1e-4 * max|g|",
@@ -148,7 +148,7 @@ def test_c04_near_critical_third_coupling_vanishes():
 
 
 def test_c05_brownian_hexagon_spectrum():
-    cov = ring_increment_cov(RingGeometry(6), 0.5)
+    cov = ring_increment_cov(6, 0.5)
     eigs = eigen_sym(cov)[0]
     verdict = classify_definiteness(cov)
     ok = (
@@ -183,12 +183,11 @@ def test_c06_admissibility_frontier_as_stated():
     zero_tol, smallest_nonzero = 1e-9, np.inf
     mismatches, exceptions = [], {}
     for sites in range(4, 65):
-        geom = RingGeometry(sites)
         for hurst in grid:
             lam = _ring_increment_spectrum(sites, hurst)
             smallest_nonzero = min(smallest_nonzero, float(np.abs(lam[np.abs(lam) > zero_tol]).min()))
             expected_psd = bool(lam.min() >= -zero_tol)
-            verdict = classify_definiteness(ring_increment_cov(geom, hurst))
+            verdict = classify_definiteness(ring_increment_cov(sites, hurst))
             if (verdict.kind is not Definiteness.INDEFINITE) != expected_psd:
                 mismatches.append((sites, hurst))
             if expected_psd != (hurst <= 0.5):
@@ -224,13 +223,13 @@ def test_c07_coupling_transform_roundtrip():
         n = int(rng.integers(1, 17))
         a = rng.normal(size=(n, n))
         a = (a + a.T) / 2.0
-        profile = couplings_from_energy(a)
-        worst_round = max(worst_round, float(np.abs(energy_from_couplings(profile) - a).max()))
+        g = couplings_from_energy(a)
+        worst_round = max(worst_round, float(np.abs(energy_from_couplings(g) - a).max()))
         x = rng.normal(size=n + 1)
         y = np.diff(x)
         lhs = float(y @ a @ y)
         diff = x[:, None] - x[None, :]
-        rhs = float((profile.g * diff**2).sum())
+        rhs = float((g * diff**2).sum())
         worst_identity = max(worst_identity, abs(lhs - rhs) / max(abs(lhs), 1e-30))
     ok = worst_round < 1e-10 and worst_identity < 1e-10
     report(7, "coupling transform roundtrip and quadratic identity at 1e-10", ok,
@@ -265,7 +264,7 @@ def test_c09_two_coupling_boundary_as_stated():
         for ratio in (-0.25, -0.27):
             g = np.zeros(sites // 2)
             g[0], g[1] = 1.0, ratio
-            rep = check_admissible(RingModel(sites, g))
+            rep = check_admissible(g, sites)
             lam = 2.0 * (1.0 - np.cos(theta)) * (1.0 + 2.0 * ratio * (1.0 + np.cos(theta)))
             expected = ratio == -0.25 or sites < first_bad
             if expected != bool(lam.min() > 0):
@@ -291,8 +290,8 @@ def test_c10_power_law_zeta_bound_soundness():
     threshold = math.pi**2 * zeta_minus_one_tail(2.0)  # gamma = 4, c = 1
     all_admissible = True
     for sites in range(3, 65):
-        model = power_law_ring(sites=sites, g1=7.0, c=1.0, gamma=4.0).model
-        if not check_admissible(model).admissible:
+        g = power_law_ring(sites=sites, g1=7.0, c=1.0, gamma=4.0).g_by_distance
+        if not check_admissible(g, sites).admissible:
             all_admissible = False
     ok = zeta2_err < 1e-12 and zeta4_err < 1e-12 and 7.0 > threshold and all_admissible
     report(10, "power-law rings (gamma=4, g1=7 > zeta bound) admissible for N <= 64", ok,

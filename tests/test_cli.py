@@ -162,7 +162,7 @@ class TestCouplingsCommand:
         ]) == 0
         from fbmspring.couplings import chain_coupling_matrix
 
-        g = chain_coupling_matrix(11, 0.37).g
+        g = chain_coupling_matrix(11, 0.37)
         _, _, rows = read_csv(out)
         for idx, val in rows:
             assert float(val) == g[5, int(idx) - 1]
@@ -270,6 +270,15 @@ class TestRingDesignCommand:
         assert payload["finite_bound"] is True
         assert payload["lambda_min"] > 0
         assert payload["model"]["g_by_distance"][0] == 7.0
+
+    def test_large_nearest_neighbor_ring_is_admissible(self, capsys):
+        # lambda_1 = 9.19e-09 lies far above the FFT's rounding on this ring (4.55e-13)
+        assert main(["ring-design", "--g1", "1", "--c", "0", "--gamma", "4", "--sites", "65536"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["admissible"] is True
+        assert payload["violating_modes"] == []
+        assert payload["finite_bound"] is True
+        assert payload["lambda_min"] == pytest.approx(9.19e-09, rel=1e-3)
 
     def test_invalid_exponent_with_guarantee(self, capsys):
         code = main([
@@ -391,11 +400,11 @@ def awkward_values(rng, dim):
 SERIES = {
     "couplings-chain": (
         ["couplings", "--mode", "chain", "--monomers", "61", "--hurst", "0.3", "--center", "7"],
-        lambda: [(i + 1, float(g)) for i, g in enumerate(chain_coupling_matrix(61, 0.3).g[6]) if i != 6],
+        lambda: [(i + 1, float(g)) for i, g in enumerate(chain_coupling_matrix(61, 0.3)[6]) if i != 6],
     ),
     "couplings-ring": (
         ["couplings", "--mode", "ring", "--monomers", "64", "--hurst", "0.2"],
-        lambda: [(d + 1, float(g)) for d, g in enumerate(ring_coupling_profile(64, 0.2).g_by_distance)],
+        lambda: [(d + 1, float(g)) for d, g in enumerate(ring_coupling_profile(64, 0.2))],
     ),
     "spectrum-chain": (
         ["spectrum", "--mode", "chain", "--monomers", "33", "--hurst", "0.7"],
@@ -578,6 +587,41 @@ def test_reflected_sample_memory_is_flat_in_paths(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.2 * peaks[0]
+
+
+def fail_on_second_chunk(monkeypatch, error):
+    """Make the CLI's reflected sampler raise ``error`` when asked for its second row chunk."""
+    chunks = []
+
+    def sampler(grid, paths, rng):
+        chunks.append(paths)
+        if len(chunks) == 2:
+            raise error
+        return reflected_brownian_ring(grid, paths, rng)
+
+    monkeypatch.setattr(cli, "reflected_brownian_ring", sampler)
+    return chunks
+
+
+def test_failed_sample_leaves_no_files(tmp_path, monkeypatch, capsys):
+    # --grid 64 makes 2048-row chunks; the first is written before the second fails
+    chunks = fail_on_second_chunk(monkeypatch, MemoryError())
+    argv = ["sample", "--model", "reflected", "--grid", "64", "--paths", "5000", "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 2
+    assert chunks == [2048, 2048]
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(tmp_path.iterdir()) == []  # no CSV, no .partial, no report, no manifest
+
+
+def test_interrupted_sample_keeps_the_previous_output(tmp_path, monkeypatch):
+    out = tmp_path / "s.csv"
+    argv = ["sample", "--model", "reflected", "--grid", "64", "--paths", "5000", "--out", str(out)]
+    assert main(argv) == 0
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    fail_on_second_chunk(monkeypatch, KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        main(argv + ["--seed", "1"])
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_stdout_stringio_and_file_give_the_same_bytes(tmp_path, capsys):

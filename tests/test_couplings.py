@@ -4,15 +4,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fbmspring.couplings import (
-    CouplingProfile,
     chain_coupling_matrix,
     coupling_laplacian,
     coupling_slice,
     couplings_from_energy,
     energy_from_couplings,
 )
-from fbmspring.kernels import ChainModel, chain_increment_cov
-from fbmspring.linalg import eigen_sym
+from fbmspring.kernels import chain_increment_cov
+from fbmspring import linalg
+from fbmspring.linalg import classify_definiteness, eigen_sym
+from fbmspring.sampling import sample_gaussian
 
 from conftest import random_coupling_profile, random_symmetric
 
@@ -43,24 +44,24 @@ def symmetric_matrices(draw, max_dim=10):
 
 class TestCouplingsFromEnergy:
     def test_single_increment(self):
-        profile = couplings_from_energy(np.eye(1))
-        assert profile.g[0, 1] == pytest.approx(0.5, abs=1e-15)
+        g = couplings_from_energy(np.eye(1))
+        assert g[0, 1] == pytest.approx(0.5, abs=1e-15)
 
     def test_two_increments_identity(self):
-        g = couplings_from_energy(np.eye(2)).g
+        g = couplings_from_energy(np.eye(2))
         assert g[0, 1] == pytest.approx(0.5, abs=1e-15)
         assert g[1, 2] == pytest.approx(0.5, abs=1e-15)
         assert g[0, 2] == pytest.approx(0.0, abs=1e-15)
 
     def test_table_exactly_symmetric_zero_diagonal(self, rng):
-        profile = couplings_from_energy(random_symmetric(rng, 9))
-        assert np.array_equal(profile.g, profile.g.T)
-        assert np.array_equal(np.diag(profile.g), np.zeros(10))
+        g = couplings_from_energy(random_symmetric(rng, 9))
+        assert np.array_equal(g, g.T)
+        assert np.array_equal(np.diag(g), np.zeros(10))
 
     @given(symmetric_matrices())
     def test_ordered_sum_identity(self, a):
         n = a.shape[0]
-        g = couplings_from_energy(a).g
+        g = couplings_from_energy(a)
         x = np.sin(1.0 + 3.0 * np.arange(n + 1.0))  # deterministic probe
         y = forward_difference(x)
         lhs = float(y @ a @ y)
@@ -83,13 +84,13 @@ class TestCouplingsFromEnergy:
 
         for n in (1, 2, 7, 60):
             a = random_symmetric(rng, n, scale=3.0)
-            assert np.array_equal(couplings_from_energy(a).g, reference(a))
+            assert np.array_equal(couplings_from_energy(a), reference(a))
 
     def test_ordered_sum_identity_random_probes(self, rng):
         for _ in range(25):
             n = int(rng.integers(1, 11))
             a = random_symmetric(rng, n, scale=2.0)
-            g = couplings_from_energy(a).g
+            g = couplings_from_energy(a)
             x = rng.normal(size=n + 1)
             y = forward_difference(x)
             lhs = float(y @ a @ y)
@@ -102,11 +103,11 @@ class TestEnergyFromCouplings:
         g = np.zeros((3, 3))
         g[0, 1] = g[1, 0] = 0.5
         g[1, 2] = g[2, 1] = 0.5
-        np.testing.assert_allclose(energy_from_couplings(CouplingProfile(g)), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(energy_from_couplings(g), np.eye(2), atol=1e-15)
 
     def test_zero_profile(self):
         np.testing.assert_array_equal(
-            energy_from_couplings(CouplingProfile(np.zeros((4, 4)))), np.zeros((3, 3))
+            energy_from_couplings(np.zeros((4, 4))), np.zeros((3, 3))
         )
 
     def test_roundtrip_energy_to_couplings(self, rng):
@@ -118,36 +119,35 @@ class TestEnergyFromCouplings:
     def test_roundtrip_couplings_to_energy(self, rng):
         for size in (2, 4, 8):
             g = random_coupling_profile(rng, size)
-            profile = CouplingProfile(g)
-            back = couplings_from_energy(energy_from_couplings(profile))
-            assert np.abs(back.g - g).max() <= 1e-10
+            back = couplings_from_energy(energy_from_couplings(g))
+            assert np.abs(back - g).max() <= 1e-10
 
     def test_output_exactly_symmetric(self, rng):
-        a = energy_from_couplings(CouplingProfile(random_coupling_profile(rng, 7)))
+        a = energy_from_couplings(random_coupling_profile(rng, 7))
         assert np.array_equal(a, a.T)
 
 
 class TestCouplingLaplacian:
     def test_single_spring(self):
         g = np.array([[0.0, 0.5], [0.5, 0.0]])
-        lap = coupling_laplacian(CouplingProfile(g))
+        lap = coupling_laplacian(g)
         np.testing.assert_allclose(lap, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
         np.testing.assert_allclose(eigen_sym(lap)[0], [0.0, 1.0], atol=1e-14)
 
     def test_zero_profile(self):
-        lap = coupling_laplacian(CouplingProfile(np.zeros((3, 3))))
+        lap = coupling_laplacian(np.zeros((3, 3)))
         np.testing.assert_array_equal(lap, np.zeros((3, 3)))
 
     def test_nearest_neighbor_chain_spectrum(self):
         g = np.zeros((3, 3))
         g[0, 1] = g[1, 0] = 0.5
         g[1, 2] = g[2, 1] = 0.5
-        w, _ = eigen_sym(coupling_laplacian(CouplingProfile(g)))
+        w, _ = eigen_sym(coupling_laplacian(g))
         np.testing.assert_allclose(w, [0.0, 0.5, 1.5], atol=1e-14)
 
     def test_zero_mode(self, rng):
         for size in (2, 6, 12):
-            lap = coupling_laplacian(CouplingProfile(random_coupling_profile(rng, size)))
+            lap = coupling_laplacian(random_coupling_profile(rng, size))
             assert np.array_equal(lap, (lap + lap.T) / 2)  # exactly symmetric, no averaging needed
             scale = max(np.abs(lap).max(), 1e-30)
             assert np.abs(lap @ np.ones(size)).max() <= 1e-10 * size * scale
@@ -161,7 +161,7 @@ class TestCouplingLaplacian:
         for _ in range(10):
             size = int(rng.integers(2, 9))
             g = random_coupling_profile(rng, size)
-            lap = coupling_laplacian(CouplingProfile(g))
+            lap = coupling_laplacian(g)
             x = rng.normal(size=size)
             lhs = float(x @ lap @ x)
             rhs = 0.5 * pair_energy(g, x)  # ordered sum counts each pair twice
@@ -181,59 +181,67 @@ class TestCouplingLaplacian:
 
 class TestCouplingSlice:
     def test_orders_partners_and_skips_center(self, rng):
-        profile = CouplingProfile(random_coupling_profile(rng, 5))
-        pairs = coupling_slice(profile, 2)
+        g = random_coupling_profile(rng, 5)
+        pairs = coupling_slice(g, 2)
         assert [i for i, _ in pairs] == [0, 1, 3, 4]
-        assert all(v == profile.g[2, i] for i, v in pairs)
+        assert all(v == g[2, i] for i, v in pairs)
 
     def test_out_of_range(self, rng):
-        profile = CouplingProfile(random_coupling_profile(rng, 4))
+        g = random_coupling_profile(rng, 4)
         with pytest.raises(IndexError):
-            coupling_slice(profile, 4)
+            coupling_slice(g, 4)
 
 
 class TestChainPipeline:
     def test_low_hurst_all_attractive(self):
-        profile = chain_coupling_matrix(61, 0.3)
+        g = chain_coupling_matrix(61, 0.3)
         center = 30
-        values = [v for _, v in coupling_slice(profile, center)]
+        values = [v for _, v in coupling_slice(g, center)]
         assert min(values) > 0
 
     def test_high_hurst_nearest_attracts_second_repels(self):
-        g = chain_coupling_matrix(61, 0.8).g
+        g = chain_coupling_matrix(61, 0.8)
         assert g[30, 31] > 0
         assert g[30, 32] < 0
 
     def test_near_critical_third_coupling_vanishes(self):
-        g = chain_coupling_matrix(61, 0.75964).g
+        g = chain_coupling_matrix(61, 0.75964)
         scale = np.abs(g).max()
         assert abs(g[30, 33]) < 1e-4 * scale
         assert abs(g[30, 27]) < 1e-4 * scale
 
     def test_slice_symmetric_about_center(self):
-        g = chain_coupling_matrix(61, 0.7).g
+        g = chain_coupling_matrix(61, 0.7)
         for j in range(1, 31):
             left, right = g[30, 30 - j], g[30, 30 + j]
             assert abs(left - right) <= 1e-10 * max(abs(left), abs(right), 1e-30)
 
     def test_brownian_chain_is_nearest_neighbor(self):
-        g = chain_coupling_matrix(61, 0.5).g
+        g = chain_coupling_matrix(61, 0.5)
         assert g[30, 31] == pytest.approx(0.5, abs=1e-10)
         assert abs(g[30, 32]) <= 1e-10
 
     def test_needs_no_dense_solver(self, monkeypatch):
         # the Toeplitz recursion alone, checked against a dense inverse taken beforehand
-        inv = np.linalg.inv(chain_increment_cov(ChainModel(n=60, hurst=0.7)))
-        expected = couplings_from_energy((inv + inv.T) / 2).g
+        inv = np.linalg.inv(chain_increment_cov(60, 0.7))
+        expected = couplings_from_energy((inv + inv.T) / 2)
 
         def fail(*args, **kwargs):
             raise AssertionError("dense solver called")
 
         for name in ("cholesky", "inv", "solve"):
             monkeypatch.setattr(np.linalg, name, fail)
-        g = chain_coupling_matrix(61, 0.7).g
+        g = chain_coupling_matrix(61, 0.7)
         assert np.abs(g - expected).max() <= 1e-13 * np.abs(expected).max()
 
+    @pytest.mark.parametrize("monomers", [3, 61, 1025])
+    @pytest.mark.parametrize("hurst", [0.1, 0.5, 0.9])
+    def test_chain_table_is_exactly_symmetric_with_zero_diagonal(self, monomers, hurst):
+        # the pipeline checks nothing after the Gohberg-Semencul inverse; this pins what it relies on
+        g = chain_coupling_matrix(monomers, hurst)
+        assert g.shape == (monomers, monomers)
+        assert np.array_equal(g, g.T)
+        assert not np.diag(g).any()
 
 class TestSpectraSideBySide:
     def test_reports_both_spectra_without_equating_them(self):
@@ -244,13 +252,58 @@ class TestSpectraSideBySide:
 
 
 class TestProfileValidation:
+    """Every function that takes a coupling table checks it: square, exactly symmetric, zero diagonal."""
+
+    CONSUMERS = (energy_from_couplings, coupling_laplacian, lambda g: coupling_slice(g, 0))
+
     def test_rejects_nonzero_diagonal(self):
-        g = np.eye(3)
-        with pytest.raises(ValueError, match="zero diagonal"):
-            CouplingProfile(g)
+        for consume in self.CONSUMERS:
+            with pytest.raises(ValueError, match="coupling table must have a zero diagonal"):
+                consume(np.eye(3))
 
     def test_rejects_asymmetric(self):
         g = np.zeros((3, 3))
         g[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            CouplingProfile(g)
+        for consume in self.CONSUMERS:
+            with pytest.raises(ValueError, match=r"matrix is not symmetric \(max \|a - a.T\| = 1.000e\+00\)"):
+                consume(g)
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            couplings_from_energy(g)
+
+    def test_rejects_non_square(self):
+        for consume in (*self.CONSUMERS, couplings_from_energy):
+            with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+                consume(np.zeros((2, 3)))
+
+
+class TestCheckedOnce:
+    """Each call checks what its caller passes once, and nothing it built itself."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        require_symmetric = linalg.require_symmetric
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return require_symmetric(a)
+
+        monkeypatch.setattr(linalg, "require_symmetric", counted)
+        return calls
+
+    def test_chain_pipeline_checks_nothing(self, checks):
+        chain_coupling_matrix(61, 0.7)
+        assert checks == []
+
+    @pytest.mark.parametrize("call", [
+        lambda: couplings_from_energy(np.eye(5)),
+        lambda: energy_from_couplings(np.zeros((5, 5))),
+        lambda: coupling_laplacian(np.zeros((5, 5))),
+        lambda: coupling_slice(np.zeros((5, 5)), 2),
+        lambda: sample_gaussian(np.eye(5), paths=3, seed=0),
+        lambda: classify_definiteness(np.eye(5)),
+    ], ids=["couplings_from_energy", "energy_from_couplings", "coupling_laplacian", "coupling_slice",
+            "sample_gaussian", "classify_definiteness"])
+    def test_one_check_per_input(self, checks, call):
+        call()
+        assert checks == [(5, 5)]

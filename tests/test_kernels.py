@@ -4,10 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fbmspring.kernels import (
-    ChainModel,
-    RingGeometry,
     _geodesic_array,
     chain_increment_cov,
+    chain_increment_row,
     ring_increment_cov,
     ring_increment_row,
 )
@@ -18,35 +17,39 @@ from conftest import ring_position_cov
 
 class TestChainCov:
     def test_brownian_is_identity(self):
-        np.testing.assert_array_equal(chain_increment_cov(ChainModel(4, 0.5)), np.eye(4))
+        np.testing.assert_array_equal(chain_increment_cov(4, 0.5), np.eye(4))
 
     def test_ballistic_is_all_ones(self):
         # at H = 1: ((d+1)^2 + (d-1)^2)/2 - d^2 = 1 for every lag
-        np.testing.assert_allclose(chain_increment_cov(ChainModel(3, 1.0)), np.ones((3, 3)), atol=1e-14)
+        np.testing.assert_allclose(chain_increment_cov(3, 1.0), np.ones((3, 3)), atol=1e-14)
 
     def test_antipersistent_first_lag(self):
-        r = chain_increment_cov(ChainModel(2, 0.3))
+        r = chain_increment_cov(2, 0.3)
         assert r[0, 1] == pytest.approx(2.0**0.6 / 2.0 - 1.0, abs=1e-12)
         assert r[0, 1] == pytest.approx(-0.24214, abs=5e-6)
 
     def test_unit_diagonal_exact(self):
-        r = chain_increment_cov(ChainModel(9, 0.37))
+        r = chain_increment_cov(9, 0.37)
         assert np.array_equal(np.diag(r), np.ones(9))
 
     def test_toeplitz_exact(self):
-        r = chain_increment_cov(ChainModel(8, 0.71))
+        r = chain_increment_cov(8, 0.71)
         for i in range(8):
             for k in range(8):
                 assert r[i, k] == r[0, abs(i - k)]
         assert np.array_equal(r, r.T)
 
     def test_model_validation(self):
-        with pytest.raises(ValueError):
-            ChainModel(0, 0.5)
-        with pytest.raises(ValueError):
-            ChainModel(4, 0.0)
-        with pytest.raises(ValueError):
-            ChainModel(4, 1.2)
+        # the row builder checks n, then hurst; the dense builder goes through it
+        for build in (chain_increment_row, chain_increment_cov):
+            with pytest.raises(ValueError, match="chain needs at least one increment"):
+                build(0, 0.5)
+            with pytest.raises(ValueError, match="chain needs at least one increment"):
+                build(0, 1.2)
+            with pytest.raises(ValueError, match=r"hurst must be in \(0, 1\], got 0.0"):
+                build(4, 0.0)
+            with pytest.raises(ValueError, match=r"hurst must be in \(0, 1\], got 1.2"):
+                build(4, 1.2)
 
 
 class TestGeodesic:
@@ -76,39 +79,48 @@ class TestGeodesic:
 
 class TestRingPositionCov:
     def test_diagonal_is_structure_function(self):
-        geom = RingGeometry(7)
-        cov = ring_position_cov(geom, 0.4)
+        cov = ring_position_cov(7, 0.4)
         for k in range(7):
             assert cov[k, k] == pytest.approx(min(k, 7 - k) ** 0.8, rel=1e-14)
 
     def test_hand_evaluated_entries(self):
-        cov4 = ring_position_cov(RingGeometry(4), 0.5)
+        cov4 = ring_position_cov(4, 0.5)
         assert cov4[1, 2] == pytest.approx(1.0, abs=1e-14)  # (1 + 2 - 1)/2
-        cov6 = ring_position_cov(RingGeometry(6), 0.5)
+        cov6 = ring_position_cov(6, 0.5)
         assert cov6[1, 4] == pytest.approx(0.0, abs=1e-14)  # (1 + 2 - 3)/2
 
     def test_pinned_row_zero(self):
-        cov = ring_position_cov(RingGeometry(9), 0.31)
+        cov = ring_position_cov(9, 0.31)
         assert np.array_equal(cov[0], np.zeros(9))
         assert np.array_equal(cov[:, 0], np.zeros(9))
 
     def test_exactly_symmetric(self):
-        cov = ring_position_cov(RingGeometry(11), 0.47)
+        cov = ring_position_cov(11, 0.47)
         assert np.array_equal(cov, cov.T)
 
 
 class TestRingIncrementCov:
+    def test_model_validation(self):
+        # sites first, then hurst, for the row and the dense matrix alike
+        for build in (ring_increment_row, ring_increment_cov):
+            with pytest.raises(ValueError, match="a ring needs at least 3 sites"):
+                build(2, 0.5)
+            with pytest.raises(ValueError, match="a ring needs at least 3 sites"):
+                build(2, 1.5)
+            with pytest.raises(ValueError, match=r"hurst must be in \(0, 1\], got 1.5"):
+                build(6, 1.5)
+
     def test_brownian_hexagon_row(self):
         np.testing.assert_array_equal(
-            ring_increment_row(RingGeometry(6), 0.5), [1.0, 0.0, 0.0, -1.0, 0.0, 0.0]
+            ring_increment_row(6, 0.5), [1.0, 0.0, 0.0, -1.0, 0.0, 0.0]
         )
 
     def test_unit_diagonal(self):
-        cov = ring_increment_cov(RingGeometry(5), 0.5)
+        cov = ring_increment_cov(5, 0.5)
         assert np.array_equal(np.diag(cov), np.ones(5))
 
     def test_circulant_exact(self):
-        cov = ring_increment_cov(RingGeometry(9), 0.42)
+        cov = ring_increment_cov(9, 0.42)
         row = cov[0]
         for i in range(9):
             for k in range(9):
@@ -117,11 +129,11 @@ class TestRingIncrementCov:
 
     def test_row_sums_vanish(self):
         for sites, hurst in [(5, 0.2), (12, 0.5), (31, 0.45), (64, 0.9)]:
-            cov = ring_increment_cov(RingGeometry(sites), hurst)
+            cov = ring_increment_cov(sites, hurst)
             assert np.abs(cov.sum(axis=1)).max() <= 1e-12
 
     def test_low_hurst_is_semidefinite(self):
-        verdict = classify_definiteness(ring_increment_cov(RingGeometry(8), 0.3))
+        verdict = classify_definiteness(ring_increment_cov(8, 0.3))
         assert verdict.kind is Definiteness.POSITIVE_SEMIDEFINITE
 
     def test_second_difference_of_position_cov(self):
@@ -129,9 +141,8 @@ class TestRingIncrementCov:
         # covariance, exact to rounding on small rings
         for sites in (4, 5, 7, 8):
             for hurst in (0.3, 0.5, 0.8):
-                geom = RingGeometry(sites)
-                pos = ring_position_cov(geom, hurst)
-                inc = ring_increment_cov(geom, hurst)
+                pos = ring_position_cov(sites, hurst)
+                inc = ring_increment_cov(sites, hurst)
                 ext = np.empty((sites + 1, sites + 1))
                 ext[:sites, :sites] = pos
                 # site N coincides with site 0 on the closed ring
@@ -152,7 +163,7 @@ class TestAdmissibilityFrontier:
 
     @staticmethod
     def _is_psd(sites, hurst):
-        verdict = classify_definiteness(ring_increment_cov(RingGeometry(sites), hurst))
+        verdict = classify_definiteness(ring_increment_cov(sites, hurst))
         return verdict.kind is not Definiteness.INDEFINITE
 
     def test_psd_for_low_hurst(self):

@@ -3,8 +3,6 @@ import pytest
 
 from fbmspring.errors import NoConvergence, NotPositiveDefinite
 from fbmspring.kernels import (
-    ChainModel,
-    RingGeometry,
     chain_increment_cov,
     chain_increment_row,
     ring_increment_cov,
@@ -85,10 +83,9 @@ class TestCholesky:
 
     def test_chain_covariance_is_pd(self):
         # oracle: all eigenvalues of the 6x6 are positive (independent solver)
-        model = ChainModel(n=6, hurst=0.6)
-        r = chain_increment_cov(model)
+        r = chain_increment_cov(6, 0.6)
         assert np.linalg.eigvalsh(r).min() > 0
-        inv = toeplitz_inverse(chain_increment_row(model))
+        inv = toeplitz_inverse(chain_increment_row(6, 0.6))
         np.testing.assert_allclose(inv @ r, np.eye(6), atol=1e-12)
 
     def test_reconstruction_tolerance(self, rng):
@@ -189,7 +186,7 @@ class TestInvert:
 
     def test_chain_residual(self):
         # the residual against the identity is the oracle here
-        row = chain_increment_row(ChainModel(n=6, hurst=0.6))
+        row = chain_increment_row(6, 0.6)
         assert np.linalg.eigvalsh(toeplitz(row)).min() > 0
         assert np.abs(toeplitz_inverse(row) @ toeplitz(row) - np.eye(6)).max() <= 1e-14
 
@@ -243,7 +240,7 @@ class TestToeplitzInverse:
 @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.7, 0.95, 0.999])
 @pytest.mark.parametrize("n", [1, 2, 60, 512, 2048])
 def test_chain_inverse_matches_dense_oracle(n, hurst):
-    row = chain_increment_row(ChainModel(n=n, hurst=hurst))
+    row = chain_increment_row(n, hurst)
     m = toeplitz(row)
     expected = np.linalg.inv(m)
     w = np.linalg.eigvalsh(m)
@@ -264,7 +261,7 @@ class TestEigenSym:
         np.testing.assert_allclose(w, [0.0, 2.0], atol=1e-14)
 
     def test_brownian_ring_dense_spectrum(self):
-        cov = ring_increment_cov(RingGeometry(6), hurst=0.5)
+        cov = ring_increment_cov(6, hurst=0.5)
         w, _ = eigen_sym(cov)
         np.testing.assert_allclose(w, [0, 0, 0, 2, 2, 2], atol=1e-12)
 
@@ -296,14 +293,14 @@ class TestClassify:
         assert verdict.zero_mode_count == 0
 
     def test_brownian_ring_semidefinite(self):
-        cov = ring_increment_cov(RingGeometry(6), hurst=0.5)
+        cov = ring_increment_cov(6, hurst=0.5)
         verdict = classify_definiteness(cov)
         assert verdict.kind is Definiteness.POSITIVE_SEMIDEFINITE
         assert verdict.zero_mode_count == 3
 
     def test_ring_above_half_indefinite(self):
         # brute-force eigenvalues of the 8x8 circulant go negative at H = 0.8
-        cov = ring_increment_cov(RingGeometry(8), hurst=0.8)
+        cov = ring_increment_cov(8, hurst=0.8)
         verdict = classify_definiteness(cov)
         assert verdict.kind is Definiteness.INDEFINITE
         assert verdict.min_eigenvalue < 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta as scipy_zeta
 
-from fbmspring.circulant import circulant_eigenvalues, ring_mode_spectrum, spectrum_tol
+from fbmspring.circulant import circulant_eigenvalues, mirrored_distance_row, ring_mode_spectrum, spectrum_tol
 from fbmspring.couplings import couplings_from_energy
 from fbmspring.errors import (
     DivergentSeries,
@@ -14,10 +14,9 @@ from fbmspring.errors import (
     NonpositiveG1,
     NotPositiveDefinite,
 )
-from fbmspring.kernels import RingGeometry, ring_increment_cov, ring_increment_row
+from fbmspring.kernels import ring_increment_cov, ring_increment_row
 from fbmspring.linalg import default_tol_pd, eigen_sym
 from fbmspring.rings import (
-    RingModel,
     check_admissible,
     power_law_ring,
     ring_coupling_profile,
@@ -30,40 +29,38 @@ from conftest import circulant_dense, ring_laplacian_circulant
 
 
 def two_coupling_model(sites, g1, g2):
+    """Couplings by distance of a ring with springs at distances 1 and 2 only."""
     g = np.zeros(sites // 2)
     g[0], g[1] = g1, g2
-    return RingModel(sites=sites, g_by_distance=g)
+    return g
 
 
 class TestBuilders:
     """The energy matrix g*I - G of a ring model, a circulant of its mirrored couplings."""
 
     def test_distance_circulant_even(self):
-        row = ring_laplacian_circulant(RingModel(4, np.array([1.0, 2.0])))
+        row = ring_laplacian_circulant(np.array([1.0, 2.0]), 4)
         np.testing.assert_array_equal(row, [4, -1, -2, -1])
 
     def test_distance_circulant_odd(self):
-        row = ring_laplacian_circulant(RingModel(5, np.array([1.0, 2.0])))
+        row = ring_laplacian_circulant(np.array([1.0, 2.0]), 5)
         np.testing.assert_array_equal(row, [6, -1, -2, -2, -1])
 
     def test_two_coupling_structure(self):
         g1, g2 = 0.7, -0.1
-        model = two_coupling_model(6, g1, g2)
         np.testing.assert_allclose(
-            ring_laplacian_circulant(model),
+            ring_laplacian_circulant(two_coupling_model(6, g1, g2), 6),
             [2 * (g1 + g2), -g1, -g2, 0, -g2, -g1],
             atol=1e-15,
         )
 
     def test_laplacian_zero_profile(self):
-        model = RingModel(6, np.zeros(3))
-        np.testing.assert_array_equal(circulant_dense(ring_laplacian_circulant(model)), np.zeros((6, 6)))
+        np.testing.assert_array_equal(circulant_dense(ring_laplacian_circulant(np.zeros(3), 6)), np.zeros((6, 6)))
 
     def test_laplacian_row_sums_vanish(self):
         rng = np.random.default_rng(3)
         for sites in (5, 8, 17, 32):
-            model = RingModel(sites, rng.normal(size=sites // 2))
-            dense = circulant_dense(ring_laplacian_circulant(model))
+            dense = circulant_dense(ring_laplacian_circulant(rng.normal(size=sites // 2), sites))
             scale = max(np.abs(dense).max(), 1e-30)
             # exact zero up to reordered-summation rounding
             assert np.abs(dense.sum(axis=1)).max() <= 1e-13 * sites * scale
@@ -71,9 +68,9 @@ class TestBuilders:
     def test_laplacian_spectrum_three_ways(self):
         rng = np.random.default_rng(4)
         for sites in (6, 13, 24):
-            model = RingModel(sites, rng.normal(size=sites // 2))
-            row = ring_laplacian_circulant(model)
-            lam_formula = ring_mode_spectrum(model.g_by_distance, sites)
+            g = rng.normal(size=sites // 2)
+            row = ring_laplacian_circulant(g, sites)
+            lam_formula = ring_mode_spectrum(g, sites)
             lam_circ = circulant_eigenvalues(row)
             np.testing.assert_allclose(lam_formula, lam_circ, atol=1e-10 * max(1, np.abs(lam_circ).max()))
             lam_dense = eigen_sym(circulant_dense(row))[0]
@@ -81,22 +78,26 @@ class TestBuilders:
             assert np.abs(np.sort(lam_formula) - lam_dense).max() <= 1e-9 * scale
 
     def test_model_validation(self):
-        with pytest.raises(ValueError):
-            RingModel(2, np.array([1.0]))
-        with pytest.raises(ValueError):
-            RingModel(8, np.array([1.0]))
+        # every function that unpacks a (g, sites) pair checks it in mirrored_distance_row
+        for consume in (mirrored_distance_row, ring_mode_spectrum, check_admissible):
+            with pytest.raises(ValueError, match="a ring needs at least 3 sites"):
+                consume(np.array([1.0]), 2)
+            with pytest.raises(ValueError, match=r"need floor\(N/2\) = 4 couplings, got shape \(1,\)"):
+                consume(np.array([1.0]), 8)
+            with pytest.raises(ValueError, match=r"need floor\(N/2\) = 4 couplings, got shape \(2, 2\)"):
+                consume(np.zeros((2, 2)), 8)
 
 
 class TestAdmissibility:
     def test_boundary_ratio_admissible(self):
-        report = check_admissible(two_coupling_model(12, 1.0, -0.25))
+        report = check_admissible(two_coupling_model(12, 1.0, -0.25), 12)
         assert report.admissible
         assert report.lambda_min_nonzero > 0
         assert report.violating_modes == []
 
     def test_below_boundary_inadmissible(self):
         # lambda_1 = 2(1 - cos(pi/6)) - 0.6(1 - cos(pi/3)) = -0.032...
-        report = check_admissible(two_coupling_model(12, 1.0, -0.30))
+        report = check_admissible(two_coupling_model(12, 1.0, -0.30), 12)
         assert not report.admissible
         assert 1 in report.violating_modes
         expected = 2 * (1 - math.cos(math.pi / 6)) - 0.6 * (1 - math.cos(math.pi / 3))
@@ -104,21 +105,38 @@ class TestAdmissibility:
 
     def test_nan_coupling_violates_every_mode(self):
         # nan reaches every mode's lambda_m and the default tolerance alike
-        report = check_admissible(RingModel(8, np.array([math.nan, 0.1, 0.0, 0.0])))
+        report = check_admissible(np.array([math.nan, 0.1, 0.0, 0.0]), 8)
         assert not report.admissible
         assert report.violating_modes == [1, 2, 3, 4]
 
     def test_nearest_neighbor_ring(self):
-        model = RingModel(8, np.array([1.0, 0.0, 0.0, 0.0]))
-        assert check_admissible(model).admissible
+        assert check_admissible(np.array([1.0, 0.0, 0.0, 0.0]), 8).admissible
+
+    def test_large_nearest_neighbor_ring(self):
+        # lambda_1 = 2 (1 - cos(2 pi / N)) = 9.19e-09 at 65536 sites, far above the
+        # FFT's rounding on the row (0, 1, 0, ..., 0, 1), 4.55e-13, though below
+        # 1e-12 N max|g| = 6.55e-08
+        sites = 65536
+        g = np.zeros(sites // 2)
+        g[0] = 1.0
+        report = check_admissible(g, sites)
+        assert report.admissible and report.violating_modes == []
+        assert report.lambda_min_nonzero == pytest.approx(2.0 * (1.0 - math.cos(2.0 * math.pi / sites)), rel=1e-6)
+        assert spectrum_tol(np.concatenate(([0.0], mirrored_distance_row(g, sites)))) < 1e-12
+
+    def test_design_with_negative_modes_stays_inadmissible(self):
+        report = check_admissible(power_law_ring(sites=64, g1=1.0, c=2.0, gamma=4.0).g_by_distance, 64)
+        assert not report.admissible
+        assert report.violating_modes == [1, 2, 3]
+        assert report.lambda_min_nonzero < 0
 
     def test_two_coupling_family_boundary(self):
         """The ratio -1/4 is admissible for every size; below it the smallest
         mode goes negative once the ring is large enough for the long-wave
         expansion to bite (N >= 12 at ratio -0.27)."""
         for sites in range(8, 65):
-            assert check_admissible(two_coupling_model(sites, 1.0, -0.25)).admissible, sites
-            report = check_admissible(two_coupling_model(sites, 1.0, -0.27))
+            assert check_admissible(two_coupling_model(sites, 1.0, -0.25), sites).admissible, sites
+            report = check_admissible(two_coupling_model(sites, 1.0, -0.27), sites)
             assert report.admissible == (sites < 12), sites
 
     def test_sufficient_bound_soundness(self):
@@ -131,16 +149,15 @@ class TestAdmissibility:
             g[0] = float(rng.uniform(0.5, 3.0))
             reach = int(rng.integers(2, sites // 2 + 1))
             g[1:reach] = -(10.0 ** rng.uniform(-4, -0.5, size=reach - 1))
-            model = RingModel(sites, g)
-            if stiff_sufficient_bound(model):
+            if stiff_sufficient_bound(g):
                 checked += 1
-                assert check_admissible(model).admissible
+                assert check_admissible(g, sites).admissible
         assert checked > 30  # the sweep actually exercised the bound
 
     def test_bound_not_applicable_for_attractive_tails(self):
-        model = RingModel(8, np.array([1.0, 0.2, 0.0, 0.0]))
-        assert stiff_sufficient_bound(model) is None
-        assert check_admissible(model).sufficient_bound_satisfied is None
+        g = np.array([1.0, 0.2, 0.0, 0.0])
+        assert stiff_sufficient_bound(g) is None
+        assert check_admissible(g, 8).sufficient_bound_satisfied is None
 
     def test_cosine_sandwich_inequalities(self):
         # (x/pi)^2 <= 1 - cos x <= x^2/2 on [0, pi]; these back the summed
@@ -201,13 +218,12 @@ class TestPowerLawRing:
         assert design.zeta_bound_satisfied is True
         assert design.finite_bound_satisfied is True
         for sites in range(4, 65):
-            model = power_law_ring(sites=sites, g1=7.0, c=1.0, gamma=4.0).model
-            assert check_admissible(model).admissible, sites
+            g = power_law_ring(sites=sites, g1=7.0, c=1.0, gamma=4.0).g_by_distance
+            assert check_admissible(g, sites).admissible, sites
 
     def test_coupling_values(self):
-        model = power_law_ring(sites=10, g1=2.0, c=0.5, gamma=4.0).model
         np.testing.assert_allclose(
-            model.g_by_distance,
+            power_law_ring(sites=10, g1=2.0, c=0.5, gamma=4.0).g_by_distance,
             [2.0, -0.5 * 2.0**-4, -0.5 * 3.0**-4, -0.5 * 4.0**-4, -0.5 * 5.0**-4],
             atol=1e-15,
         )
@@ -215,7 +231,7 @@ class TestPowerLawRing:
     def test_zero_repulsion_trivially_admissible(self):
         design = power_law_ring(sites=16, g1=1.0, c=0.0, gamma=5.0)
         assert design.finite_bound_satisfied is True
-        assert check_admissible(design.model).admissible
+        assert check_admissible(design.g_by_distance, 16).admissible
 
     def test_slow_decay_needs_no_guarantee(self):
         design = power_law_ring(sites=16, g1=1.0, c=0.05, gamma=2.5)
@@ -233,7 +249,7 @@ class TestPowerLawRing:
         c_at_bound = 1.0 / (math.pi**2 * float((k**2 * k**-gamma).sum()))
         design = power_law_ring(sites=sites, g1=1.0, c=1.05 * c_at_bound, gamma=gamma)
         assert design.finite_bound_satisfied is False
-        assert check_admissible(design.model).admissible
+        assert check_admissible(design.g_by_distance, sites).admissible
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -252,18 +268,17 @@ class TestPowerLawRing:
 
 class TestRingCouplingProfile:
     def test_periodic_low_hurst_profile(self):
-        model = ring_coupling_profile(61, 0.3)
-        assert model.g_by_distance.shape == (30,)
+        g = ring_coupling_profile(61, 0.3)
+        assert g.shape == (30,)
         # short- and mid-range couplings attract; only the antipodal one flips
-        assert (model.g_by_distance[:29] > 0).all()
-        assert model.g_by_distance[29] < 0
+        assert (g[:29] > 0).all()
+        assert g[29] < 0
         # frozen regression anchors from the distance-reduced inversion
-        assert model.g_by_distance[0] == pytest.approx(0.3269833, rel=1e-5)
-        assert model.g_by_distance[1] == pytest.approx(0.05475034, rel=1e-5)
+        assert g[0] == pytest.approx(0.3269833, rel=1e-5)
+        assert g[1] == pytest.approx(0.05475034, rel=1e-5)
 
     def test_profile_reproduces_an_admissible_ring(self):
-        model = ring_coupling_profile(24, 0.35)
-        report = check_admissible(model)
+        report = check_admissible(ring_coupling_profile(24, 0.35), 24)
         assert report.admissible
 
     def test_inadmissible_hurst_raises(self):
@@ -274,18 +289,16 @@ class TestRingCouplingProfile:
         # odd ring at H = 1/2: uniform attraction 4/N at every distance except
         # the antipodal one, which repels with -(N - 4)/N... frozen from the
         # reduced-inversion pipeline and confirmed rational at N = 9
-        model = ring_coupling_profile(9, 0.5)
         np.testing.assert_allclose(
-            model.g_by_distance, [4 / 9, 4 / 9, 4 / 9, -5 / 9], atol=1e-12
+            ring_coupling_profile(9, 0.5), [4 / 9, 4 / 9, 4 / 9, -5 / 9], atol=1e-12
         )
 
     def test_profile_laplacian_reproduces_reduced_energy(self):
         # the distance-reduced Laplacian quadratic form must equal half the
         # increment energy of the first N-1 increments, for arbitrary x
         sites, hurst = 12, 0.4
-        model = ring_coupling_profile(sites, hurst)
-        lap = circulant_dense(ring_laplacian_circulant(model))
-        energy = dense_inverse(ring_increment_cov(RingGeometry(sites), hurst)[: sites - 1, : sites - 1])
+        lap = circulant_dense(ring_laplacian_circulant(ring_coupling_profile(sites, hurst), sites))
+        energy = dense_inverse(ring_increment_cov(sites, hurst)[: sites - 1, : sites - 1])
         rng = np.random.default_rng(6)
         for _ in range(5):
             x = rng.normal(size=sites)
@@ -305,7 +318,7 @@ class TestRingCouplingProfile:
     @pytest.mark.parametrize("sites", [6, 64, 1024, 65536])
     def test_brownian_zeros_stay_below_the_fft_tolerance(self, sites):
         # the even modes are exact zeros; rounding leaves them far under spectrum_tol
-        row = ring_increment_row(RingGeometry(sites), 0.5)
+        row = ring_increment_row(sites, 0.5)
         with pytest.raises(MissingRingModes) as info:
             ring_coupling_profile(sites, 0.5)
         assert info.value.modes == list(range(2, sites // 2 + 1, 2))
@@ -316,21 +329,20 @@ class TestRingCouplingProfile:
     def test_large_low_hurst_rings_exist(self, sites):
         # 1e-9 N max|c| exceeded mu_1 of these valid rings; the FFT tolerance does not
         for hurst in (0.01, 0.02, 0.05, 0.1):
-            model = ring_coupling_profile(sites, hurst)
-            assert np.isfinite(model.g_by_distance).all()
+            assert np.isfinite(ring_coupling_profile(sites, hurst)).all()
 
     def test_large_ring_couplings_invert_the_spectrum(self):
         # lambda_m mu_m = 1 - cos theta_m mode by mode, at 2^16 sites and H = 0.05
         sites, hurst = 2**16, 0.05
-        mu = circulant_eigenvalues(ring_increment_row(RingGeometry(sites), hurst))
-        lam = ring_mode_spectrum(ring_coupling_profile(sites, hurst).g_by_distance, sites)
+        mu = circulant_eigenvalues(ring_increment_row(sites, hurst))
+        lam = ring_mode_spectrum(ring_coupling_profile(sites, hurst), sites)
         m = np.arange(1, sites)
         assert np.abs(lam[m] * mu[m] / (1.0 - np.cos(2.0 * np.pi * m / sites)) - 1.0).max() <= 1e-10
 
     def test_every_mode_below_zero_above_half_is_missing(self):
         for sites in (5, 6, 7, 64, 65, 4096):
             for hurst in (0.501, 0.55, 0.7, 0.95):
-                mu = circulant_eigenvalues(ring_increment_row(RingGeometry(sites), hurst))[1 : sites // 2 + 1]
+                mu = circulant_eigenvalues(ring_increment_row(sites, hurst))[1 : sites // 2 + 1]
                 if (mu < 0).any():
                     with pytest.raises(MissingRingModes) as info:
                         ring_coupling_profile(sites, hurst)
@@ -362,8 +374,8 @@ def dense_inverse(a):
 def dense_ring_coupling_profile(sites, hurst):
     """Reference pipeline: invert the (N-1) increment block, take the pairwise
     couplings, and average each geodesic distance class."""
-    cov = ring_increment_cov(RingGeometry(sites), hurst)
-    table = couplings_from_energy(dense_inverse(cov[: sites - 1, : sites - 1])).g
+    cov = ring_increment_cov(sites, hurst)
+    table = couplings_from_energy(dense_inverse(cov[: sites - 1, : sites - 1]))
     idx = np.arange(sites)
     return np.array([table[idx, (idx + d) % sites].mean() for d in range(1, sites // 2 + 1)])
 
@@ -377,5 +389,5 @@ def test_closed_form_matches_dense_oracle(sites, hurst):
         with pytest.raises(NotPositiveDefinite):
             ring_coupling_profile(sites, hurst)
         return
-    got = ring_coupling_profile(sites, hurst).g_by_distance
+    got = ring_coupling_profile(sites, hurst)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()

@@ -5,7 +5,7 @@ import pytest
 
 from fbmspring import sampling
 from fbmspring.errors import IndefiniteCovariance, QuadratureFailure
-from fbmspring.kernels import RingGeometry, ring_increment_cov
+from fbmspring.kernels import ring_increment_cov
 from fbmspring.linalg import eigen_sym
 from fbmspring.sampling import (
     TWO_PI,
@@ -37,7 +37,7 @@ class TestSampleGaussian:
         assert not np.array_equal(a.values, c.values)
 
     def test_brownian_hexagon_zero_mode_is_exact(self):
-        cov = ring_increment_cov(RingGeometry(6), 0.5)
+        cov = ring_increment_cov(6, 0.5)
         batch = sample_gaussian(cov, paths=5_000, seed=3)
         # antipodal pairs cancel: (1,0,0,1,0,0) spans a null direction
         null = np.array([1.0, 0, 0, 1.0, 0, 0]) / math.sqrt(2)
@@ -45,7 +45,7 @@ class TestSampleGaussian:
         assert np.abs(projections).max() <= 1e-10 * np.abs(batch.values).max()
 
     def test_samples_confined_to_covariance_range(self):
-        cov = ring_increment_cov(RingGeometry(8), 0.4)
+        cov = ring_increment_cov(8, 0.4)
         w, v = eigen_sym(cov)
         batch = sample_gaussian(cov, paths=2_000, seed=11)
         null_vectors = v[:, np.abs(w) <= 1e-9 * 8 * np.abs(cov).max()]
@@ -54,7 +54,7 @@ class TestSampleGaussian:
         assert np.abs(components).max() <= 1e-10 * np.abs(batch.values).max()
 
     def test_indefinite_covariance_rejected(self):
-        cov = ring_increment_cov(RingGeometry(8), 0.8)
+        cov = ring_increment_cov(8, 0.8)
         with pytest.raises(IndefiniteCovariance) as info:
             sample_gaussian(cov, paths=10, seed=0)
         assert info.value.min_eigenvalue < 0
@@ -190,7 +190,7 @@ class TestUniformGridCov:
         # by the spacing to the power 2H
         for n, hurst in [(8, 0.5), (12, 0.3), (9, 0.45)]:
             arc_cov = uniform_grid_increment_cov(n, hurst)
-            integer_cov = ring_increment_cov(RingGeometry(n), hurst)
+            integer_cov = ring_increment_cov(n, hurst)
             scale = (TWO_PI / n) ** (2 * hurst)
             np.testing.assert_allclose(arc_cov, scale * integer_cov, atol=1e-12)
 
@@ -344,7 +344,7 @@ def test_one_generator_continues_the_gaussian_draws():
     parts = [sample_gaussian(cov, rows, rng).values for rows in (1, 999, 38)]
     assert np.array_equal(np.concatenate(parts), sample_gaussian(cov, 1038, 11).values)
     # a full covariance multiplies the same draws by the same factor
-    cov = ring_increment_cov(RingGeometry(9), 0.3)
+    cov = ring_increment_cov(9, 0.3)
     rng = philox(12)
     parts = [sample_gaussian(cov, rows, rng).values for rows in (500, 3)]
     np.testing.assert_allclose(np.concatenate(parts), sample_gaussian(cov, 503, 12).values, rtol=0, atol=1e-13)
