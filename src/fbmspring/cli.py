@@ -323,17 +323,6 @@ def _resolve_center(monomers: int, center_flag: int | None) -> int:
     return center_flag - 1
 
 
-def _ring_profile(sites: int, hurst: float) -> np.ndarray:
-    """Ring couplings by distance; a ring without a Gaussian model is invalid input."""
-    try:
-        return ring_coupling_profile(sites, hurst)
-    except MissingRingModes as exc:
-        hint = "; periodic admissibility requires hurst <= 0.5" if hurst > 0.5 else ""
-        raise CliInputError(
-            f"no Gaussian ring model with {sites} sites at hurst = {hurst}: {exc}{hint}"
-        ) from exc
-
-
 # ----------------------------------------------------------------- couplings
 
 def _cmd_couplings(args: argparse.Namespace) -> int:
@@ -353,7 +342,7 @@ def _cmd_couplings(args: argparse.Namespace) -> int:
         x, y = others + 1, g[center, others]
         xlabel = "index"
     else:
-        y = _ring_profile(args.monomers, args.hurst)
+        y = ring_coupling_profile(args.monomers, args.hurst)
         x = np.arange(1, y.size + 1)
         xlabel = "distance"
     _write_series(args, "couplings", echo, xlabel, "g", x, y)
@@ -364,7 +353,7 @@ def _cmd_couplings(args: argparse.Namespace) -> int:
 
 def _parse_g_list(text: str) -> list[float]:
     try:
-        return [_finite(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [_finite(tok) for tok in text.split(",")]
     except argparse.ArgumentTypeError as exc:
         raise CliInputError(f"could not parse --g value {text!r}: {exc}") from exc
 
@@ -445,7 +434,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             lam = circulant_eigenvalues(ring_increment_row(args.monomers, args.hurst))
         else:
             echo["series"] = "energy eigenvalues"
-            lam = ring_mode_spectrum(_ring_profile(args.monomers, args.hurst), args.monomers)
+            lam = ring_mode_spectrum(ring_coupling_profile(args.monomers, args.hurst), args.monomers)
     elif args.mode == "chain":
         if args.monomers is None or args.hurst is None:
             raise CliInputError("chain spectrum needs --monomers and --hurst")
@@ -466,13 +455,17 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_critical(args: argparse.Namespace) -> int:
     center = _resolve_center(args.monomers, args.center)
-    query = SignChangeQuery(
-        monomers=args.monomers,
-        offset=args.offset,
-        center=center,
-        bracket=(args.bracket[0], args.bracket[1]),
-        tol=args.tol,
-    )
+    try:
+        query = SignChangeQuery(
+            monomers=args.monomers,
+            offset=args.offset,
+            center=center,
+            bracket=(args.bracket[0], args.bracket[1]),
+            tol=args.tol,
+        )
+    except IndexError:  # the center is on the chain, so its partner is not: name both 1-based
+        raise CliInputError(f"--center {center + 1} and --offset {args.offset} name monomer "
+                            f"{center + 1 + args.offset}, outside 1..{args.monomers}") from None
     h_star, iterations = find_critical_hurst(query)
     residual = coupling_at(args.monomers, h_star, center, args.offset)
     payload = {
@@ -543,14 +536,14 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             raise CliInputError("chain sampling needs --monomers and --hurst")
         echo.update(monomers=args.monomers, hurst=_fmt(args.hurst))
         reference = chain_increment_cov(args.monomers - 1, args.hurst)
-        batches = [sample_gaussian(reference, args.paths, args.seed, model_tag="chain")]
+        batches = [sample_gaussian(reference, args.paths, args.seed)]
     elif args.model == "ring":
         if args.sites is None or args.hurst is None:
             raise CliInputError("ring sampling needs --sites and --hurst")
         echo.update(sites=args.sites, hurst=_fmt(args.hurst))
         reference = ring_increment_cov(args.sites, args.hurst)
         try:
-            batches = [sample_gaussian(reference, args.paths, args.seed, model_tag="ring")]
+            batches = [sample_gaussian(reference, args.paths, args.seed)]
         except IndefiniteCovariance as exc:
             raise CliInputError(
                 f"cannot sample: increment covariance is indefinite "
@@ -641,11 +634,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("critical", help="bisect the Hurst index where a chain coupling changes sign")
-    p.add_argument("--monomers", type=int, default=61)
-    p.add_argument("--offset", type=int, default=3)
+    p.add_argument("--monomers", type=int, default=SignChangeQuery.monomers)
+    p.add_argument("--offset", type=int, default=SignChangeQuery.offset)
     p.add_argument("--center", type=int, default=None, help="1-based center monomer (default: middle)")
-    p.add_argument("--bracket", type=_finite, nargs=2, default=(0.6, 0.9), metavar=("LO", "HI"))
-    p.add_argument("--tol", type=_finite, default=1e-6)
+    p.add_argument("--bracket", type=_finite, nargs=2, default=SignChangeQuery.bracket, metavar=("LO", "HI"))
+    p.add_argument("--tol", type=_finite, default=SignChangeQuery.tol)
     p.add_argument("--out", type=Path, default=None, help="JSON path (default: stdout)")
     p.set_defaults(handler=_cmd_critical)
 
@@ -686,6 +679,7 @@ _INVALID, _NUMERICAL = ("error", EXIT_INVALID), ("numerical failure", EXIT_NUMER
 _FAILURES = {
     CliInputError: _INVALID,
     NoSignChange: ("no result", EXIT_NO_RESULT),
+    MissingRingModes: _INVALID,  # ahead of its base class NotPositiveDefinite
     **dict.fromkeys((IndefiniteCovariance, NonpositiveG1, InvalidExponent, NotSymmetricCirculant), _INVALID),
     **dict.fromkeys((ValueError, IndexError, OSError), _INVALID),
     MemoryError: _INVALID,  # a request too large to allocate

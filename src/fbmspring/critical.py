@@ -33,7 +33,8 @@ class SignChangeQuery:
     """Where to look for a sign change of one coupling constant.
 
     ``center`` is a 0-based monomer index; None selects the middle monomer.
-    ``offset`` is nonzero; a negative offset names a partner left of center.
+    ``offset`` is nonzero and names a partner on the chain, left of center
+    when negative; construction checks every field.
     ``bracket`` must straddle the sign change of g(center, center + offset).
     ``tol`` must be at least ``TOL_FLOOR_ULPS`` ulps of the larger bracket end.
     """
@@ -56,10 +57,7 @@ class SignChangeQuery:
                 f"tol {self.tol:.3e} is below the floor {floor:.3e} ({TOL_FLOOR_ULPS} ulps of the "
                 f"bracket end {hi}): bisection cannot halve a bracket that narrow"
             )
-        if self.monomers < 2:
-            raise ValueError("need at least 2 monomers")
-        if self.offset == 0:
-            raise ValueError("offset must be nonzero: a monomer has no coupling to itself, got offset 0")
+        _center_index(self.monomers, self.center, self.offset)
 
     def steps(self) -> int:
         """Bisection steps, ceil(log2(width / tol)), or 0 when the bracket is narrow enough."""
@@ -68,14 +66,21 @@ class SignChangeQuery:
         return math.ceil(math.log2(width / self.tol)) if width > self.tol else 0
 
     def resolved_center(self) -> int:
-        center = (self.monomers - 1) // 2 if self.center is None else self.center
-        if not 0 <= center < self.monomers:
-            raise IndexError(f"center {center} outside 0..{self.monomers - 1}")
-        if not 0 <= center + self.offset < self.monomers:
-            raise IndexError(
-                f"partner {center + self.offset} outside 0..{self.monomers - 1}"
-            )
-        return center
+        return _center_index(self.monomers, self.center, self.offset)
+
+
+def _center_index(monomers: int, center: int | None, offset: int) -> int:
+    """0-based center (None: the middle monomer), after checking it and its partner lie on the chain."""
+    if monomers < 2:
+        raise ValueError("need at least 2 monomers")
+    if offset == 0:
+        raise ValueError("offset must be nonzero: a monomer has no coupling to itself, got offset 0")
+    center = (monomers - 1) // 2 if center is None else center
+    if not 0 <= center < monomers:
+        raise IndexError(f"center {center} outside 0..{monomers - 1}")
+    if not 0 <= center + offset < monomers:
+        raise IndexError(f"partner {center + offset} outside 0..{monomers - 1}")
+    return center
 
 
 def coupling_at(monomers: int, hurst: float, center: int | None, offset: int) -> float:
@@ -85,9 +90,8 @@ def coupling_at(monomers: int, hurst: float, center: int | None, offset: int) ->
     covariance is positive definite for H in (0, 1), so a failure signals a
     numerically ill-conditioned request rather than an invalid model.
     """
-    query = SignChangeQuery(monomers=monomers, offset=offset, center=center)
-    center_idx = query.resolved_center()
-    return float(chain_coupling_matrix(monomers, hurst)[center_idx, center_idx + offset])
+    center = _center_index(monomers, center, offset)
+    return float(chain_coupling_matrix(monomers, hurst)[center, center + offset])
 
 
 def find_critical_hurst(query: SignChangeQuery) -> tuple[float, int]:

@@ -20,22 +20,24 @@ class NotPositiveDefinite(FbmSpringError):
 
 
 class MissingRingModes(NotPositiveDefinite):
-    """Ring covariance modes (in 1..floor(N/2)) without positive weight.
+    """No Gaussian ring: covariance modes (in 1..floor(N/2)) without positive weight.
 
     ``min_eigenvalue`` is the smallest covariance eigenvalue among ``modes``
     and ``tol`` the tolerance it was compared with; there is no Cholesky
-    pivot, so ``pivot_index`` is None.
+    pivot, so ``pivot_index`` is None. Above H = 1/2 the message says why.
     """
 
-    def __init__(self, modes: list[int], min_eigenvalue: float, tol: float):
+    def __init__(self, modes: list[int], min_eigenvalue: float, tol: float, sites: int, hurst: float):
         self.modes, self.min_eigenvalue, self.tol = modes, min_eigenvalue, tol
         self.pivot_index, self.pivot_value = None, min_eigenvalue
         shown = ", ".join(str(m) for m in modes[:8]) + (", ..." if len(modes) > 8 else "")
+        hint = "; periodic admissibility requires hurst <= 0.5" if hurst > 0.5 else ""
         FbmSpringError.__init__(
             self,
+            f"no Gaussian ring model with {sites} sites at hurst = {hurst}: "
             f"ring increment covariance is not positive definite: no positive weight on "
             f"modes {shown} ({len(modes)} modes; smallest eigenvalue {min_eigenvalue:.6e}, "
-            f"tolerance {tol:.6e})",
+            f"tolerance {tol:.6e}){hint}",
         )
 
 

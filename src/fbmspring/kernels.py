@@ -15,7 +15,8 @@ A ring has ``N`` sites at integer positions on a circle of circumference N;
 the metric is the geodesic distance d(m) = min(|m| mod N, N - |m| mod N). The
 periodic process is pinned at site 0 and its structure function is d^{2H}.
 Sites N and 0 coincide (d(N) = 0), so the N increments around the ring sum to
-zero and the increment covariance is a singular circulant for every H.
+zero and the increment covariance is a singular circulant for every H. Its
+first row is the chain row folded at floor(N/2), the one lag with its own term.
 
 Both covariances are stationary, so the pipelines work from their first rows
 (:func:`chain_increment_row`, :func:`ring_increment_row`): chain couplings
@@ -53,12 +54,6 @@ def chain_increment_row(n: int, hurst: float) -> np.ndarray:
     return 0.5 * np.abs(d + 1.0) ** h2 + 0.5 * np.abs(d - 1.0) ** h2 - d**h2
 
 
-def _geodesic_array(sites: int, m: np.ndarray) -> np.ndarray:
-    """Geodesic distance for (possibly negative) integer lags, vectorized."""
-    r = np.abs(m) % sites
-    return np.minimum(r, sites - r)
-
-
 def ring_increment_cov(sites: int, hurst: float) -> np.ndarray:
     """Circulant increment covariance of the periodic process, shape (N, N).
 
@@ -73,11 +68,13 @@ def ring_increment_cov(sites: int, hurst: float) -> np.ndarray:
 
 
 def ring_increment_row(sites: int, hurst: float) -> np.ndarray:
-    """First row of :func:`ring_increment_cov` (length N); needs N >= 3."""
+    """First row of :func:`ring_increment_cov` (length N), the chain row folded at N // 2; needs N >= 3."""
     if sites < 3:
         raise ValueError("a ring needs at least 3 sites")
-    if not 0.0 < hurst <= 1.0:
-        raise ValueError(f"hurst must be in (0, 1], got {hurst}")
-    j = np.arange(-1, sites + 1)
-    dpow = _geodesic_array(sites, j).astype(float) ** (2.0 * hurst)
-    return 0.5 * ((dpow[2:] + dpow[:-2]) - 2.0 * dpow[1:-1])
+    half = sites // 2
+    row = chain_increment_row(half + 1, hurst)
+    near, at = np.array([half - 1, half], dtype=float) ** (2.0 * hurst)
+    far = near if sites % 2 == 0 else at  # lag N // 2 + 1 wraps back to N/2 - 1 or (N - 1)/2
+    row[half] = 0.5 * ((far + near) - 2.0 * at)
+    j = np.arange(sites)
+    return row[np.minimum(j, sites - j)]

@@ -29,7 +29,7 @@ class Definiteness(str, Enum):
 
 @dataclass(frozen=True)
 class DefinitenessVerdict:
-    """Classification of a symmetric matrix relative to a tolerance ``tol_pd``.
+    """Classification of a symmetric matrix ``a`` at tol_pd = :func:`default_tol_pd` of ``a``.
 
     ``positive_definite``      min eigenvalue >  tol_pd
     ``positive_semidefinite``  |min eigenvalue| <= tol_pd (at least one zero mode)
@@ -102,13 +102,10 @@ def eigen_sym(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NoConvergence(f"LAPACK eigh did not converge: {exc}") from exc
 
 
-def classify_definiteness(a: np.ndarray, tol_pd: float | None = None) -> DefinitenessVerdict:
-    """Classify ``a`` as PD / PSD / indefinite at tolerance ``tol_pd``."""
-    if tol_pd is not None and tol_pd < 0:
-        raise ValueError("tol_pd must be nonnegative")
+def classify_definiteness(a: np.ndarray) -> DefinitenessVerdict:
+    """Classify ``a`` as PD / PSD / indefinite at tolerance tol_pd = :func:`default_tol_pd`."""
     w, _ = eigen_sym(a)
-    if tol_pd is None:
-        tol_pd = default_tol_pd(a)
+    tol_pd = default_tol_pd(a)
     min_eig = float(w[0])
     zero_modes = int(np.count_nonzero(np.abs(w) <= tol_pd))
     if min_eig > tol_pd:

@@ -34,7 +34,6 @@ class AdmissibilityReport:
     admissible: bool
     lambda_min_nonzero: float
     violating_modes: list[int]
-    sufficient_bound_satisfied: bool | None
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,6 @@ def check_admissible(g_by_distance: np.ndarray, sites: int) -> AdmissibilityRepo
         admissible=not violating,
         lambda_min_nonzero=float(lam.min()),
         violating_modes=violating,
-        sufficient_bound_satisfied=stiff_sufficient_bound(g_by_distance),
     )
 
 
@@ -133,13 +131,12 @@ def power_law_ring(
     g[0] = g1
     k = np.arange(2, half + 1, dtype=float)
     g[1:] = -c * k**-gamma
-    finite = stiff_sufficient_bound(g)
     zeta_bound = None
     if gamma > 3.0:
         zeta_bound = bool(g1 > c * math.pi**2 * zeta_minus_one_tail(gamma - 2.0))
     return PowerLawDesign(
         g_by_distance=g,
-        finite_bound_satisfied=bool(finite) if finite is not None else True,
+        finite_bound_satisfied=stiff_sufficient_bound(g),
         zeta_bound_satisfied=zeta_bound,
     )
 
@@ -164,6 +161,6 @@ def ring_coupling_profile(sites: int, hurst: float) -> np.ndarray:
     tol = spectrum_tol(row)
     missing = mu <= tol
     if missing.any():
-        raise MissingRingModes(modes=[int(m) for m in modes[missing]], min_eigenvalue=float(mu.min()), tol=tol)
+        raise MissingRingModes([int(m) for m in modes[missing]], float(mu.min()), tol, sites, hurst)
     lam = (1.0 - np.cos(2.0 * np.pi * modes / sites)) / mu
     return -_cosine_transform(np.concatenate(([0.0], mirrored_distance_row(lam, sites))))[modes] / sites

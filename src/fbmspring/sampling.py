@@ -44,19 +44,9 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """A (paths x dim) block of samples plus the seed that produced it."""
+    """A block of samples: ``values`` has one row per path and one column per coordinate."""
 
     values: np.ndarray
-    seed: int | np.random.Generator
-    model_tag: str
-
-    @property
-    def paths(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
 
 def _normals(shape: tuple[int, int], seed: int | np.random.Generator) -> np.ndarray:
@@ -65,40 +55,33 @@ def _normals(shape: tuple[int, int], seed: int | np.random.Generator) -> np.ndar
     return rng.standard_normal(shape)
 
 
-def sample_gaussian(
-    cov: np.ndarray,
-    paths: int,
-    seed: int | np.random.Generator,
-    tol_pd: float | None = None,
-    model_tag: str = "gaussian",
-) -> SampleBatch:
+def sample_gaussian(cov: np.ndarray, paths: int, seed: int | np.random.Generator) -> SampleBatch:
     """Exact zero-mean Gaussian samples with the given covariance.
 
-    ``cov`` must be positive semidefinite at tolerance ``tol_pd``; a smaller
-    eigenvalue raises IndefiniteCovariance (e.g. a periodic model requested
-    above its admissible Hurst range). ``seed`` is a Philox key or a
+    ``cov`` must be positive semidefinite at tolerance tol_pd =
+    ``linalg.default_tol_pd(cov)``; a smaller eigenvalue raises
+    IndefiniteCovariance (e.g. a periodic model requested above its
+    admissible Hurst range). ``seed`` is a Philox key or a
     Generator whose stream continues.
     """
     if paths < 1:
         raise ValueError("paths must be >= 1")
     w, v = linalg.eigen_sym(cov)
-    if tol_pd is None:
-        tol_pd = linalg.default_tol_pd(cov)
-    if w[0] < -tol_pd:
+    if w[0] < -linalg.default_tol_pd(cov):
         raise IndefiniteCovariance(min_eigenvalue=float(w[0]))
     factor = v * np.sqrt(np.clip(w, 0.0, None))
     z = _normals((paths, w.size), seed)
-    return SampleBatch(values=z @ factor.T, seed=seed, model_tag=model_tag)
+    return SampleBatch(values=z @ factor.T)
 
 
-def covariance_bound(cov: np.ndarray, paths: int, sigmas: float = 5.0) -> np.ndarray:
-    """Elementwise statistical bound for the zero-mean covariance estimator.
+def covariance_bound(cov: np.ndarray, paths: int) -> np.ndarray:
+    """Elementwise five-sigma bound for the zero-mean covariance estimator.
 
     The estimator variance for Gaussian data is (c_ii c_kk + c_ik^2) / paths.
     """
     cov = np.asarray(cov, dtype=float)
     d = np.diag(cov)
-    return sigmas * np.sqrt((np.outer(d, d) + cov**2) / paths)
+    return 5.0 * np.sqrt((np.outer(d, d) + cov**2) / paths)
 
 
 def piecewise_ring_cov(s: float, t: float) -> float:
@@ -168,7 +151,7 @@ def reflected_brownian_ring(t_grid: np.ndarray, paths: int, seed: int | np.rando
     half = wiener[:, np.searchsorted(times, math.pi), None]
     values = wiener[:, np.searchsorted(times, source)]
     np.subtract(half, values, out=values, where=t_grid > math.pi)
-    return SampleBatch(values=values, seed=seed, model_tag=f"reflected_ring[{t_grid.size}]")
+    return SampleBatch(values=values)
 
 
 def brownian_bridge_ring(t_grid: np.ndarray, paths: int, seed: int | np.random.Generator) -> SampleBatch:
@@ -181,7 +164,7 @@ def brownian_bridge_ring(t_grid: np.ndarray, paths: int, seed: int | np.random.G
     wiener = _wiener_at(times, paths, seed)
     values = wiener[:, np.searchsorted(times, t_grid)]
     values -= (t_grid / TWO_PI) * wiener[:, -1:]
-    return SampleBatch(values=values, seed=seed, model_tag=f"bridge_ring[{t_grid.size}]")
+    return SampleBatch(values=values)
 
 
 def uniform_ring_grid(n_points: int) -> np.ndarray:

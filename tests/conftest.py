@@ -58,6 +58,22 @@ def ring_position_cov(sites, hurst):
     return (dpow[0][:, None] + dpow[0][None, :] - dpow) / 2.0
 
 
+def geodesic_lags(sites, m):
+    """Geodesic distance min(|m| mod N, N - |m| mod N) of integer lags on an N-site ring."""
+    r = np.abs(m) % sites
+    return np.minimum(r, sites - r)
+
+
+def ring_increment_row_geodesic(sites, hurst):
+    """Ring increment row straight from geodesic distances, the oracle for the folded chain row.
+
+    c_j = ((d(j+1)^{2H} + d(j-1)^{2H}) - 2 d(j)^{2H}) / 2, evaluated in that order.
+    """
+    j = np.arange(-1, sites + 1)
+    dpow = geodesic_lags(sites, j).astype(float) ** (2.0 * hurst)
+    return 0.5 * ((dpow[2:] + dpow[:-2]) - 2.0 * dpow[1:-1])
+
+
 def ring_laplacian_circulant(g_by_distance, sites):
     """First row of the ring energy matrix g*I - G: (sum g_k, -g_1, ..., -g_1)."""
     g_row = mirrored_distance_row(g_by_distance, sites)
@@ -82,4 +98,4 @@ def grid_increments(batch):
 
 def empirical_covariance(batch):
     """Zero-mean covariance estimate values.T @ values / paths."""
-    return batch.values.T @ batch.values / batch.paths
+    return batch.values.T @ batch.values / len(batch.values)

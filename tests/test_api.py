@@ -81,6 +81,7 @@ def test_removed_names_stay_removed():
         "ring_laplacian_circulant", "uniform_grid_increment_cov", "grid_increments",
         "empirical_covariance", "_ring_increment_row", "default_admissibility_tol",
         "ChainModel", "RingGeometry", "CouplingProfile", "RingModel",
+        "_geodesic_array", "_ring_profile",
     }
     for module in MODULES:
         assert removed.isdisjoint(vars(importlib.import_module(f"fbmspring.{module}"))), module

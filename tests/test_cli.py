@@ -223,6 +223,12 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--g-file", str(model)]) == 2
         assert "distance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["1,,-0.25", "1,-0.25,", ",1"])
+    def test_empty_coupling_field_rejected(self, capsys, text):
+        # an empty field is not a zero coupling: it would shift every later g_k
+        assert main(["spectrum", "--sites", "8", "--g", text]) == 2
+        assert capsys.readouterr().err == f"error: could not parse --g value {text!r}: invalid float value: ''\n"
+
 
 class TestCriticalCommand:
     def test_default_reproduces_published_value(self, tmp_path):
@@ -250,6 +256,15 @@ class TestCriticalCommand:
         assert main(["critical", "--tol", "1e-17"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: tol 1.000e-17 is below the floor 4.441e-16")
+
+    @pytest.mark.parametrize("center, offset, partner", [(60, 3, 63), (2, -3, -1)])
+    def test_partner_off_the_chain_is_named_1_based(self, monkeypatch, capsys, center, offset, partner):
+        monkeypatch.setattr(cli, "find_critical_hurst", None)  # rejected before any chain is built
+        argv = ["critical", "--monomers", "61", "--center", str(center), "--offset", str(offset)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: --center {center} and --offset {offset} name monomer {partner}, outside 1..61\n"
+        )
 
     def test_nearest_neighbor_exit_code(self, capsys):
         code = main(["critical", "--offset", "1", "--bracket", "0.55", "0.95"])
@@ -760,7 +775,7 @@ class TestExitStatus:
         (FileNotFoundError("no such file"), "error", 2),
         (NoSignChange("same sign"), "no result", 3),
         (NotPositiveDefinite(pivot_index=1, pivot_value=0.0), "numerical failure", 4),
-        (MissingRingModes([2], 0.0, 1e-15), "numerical failure", 4),
+        (MissingRingModes([2], 0.0, 1e-15, 6, 0.5), "error", 2),
         (NoConvergence("eigh"), "numerical failure", 4),
         (QuadratureFailure(1.0, 1.0, 1e-10), "numerical failure", 4),
         (DivergentSeries("s <= 1"), "error", 4),

@@ -25,12 +25,28 @@ class TestCouplingAt:
         with pytest.raises(IndexError):
             coupling_at(11, 0.4, 9, 3)
 
+    def test_checks_without_building_a_query(self, monkeypatch):
+        # one helper owns the center and partner checks for coupling_at and the query alike
+        monkeypatch.setattr(critical, "SignChangeQuery", None)
+        assert coupling_at(11, 0.4, None, 3) == coupling_at(11, 0.4, 5, 3)
+        with pytest.raises(IndexError, match=r"^partner 12 outside 0\.\.10$"):
+            coupling_at(11, 0.4, 9, 3)
+        with pytest.raises(IndexError, match=r"^center 11 outside 0\.\.10$"):
+            coupling_at(11, 0.4, 11, -1)
+        with pytest.raises(ValueError, match="need at least 2 monomers"):
+            coupling_at(1, 0.4, None, 1)
+
 
 class TestSignChangeQuery:
     @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
     def test_tol_must_be_positive(self, tol):
         with pytest.raises(ValueError, match="tol"):
             SignChangeQuery(tol=tol)
+
+    def test_partner_is_checked_at_construction(self):
+        with pytest.raises(IndexError, match=r"^partner 12 outside 0\.\.10$"):
+            SignChangeQuery(monomers=11, offset=3, center=9)
+        assert SignChangeQuery(monomers=11, offset=-3).resolved_center() == 5
 
     def test_offset_zero_has_no_partner(self):
         with pytest.raises(ValueError, match="offset 0"):

@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fbmspring.kernels import (
-    _geodesic_array,
     chain_increment_cov,
     chain_increment_row,
     ring_increment_cov,
@@ -12,7 +11,7 @@ from fbmspring.kernels import (
 )
 from fbmspring.linalg import Definiteness, classify_definiteness
 
-from conftest import ring_position_cov
+from conftest import geodesic_lags, ring_increment_row_geodesic, ring_position_cov
 
 
 class TestChainCov:
@@ -53,25 +52,25 @@ class TestChainCov:
 
 
 class TestGeodesic:
-    """The geodesic distance of integer lags that ring_increment_row is built on."""
+    """The geodesic distance of integer lags behind the oracle row in conftest."""
 
     def test_antipodal(self):
-        assert _geodesic_array(6, np.array([3, -3])).tolist() == [3, 3]
+        assert geodesic_lags(6, np.array([3, -3])).tolist() == [3, 3]
 
     def test_wraparound(self):
-        assert _geodesic_array(6, np.array([5, -1])).tolist() == [1, 1]
+        assert geodesic_lags(6, np.array([5, -1])).tolist() == [1, 1]
 
     def test_odd_ring(self):
-        assert _geodesic_array(7, np.array([1 - 5, 5 - 1])).tolist() == [3, 3]
+        assert geodesic_lags(7, np.array([1 - 5, 5 - 1])).tolist() == [3, 3]
 
     def test_out_of_range(self):
         # lags of a full turn or more wrap around
-        assert _geodesic_array(6, np.array([6, 7, -9, 12])).tolist() == [0, 1, 3, 0]
+        assert geodesic_lags(6, np.array([6, 7, -9, 12])).tolist() == [0, 1, 3, 0]
 
     @given(n=st.integers(3, 40), i=st.integers(0, 39), k=st.integers(0, 39))
     def test_metric_properties(self, n, i, k):
         i, k = i % n, k % n
-        d, d_back, d_self = _geodesic_array(n, np.array([i - k, k - i, 0]))
+        d, d_back, d_self = geodesic_lags(n, np.array([i - k, k - i, 0]))
         assert 0 <= d <= n // 2
         assert d == d_back == min(abs(i - k), n - abs(i - k))
         assert d_self == 0
@@ -114,6 +113,14 @@ class TestRingIncrementCov:
         np.testing.assert_array_equal(
             ring_increment_row(6, 0.5), [1.0, 0.0, 0.0, -1.0, 0.0, 0.0]
         )
+
+    def test_row_is_the_geodesic_formula_bit_for_bit(self):
+        # the chain row folded at floor(N/2) against the second difference on geodesic distances
+        sizes = [*range(3, 300), 511, 512, 1000, 1023, 1024, 4095, 4096, 65536, 65537]
+        hursts = np.linspace(0.01, 1.0, 15).tolist()
+        differ = [(sites, hurst) for sites in sizes for hurst in hursts
+                  if ring_increment_row(sites, hurst).tobytes() != ring_increment_row_geodesic(sites, hurst).tobytes()]
+        assert len(sizes) * len(hursts) == 4590 and differ == []
 
     def test_unit_diagonal(self):
         cov = ring_increment_cov(5, 0.5)

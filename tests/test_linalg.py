@@ -320,7 +320,13 @@ class TestClassify:
                     assert not factored
 
     def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
+        # the tolerance is default_tol_pd(a) (2e-9 here), not a parameter
+        tol = default_tol_pd(np.eye(2))
+        assert classify_definiteness(np.diag([1.0, tol])).kind is Definiteness.POSITIVE_SEMIDEFINITE
+        assert classify_definiteness(np.diag([1.0, np.nextafter(tol, 1.0)])).kind is Definiteness.POSITIVE_DEFINITE
+        assert classify_definiteness(np.diag([1.0, -tol])).kind is Definiteness.POSITIVE_SEMIDEFINITE
+        assert classify_definiteness(np.diag([1.0, -2.0 * tol])).kind is Definiteness.INDEFINITE
+        with pytest.raises(TypeError):
             classify_definiteness(np.eye(2), tol_pd=-1.0)
 
 

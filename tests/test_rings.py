@@ -157,7 +157,6 @@ class TestAdmissibility:
     def test_bound_not_applicable_for_attractive_tails(self):
         g = np.array([1.0, 0.2, 0.0, 0.0])
         assert stiff_sufficient_bound(g) is None
-        assert check_admissible(g, 8).sufficient_bound_satisfied is None
 
     def test_cosine_sandwich_inequalities(self):
         # (x/pi)^2 <= 1 - cos x <= x^2/2 on [0, pi]; these back the summed
@@ -314,6 +313,19 @@ class TestRingCouplingProfile:
         assert info.value.modes == [2, 4]
         assert abs(info.value.min_eigenvalue) < 1e-12
         assert "modes 2, 4 " in str(info.value)
+
+    @pytest.mark.parametrize("hurst, hint", [(0.7, "; periodic admissibility requires hurst <= 0.5"), (0.5, "")])
+    def test_missing_modes_message_names_the_ring(self, hurst, hint):
+        # the whole message the CLI prints; the admissibility hint only above H = 1/2
+        with pytest.raises(MissingRingModes) as info:
+            ring_coupling_profile(6, hurst)
+        exc = info.value
+        assert str(exc) == (
+            f"no Gaussian ring model with 6 sites at hurst = {hurst}: ring increment covariance is not "
+            f"positive definite: no positive weight on modes 2 (1 modes; smallest eigenvalue "
+            f"{exc.min_eigenvalue:.6e}, tolerance {exc.tol:.6e}){hint}"
+        )
+        assert exc.modes == [2] and exc.pivot_index is None
 
     @pytest.mark.parametrize("sites", [6, 64, 1024, 65536])
     def test_brownian_zeros_stay_below_the_fft_tolerance(self, sites):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -60,9 +61,10 @@ class TestSampleGaussian:
         assert info.value.min_eigenvalue < 0
 
     def test_batch_shape_and_tag(self):
-        batch = sample_gaussian(np.eye(3), paths=17, seed=0, model_tag="demo")
-        assert (batch.paths, batch.dim) == (17, 3)
-        assert batch.model_tag == "demo"
+        # a batch carries its values only: no seed, model tag or derived sizes
+        batch = sample_gaussian(np.eye(3), paths=17, seed=0)
+        assert batch.values.shape == (17, 3)
+        assert [field.name for field in dataclasses.fields(batch)] == ["values"]
 
 
 class TestPiecewiseCov:
@@ -311,7 +313,7 @@ class TestHelpers:
 
     def test_covariance_bound_formula(self):
         cov = np.array([[2.0, 1.0], [1.0, 3.0]])
-        bound = covariance_bound(cov, paths=100, sigmas=5.0)
+        bound = covariance_bound(cov, paths=100)  # five sigma
         assert bound[0, 1] == pytest.approx(5 * math.sqrt((2 * 3 + 1) / 100))
         assert bound[0, 0] == pytest.approx(5 * math.sqrt((4 + 4) / 100))
 
