@@ -61,7 +61,6 @@ from .sampling import (
     brownian_bridge_ring,
     covariance_bound,
     fourier_mode_energy,
-    piecewise_ring_cov,
     piecewise_ring_cov_matrix,
     reflected_brownian_ring,
     sample_gaussian,
@@ -88,8 +87,8 @@ __all__ = [
     "SignChangeQuery", "coupling_at", "find_critical_hurst",
     # sampling
     "SampleBatch", "brownian_bridge_ring", "covariance_bound", "fourier_mode_energy",
-    "piecewise_ring_cov", "piecewise_ring_cov_matrix", "reflected_brownian_ring",
-    "sample_gaussian", "uniform_ring_grid",
+    "piecewise_ring_cov_matrix", "reflected_brownian_ring", "sample_gaussian",
+    "uniform_ring_grid",
     # errors
     "FbmSpringError", "DivergentSeries", "IndefiniteCovariance", "InvalidExponent",
     "MissingRingModes", "NoConvergence", "NonpositiveG1", "NoSignChange",

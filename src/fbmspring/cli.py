@@ -1,24 +1,27 @@
 """Command-line front end.
 
 Subcommands build models from flags, run the library pipelines, and emit
-figure-ready CSV series plus machine-readable JSON reports. Every invocation
-that writes files also writes a run manifest (``<out>.manifest.json``)
-recording the command, parameters, package version, seed, and output list;
-re-running the recorded command reproduces the outputs byte for byte.
+figure-ready CSV series plus machine-readable JSON reports. A subcommand's
+handler returns the files it wrote; ``main`` then writes the run manifest
+(``<out>.manifest.json``) when ``--out`` is set, recording the command,
+parameters, package version, seed, and output list, and sets the exit status.
+Re-running the recorded command reproduces the outputs byte for byte.
 
 CSV conventions: ``#``-prefixed model echo lines, then a header, then rows
 with full round-trip precision (17 significant digits) and LF line endings.
 Every CSV goes through one writer: it turns blocks of about 16k values into
 ASCII with numpy, byte for byte what ``'%.17g' %`` prints for each float, and
 writes the bytes to the file or stdout, so no text copy of a table is held.
-A file is written as ``<out>.partial`` and renamed to ``<out>`` only when it
-is complete; a run that fails or is interrupted removes the partial file.
+Every file (CSV, JSON report, gnuplot script, manifest) is written as
+``<name>.partial`` and renamed to ``<name>`` only when it is complete; a run
+that fails or is interrupted removes the partial file.
 ``sample --model reflected|bridge`` draws, writes and checks its batch in row
 chunks of about 1 MiB taken from one Philox stream, so its memory depends on
 ``--grid`` and not on ``--paths``; chain and ring batches are one chunk.
 
-Exit codes: 0 success, 2 invalid input or model, 3 no result (e.g. the
-bracketed coupling has no sign change), 4 numerical failure.
+Exit codes: 0 success, 2 invalid input or model (a ``ValueError``, including
+the package errors that reject a model), 3 no result (the bracketed coupling
+has no sign change), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -36,18 +39,7 @@ from . import __version__
 from .circulant import circulant_eigenvalues, ring_mode_spectrum
 from .couplings import chain_coupling_matrix, coupling_laplacian
 from .critical import SignChangeQuery, coupling_at, find_critical_hurst
-from .errors import (
-    FbmSpringError,
-    IndefiniteCovariance,
-    InvalidExponent,
-    MissingRingModes,
-    NoConvergence,
-    NonpositiveG1,
-    NoSignChange,
-    NotPositiveDefinite,
-    NotSymmetricCirculant,
-    QuadratureFailure,
-)
+from .errors import FbmSpringError, NoSignChange
 from .kernels import chain_increment_cov, ring_increment_cov, ring_increment_row
 from .linalg import eigen_sym
 from .rings import check_admissible, power_law_ring, ring_coupling_profile
@@ -67,7 +59,7 @@ EXIT_NO_RESULT = 3
 EXIT_NUMERICAL = 4
 
 
-class CliInputError(Exception):
+class CliInputError(ValueError):
     """Invalid flags, files, or model parameters (exit code 2)."""
 
 
@@ -240,78 +232,74 @@ def _replace_when_done(path: Path):
         raise
 
 
-def _write_csv(path: Path | None, echo: dict, header: str, blocks) -> None:
+@contextlib.contextmanager
+def _output(path: Path | None):
+    """``write(bytes)`` into a file that appears whole at ``path``, or onto stdout for None."""
+    if path is not None:
+        with _replace_when_done(path) as out:
+            yield out.write
+        return
+    sys.stdout.flush()  # text already written to stdout goes first
+    buffer = getattr(sys.stdout, "buffer", None)  # an io.StringIO redirect has none
+    yield buffer.write if buffer is not None else lambda data: sys.stdout.write(data.decode())
+
+
+def _write_csv(path: Path | None, echo: dict, header: str, blocks) -> list[Path]:
     """Echo lines and header, then one ``%.17g``-formatted line per row of each 2-D block.
 
     Each block is formatted by ``_format_rows`` in pieces of about
     ``_BLOCK_VALUES`` values and written as bytes to the file (or stdout), so
     no text copy of the table is ever held and a block may be produced after
-    the ones before it are written. A file only appears at ``path`` once it is
-    complete. Integral floats below 2**53, such as series indices, print as
-    plain integers.
+    the ones before it are written. Integral floats below 2**53, such as
+    series indices, print as plain integers. Returns the files written.
     """
-    with contextlib.nullcontext() if path is None else _replace_when_done(path) as out:
-        if out is None:
-            sys.stdout.flush()  # text already written to stdout goes first
-            buffer = getattr(sys.stdout, "buffer", None)  # an io.StringIO redirect has none
-            write = buffer.write if buffer is not None else lambda data: sys.stdout.write(data.decode())
-        else:
-            write = out.write
+    with _output(path) as write:
         write("".join([*(f"# {key}={value}\n" for key, value in echo.items()), f"{header}\n"]).encode())
         for block in blocks:
             step = max(1, _BLOCK_VALUES // block.shape[1])
             for start in range(0, len(block), step):
                 write(_format_rows(block[start : start + step]))
+    return [] if path is None else [path]
 
 
-def _write_json(path: Path | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        path.write_text(text, newline="\n")
+def _write_json(path: Path | None, payload: dict) -> list[Path]:
+    with _output(path) as write:
+        write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+    return [] if path is None else [path]
 
 
-def _write_manifest(out: Path, command: str, args: argparse.Namespace, outputs: list[Path]) -> None:
-    skip = {"handler", "func"}
+def _write_manifest(args: argparse.Namespace, outputs: list[Path]) -> None:
     params = {
         key: (str(value) if isinstance(value, Path) else value)
         for key, value in sorted(vars(args).items())
-        if key not in skip and not key.startswith("_")
+        if key != "handler" and not key.startswith("_")
     }
     manifest = {
-        "command": command,
+        "command": args.subcommand,
         "parameters": params,
         "artifact_version": __version__,
         "seed": getattr(args, "seed", None),
         "outputs": [p.name for p in outputs],
     }
-    _write_json(out.with_suffix(".manifest.json"), manifest)
+    _write_json(args.out.with_suffix(".manifest.json"), manifest)
 
 
-def _write_gnuplot(out: Path, xlabel: str, ylabel: str) -> Path:
-    script = out.with_suffix(".gp")
-    script.write_text(
-        "set datafile separator ','\n"
-        "set key off\n"
-        f"set xlabel '{xlabel}'\n"
-        f"set ylabel '{ylabel}'\n"
-        f"set title '{out.name}'\n"
-        f"plot '{out.name}' using 1:2 with linespoints pt 7\n",
-        newline="\n",
-    )
-    return script
-
-
-def _write_series(args: argparse.Namespace, command: str, echo: dict, xlabel: str, ylabel: str, x, y) -> None:
-    """Integer ``x`` and float ``y`` as a two-column CSV; with --out also the
-    manifest and, on --gnuplot, a plot script."""
-    _write_csv(args.out, echo, f"{xlabel},{ylabel}", [np.column_stack((x, y))])
-    if args.out is not None:
-        outputs = [args.out]
-        if args.gnuplot:
-            outputs.append(_write_gnuplot(args.out, xlabel, ylabel))
-        _write_manifest(args.out, command, args, outputs)
+def _write_series(args: argparse.Namespace, echo: dict, xlabel: str, ylabel: str, x, y) -> list[Path]:
+    """Integer ``x`` and float ``y`` as a two-column CSV, plus a gnuplot script on --out with --gnuplot."""
+    outputs = _write_csv(args.out, echo, f"{xlabel},{ylabel}", [np.column_stack((x, y))])
+    if outputs and args.gnuplot:
+        script = args.out.with_suffix(".gp")
+        with _output(script) as write:
+            write((
+                "set datafile separator ','\n"
+                "set key off\n"
+                f"set xlabel '{xlabel}'\n"
+                f"set ylabel '{ylabel}'\n"
+                f"set title '{args.out.name}'\n"
+                f"plot '{args.out.name}' using 1:2 with linespoints pt 7\n"
+            ).encode())
+        outputs.append(script)
+    return outputs
 
 
 def _resolve_center(monomers: int, center_flag: int | None) -> int:
@@ -325,7 +313,7 @@ def _resolve_center(monomers: int, center_flag: int | None) -> int:
 
 # ----------------------------------------------------------------- couplings
 
-def _cmd_couplings(args: argparse.Namespace) -> int:
+def _cmd_couplings(args: argparse.Namespace) -> list[Path]:
     if args.monomers < 3:
         raise CliInputError("--monomers must be >= 3")
     echo = {
@@ -345,8 +333,7 @@ def _cmd_couplings(args: argparse.Namespace) -> int:
         y = ring_coupling_profile(args.monomers, args.hurst)
         x = np.arange(1, y.size + 1)
         xlabel = "distance"
-    _write_series(args, "couplings", echo, xlabel, "g", x, y)
-    return EXIT_OK
+    return _write_series(args, echo, xlabel, "g", x, y)
 
 
 # ------------------------------------------------------------------ spectrum
@@ -419,7 +406,7 @@ def _ring_model_from_args(args: argparse.Namespace) -> tuple[int, np.ndarray]:
     return sites, g
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
+def _cmd_spectrum(args: argparse.Namespace) -> list[Path]:
     echo: dict = {"command": "spectrum"}
     if args.g is not None or args.g_file is not None:
         sites, g = _ring_model_from_args(args)
@@ -447,13 +434,12 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             lam = eigen_sym(coupling_laplacian(chain_coupling_matrix(args.monomers, args.hurst)))[0]
     else:
         raise CliInputError("spectrum needs either --g/--g-file or --mode with --monomers/--hurst")
-    _write_series(args, "spectrum", echo, "mode", "lambda", np.arange(lam.size), lam)
-    return EXIT_OK
+    return _write_series(args, echo, "mode", "lambda", np.arange(lam.size), lam)
 
 
 # ------------------------------------------------------------------ critical
 
-def _cmd_critical(args: argparse.Namespace) -> int:
+def _cmd_critical(args: argparse.Namespace) -> list[Path]:
     center = _resolve_center(args.monomers, args.center)
     try:
         query = SignChangeQuery(
@@ -480,15 +466,12 @@ def _cmd_critical(args: argparse.Namespace) -> int:
         "iterations": iterations,
         "residual_coupling": residual,
     }
-    _write_json(args.out, payload)
-    if args.out is not None:
-        _write_manifest(args.out, "critical", args, [args.out])
-    return EXIT_OK
+    return _write_json(args.out, payload)
 
 
 # --------------------------------------------------------------- ring design
 
-def _cmd_ring_design(args: argparse.Namespace) -> int:
+def _cmd_ring_design(args: argparse.Namespace) -> list[Path]:
     design = power_law_ring(
         sites=args.sites,
         g1=args.g1,
@@ -511,10 +494,7 @@ def _cmd_ring_design(args: argparse.Namespace) -> int:
         "lambda_min": report.lambda_min_nonzero,
         "violating_modes": report.violating_modes,
     }
-    _write_json(args.out, payload)
-    if args.out is not None:
-        _write_manifest(args.out, "ring-design", args, [args.out])
-    return EXIT_OK
+    return _write_json(args.out, payload)
 
 
 # -------------------------------------------------------------------- sample
@@ -524,7 +504,7 @@ def _cmd_ring_design(args: argparse.Namespace) -> int:
 _CHUNK_VALUES = 131_072
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
+def _cmd_sample(args: argparse.Namespace) -> list[Path]:
     if args.paths < 1:
         raise CliInputError("--paths must be >= 1")
     echo: dict = {"command": "sample", "model": args.model, "paths": args.paths, "seed": args.seed}
@@ -542,14 +522,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             raise CliInputError("ring sampling needs --sites and --hurst")
         echo.update(sites=args.sites, hurst=_fmt(args.hurst))
         reference = ring_increment_cov(args.sites, args.hurst)
-        try:
-            batches = [sample_gaussian(reference, args.paths, args.seed)]
-        except IndefiniteCovariance as exc:
-            raise CliInputError(
-                f"cannot sample: increment covariance is indefinite "
-                f"(min eigenvalue {exc.min_eigenvalue:.6e}); periodic "
-                f"admissibility requires hurst <= 0.5, got {args.hurst}"
-            ) from exc
+        batches = [sample_gaussian(reference, args.paths, args.seed)]
     else:  # reflected | bridge positions on a uniform circle grid, in row chunks of one stream
         grid = uniform_ring_grid(args.grid)
         echo.update(grid=args.grid)
@@ -566,7 +539,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             gram[...] += batch.values.T @ batch.values
             yield batch.values
 
-    _write_csv(args.out, echo, ",".join(f"v{i}" for i in range(dim)), blocks())
+    outputs = _write_csv(args.out, echo, ",".join(f"v{i}" for i in range(dim)), blocks())
     empirical = gram / args.paths
     bound = covariance_bound(reference, args.paths)
     error = np.abs(empirical - reference)
@@ -583,23 +556,19 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if report_path is None and args.out is not None:
         report_path = args.out.with_suffix(".report.json")
     if report_path is not None:  # stdout mode emits the CSV only
-        _write_json(report_path, report)
-    if args.out is not None:
-        outputs = [args.out] + ([report_path] if report_path is not None else [])
-        _write_manifest(args.out, "sample", args, outputs)
-    return EXIT_OK
+        outputs += _write_json(report_path, report)
+    return outputs
 
 
 # ------------------------------------------------------------ fourier energy
 
-def _cmd_fourier_energy(args: argparse.Namespace) -> int:
+def _cmd_fourier_energy(args: argparse.Namespace) -> list[Path]:
     if args.mode_max < 1:
         raise CliInputError("--mode-max must be >= 1")
     echo = {"command": "fourier-energy", "hurst": _fmt(args.hurst), "mode_max": args.mode_max}
     modes = range(1, args.mode_max + 1)
     energies = [fourier_mode_energy(args.hurst, mode) for mode in modes]
-    _write_series(args, "fourier-energy", echo, "mode", "value", modes, energies)
-    return EXIT_OK
+    return _write_series(args, echo, "mode", "value", modes, energies)
 
 
 # -------------------------------------------------------------------- parser
@@ -674,28 +643,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Stderr prefix and exit code per failure class; the first match wins.
-_INVALID, _NUMERICAL = ("error", EXIT_INVALID), ("numerical failure", EXIT_NUMERICAL)
+#: Stderr prefix and exit code per group of failure classes; the first match wins.
 _FAILURES = {
-    CliInputError: _INVALID,
-    NoSignChange: ("no result", EXIT_NO_RESULT),
-    MissingRingModes: _INVALID,  # ahead of its base class NotPositiveDefinite
-    **dict.fromkeys((IndefiniteCovariance, NonpositiveG1, InvalidExponent, NotSymmetricCirculant), _INVALID),
-    **dict.fromkeys((ValueError, IndexError, OSError), _INVALID),
-    MemoryError: _INVALID,  # a request too large to allocate
-    **dict.fromkeys((NotPositiveDefinite, NoConvergence, QuadratureFailure), _NUMERICAL),
-    FbmSpringError: ("error", EXIT_NUMERICAL),  # safety net for future error types
+    (NoSignChange,): ("no result", EXIT_NO_RESULT),
+    (ValueError, IndexError, OSError, MemoryError): ("error", EXIT_INVALID),  # MemoryError: an oversized request
+    (FbmSpringError,): ("numerical failure", EXIT_NUMERICAL),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except tuple(_FAILURES) as exc:
-        prefix, code = next(status for cls, status in _FAILURES.items() if isinstance(exc, cls))
+        outputs = args.handler(args)
+        if args.out is not None:
+            _write_manifest(args, outputs)
+    except tuple(cls for group in _FAILURES for cls in group) as exc:
+        prefix, code = next(status for group, status in _FAILURES.items() if isinstance(exc, group))
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code
+    return EXIT_OK
 
 
 def run() -> None:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An error that rejects its input or model is also a ``ValueError``.
+"""
 
 
 class FbmSpringError(Exception):
@@ -19,19 +22,20 @@ class NotPositiveDefinite(FbmSpringError):
         )
 
 
-class MissingRingModes(NotPositiveDefinite):
+class MissingRingModes(NotPositiveDefinite, ValueError):
     """No Gaussian ring: covariance modes (in 1..floor(N/2)) without positive weight.
 
     ``min_eigenvalue`` is the smallest covariance eigenvalue among ``modes``
     and ``tol`` the tolerance it was compared with; there is no Cholesky
-    pivot, so ``pivot_index`` is None. Above H = 1/2 the message says why.
+    pivot, so ``pivot_index`` is None. Above H = 1/2 the message adds that only
+    some odd rings have one.
     """
 
     def __init__(self, modes: list[int], min_eigenvalue: float, tol: float, sites: int, hurst: float):
         self.modes, self.min_eigenvalue, self.tol = modes, min_eigenvalue, tol
         self.pivot_index, self.pivot_value = None, min_eigenvalue
         shown = ", ".join(str(m) for m in modes[:8]) + (", ..." if len(modes) > 8 else "")
-        hint = "; periodic admissibility requires hurst <= 0.5" if hurst > 0.5 else ""
+        hint = "; above hurst = 0.5 only some odd rings have one" if hurst > 0.5 else ""
         FbmSpringError.__init__(
             self,
             f"no Gaussian ring model with {sites} sites at hurst = {hurst}: "
@@ -45,7 +49,7 @@ class NoConvergence(FbmSpringError):
     """LAPACK's symmetric eigensolver (``eigh``) did not converge."""
 
 
-class NotSymmetricCirculant(FbmSpringError):
+class NotSymmetricCirculant(FbmSpringError, ValueError):
     """First row violates c[k] == c[N-k]; real eigenvalues are not guaranteed."""
 
 
@@ -53,14 +57,13 @@ class NoSignChange(FbmSpringError):
     """Bisection bracket endpoints do not have strictly opposite signs."""
 
 
-class IndefiniteCovariance(FbmSpringError):
-    """Requested sampling from a matrix with an eigenvalue below -tol_pd."""
+class IndefiniteCovariance(FbmSpringError, ValueError):
+    """Requested sampling from a matrix with an eigenvalue below -tol."""
 
-    def __init__(self, min_eigenvalue: float):
-        self.min_eigenvalue = min_eigenvalue
-        super().__init__(
-            f"covariance is indefinite: smallest eigenvalue {min_eigenvalue:.6e}"
-        )
+    def __init__(self, min_eigenvalue: float, tol: float):
+        self.min_eigenvalue, self.tol = min_eigenvalue, tol
+        super().__init__(f"cannot sample: covariance is indefinite: smallest eigenvalue "
+                         f"{min_eigenvalue:.6e}, tolerance {tol:.6e}")
 
 
 class QuadratureFailure(FbmSpringError):
@@ -75,13 +78,13 @@ class QuadratureFailure(FbmSpringError):
         )
 
 
-class DivergentSeries(FbmSpringError):
+class DivergentSeries(FbmSpringError, ValueError):
     """Zeta-type series evaluated at an exponent where it diverges (s <= 1)."""
 
 
-class NonpositiveG1(FbmSpringError):
+class NonpositiveG1(FbmSpringError, ValueError):
     """Stability bounds are stated relative to a positive nearest-neighbor coupling."""
 
 
-class InvalidExponent(FbmSpringError):
+class InvalidExponent(FbmSpringError, ValueError):
     """Power-law decay too slow for the size-independent admissibility guarantee."""

@@ -152,8 +152,9 @@ def ring_coupling_profile(sites: int, hurst: float) -> np.ndarray:
 
     with the m = 0 term zero. Raises MissingRingModes (a NotPositiveDefinite)
     naming each mode m <= N/2 with mu_m <= spectrum_tol(c), the FFT's rounding
-    error times a safety factor: then no Gaussian ring exists (H > 1/2 apart
-    from small odd rings; even rings at H = 1/2).
+    error times a safety factor: then no Gaussian ring exists. That is every
+    even ring at H >= 1/2, and an odd ring above its H_c(N), which falls from
+    H_c(3) = 1 through H_c(5) = 0.694 and H_c(9) = 0.548 toward 1/2.
     """
     row = kernels.ring_increment_row(sites, hurst)
     modes = np.arange(1, sites // 2 + 1)

@@ -23,9 +23,9 @@ The reflected construction of the periodic Brownian motion on a circle of
 circumference 2*pi runs an ordinary Wiener path up to its half point and
 returns along the mirror image: b(t) = B(t) on [0, pi] and
 b(t) = B(pi) - B(t - pi) on [pi, 2*pi]. It closes exactly (b(0) = b(2pi) = 0)
-and has the piecewise-linear covariance implemented in
-:func:`piecewise_ring_cov`. The rescaled bridge B(t) - t/(2pi) B(2pi), kept
-here as a negative control, closes as well but has the wrong covariance.
+and has the piecewise-linear covariance of :func:`piecewise_ring_cov_matrix`.
+The rescaled bridge B(t) - t/(2pi) B(2pi), kept here as a negative control,
+closes as well but has the wrong covariance.
 """
 
 from __future__ import annotations
@@ -67,8 +67,9 @@ def sample_gaussian(cov: np.ndarray, paths: int, seed: int | np.random.Generator
     if paths < 1:
         raise ValueError("paths must be >= 1")
     w, v = linalg.eigen_sym(cov)
-    if w[0] < -linalg.default_tol_pd(cov):
-        raise IndefiniteCovariance(min_eigenvalue=float(w[0]))
+    tol = linalg.default_tol_pd(cov)
+    if w[0] < -tol:
+        raise IndefiniteCovariance(float(w[0]), tol)
     factor = v * np.sqrt(np.clip(w, 0.0, None))
     z = _normals((paths, w.size), seed)
     return SampleBatch(values=z @ factor.T)
@@ -84,25 +85,13 @@ def covariance_bound(cov: np.ndarray, paths: int) -> np.ndarray:
     return 5.0 * np.sqrt((np.outer(d, d) + cov**2) / paths)
 
 
-def piecewise_ring_cov(s: float, t: float) -> float:
-    """Covariance of the periodic Brownian motion on [0, 2*pi], pinned at 0.
+def piecewise_ring_cov_matrix(grid: np.ndarray) -> np.ndarray:
+    """Covariance of the periodic Brownian motion on [0, 2*pi], pinned at 0, at all grid pairs.
 
     For ordered arguments s <= t the value is s on the first half, 2*pi - t on
     the second, and the overlap max(pi + s - t, 0) when the arguments straddle
     the half point.
     """
-    if not (0.0 <= s <= TWO_PI and 0.0 <= t <= TWO_PI):
-        raise ValueError(f"arguments must lie in [0, 2*pi], got ({s}, {t})")
-    s, t = min(s, t), max(s, t)
-    if t <= math.pi:
-        return s
-    if s >= math.pi:
-        return TWO_PI - t
-    return max(math.pi + s - t, 0.0)
-
-
-def piecewise_ring_cov_matrix(grid: np.ndarray) -> np.ndarray:
-    """:func:`piecewise_ring_cov` at every pair of grid times."""
     grid = _check_ring_times(grid)
     s = np.minimum(grid[:, None], grid[None, :])
     t = np.maximum(grid[:, None], grid[None, :])

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fbmspring
-from fbmspring import cli
+from fbmspring import cli, errors
 from fbmspring.cli import CliInputError, main
 from fbmspring.couplings import chain_coupling_matrix, coupling_laplacian
 from fbmspring.errors import (
@@ -98,7 +98,7 @@ class TestCouplingsCommand:
             "--hurst", "0.8", "--out", str(out),
         ])
         assert code == 2
-        assert "hurst <= 0.5" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith("; above hurst = 0.5 only some odd rings have one\n")
         assert not out.exists()
 
     def test_ring_names_missing_modes(self, tmp_path, capsys):
@@ -112,8 +112,13 @@ class TestCouplingsCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "modes 2 " in err
-        assert "requires hurst <= 0.5" not in err
+        assert "odd rings" not in err
         assert not out.exists()
+
+    def test_small_odd_ring_above_half_exists(self, capsys):
+        # the hint above H = 1/2 must not contradict a ring the package accepts
+        assert main(["couplings", "--mode", "ring", "--monomers", "5", "--hurst", "0.6"]) == 0
+        assert capsys.readouterr().out.endswith("distance,g\n1,1.5931360501913541\n2,-0.51934263029149808\n")
 
     def test_large_low_hurst_ring_exists(self, tmp_path):
         # mu_1 = 4.4e-5 here; a tolerance of 1e-9 N max|c| once called it a missing mode
@@ -341,6 +346,16 @@ class TestSampleCommand:
         assert code == 2
         assert "indefinite" in capsys.readouterr().err.lower()
 
+    def test_ring_above_half_names_the_covariance(self, tmp_path, capsys):
+        # the library's own message, with no Hurst rule of the CLI's added to it
+        argv = ["sample", "--model", "ring", "--sites", "8", "--hurst", "0.7", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot sample: covariance is indefinite: smallest eigenvalue -1.862725e+00, "
+            "tolerance 1.847094e-08\n"
+        )
+        assert sorted(tmp_path.iterdir()) == []
+
     def test_reflected_ring_report(self, tmp_path):
         out = tmp_path / "ring.csv"
         assert main([
@@ -460,7 +475,7 @@ class TestCsvWriter:
 
         def spy(path, echo, header, blocks):
             calls.append((echo, header))
-            write_csv(path, echo, header, blocks)
+            return write_csv(path, echo, header, blocks)
 
         monkeypatch.setattr(cli, "_write_csv", spy)
         out, ref = tmp_path / "series.csv", tmp_path / "ref.csv"
@@ -639,6 +654,39 @@ def test_interrupted_sample_keeps_the_previous_output(tmp_path, monkeypatch):
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("argv", [
+    ["couplings", "--mode", "chain", "--monomers", "11", "--hurst", "0.3", "--gnuplot", "--out", "a.csv"],
+    ["spectrum", "--sites", "8", "--g", "0.7", "--gnuplot", "--out", "a.csv"],
+    ["critical", "--monomers", "21", "--out", "a.json"],
+    ["ring-design", "--g1", "7", "--c", "1", "--gamma", "4", "--sites", "32", "--out", "a.json"],
+    ["sample", "--model", "bridge", "--grid", "8", "--paths", "20", "--out", "a.csv"],
+    ["sample", "--model", "bridge", "--grid", "8", "--paths", "20", "--out", "a.csv", "--report", "r.json"],
+    ["fourier-energy", "--hurst", "0.3", "--mode-max", "4", "--gnuplot", "--out", "a.csv"],
+], ids=["couplings-gnuplot", "spectrum-gnuplot", "critical", "ring-design", "sample", "sample-report",
+        "fourier-energy-gnuplot"])
+def test_manifest_lists_every_other_file(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "a.manifest.json").read_text())
+    assert manifest["command"] == argv[0]
+    assert sorted(manifest["outputs"]) == sorted(p.name for p in tmp_path.iterdir() if p.name != "a.manifest.json")
+
+
+def test_interrupted_json_keeps_the_previous_output(tmp_path, monkeypatch):
+    argv = ["critical", "--monomers", "21", "--out", str(tmp_path / "c.json")]
+    assert main(argv) == 0
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert sorted(before) == ["c.json", "c.manifest.json"]
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.json, "dumps", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv + ["--tol", "1e-8"])
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_stdout_stringio_and_file_give_the_same_bytes(tmp_path, capsys):
     argv = ["sample", "--model", "bridge", "--grid", "16", "--paths", "9000", "--seed", "4"]
     assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 0
@@ -766,7 +814,7 @@ class TestSeedFlag:
 class TestExitStatus:
     @pytest.mark.parametrize("exc, prefix, code", [
         (CliInputError("bad flag"), "error", 2),
-        (IndefiniteCovariance(-1.0), "error", 2),
+        (IndefiniteCovariance(-1.0, 1e-9), "error", 2),
         (NonpositiveG1("g1 <= 0"), "error", 2),
         (InvalidExponent("gamma <= 3"), "error", 2),
         (NotSymmetricCirculant("c[1] != c[N-1]"), "error", 2),
@@ -778,7 +826,7 @@ class TestExitStatus:
         (MissingRingModes([2], 0.0, 1e-15, 6, 0.5), "error", 2),
         (NoConvergence("eigh"), "numerical failure", 4),
         (QuadratureFailure(1.0, 1.0, 1e-10), "numerical failure", 4),
-        (DivergentSeries("s <= 1"), "error", 4),
+        (DivergentSeries("s <= 1"), "error", 2),
     ], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
     def test_error_class_sets_prefix_and_code(self, monkeypatch, capsys, exc, prefix, code):
         def fail(args):
@@ -787,6 +835,15 @@ class TestExitStatus:
         monkeypatch.setattr(cli, "_cmd_fourier_energy", fail)
         assert main(["fourier-energy", "--hurst", "0.5"]) == code
         assert capsys.readouterr().err == f"{prefix}: {exc}\n"
+
+    def test_errors_that_reject_a_model_are_value_errors(self):
+        rejecting = {CliInputError, DivergentSeries, IndefiniteCovariance, InvalidExponent, MissingRingModes,
+                     NonpositiveG1, NotSymmetricCirculant}
+        classes = [cls for cls in vars(errors).values() if isinstance(cls, type)] + [CliInputError]
+        assert len(classes) == 12
+        for cls in classes:
+            assert issubclass(cls, ValueError) == (cls in rejecting), cls.__name__
+        assert issubclass(MissingRingModes, NotPositiveDefinite)
 
     def test_out_of_memory_is_invalid_input(self, monkeypatch, capsys):
         message = "Unable to allocate 3.64 TiB for an array with shape (10000000000, 50) and data type float64"

@@ -314,7 +314,7 @@ class TestRingCouplingProfile:
         assert abs(info.value.min_eigenvalue) < 1e-12
         assert "modes 2, 4 " in str(info.value)
 
-    @pytest.mark.parametrize("hurst, hint", [(0.7, "; periodic admissibility requires hurst <= 0.5"), (0.5, "")])
+    @pytest.mark.parametrize("hurst, hint", [(0.7, "; above hurst = 0.5 only some odd rings have one"), (0.5, "")])
     def test_missing_modes_message_names_the_ring(self, hurst, hint):
         # the whole message the CLI prints; the admissibility hint only above H = 1/2
         with pytest.raises(MissingRingModes) as info:
@@ -326,6 +326,24 @@ class TestRingCouplingProfile:
             f"{exc.min_eigenvalue:.6e}, tolerance {exc.tol:.6e}){hint}"
         )
         assert exc.modes == [2] and exc.pivot_index is None
+
+    def test_no_even_ring_above_half(self):
+        # the hint may not promise an even ring anywhere above H = 1/2
+        for sites in range(4, 257, 2):
+            for hurst in np.round(np.arange(0.51, 1.0, 0.01), 2).tolist() + [1.0]:
+                with pytest.raises(MissingRingModes):
+                    ring_coupling_profile(sites, hurst)
+
+    @pytest.mark.parametrize("sites, last, first_missing", [
+        (3, 1.0, None), (5, 0.694, 0.695), (7, 0.582, 0.583), (9, 0.548, 0.549), (33, 0.5036, 0.5037),
+    ])
+    def test_odd_rings_exist_up_to_their_critical_hurst(self, sites, last, first_missing):
+        # an odd ring stays Gaussian on (1/2, H_c(N)], and H_c(N) falls toward 1/2
+        for hurst in np.linspace(0.5, last, 11):
+            ring_coupling_profile(sites, float(hurst))
+        if first_missing is not None:
+            with pytest.raises(MissingRingModes, match="only some odd rings have one"):
+                ring_coupling_profile(sites, first_missing)
 
     @pytest.mark.parametrize("sites", [6, 64, 1024, 65536])
     def test_brownian_zeros_stay_below_the_fft_tolerance(self, sites):

@@ -7,13 +7,12 @@ import pytest
 from fbmspring import sampling
 from fbmspring.errors import IndefiniteCovariance, QuadratureFailure
 from fbmspring.kernels import ring_increment_cov
-from fbmspring.linalg import eigen_sym
+from fbmspring.linalg import default_tol_pd, eigen_sym
 from fbmspring.sampling import (
     TWO_PI,
     brownian_bridge_ring,
     covariance_bound,
     fourier_mode_energy,
-    piecewise_ring_cov,
     piecewise_ring_cov_matrix,
     reflected_brownian_ring,
     sample_gaussian,
@@ -58,7 +57,10 @@ class TestSampleGaussian:
         cov = ring_increment_cov(8, 0.8)
         with pytest.raises(IndefiniteCovariance) as info:
             sample_gaussian(cov, paths=10, seed=0)
-        assert info.value.min_eigenvalue < 0
+        assert info.value.min_eigenvalue < -info.value.tol < 0
+        assert info.value.tol == default_tol_pd(cov)
+        assert str(info.value) == (f"cannot sample: covariance is indefinite: smallest eigenvalue "
+                                   f"{info.value.min_eigenvalue:.6e}, tolerance {info.value.tol:.6e}")
 
     def test_batch_shape_and_tag(self):
         # a batch carries its values only: no seed, model tag or derived sizes
@@ -67,25 +69,32 @@ class TestSampleGaussian:
         assert [field.name for field in dataclasses.fields(batch)] == ["values"]
 
 
+def pair_cov(s, t):
+    """Covariance of one pair of times, as the matrix on the grid (s, t) gives it."""
+    return piecewise_ring_cov_matrix(np.array([s, t]))[0, 1]
+
+
 class TestPiecewiseCov:
     def test_first_half_branch(self):
-        assert piecewise_ring_cov(1.0, 2.0) == 1.0
+        assert pair_cov(1.0, 2.0) == 1.0
 
     def test_decorrelated_branch(self):
-        assert piecewise_ring_cov(2.0, 5.5) == 0.0
+        assert pair_cov(2.0, 5.5) == 0.0
 
     def test_second_half_branch(self):
-        assert piecewise_ring_cov(4.0, 5.0) == pytest.approx(TWO_PI - 5.0, abs=1e-15)
+        assert pair_cov(4.0, 5.0) == pytest.approx(TWO_PI - 5.0, abs=1e-15)
 
     def test_straddle_branch(self):
-        assert piecewise_ring_cov(math.pi / 2, math.pi) == pytest.approx(math.pi / 2, abs=1e-15)
-        assert piecewise_ring_cov(math.pi / 2, 3 * math.pi / 2) == 0.0
+        assert pair_cov(math.pi / 2, math.pi) == pytest.approx(math.pi / 2, abs=1e-15)
+        assert pair_cov(math.pi / 2, 3 * math.pi / 2) == 0.0
 
     def test_symmetry_and_pinning(self):
         for s, t in [(0.3, 5.1), (2.0, 2.5), (4.4, 6.0)]:
-            assert piecewise_ring_cov(s, t) == piecewise_ring_cov(t, s)
-        for t in np.linspace(0, TWO_PI, 17):
-            assert piecewise_ring_cov(0.0, float(t)) == 0.0
+            assert pair_cov(s, t) == pair_cov(t, s)
+        grid = np.linspace(0, TWO_PI, 17)
+        cov = piecewise_ring_cov_matrix(grid)
+        assert np.array_equal(cov, cov.T)
+        assert not cov[0].any() and not cov[:, 0].any()
 
     def test_matches_geodesic_polarization(self):
         # (d(s,0) + d(t,0) - d(s,t)) / 2 with the arc geodesic distance
@@ -94,16 +103,14 @@ class TestPiecewiseCov:
             return min(r, TWO_PI - r)
 
         grid = np.linspace(0.0, TWO_PI, 25)
-        for s in grid:
-            for t in grid:
-                polar = (arc(s) + arc(t) - arc(s - t)) / 2.0
-                assert piecewise_ring_cov(float(s), float(t)) == pytest.approx(polar, abs=1e-12)
+        polar = [[(arc(s) + arc(t) - arc(s - t)) / 2.0 for t in grid] for s in grid]
+        np.testing.assert_allclose(piecewise_ring_cov_matrix(grid), polar, rtol=0, atol=1e-12)
 
     def test_domain_check(self):
         with pytest.raises(ValueError):
-            piecewise_ring_cov(-0.1, 1.0)
+            pair_cov(-0.1, 1.0)
         with pytest.raises(ValueError):
-            piecewise_ring_cov(1.0, 7.0)
+            pair_cov(1.0, 7.0)
 
     def test_matrix_rejects_nan_time(self):
         with pytest.raises(ValueError, match="finite"):
@@ -225,6 +232,16 @@ def loop_reflected(t_grid, paths, seed):
     return values
 
 
+def loop_piecewise_cov(s, t):
+    """Per-pair reference for piecewise_ring_cov_matrix, one branch at a time."""
+    s, t = min(s, t), max(s, t)
+    if t <= math.pi:
+        return s
+    if s >= math.pi:
+        return TWO_PI - t
+    return max(math.pi + s - t, 0.0)
+
+
 def loop_bridge(t_grid, paths, seed):
     """Per-column reference for brownian_bridge_ring."""
     stops = np.unique(np.concatenate((t_grid[t_grid > 0.0], [TWO_PI])))
@@ -242,7 +259,7 @@ def test_vectorized_ring_paths_equal_loop_references(n):
     grid = np.concatenate(([0.0, math.pi], uniform_ring_grid(n), [1.0, 1.0]))
     assert np.array_equal(reflected_brownian_ring(grid, 30, n).values, loop_reflected(grid, 30, n))
     assert np.array_equal(brownian_bridge_ring(grid, 30, n).values, loop_bridge(grid, 30, n))
-    loop_cov = np.array([[piecewise_ring_cov(s, t) for t in grid] for s in grid])
+    loop_cov = np.array([[loop_piecewise_cov(s, t) for t in grid] for s in grid])
     assert np.array_equal(piecewise_ring_cov_matrix(grid), loop_cov)
 
 
