@@ -27,7 +27,9 @@ has no sign change), 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -37,11 +39,11 @@ import numpy as np
 
 from . import __version__
 from .circulant import circulant_eigenvalues, ring_mode_spectrum
-from .couplings import chain_coupling_matrix, coupling_laplacian
+from .couplings import chain_coupling_matrix, chain_coupling_row, coupling_laplacian
 from .critical import SignChangeQuery, coupling_at, find_critical_hurst
 from .errors import FbmSpringError, NoSignChange
 from .kernels import chain_increment_cov, ring_increment_cov, ring_increment_row
-from .linalg import eigen_sym
+from .linalg import centrosymmetric_eigenvalues
 from .rings import check_admissible, power_law_ring, ring_coupling_profile
 from .sampling import (
     brownian_bridge_ring,
@@ -224,7 +226,11 @@ def _replace_when_done(path: Path):
     """Binary file that appears at ``path`` only once the block exits without an exception."""
     partial = path.with_name(path.name + ".partial")
     try:
-        with partial.open("wb") as out:
+        out = partial.open("wb")
+    except FileNotFoundError as exc:  # a missing directory: name the file that was asked for
+        raise FileNotFoundError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with out:
             yield out
         os.replace(partial, path)
     except BaseException:  # KeyboardInterrupt too: never leave a truncated file behind
@@ -325,9 +331,9 @@ def _cmd_couplings(args: argparse.Namespace) -> list[Path]:
     if args.mode == "chain":
         center = _resolve_center(args.monomers, args.center)
         echo["center"] = center + 1
-        g = chain_coupling_matrix(args.monomers, args.hurst)
+        g = chain_coupling_row(args.monomers, args.hurst, center)
         others = np.delete(np.arange(args.monomers), center)
-        x, y = others + 1, g[center, others]
+        x, y = others + 1, g[others]
         xlabel = "index"
     else:
         y = ring_coupling_profile(args.monomers, args.hurst)
@@ -428,10 +434,13 @@ def _cmd_spectrum(args: argparse.Namespace) -> list[Path]:
         echo.update(mode="chain", monomers=args.monomers, hurst=_fmt(args.hurst))
         if args.cov:
             echo["series"] = "increment-covariance eigenvalues (ascending)"
-            lam = eigen_sym(chain_increment_cov(args.monomers - 1, args.hurst))[0]
+            lam = centrosymmetric_eigenvalues(chain_increment_cov(args.monomers - 1, args.hurst))
         else:
             echo["series"] = "energy eigenvalues (ascending)"
-            lam = eigen_sym(coupling_laplacian(chain_coupling_matrix(args.monomers, args.hurst)))[0]
+            # The Gohberg-Semencul table misses centrosymmetry by rounding (up
+            # to 6e-16 relative), so the reflection split gets (L + JLJ) / 2.
+            lap = coupling_laplacian(chain_coupling_matrix(args.monomers, args.hurst))
+            lam = centrosymmetric_eigenvalues(0.5 * (lap + lap[::-1, ::-1]))
     else:
         raise CliInputError("spectrum needs either --g/--g-file or --mode with --monomers/--hurst")
     return _write_series(args, echo, "mode", "lambda", np.arange(lam.size), lam)
@@ -652,6 +661,11 @@ _FAILURES = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # At exit, freeze what is left so the interpreter's final collections skip
+    # the import-time objects instead of freeing them one by one; a process
+    # that calls main many times still collects its garbage until it exits.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
         outputs = args.handler(args)

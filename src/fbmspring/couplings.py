@@ -11,6 +11,9 @@ attractive spring between monomers k and l, negative g_kl a repulsive one.
 Both directions of the transform are implemented here, together with the
 position-space quadratic form matrix (the weighted Laplacian of the coupling
 graph) and the figure-style slice of one monomer's couplings to all others.
+For a fractional Brownian chain, :func:`chain_coupling_row` computes that
+slice from two rows of the energy matrix in O(n) memory, and
+:func:`chain_coupling_matrix` builds the whole table.
 
 Tables and energy matrices are plain arrays. Each function checks the array
 its caller passes once (square, exactly symmetric, and for a coupling table a
@@ -38,19 +41,25 @@ def _check_table(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def _second_difference(a: np.ndarray) -> np.ndarray:
+def _second_difference(padded: np.ndarray) -> np.ndarray:
+    """Coupling rows from consecutive rows of an energy matrix zero-padded by one column each side.
+
+    Row k is -((p[k, l] + p[k+1, l+1]) - (p[k, l+1] + p[k+1, l])) / 2, the
+    formula of :func:`couplings_from_energy`; diagonal entries are left as computed.
+    """
+    # Grouping (same) - (cross) keeps a full table bitwise symmetric.
+    g = padded[:-1, :-1] + padded[1:, 1:]
+    g -= padded[:-1, 1:] + padded[1:, :-1]
+    g *= -0.5
+    return g
+
+
+def _coupling_table(a: np.ndarray) -> np.ndarray:
     """The coupling table of a symmetric energy matrix ``a``; see :func:`couplings_from_energy`."""
     n = a.shape[0]
     padded = np.zeros((n + 2, n + 2))
     padded[1 : n + 1, 1 : n + 1] = a
-    # Grouping (same) - (cross) keeps the table bitwise symmetric; working in
-    # place holds at most the padded copy and two tables at once.
-    g = padded[:-1, :-1] + padded[1:, 1:]
-    cross = padded[:-1, 1:] + padded[1:, :-1]
-    del padded
-    g -= cross
-    del cross
-    g *= -0.5
+    g = _second_difference(padded)
     np.fill_diagonal(g, 0.0)
     return g
 
@@ -67,7 +76,7 @@ def couplings_from_energy(a: np.ndarray) -> np.ndarray:
     The returned (n + 1) x (n + 1) table is exactly symmetric with a zero
     diagonal.
     """
-    return _second_difference(linalg.require_symmetric(a))
+    return _coupling_table(linalg.require_symmetric(a))
 
 
 def energy_from_couplings(g: np.ndarray) -> np.ndarray:
@@ -111,6 +120,11 @@ def coupling_slice(g: np.ndarray, center: int) -> list[tuple[int, float]]:
     return [(i, float(g[center, i])) for i in range(size) if i != center]
 
 
+def _check_chain_hurst(hurst: float) -> None:
+    if not 0.0 < hurst < 1.0:
+        raise ValueError(f"chain couplings need 0 < hurst < 1 (a rigid rod at 1), got hurst = {hurst}")
+
+
 def chain_coupling_matrix(monomers: int, hurst: float) -> np.ndarray:
     """Full coupling table of a fractional Brownian chain.
 
@@ -118,8 +132,29 @@ def chain_coupling_matrix(monomers: int, hurst: float) -> np.ndarray:
     couplings, in O(n^2) time from the covariance's first row. ``monomers``
     counts positions, so the covariance has monomers - 1 rows. The
     Gohberg-Semencul inverse is exactly symmetric, so nothing is checked
-    after it.
+    after it. :func:`chain_coupling_row` gives one row of it in O(n) memory.
     """
-    if not 0.0 < hurst < 1.0:
-        raise ValueError(f"chain couplings need 0 < hurst < 1 (a rigid rod at 1), got hurst = {hurst}")
-    return _second_difference(linalg.toeplitz_inverse(kernels.chain_increment_row(monomers - 1, hurst)))
+    _check_chain_hurst(hurst)
+    return _coupling_table(linalg.toeplitz_inverse(kernels.chain_increment_row(monomers - 1, hurst)))
+
+
+def chain_coupling_row(monomers: int, hurst: float, center: int) -> np.ndarray:
+    """Couplings of monomer ``center`` (0-based) to every monomer, zero at ``center``.
+
+    The same bits as row ``center`` of :func:`chain_coupling_matrix`, from rows
+    center - 1 and center of the energy matrix (zero beyond the chain ends) in
+    O(n^2) time and O(n) memory.
+    """
+    _check_chain_hurst(hurst)
+    if not 0 <= center < monomers:
+        raise IndexError(f"center must lie in [0, {monomers}), got {center}")
+    n = monomers - 1
+    rows = linalg.toeplitz_inverse_rows(kernels.chain_increment_row(n, hurst), max(center - 1, 0), min(center + 1, n))
+    padded = np.zeros((2, n + 2))  # energy rows center - 1 and center, zero beyond the chain ends
+    if center > 0:
+        padded[0, 1:-1] = rows[0]
+    if center < n:
+        padded[1, 1:-1] = rows[-1]
+    g = _second_difference(padded)[0]
+    g[center] = 0.0
+    return g

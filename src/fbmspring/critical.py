@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .couplings import chain_coupling_matrix
+from .couplings import chain_coupling_row
 from .errors import NoSignChange
 
 #: Smallest accepted ``tol``, in ulps of the larger bracket end.
@@ -84,14 +84,15 @@ def _center_index(monomers: int, center: int | None, offset: int) -> int:
 
 
 def coupling_at(monomers: int, hurst: float, center: int | None, offset: int) -> float:
-    """One coupling constant from the full chain pipeline.
+    """One coupling constant from the chain pipeline, in O(n) memory.
 
-    Propagates NotPositiveDefinite from the covariance inversion; the chain
-    covariance is positive definite for H in (0, 1), so a failure signals a
-    numerically ill-conditioned request rather than an invalid model.
+    The same bits as the entry of the full coupling table. Propagates
+    NotPositiveDefinite from the covariance inversion; the chain covariance is
+    positive definite for H in (0, 1), so a failure signals a numerically
+    ill-conditioned request rather than an invalid model.
     """
     center = _center_index(monomers, center, offset)
-    return float(chain_coupling_matrix(monomers, hurst)[center, center + offset])
+    return float(chain_coupling_row(monomers, hurst, center)[center + offset])
 
 
 def find_critical_hurst(query: SignChangeQuery) -> tuple[float, int]:

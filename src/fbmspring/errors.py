@@ -67,14 +67,14 @@ class IndefiniteCovariance(FbmSpringError, ValueError):
 
 
 class QuadratureFailure(FbmSpringError):
-    """Adaptive quadrature did not reach the requested absolute tolerance."""
+    """A Fourier mode energy did not reach the requested absolute tolerance."""
 
     def __init__(self, estimate: float, error: float, tol: float):
         self.estimate = estimate
         self.error = error
         self.tol = tol
         super().__init__(
-            f"quadrature error estimate {error:.3e} exceeds tolerance {tol:.3e}"
+            f"Fourier mode energy error estimate {error:.3e} exceeds tolerance {tol:.3e}"
         )
 
 

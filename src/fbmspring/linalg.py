@@ -1,15 +1,19 @@
-"""Linear algebra: one Toeplitz solver, and numpy's LAPACK ``eigh`` elsewhere.
+"""Linear algebra: one Toeplitz solver, a reflection split, and numpy's LAPACK elsewhere.
 
 Chain covariances are symmetric Toeplitz, so :func:`toeplitz_inverse` works
-from their first row in O(n^2) time; symmetric matrices without such structure
-go through ``eigh``. Dense inputs must be *exactly* symmetric (``a[i, k] ==
-a[k, i]`` bitwise); builders elsewhere construct them so, and
+from their first row in O(n^2) time, and :func:`toeplitz_inverse_rows` gives
+the leading rows of the same inverse, bit for bit, holding only the rows asked
+for. Chains are also centrosymmetric, so :func:`centrosymmetric_eigenvalues`
+splits them into two half-size blocks; symmetric matrices without such
+structure go through ``eigh``. Dense inputs must be *exactly* symmetric
+(``a[i, k] == a[k, i]`` bitwise); builders elsewhere construct them so, and
 :func:`require_symmetric` is the guard at every entry point. What this layer
 adds to numpy is the package's positive-definiteness tolerance and its errors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,15 +64,12 @@ def default_tol_pd(a: np.ndarray) -> float:
     return DEFAULT_PD_SCALE * a.shape[0] * float(np.abs(a).max(initial=0.0))
 
 
-def toeplitz_inverse(first_row: np.ndarray, tol_pd: float | None = None) -> np.ndarray:
-    """Inverse of the symmetric positive definite Toeplitz matrix with ``first_row``.
+def _durbin(first_row: np.ndarray, tol_pd: float | None) -> tuple[np.ndarray, float]:
+    """Predictor ``a`` (``a_0 = 1``) and last prediction error ``e`` of a Toeplitz first row.
 
-    The Durbin recursion (Durbin 1960) gives the predictor ``a`` (``a_0 = 1``)
-    and the prediction-error variances ``e_k``, which are the Cholesky pivots:
-    the first ``e_k <= tol_pd`` (default :func:`default_tol_pd`) raises
-    NotPositiveDefinite. The inverse is the Gohberg-Semencul (1972) sum
-    (L(a) L(a).T - L(b) L(b).T) / e_{n-1} with b = (0, a_{n-1}, ..., a_1) and
-    L(v) lower-triangular Toeplitz of first column v; it is exactly symmetric.
+    The Durbin recursion (Durbin 1960) runs in O(n^2) time and O(n) memory. Its
+    prediction-error variances ``e_k`` are the Cholesky pivots: the first
+    ``e_k <= tol_pd`` (default :func:`default_tol_pd`) raises NotPositiveDefinite.
     """
     row = np.asarray(first_row, dtype=float)
     if row.ndim != 1 or row.size < 1:
@@ -83,14 +84,51 @@ def toeplitz_inverse(first_row: np.ndarray, tol_pd: float | None = None) -> np.n
             e = e * (1.0 - kappa * kappa)
         if not e > tol_pd:
             raise NotPositiveDefinite(pivot_index=k, pivot_value=float(e))
+    return a, e
+
+
+def toeplitz_inverse_rows(
+    first_row: np.ndarray, start: int = 0, stop: int | None = None, tol_pd: float | None = None
+) -> np.ndarray:
+    """Rows ``start <= i < stop`` of the inverse of the SPD Toeplitz matrix with ``first_row``.
+
+    ``stop`` defaults to the size n of the matrix. The inverse is the Gohberg-Semencul (1972) sum
+    (L(a) L(a).T - L(b) L(b).T) / e with ``a``, ``e`` from the Durbin recursion,
+    b = (0, a_{n-1}, ..., a_1) and L(v) lower-triangular Toeplitz of first
+    column v. Its undivided row i is a_i a - b_i b plus row i - 1 shifted one
+    place right, so one recurrence gives the rows in order and stops after row
+    stop - 1, holding only the rows asked for and two more; the Durbin
+    recursion costs O(n^2) time either way. :func:`toeplitz_inverse` takes
+    every row, so a row read alone is the same bits as the table's. Raises
+    NotPositiveDefinite as the Durbin recursion does.
+    """
+    a, e = _durbin(first_row, tol_pd)
+    n = a.size
+    stop = n if stop is None else stop
+    if not 0 <= start <= stop <= n:
+        raise IndexError(f"rows {start}..{stop} outside 0..{n}")
     b = np.concatenate(([0.0], a[:0:-1]))
-    inv = np.multiply.outer(a, a)
-    inv -= np.multiply.outer(b, b)
-    # Diagonal sums of the two products; row and column 0 stay as they are, so
-    # (i, j) and (j, i) add the same numbers in the same order.
-    for i in range(1, row.size):
-        inv[i, 1:] += inv[i - 1, :-1]
-    return np.divide(inv, e, out=inv)
+    rows, scratch = np.empty((stop - start, n)), np.empty((2, n))
+    for i in range(stop):
+        row = rows[i - start] if i >= start else scratch[i % 2]
+        np.multiply(a[i], a, out=row)
+        row -= b[i] * b
+        # Diagonal sums: entry (i, j) adds the terms of (i - k, j - k) in the same
+        # order as entry (j, i) does, so the table is exactly symmetric.
+        if i:
+            row[1:] += previous[:-1]
+        previous = row
+    return np.divide(rows, e, out=rows)
+
+
+def toeplitz_inverse(first_row: np.ndarray, tol_pd: float | None = None) -> np.ndarray:
+    """Inverse of the symmetric positive definite Toeplitz matrix with ``first_row``.
+
+    All rows of :func:`toeplitz_inverse_rows`; the result is exactly symmetric.
+    The first Durbin pivot ``e_k <= tol_pd`` (default :func:`default_tol_pd`)
+    raises NotPositiveDefinite.
+    """
+    return toeplitz_inverse_rows(first_row, tol_pd=tol_pd)
 
 
 def eigen_sym(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,6 +138,34 @@ def eigen_sym(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK eigh did not converge: {exc}") from exc
+
+
+def centrosymmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a matrix that is exactly symmetric and centrosymmetric.
+
+    Such a matrix commutes with the exchange matrix J (``a[::-1, ::-1] == a``),
+    so the basis (x + Jx)/sqrt(2), (x - Jx)/sqrt(2) splits it into the
+    half-size blocks A + CJ (even modes) and A - CJ (odd modes), with A the
+    leading block and C the block to its right (Cantoni & Butler 1976). An odd
+    size's middle row and column join the even block, scaled by sqrt(2). LAPACK
+    ``eigvalsh`` on the two blocks costs about a quarter of one dense solve.
+    """
+    a = require_symmetric(a)
+    if not np.array_equal(a, a[::-1, ::-1]):
+        dev = float(np.abs(a - a[::-1, ::-1]).max())
+        raise ValueError(f"matrix is not centrosymmetric (max |a - JaJ| = {dev:.3e})")
+    half = a.shape[0] // 2
+    leading, mirrored = a[:half, :half], a[:half, : -half - 1 : -1]  # mirrored[i, j] = a[i, n-1-j]
+    even, odd = leading + mirrored, leading - mirrored
+    if a.shape[0] % 2:
+        middle = math.sqrt(2.0) * a[:half, half]
+        even = np.block([[even, middle[:, None]], [middle, a[half, half]]])
+    try:
+        w = np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigvalsh did not converge: {exc}") from exc
+    w.sort()
+    return w
 
 
 def classify_definiteness(a: np.ndarray) -> DefinitenessVerdict:

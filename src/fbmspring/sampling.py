@@ -1,5 +1,9 @@
 """Exact Gaussian sampling, its statistical error bound, and Fourier mode energies.
 
+Fourier mode energies of the periodic model come from adaptive Gauss-Kronrod
+quadrature for modes below ``CLOSED_FORM_MODE`` and from a closed form with an
+endpoint expansion from that mode up; see :func:`fourier_mode_energy`.
+
 A batch is checked against its model through the zero-mean covariance
 estimate values.T @ values / paths, which callers sum over row chunks, and the
 elementwise bound of :func:`covariance_bound`.
@@ -233,21 +237,54 @@ def _adaptive_cos_quad(f, n_osc: int, upper: float, tol: float) -> tuple[float, 
     )
 
 
+#: Lowest mode whose energy comes from the closed form; lower modes keep the quadrature.
+CLOSED_FORM_MODE = 7
+
+
+def _endpoint_series(a: float, mode: int) -> tuple[float, float]:
+    """Sum over j of (-1)^j a(a-1)...(a-2j) pi^(a-2j-1) / mode^(2j+2), and its smallest term.
+
+    Asymptotic in 1/mode: summed up to the smallest term, which counts half
+    (the terms alternate near it), or until a term no longer changes the sum.
+    """
+    scale = (math.pi * mode) ** 2
+    term, total, k = a * math.pi ** (a - 1.0) / mode**2, 0.0, 1.0
+    while True:
+        following = -term * (a - k) * (a - k - 1.0) / scale
+        if abs(following) >= abs(term):
+            return total + 0.5 * term, abs(term)
+        total += term
+        if total + following == total:
+            return total, abs(following)
+        term, k = following, k + 2.0
+
+
 def fourier_mode_energy(hurst: float, mode: int, tol: float = 1e-10) -> float:
     """Expected squared Fourier coefficient of the periodic model at ``mode``.
 
-    Evaluates -(4 pi^2 / mode^{2H+1}) * integral_0^pi x^{2H} cos(mode x) dx
-    with oscillation-aware adaptive quadrature to absolute tolerance ``tol``
-    on the returned value. Nonnegative for hurst <= 1/2.
+    Evaluates -(4 pi^2 / mode^{2H+1}) * integral_0^pi x^{2H} cos(mode x) dx to
+    absolute tolerance ``tol`` on the returned value. Nonnegative for
+    hurst <= 1/2. Modes below ``CLOSED_FORM_MODE`` use oscillation-aware
+    adaptive quadrature. From that mode up, with a = 2H, the integral is the
+    transform of x^a over (0, inf), -Gamma(a+1) sin(pi a/2) / mode^{a+1}, minus
+    the part over (pi, inf), whose real part is (-1)^{mode+1} times
+    :func:`_endpoint_series` (repeated integration by parts; Erdelyi 1956), in
+    constant time per mode. Either way QuadratureFailure is raised when the
+    error estimate (for the series, its smallest term) times the prefactor
+    exceeds ``tol``.
     """
     if not 0.0 < hurst <= 1.0:
         raise ValueError(f"hurst must be in (0, 1], got {hurst}")
     if mode < 1:
         raise ValueError(f"mode must be >= 1, got {mode}")
-    prefactor = -4.0 * math.pi**2 / mode ** (2.0 * hurst + 1.0)
-    value, err = _adaptive_cos_quad(
-        lambda x: x ** (2.0 * hurst), mode, math.pi, 0.5 * tol / abs(prefactor)
-    )
+    a = 2.0 * hurst
+    prefactor = -4.0 * math.pi**2 / mode ** (a + 1.0)
+    if mode >= CLOSED_FORM_MODE:
+        tail, err = _endpoint_series(a, mode)
+        value = -math.gamma(a + 1.0) * math.sin(0.5 * math.pi * a) / mode ** (a + 1.0)
+        value += tail if mode % 2 == 0 else -tail
+    else:
+        value, err = _adaptive_cos_quad(lambda x: x**a, mode, math.pi, 0.5 * tol / abs(prefactor))
     if err * abs(prefactor) > tol:
         raise QuadratureFailure(estimate=prefactor * value, error=err * abs(prefactor), tol=tol)
-    return prefactor * value
+    return prefactor * value + 0.0  # an exact zero (even modes at H = 1/2) prints as 0, not -0

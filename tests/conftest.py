@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from fbmspring.circulant import mirrored_distance_row
+from fbmspring.couplings import chain_coupling_matrix, coupling_laplacian
 from fbmspring.kernels import ring_increment_row
 from fbmspring.sampling import TWO_PI
 
@@ -35,6 +36,18 @@ def random_coupling_profile(rng, size, scale=1.0):
     g = random_symmetric(rng, size, scale)
     np.fill_diagonal(g, 0.0)
     return g
+
+
+def same_bits(x, y):
+    """Equal shapes and equal float64 bit patterns (so -0.0 differs from 0.0)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def symmetrized_chain_laplacian(monomers, hurst):
+    """(L + JLJ) / 2 of a chain's coupling Laplacian L, the matrix whose spectrum the CLI prints."""
+    lap = coupling_laplacian(chain_coupling_matrix(monomers, hurst))
+    return 0.5 * (lap + lap[::-1, ::-1])
 
 
 # Dense and Monte Carlo oracles. The package works from first rows and sums

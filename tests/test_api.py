@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import fbmspring
@@ -86,3 +87,8 @@ def test_removed_names_stay_removed():
     for module in MODULES:
         assert removed.isdisjoint(vars(importlib.import_module(f"fbmspring.{module}"))), module
     assert "linalg" not in referenced_names("rings")
+
+
+def test_version_is_the_pyproject_version():
+    pyproject = (SRC.parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.*)"$', pyproject, flags=re.MULTILINE).group(1) == fbmspring.__version__

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import fbmspring
 from fbmspring import cli, errors
 from fbmspring.cli import CliInputError, main
-from fbmspring.couplings import chain_coupling_matrix, coupling_laplacian
+from fbmspring.couplings import chain_coupling_matrix
 from fbmspring.errors import (
     DivergentSeries,
     IndefiniteCovariance,
@@ -29,7 +29,7 @@ from fbmspring.errors import (
     NotSymmetricCirculant,
     QuadratureFailure,
 )
-from fbmspring.linalg import eigen_sym
+from fbmspring.linalg import centrosymmetric_eigenvalues
 from fbmspring.rings import ring_coupling_profile
 from fbmspring.sampling import (
     brownian_bridge_ring,
@@ -39,7 +39,7 @@ from fbmspring.sampling import (
     uniform_ring_grid,
 )
 
-from conftest import empirical_covariance
+from conftest import empirical_covariance, symmetrized_chain_laplacian
 
 
 def read_csv(path):
@@ -438,7 +438,7 @@ SERIES = {
     ),
     "spectrum-chain": (
         ["spectrum", "--mode", "chain", "--monomers", "33", "--hurst", "0.7"],
-        lambda: list(enumerate(map(float, eigen_sym(coupling_laplacian(chain_coupling_matrix(33, 0.7)))[0]))),
+        lambda: list(enumerate(map(float, centrosymmetric_eigenvalues(symmetrized_chain_laplacian(33, 0.7))))),
     ),
     "spectrum-g": (
         ["spectrum", "--sites", "12", "--g", "1,-0.05"],
@@ -687,6 +687,17 @@ def test_interrupted_json_keeps_the_previous_output(tmp_path, monkeypatch):
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["couplings", "--mode", "chain", "--monomers", "11", "--hurst", "0.3"], "nodir/c.csv"),
+    (["critical", "--monomers", "21"], "nodir/c.json"),
+], ids=["csv", "json"])
+def test_missing_directory_names_the_requested_file(tmp_path, monkeypatch, capsys, argv, out):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", out]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert sorted(tmp_path.iterdir()) == []
+
+
 def test_stdout_stringio_and_file_give_the_same_bytes(tmp_path, capsys):
     argv = ["sample", "--model", "bridge", "--grid", "16", "--paths", "9000", "--seed", "4"]
     assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 0
@@ -859,9 +870,9 @@ class TestExitStatus:
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         assert main(["spectrum", "--mode", "chain", "--monomers", "5", "--hurst", "0.3", "--cov"]) == 4
-        assert capsys.readouterr().err.startswith("numerical failure: LAPACK eigh did not converge")
+        assert capsys.readouterr().err.startswith("numerical failure: LAPACK eigvalsh did not converge")
 
 
 def test_cli_import_leaves_scipy_out():
@@ -874,6 +885,26 @@ def test_cli_import_leaves_scipy_out():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr or "importing fbmspring.cli loaded scipy"
+
+
+def test_exit_freezes_the_import_time_objects():
+    # atexit runs its hooks last-in first-out, so a hook registered before main runs after main's
+    script = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0))\n"
+        "from fbmspring.cli import main\n"
+        "main(['fourier-energy', '--hurst', '0.3', '--mode-max', '2'])\n"
+        "print('frozen after main:', gc.get_freeze_count() > 0)\n"
+        "sys.exit(main(['critical', '--monomers', '11']))\n"
+    )
+    src = Path(fbmspring.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert "frozen after main: False" in lines
+    assert lines[-1] == "frozen at exit: True"
+    assert json.loads("\n".join(lines[lines.index("frozen after main: False") + 1 : -1]))["iterations"] == 19
 
 
 def test_module_runs_as_a_script():

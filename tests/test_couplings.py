@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fbmspring.couplings import (
     chain_coupling_matrix,
+    chain_coupling_row,
     coupling_laplacian,
     coupling_slice,
     couplings_from_energy,
@@ -15,7 +16,7 @@ from fbmspring import linalg
 from fbmspring.linalg import classify_definiteness, eigen_sym
 from fbmspring.sampling import sample_gaussian
 
-from conftest import random_coupling_profile, random_symmetric
+from conftest import random_coupling_profile, random_symmetric, same_bits
 
 
 def forward_difference(x):
@@ -243,6 +244,31 @@ class TestChainPipeline:
         assert np.array_equal(g, g.T)
         assert not np.diag(g).any()
 
+class TestChainCouplingRow:
+    """One row from two energy rows: the same bits as the table, without building it."""
+
+    @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5, 0.7, 0.95])
+    def test_every_center_of_short_chains_equals_the_table(self, hurst):
+        for monomers in range(2, 41):
+            g = chain_coupling_matrix(monomers, hurst)
+            for center in range(monomers):
+                assert same_bits(chain_coupling_row(monomers, hurst, center), g[center]), (monomers, center)
+
+    @pytest.mark.parametrize("monomers, hurst", [(61, 0.3), (257, 0.7), (513, 0.05), (1025, 0.9)])
+    def test_long_chains_equal_the_table(self, monomers, hurst):
+        g = chain_coupling_matrix(monomers, hurst)
+        for center in (0, 1, monomers // 3, (monomers - 1) // 2, monomers - 2, monomers - 1):
+            assert same_bits(chain_coupling_row(monomers, hurst, center), g[center]), center
+
+    def test_checks_hurst_and_center(self):
+        with pytest.raises(ValueError, match="chain couplings need 0 < hurst < 1"):
+            chain_coupling_row(11, 1.0, 5)
+        with pytest.raises(IndexError, match=r"center must lie in \[0, 11\), got 11"):
+            chain_coupling_row(11, 0.4, 11)
+        with pytest.raises(IndexError):
+            chain_coupling_row(11, 0.4, -1)
+
+
 class TestSpectraSideBySide:
     def test_reports_both_spectra_without_equating_them(self):
         a = np.eye(2)
@@ -293,6 +319,7 @@ class TestCheckedOnce:
 
     def test_chain_pipeline_checks_nothing(self, checks):
         chain_coupling_matrix(61, 0.7)
+        chain_coupling_row(61, 0.7, 30)
         assert checks == []
 
     @pytest.mark.parametrize("call", [

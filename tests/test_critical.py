@@ -1,10 +1,15 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from fbmspring import critical
+from fbmspring.couplings import chain_coupling_matrix
 from fbmspring.critical import SignChangeQuery, coupling_at, find_critical_hurst
 from fbmspring.errors import NoSignChange
+
+from conftest import same_bits
 
 
 class TestCouplingAt:
@@ -35,6 +40,42 @@ class TestCouplingAt:
             coupling_at(11, 0.4, 11, -1)
         with pytest.raises(ValueError, match="need at least 2 monomers"):
             coupling_at(1, 0.4, None, 1)
+
+
+class TestCouplingAtFromTwoRows:
+    """coupling_at reads two energy rows; its value is the full table's entry, bit for bit."""
+
+    @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5, 0.7, 0.95])
+    def test_every_center_of_short_chains_equals_the_table(self, hurst):
+        for monomers in range(3, 41):
+            g = chain_coupling_matrix(monomers, hurst)
+            for center in range(monomers):
+                partner = (center + 1 + 7 * center % (monomers - 1)) % monomers  # any other monomer
+                got = coupling_at(monomers, hurst, center, partner - center)
+                assert same_bits(got, g[center, partner]), (monomers, center, partner)
+
+    def test_seeded_random_entries_equal_the_table(self):
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            monomers = int(rng.integers(2, 2050))
+            hurst = float(rng.uniform(0.01, 0.99))
+            g = chain_coupling_matrix(monomers, hurst)
+            centers = (0, monomers - 1, *rng.integers(0, monomers, size=3))
+            for center in map(int, centers):
+                for partner in (0, monomers - 1, *map(int, rng.integers(0, monomers, size=3))):
+                    if partner != center:  # offsets of both signs, partners at both chain ends
+                        got = coupling_at(monomers, hurst, center, partner - center)
+                        assert same_bits(got, g[center, partner]), (monomers, hurst, center, partner)
+
+    def test_memory_is_linear_in_the_chain(self):
+        # the (n + 1)^2 table at 2049 monomers is 32 MB; the dense pipeline peaked at 128 MB
+        tracemalloc.start()
+        try:
+            coupling_at(2049, 0.7, None, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestSignChangeQuery:
@@ -87,7 +128,7 @@ class TestFindCriticalHurst:
 
     def test_tolerance_below_the_floor_is_rejected(self, monkeypatch):
         # adjacent floats bound the bracket width away from 0; the query fails before any chain is built
-        monkeypatch.setattr(critical, "chain_coupling_matrix", None)
+        monkeypatch.setattr(critical, "chain_coupling_row", None)
         for tol in (1e-300, 1e-17, 1.11e-16, 2.22e-16, math.nextafter(4 * math.ulp(0.9), 0.0)):
             with pytest.raises(ValueError, match=r"tol .* below the floor 4\.441e-16 \(4 ulps"):
                 SignChangeQuery(monomers=11, offset=3, bracket=(0.6, 0.9), tol=tol)

@@ -7,16 +7,20 @@ from fbmspring.kernels import (
     chain_increment_row,
     ring_increment_cov,
 )
+from fbmspring import linalg
+from fbmspring.couplings import chain_coupling_matrix, coupling_laplacian
 from fbmspring.linalg import (
     Definiteness,
+    centrosymmetric_eigenvalues,
     classify_definiteness,
     default_tol_pd,
     eigen_sym,
     require_symmetric,
     toeplitz_inverse,
+    toeplitz_inverse_rows,
 )
 
-from conftest import random_symmetric
+from conftest import random_symmetric, same_bits, symmetrized_chain_laplacian
 
 
 def loop_cholesky(a, tol_pd):
@@ -52,6 +56,17 @@ def pivot_error_bound(a, k):
 def toeplitz(row):
     idx = np.arange(len(row))
     return np.asarray(row, dtype=float)[np.abs(np.subtract.outer(idx, idx))]
+
+
+def outer_product_inverse(row):
+    """Gohberg-Semencul table from two outer products and one in-place diagonal sum over rows."""
+    a, e = linalg._durbin(row, None)
+    b = np.concatenate(([0.0], a[:0:-1]))
+    inv = np.multiply.outer(a, a)
+    inv -= np.multiply.outer(b, b)
+    for i in range(1, a.size):
+        inv[i, 1:] += inv[i - 1, :-1]
+    return inv / e
 
 
 def random_spd_row(rng, n):
@@ -248,6 +263,87 @@ def test_chain_inverse_matches_dense_oracle(n, hurst):
     got = toeplitz_inverse(row)
     assert np.array_equal(got, got.T)
     assert np.abs(got - expected).max() <= 1e-15 * cond * np.abs(expected).max()
+
+
+class TestInverseRows:
+    """``toeplitz_inverse_rows`` runs the table's own row recurrence and stops where asked."""
+
+    @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.7, 0.95])
+    @pytest.mark.parametrize("n", [1, 2, 3, 60, 513])
+    def test_table_equals_outer_product_form(self, n, hurst):
+        row = chain_increment_row(n, hurst)
+        assert same_bits(toeplitz_inverse(row), outer_product_inverse(row))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 257])
+    def test_rows_are_the_table_rows(self, rng, n):
+        row = random_spd_row(rng, n)
+        table = toeplitz_inverse(row)
+        ranges = [(0, n), (0, 0), (n, n), (0, 1), (n - 1, n), (n // 2, n // 2 + 1)]
+        ranges += [tuple(sorted(rng.integers(0, n + 1, size=2))) for _ in range(8)]
+        for start, stop in ranges:
+            assert same_bits(toeplitz_inverse_rows(row, start, stop), table[start:stop]), (start, stop)
+        assert same_bits(toeplitz_inverse_rows(row, n // 2), table[n // 2 :])
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (3, 2), (0, 6)])
+    def test_rows_outside_the_matrix_are_rejected(self, start, stop):
+        with pytest.raises(IndexError, match=r"outside 0\.\.5"):
+            toeplitz_inverse_rows(chain_increment_row(5, 0.3), start, stop)
+
+    def test_rows_report_the_failing_pivot(self):
+        with pytest.raises(NotPositiveDefinite) as info:
+            toeplitz_inverse_rows([1.0, 2.0, 0.0], 0, 1)
+        assert info.value.pivot_index == 1
+
+
+def centrosymmetric(a):
+    """a + JaJ: exactly symmetric and centrosymmetric when ``a`` is exactly symmetric."""
+    return a + a[::-1, ::-1]
+
+
+class TestCentrosymmetricEigenvalues:
+    """The reflection split against one dense ``eigh`` of the same matrix."""
+
+    @pytest.mark.parametrize("hurst", [0.05, 0.5, 0.7, 0.95])
+    @pytest.mark.parametrize("monomers", [2, 3, 4, 5, 16, 17, 64, 65, 256, 257])
+    def test_chain_spectra_match_dense(self, monomers, hurst):
+        for a in (symmetrized_chain_laplacian(monomers, hurst), chain_increment_cov(monomers - 1, hurst)):
+            dense = np.linalg.eigh(a)[0]
+            split = centrosymmetric_eigenvalues(a)
+            assert split.shape == dense.shape
+            assert np.all(np.diff(split) >= 0.0)
+            assert np.abs(split - dense).max() <= 1e-14 * np.abs(dense).max()
+
+    def test_symmetrized_laplacian_is_near_the_table_laplacian(self):
+        # the Gohberg-Semencul table misses centrosymmetry only by rounding
+        lap = coupling_laplacian(chain_coupling_matrix(257, 0.7))
+        assert np.abs(symmetrized_chain_laplacian(257, 0.7) - lap).max() <= 1e-15 * np.abs(lap).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 40, 41])
+    def test_random_matrices_match_dense(self, rng, n):
+        a = centrosymmetric(random_symmetric(rng, n, scale=2.0))
+        dense = np.linalg.eigh(a)[0]
+        assert np.abs(centrosymmetric_eigenvalues(a) - dense).max() <= 1e-14 * np.abs(dense).max()
+
+    def test_middle_row_joins_the_even_block(self):
+        # [[1, x, 0], [x, m, x], [0, x, 1]]: odd mode 1, even modes of [[1, sqrt(2) x], [sqrt(2) x, m]]
+        a = np.array([[1.0, 3.0, 0.0], [3.0, 2.0, 3.0], [0.0, 3.0, 1.0]])
+        root = np.sqrt(0.25 + 18.0)
+        np.testing.assert_allclose(centrosymmetric_eigenvalues(a), [1.5 - root, 1.0, 1.5 + root], rtol=1e-15)
+
+    def test_rejects_a_matrix_that_is_not_centrosymmetric(self):
+        a = np.array([[1.0, 0.5], [0.5, 2.0]])
+        with pytest.raises(ValueError, match=r"not centrosymmetric \(max \|a - JaJ\| = 1.000e\+00\)"):
+            centrosymmetric_eigenvalues(a)
+        with pytest.raises(ValueError, match="not symmetric"):
+            centrosymmetric_eigenvalues(np.array([[1.0, 0.5], [0.4, 1.0]]))
+
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NoConvergence, match="LAPACK eigvalsh did not converge"):
+            centrosymmetric_eigenvalues(np.eye(4))
 
 
 class TestEigenSym:
