@@ -274,6 +274,32 @@ def _write_json(path: Path | None, payload: dict) -> list[Path]:
     return [] if path is None else [path]
 
 
+def _files(args: argparse.Namespace) -> dict[str, Path]:
+    """Every file the run writes, by the name an error gives it: --out and the files beside it."""
+    out, files = args.out, {}
+    if out is not None:
+        files["--out"] = out
+        if getattr(args, "gnuplot", False):
+            files["the gnuplot script"] = out.with_suffix(".gp")
+    report = getattr(args, "report", None)
+    if report is None and out is not None and "report" in vars(args):  # sample reports beside --out
+        report = out.with_suffix(".report.json")
+    if report is not None:
+        files["--report"] = report
+    if out is not None:
+        files["the manifest"] = out.with_suffix(".manifest.json")
+    return files
+
+
+def _check_distinct(files: dict[str, Path]) -> None:
+    """Reject a run two of whose files are one path, before anything is written."""
+    seen: dict[str, str] = {}
+    for name, path in files.items():
+        first = seen.setdefault(os.path.abspath(path), name)
+        if first != name:
+            raise CliInputError(f"{first} and {name} would both be written to {path}")
+
+
 def _write_manifest(args: argparse.Namespace, outputs: list[Path]) -> None:
     params = {
         key: (str(value) if isinstance(value, Path) else value)
@@ -287,14 +313,14 @@ def _write_manifest(args: argparse.Namespace, outputs: list[Path]) -> None:
         "seed": getattr(args, "seed", None),
         "outputs": [p.name for p in outputs],
     }
-    _write_json(args.out.with_suffix(".manifest.json"), manifest)
+    _write_json(_files(args)["the manifest"], manifest)
 
 
 def _write_series(args: argparse.Namespace, echo: dict, xlabel: str, ylabel: str, x, y) -> list[Path]:
     """Integer ``x`` and float ``y`` as a two-column CSV, plus a gnuplot script on --out with --gnuplot."""
     outputs = _write_csv(args.out, echo, f"{xlabel},{ylabel}", [np.column_stack((x, y))])
-    if outputs and args.gnuplot:
-        script = args.out.with_suffix(".gp")
+    script = _files(args).get("the gnuplot script")
+    if script is not None:
         with _output(script) as write:
             write((
                 "set datafile separator ','\n"
@@ -561,9 +587,7 @@ def _cmd_sample(args: argparse.Namespace) -> list[Path]:
         "max_error_over_bound": float(ratio.max()),
         "within_bound": bool((error <= bound + 1e-15).all()),
     }
-    report_path = args.report
-    if report_path is None and args.out is not None:
-        report_path = args.out.with_suffix(".report.json")
+    report_path = _files(args).get("--report")
     if report_path is not None:  # stdout mode emits the CSV only
         outputs += _write_json(report_path, report)
     return outputs
@@ -668,6 +692,7 @@ def main(argv: list[str] | None = None) -> int:
     atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
+        _check_distinct(_files(args))
         outputs = args.handler(args)
         if args.out is not None:
             _write_manifest(args, outputs)

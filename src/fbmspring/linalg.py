@@ -64,17 +64,17 @@ def default_tol_pd(a: np.ndarray) -> float:
     return DEFAULT_PD_SCALE * a.shape[0] * float(np.abs(a).max(initial=0.0))
 
 
-def _durbin(first_row: np.ndarray, tol_pd: float | None) -> tuple[np.ndarray, float]:
+def _durbin(first_row: np.ndarray) -> tuple[np.ndarray, float]:
     """Predictor ``a`` (``a_0 = 1``) and last prediction error ``e`` of a Toeplitz first row.
 
     The Durbin recursion (Durbin 1960) runs in O(n^2) time and O(n) memory. Its
     prediction-error variances ``e_k`` are the Cholesky pivots: the first
-    ``e_k <= tol_pd`` (default :func:`default_tol_pd`) raises NotPositiveDefinite.
+    ``e_k <=`` :func:`default_tol_pd` of the row raises NotPositiveDefinite.
     """
     row = np.asarray(first_row, dtype=float)
     if row.ndim != 1 or row.size < 1:
         raise ValueError(f"expected a nonempty first row, got shape {row.shape}")
-    tol_pd = default_tol_pd(row) if tol_pd is None else tol_pd
+    tol_pd = default_tol_pd(row)
     a, e = np.zeros(row.size), row[0]
     a[0] = 1.0
     for k in range(row.size):
@@ -87,9 +87,7 @@ def _durbin(first_row: np.ndarray, tol_pd: float | None) -> tuple[np.ndarray, fl
     return a, e
 
 
-def toeplitz_inverse_rows(
-    first_row: np.ndarray, start: int = 0, stop: int | None = None, tol_pd: float | None = None
-) -> np.ndarray:
+def toeplitz_inverse_rows(first_row: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Rows ``start <= i < stop`` of the inverse of the SPD Toeplitz matrix with ``first_row``.
 
     ``stop`` defaults to the size n of the matrix. The inverse is the Gohberg-Semencul (1972) sum
@@ -102,7 +100,7 @@ def toeplitz_inverse_rows(
     every row, so a row read alone is the same bits as the table's. Raises
     NotPositiveDefinite as the Durbin recursion does.
     """
-    a, e = _durbin(first_row, tol_pd)
+    a, e = _durbin(first_row)
     n = a.size
     stop = n if stop is None else stop
     if not 0 <= start <= stop <= n:
@@ -121,14 +119,14 @@ def toeplitz_inverse_rows(
     return np.divide(rows, e, out=rows)
 
 
-def toeplitz_inverse(first_row: np.ndarray, tol_pd: float | None = None) -> np.ndarray:
+def toeplitz_inverse(first_row: np.ndarray) -> np.ndarray:
     """Inverse of the symmetric positive definite Toeplitz matrix with ``first_row``.
 
     All rows of :func:`toeplitz_inverse_rows`; the result is exactly symmetric.
-    The first Durbin pivot ``e_k <= tol_pd`` (default :func:`default_tol_pd`)
-    raises NotPositiveDefinite.
+    The first Durbin pivot ``e_k <=`` :func:`default_tol_pd` of the row raises
+    NotPositiveDefinite.
     """
-    return toeplitz_inverse_rows(first_row, tol_pd=tol_pd)
+    return toeplitz_inverse_rows(first_row)
 
 
 def eigen_sym(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

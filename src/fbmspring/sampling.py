@@ -1,8 +1,8 @@
 """Exact Gaussian sampling, its statistical error bound, and Fourier mode energies.
 
-Fourier mode energies of the periodic model come from adaptive Gauss-Kronrod
-quadrature for modes below ``CLOSED_FORM_MODE`` and from a closed form with an
-endpoint expansion from that mode up; see :func:`fourier_mode_energy`.
+Fourier mode energies of the periodic model come, for every mode, from one
+closed form in the incomplete gamma function, evaluated by its continued
+fraction; see :func:`fourier_mode_energy`.
 
 A batch is checked against its model through the zero-mean covariance
 estimate values.T @ values / paths, which callers sum over row chunks, and the
@@ -34,7 +34,6 @@ closes as well but has the wrong covariance.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -44,6 +43,7 @@ from . import linalg
 from .errors import IndefiniteCovariance, QuadratureFailure
 
 TWO_PI = 2.0 * math.pi
+_EPS = 2.0**-52  # double-precision machine epsilon
 
 
 @dataclass(frozen=True)
@@ -170,93 +170,31 @@ def uniform_ring_grid(n_points: int) -> np.ndarray:
     return np.append(TWO_PI * np.arange(1, n_points) / n_points, TWO_PI)
 
 
-# 15-point Kronrod extension of 7-point Gauss (nodes symmetric about 0);
-# the embedded Gauss rule sits on every other Kronrod node.
-_GK_NODES_HALF = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769, 0.741531185599394,
-    0.586087235467691, 0.405845151377397, 0.207784955007898, 0.0,
-])
-_GK_WEIGHTS_HALF = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
-    0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728,
-])
-_GAUSS_WEIGHTS_HALF = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469,
-])
-_GK_NODES = np.concatenate((-_GK_NODES_HALF[:-1], _GK_NODES_HALF[::-1]))
-_GK_WEIGHTS = np.concatenate((_GK_WEIGHTS_HALF[:-1], _GK_WEIGHTS_HALF[::-1]))
-_GAUSS_WEIGHTS = np.concatenate((_GAUSS_WEIGHTS_HALF[:-1], _GAUSS_WEIGHTS_HALF[::-1]))
-
-_MAX_QUAD_PANELS = 5_000
+#: Terms of the incomplete-gamma continued fraction before a mode energy fails (72 suffice
+#: for mode 1, the slowest, over H in (0, 1]).
+_MAX_FRACTION_TERMS = 1_000
 
 
-def _gauss_kronrod_panel(f, a: float, b: float) -> tuple[float, float]:
-    """15-point Kronrod value and |Kronrod - Gauss| error estimate on [a, b]."""
-    center, half = 0.5 * (a + b), 0.5 * (b - a)
-    fx = f(center + half * _GK_NODES)
-    kronrod = half * float(_GK_WEIGHTS @ fx)
-    gauss = half * float(_GAUSS_WEIGHTS @ fx[1::2])
-    return kronrod, abs(kronrod - gauss)
+def _gamma_tail_fraction(s: float, z: complex) -> tuple[complex, float]:
+    """Gamma(s, z) e^z z^(-s) and its relative error: eps, or inf once the terms run out.
 
-
-def _adaptive_cos_quad(f, n_osc: int, upper: float, tol: float) -> tuple[float, float]:
-    """integral_0^upper f(x) cos(n_osc x) dx by adaptive Gauss-Kronrod.
-
-    Initial panels are split at the zeros of cos(n_osc x) so no panel spans a
-    sign flip of the weight; the worst panel (by error estimate) is then
-    bisected until the summed estimate drops below ``tol``. Bisection piles
-    panels onto the left endpoint, where f may have a derivative singularity.
+    Legendre's continued fraction 1/(z+1-s- 1(1-s)/(z+3-s- 2(2-s)/(z+5-s- ...)))
+    (Abramowitz & Stegun 6.5.31, even part), evaluated by modified Lentz until a
+    factor rounds to within eps of 1.
     """
-    def integrand(x):
-        return f(x) * np.cos(n_osc * x)
-
-    zeros = (np.arange(n_osc) + 0.5) * math.pi / n_osc
-    edges = np.concatenate(([0.0], zeros[zeros < upper], [upper]))
-    heap: list[tuple[float, float, float, float]] = []
-    total_err = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        value, err = _gauss_kronrod_panel(integrand, a, b)
-        heapq.heappush(heap, (-err, a, b, value))
-        total_err += err
-    for _ in range(_MAX_QUAD_PANELS):
-        if total_err <= tol:
-            break
-        neg_err, a, b, value = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:  # panel narrower than float spacing
-            heapq.heappush(heap, (neg_err, a, b, value))
-            break
-        total_err += neg_err
-        for lo, hi in ((a, mid), (mid, b)):
-            value, err = _gauss_kronrod_panel(integrand, lo, hi)
-            heapq.heappush(heap, (-err, lo, hi, value))
-            total_err += err
-    return (
-        math.fsum(item[3] for item in heap),
-        max(math.fsum(-item[0] for item in heap), 0.0),
-    )
-
-
-#: Lowest mode whose energy comes from the closed form; lower modes keep the quadrature.
-CLOSED_FORM_MODE = 7
-
-
-def _endpoint_series(a: float, mode: int) -> tuple[float, float]:
-    """Sum over j of (-1)^j a(a-1)...(a-2j) pi^(a-2j-1) / mode^(2j+2), and its smallest term.
-
-    Asymptotic in 1/mode: summed up to the smallest term, which counts half
-    (the terms alternate near it), or until a term no longer changes the sum.
-    """
-    scale = (math.pi * mode) ** 2
-    term, total, k = a * math.pi ** (a - 1.0) / mode**2, 0.0, 1.0
-    while True:
-        following = -term * (a - k) * (a - k - 1.0) / scale
-        if abs(following) >= abs(term):
-            return total + 0.5 * term, abs(term)
-        total += term
-        if total + following == total:
-            return total, abs(following)
-        term, k = following, k + 2.0
+    b = z + 1.0 - s
+    c, d = math.inf, 1.0 / b  # Lentz's 1/tiny start: the first c is b_1 itself
+    h = d
+    for k in range(1, _MAX_FRACTION_TERMS + 1):
+        ak = -k * (k - s)
+        b += 2.0
+        d = 1.0 / (b + ak * d)
+        c = b + ak / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            return h, _EPS
+    return h, math.inf
 
 
 def fourier_mode_energy(hurst: float, mode: int, tol: float = 1e-10) -> float:
@@ -264,14 +202,17 @@ def fourier_mode_energy(hurst: float, mode: int, tol: float = 1e-10) -> float:
 
     Evaluates -(4 pi^2 / mode^{2H+1}) * integral_0^pi x^{2H} cos(mode x) dx to
     absolute tolerance ``tol`` on the returned value. Nonnegative for
-    hurst <= 1/2. Modes below ``CLOSED_FORM_MODE`` use oscillation-aware
-    adaptive quadrature. From that mode up, with a = 2H, the integral is the
-    transform of x^a over (0, inf), -Gamma(a+1) sin(pi a/2) / mode^{a+1}, minus
-    the part over (pi, inf), whose real part is (-1)^{mode+1} times
-    :func:`_endpoint_series` (repeated integration by parts; Erdelyi 1956), in
-    constant time per mode. Either way QuadratureFailure is raised when the
-    error estimate (for the series, its smallest term) times the prefactor
-    exceeds ``tol``.
+    hurst <= 1/2. With a = 2H and z = -i pi mode the integral is the real part
+    of (-i mode)^{-a-1} (Gamma(a+1) - Gamma(a+1, z)); two steps of
+    Gamma(s, z) = (s-1) Gamma(s-1, z) + z^{s-1} e^{-z} (Abramowitz & Stegun
+    6.5.22) turn it into
+    -Gamma(a+1) sin(pi a/2) / mode^{a+1}
+    + (-1)^mode (a pi^{a-1} / mode^2) (1 + (a-1) Re h), with
+    h = Gamma(a-1, z) e^z z^{1-a} from Legendre's continued fraction
+    (Abramowitz & Stegun 6.5.31; :func:`_gamma_tail_fraction`). The
+    factor a - 1 makes H = 1/2 exact. QuadratureFailure is raised when the
+    fraction's error times its weight in the returned value exceeds ``tol``,
+    or when its terms run out.
     """
     if not 0.0 < hurst <= 1.0:
         raise ValueError(f"hurst must be in (0, 1], got {hurst}")
@@ -279,12 +220,12 @@ def fourier_mode_energy(hurst: float, mode: int, tol: float = 1e-10) -> float:
         raise ValueError(f"mode must be >= 1, got {mode}")
     a = 2.0 * hurst
     prefactor = -4.0 * math.pi**2 / mode ** (a + 1.0)
-    if mode >= CLOSED_FORM_MODE:
-        tail, err = _endpoint_series(a, mode)
-        value = -math.gamma(a + 1.0) * math.sin(0.5 * math.pi * a) / mode ** (a + 1.0)
-        value += tail if mode % 2 == 0 else -tail
-    else:
-        value, err = _adaptive_cos_quad(lambda x: x**a, mode, math.pi, 0.5 * tol / abs(prefactor))
-    if err * abs(prefactor) > tol:
-        raise QuadratureFailure(estimate=prefactor * value, error=err * abs(prefactor), tol=tol)
+    h, rel_err = _gamma_tail_fraction(a - 1.0, complex(0.0, -math.pi * mode))
+    scale = a * math.pi ** (a - 1.0) / mode**2
+    tail = scale * (1.0 + (a - 1.0) * h.real)
+    value = -math.gamma(a + 1.0) * math.sin(0.5 * math.pi * a) / mode ** (a + 1.0)
+    value += tail if mode % 2 == 0 else -tail
+    err = abs(prefactor) * scale * abs(a - 1.0) * abs(h) * rel_err
+    if not err <= tol:  # terms that ran out give inf, or nan (0 * inf) at H = 1/2
+        raise QuadratureFailure(estimate=prefactor * value, error=err, tol=tol)
     return prefactor * value + 0.0  # an exact zero (even modes at H = 1/2) prints as 0, not -0

@@ -83,6 +83,7 @@ def test_removed_names_stay_removed():
         "empirical_covariance", "_ring_increment_row", "default_admissibility_tol",
         "ChainModel", "RingGeometry", "CouplingProfile", "RingModel",
         "_geodesic_array", "_ring_profile", "piecewise_ring_cov",
+        "CLOSED_FORM_MODE", "_endpoint_series", "_adaptive_cos_quad", "_gauss_kronrod_panel", "heapq",
     }
     for module in MODULES:
         assert removed.isdisjoint(vars(importlib.import_module(f"fbmspring.{module}"))), module

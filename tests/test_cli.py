@@ -698,6 +698,21 @@ def test_missing_directory_names_the_requested_file(tmp_path, monkeypatch, capsy
     assert sorted(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--model", "reflected", "--grid", "4", "--paths", "3", "--out", "s.csv", "--report", "./s.csv"],
+     "--out and --report would both be written to s.csv"),
+    (["spectrum", "--sites", "6", "--g", "1", "--out", "x.gp", "--gnuplot"],
+     "--out and the gnuplot script would both be written to x.gp"),
+    (["sample", "--model", "reflected", "--grid", "4", "--paths", "3", "--out", "t.csv", "--report", "t.manifest.json"],
+     "--report and the manifest would both be written to t.manifest.json"),
+], ids=["report-is-out", "script-is-out", "report-is-manifest"])
+def test_outputs_on_one_path_are_rejected_before_writing(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(tmp_path.iterdir()) == []
+
+
 def test_stdout_stringio_and_file_give_the_same_bytes(tmp_path, capsys):
     argv = ["sample", "--model", "bridge", "--grid", "16", "--paths", "9000", "--seed", "4"]
     assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 0

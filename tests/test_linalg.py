@@ -37,9 +37,9 @@ def loop_cholesky(a, tol_pd):
     return low
 
 
-def factor_or_error(factor, a, tol_pd):
+def factor_or_error(factor, *args):
     try:
-        return factor(a, tol_pd)
+        return factor(*args)
     except NotPositiveDefinite as exc:
         return exc
 
@@ -60,7 +60,7 @@ def toeplitz(row):
 
 def outer_product_inverse(row):
     """Gohberg-Semencul table from two outer products and one in-place diagonal sum over rows."""
-    a, e = linalg._durbin(row, None)
+    a, e = linalg._durbin(row)
     b = np.concatenate(([0.0], a[:0:-1]))
     inv = np.multiply.outer(a, a)
     inv -= np.multiply.outer(b, b)
@@ -79,21 +79,25 @@ def random_spd_row(rng, n):
 class TestCholesky:
     """The Durbin prediction errors of ``toeplitz_inverse`` are the Cholesky pivots."""
 
-    def test_identity(self):
+    def test_identity(self, monkeypatch):
         # every pivot of the identity is 1: a tolerance of 1 stops at the first
+        monkeypatch.setattr(linalg, "default_tol_pd", lambda row: 1.0)
         with pytest.raises(NotPositiveDefinite) as info:
-            toeplitz_inverse([1.0, 0.0, 0.0], tol_pd=1.0)
+            toeplitz_inverse([1.0, 0.0, 0.0])
         assert (info.value.pivot_index, info.value.pivot_value) == (0, 1.0)
-        inv = toeplitz_inverse([1.0, 0.0, 0.0], tol_pd=np.nextafter(1.0, 0.0))
+        monkeypatch.setattr(linalg, "default_tol_pd", lambda row: np.nextafter(1.0, 0.0))
+        inv = toeplitz_inverse([1.0, 0.0, 0.0])
         np.testing.assert_array_equal(inv, np.eye(3))
 
-    def test_hand_expanded_2x2(self):
+    def test_hand_expanded_2x2(self, monkeypatch):
         # [[4,2],[2,4]]: l00^2 = 4, l10 = 2/2 = 1, l11^2 = 4 - 1 = 3
+        monkeypatch.setattr(linalg, "default_tol_pd", lambda row: 3.0)
         with pytest.raises(NotPositiveDefinite) as info:
-            toeplitz_inverse([4.0, 2.0], tol_pd=3.0)
+            toeplitz_inverse([4.0, 2.0])
         assert (info.value.pivot_index, info.value.pivot_value) == (1, 3.0)
         # inverse [[4,-2],[-2,4]] / (4 * 4 - 2 * 2)
-        inv = toeplitz_inverse([4.0, 2.0], tol_pd=2.9)
+        monkeypatch.setattr(linalg, "default_tol_pd", lambda row: 2.9)
+        inv = toeplitz_inverse([4.0, 2.0])
         np.testing.assert_allclose(inv, [[1 / 3, -1 / 6], [-1 / 6, 1 / 3]], atol=1e-15)
 
     def test_chain_covariance_is_pd(self):
@@ -138,7 +142,7 @@ class TestCholeskyAgainstLoop:
             tol = default_tol_pd(m)
             assert default_tol_pd(row) == tol
             expected = factor_or_error(loop_cholesky, m, tol)
-            got = factor_or_error(toeplitz_inverse, row, tol)
+            got = factor_or_error(toeplitz_inverse, row)
             if isinstance(expected, NotPositiveDefinite):
                 failures += 1
                 assert isinstance(got, NotPositiveDefinite)
@@ -233,13 +237,16 @@ class TestToeplitzInverse:
             toeplitz_inverse([0.0, 0.5])
         assert (info.value.pivot_index, info.value.pivot_value) == (0, 0.0)
 
-    def test_default_tolerance(self):
+    def test_default_tolerance(self, monkeypatch):
         # second pivot 1 - (1 - 1e-12)^2 ~ 2e-12 lies below 1e-9 * 2 * 1
         row = np.array([1.0, 1.0 - 1e-12])
         with pytest.raises(NotPositiveDefinite) as info:
             toeplitz_inverse(row)
         assert 0.0 < info.value.pivot_value <= default_tol_pd(row) == default_tol_pd(toeplitz(row))
-        inv = toeplitz_inverse(row, tol_pd=0.0)
+        with pytest.raises(TypeError):  # the tolerance is not a parameter
+            toeplitz_inverse(row, tol_pd=0.0)
+        monkeypatch.setattr(linalg, "default_tol_pd", lambda row: 0.0)
+        inv = toeplitz_inverse(row)
         assert np.abs(inv @ toeplitz(row) - np.eye(2)).max() <= 1e-3
 
     def test_nan_is_not_positive_definite(self):

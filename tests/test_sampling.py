@@ -318,17 +318,17 @@ class TestFourierModeEnergy:
         assert info.value.tol == 1e-30 < info.value.error
 
     def test_closed_form_failure_reports_tolerance(self):
-        # from mode 7 the error estimate is the smallest series term times the prefactor
+        # the error estimate is eps times the continued fraction's weight in the value
         message = r"^Fourier mode energy error estimate .* exceeds tolerance 1\.000e-30$"
         with pytest.raises(QuadratureFailure, match=message) as info:
             fourier_mode_energy(0.31, 7, tol=1e-30)
         assert 1e-30 < info.value.error < 1e-10
         assert info.value.estimate == fourier_mode_energy(0.31, 7)
 
-    @pytest.mark.parametrize("mode", [7, 8, 12, 100, 2000])
+    @pytest.mark.parametrize("mode", [1, 2, 3, 6, 7, 8, 12, 100, 2000])
     def test_closed_form_matches_mpmath(self, mode):
         mp = pytest.importorskip("mpmath")
-        for hurst in np.arange(1, 21) / 20:
+        for hurst in [*np.arange(1, 21) / 20, 0.001, 0.005, 0.499, 0.501, 0.999]:
             with mp.workdps(40):  # the power series of the integral, summed by mpmath's 1F2
                 a = mp.mpf(2.0 * hurst)
                 series = mp.hyp1f2((a + 1) / 2, 0.5, (a + 3) / 2, -((mode * mp.pi) ** 2) / 4)
@@ -336,22 +336,16 @@ class TestFourierModeEnergy:
                 expected = -4 * mp.pi**2 / mp.mpf(mode) ** (a + 1) * integral
                 assert abs(fourier_mode_energy(float(hurst), mode) - expected) <= 1e-12, hurst
 
-    def test_low_modes_use_the_quadrature(self, monkeypatch):
-        modes = []
-        quad = sampling._adaptive_cos_quad
-
-        def counted(f, n_osc, upper, tol):
-            modes.append(n_osc)
-            return quad(f, n_osc, upper, tol)
-
-        monkeypatch.setattr(sampling, "_adaptive_cos_quad", counted)
-        for mode in range(1, 13):
-            fourier_mode_energy(0.3, mode)
-        assert modes == [1, 2, 3, 4, 5, 6]
+    def test_exhausted_fraction_raises(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_MAX_FRACTION_TERMS", 1)
+        for hurst in (0.3, 0.5):  # at H = 1/2 the value is exact, but the fraction still ran out
+            with pytest.raises(QuadratureFailure):
+                fourier_mode_energy(hurst, 1)
 
     def test_closed_form_is_exact_at_integer_exponents(self):
-        # H = 1/2 and H = 1: the endpoint series ends after one term
-        for mode in range(7, 40):
+        # H = 1/2 and H = 1: the factor a - 1 removes the continued fraction (H = 1/2), or the
+        # fraction ends after its first term (H = 1)
+        for mode in range(1, 40):
             assert fourier_mode_energy(0.5, mode) == pytest.approx(8 * math.pi**2 / mode**4 if mode % 2 else 0.0,
                                                                    rel=1e-15, abs=0.0)
             expected = (1 if mode % 2 else -1) * 8 * math.pi**3 / mode**5
