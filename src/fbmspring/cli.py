@@ -38,13 +38,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circulant import circulant_eigenvalues, ring_mode_spectrum
-from .couplings import chain_coupling_matrix, chain_coupling_row, coupling_laplacian
+from .circulant import circulant_eigenvalues, mirrored_distance_row, ring_mode_spectrum
+from .couplings import chain_coupling_rows
 from .critical import SignChangeQuery, coupling_at, find_critical_hurst
 from .errors import FbmSpringError, NoSignChange
-from .kernels import chain_increment_cov, ring_increment_cov, ring_increment_row
+from .kernels import chain_increment_cov, chain_increment_row, ring_increment_cov, ring_increment_row
 from .linalg import centrosymmetric_eigenvalues
-from .rings import check_admissible, power_law_ring, ring_coupling_profile
+from .rings import check_admissible, power_law_ring, ring_coupling_profile, ring_energy_eigenvalues
 from .sampling import (
     brownian_bridge_ring,
     covariance_bound,
@@ -291,11 +291,13 @@ def _files(args: argparse.Namespace) -> dict[str, Path]:
     return files
 
 
-def _check_distinct(files: dict[str, Path]) -> None:
-    """Reject a run two of whose files are one path, before anything is written."""
-    seen: dict[str, str] = {}
-    for name, path in files.items():
+def _check_distinct(args: argparse.Namespace) -> None:
+    """Before anything is written, reject a run two of whose files are one path or that overwrites --g-file."""
+    seen = {os.path.abspath(args.g_file): "--g-file"} if getattr(args, "g_file", None) else {}
+    for name, path in _files(args).items():
         first = seen.setdefault(os.path.abspath(path), name)
+        if first == "--g-file":
+            raise CliInputError(f"{name} would overwrite --g-file {path}")
         if first != name:
             raise CliInputError(f"{first} and {name} would both be written to {path}")
 
@@ -357,7 +359,7 @@ def _cmd_couplings(args: argparse.Namespace) -> list[Path]:
     if args.mode == "chain":
         center = _resolve_center(args.monomers, args.center)
         echo["center"] = center + 1
-        g = chain_coupling_row(args.monomers, args.hurst, center)
+        g = chain_coupling_rows(args.monomers, args.hurst, center, center + 1)[0]
         others = np.delete(np.arange(args.monomers), center)
         x, y = others + 1, g[others]
         xlabel = "index"
@@ -444,31 +446,29 @@ def _cmd_spectrum(args: argparse.Namespace) -> list[Path]:
         sites, g = _ring_model_from_args(args)
         lam = ring_mode_spectrum(g, sites)
         echo.update(sites=sites, g=",".join(_fmt(v) for v in g))
-    elif args.mode == "ring":
-        if args.monomers is None or args.hurst is None:
-            raise CliInputError("ring spectrum needs --monomers and --hurst")
-        echo.update(mode="ring", monomers=args.monomers, hurst=_fmt(args.hurst))
-        if args.cov:
-            echo["series"] = "increment-covariance eigenvalues"
-            lam = circulant_eigenvalues(ring_increment_row(args.monomers, args.hurst))
-        else:
-            echo["series"] = "energy eigenvalues"
-            lam = ring_mode_spectrum(ring_coupling_profile(args.monomers, args.hurst), args.monomers)
-    elif args.mode == "chain":
-        if args.monomers is None or args.hurst is None:
-            raise CliInputError("chain spectrum needs --monomers and --hurst")
-        echo.update(mode="chain", monomers=args.monomers, hurst=_fmt(args.hurst))
-        if args.cov:
-            echo["series"] = "increment-covariance eigenvalues (ascending)"
-            lam = centrosymmetric_eigenvalues(chain_increment_cov(args.monomers - 1, args.hurst))
-        else:
-            echo["series"] = "energy eigenvalues (ascending)"
-            # The Gohberg-Semencul table misses centrosymmetry by rounding (up
-            # to 6e-16 relative), so the reflection split gets (L + JLJ) / 2.
-            lap = coupling_laplacian(chain_coupling_matrix(args.monomers, args.hurst))
-            lam = centrosymmetric_eigenvalues(0.5 * (lap + lap[::-1, ::-1]))
-    else:
+    elif args.mode is None:
         raise CliInputError("spectrum needs either --g/--g-file or --mode with --monomers/--hurst")
+    elif args.monomers is None or args.hurst is None:
+        raise CliInputError(f"{args.mode} spectrum needs --monomers and --hurst")
+    else:
+        monomers, hurst = args.monomers, args.hurst
+        series = "increment-covariance eigenvalues" if args.cov else "energy eigenvalues"
+        echo.update(mode=args.mode, monomers=monomers, hurst=_fmt(hurst),
+                    series=series if args.mode == "ring" else f"{series} (ascending)")
+        if args.mode == "ring" and args.cov:
+            lam = circulant_eigenvalues(ring_increment_row(monomers, hurst))
+        elif args.mode == "ring":
+            lam = np.concatenate(([0.0], mirrored_distance_row(ring_energy_eigenvalues(monomers, hurst), monomers)))
+        # A chain read from the other end is the same chain: its leading half of rows holds the spectrum.
+        elif args.cov:
+            r = chain_increment_row(monomers - 1, hurst)  # Toeplitz row i: r[i:0:-1], r[:n-i]
+            rows = np.lib.stride_tricks.sliding_window_view(np.concatenate((r[:0:-1], r)), r.size)[::-1]
+            lam = centrosymmetric_eigenvalues(rows[: r.size - r.size // 2])
+        else:
+            rows = chain_coupling_rows(monomers, hurst, 0, monomers - monomers // 2)
+            sums = rows.sum(axis=1)
+            np.fill_diagonal(np.subtract(0.0, rows, out=rows), sums)  # Laplacian rows diag(sums) - g, in place
+            lam = centrosymmetric_eigenvalues(rows)
     return _write_series(args, echo, "mode", "lambda", np.arange(lam.size), lam)
 
 
@@ -692,7 +692,7 @@ def main(argv: list[str] | None = None) -> int:
     atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
-        _check_distinct(_files(args))
+        _check_distinct(args)
         outputs = args.handler(args)
         if args.out is not None:
             _write_manifest(args, outputs)

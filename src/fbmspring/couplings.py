@@ -11,9 +11,9 @@ attractive spring between monomers k and l, negative g_kl a repulsive one.
 Both directions of the transform are implemented here, together with the
 position-space quadratic form matrix (the weighted Laplacian of the coupling
 graph) and the figure-style slice of one monomer's couplings to all others.
-For a fractional Brownian chain, :func:`chain_coupling_row` computes that
-slice from two rows of the energy matrix in O(n) memory, and
-:func:`chain_coupling_matrix` builds the whole table.
+For a fractional Brownian chain, :func:`chain_coupling_rows` builds any band
+of the table's rows from the energy rows it needs: one monomer's couplings in
+O(n) memory, the leading half for a spectrum, or the whole table.
 
 Tables and energy matrices are plain arrays. Each function checks the array
 its caller passes once (square, exactly symmetric, and for a coupling table a
@@ -41,26 +41,25 @@ def _check_table(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def _second_difference(padded: np.ndarray) -> np.ndarray:
-    """Coupling rows from consecutive rows of an energy matrix zero-padded by one column each side.
+def _coupling_rows(energy: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows ``start <= k < stop`` of :func:`couplings_from_energy` from energy rows max(start-1, 0)..min(stop, n)-1.
 
-    Row k is -((p[k, l] + p[k+1, l+1]) - (p[k, l+1] + p[k+1, l])) / 2, the
-    formula of :func:`couplings_from_energy`; diagonal entries are left as computed.
+    Row k needs energy rows k - 1 and k (zero beyond the chain ends). The
+    formula is elementwise, so blocks of rows give the same bits as the whole
+    table, and grouping (same) - (cross) keeps a whole table bitwise symmetric.
     """
-    # Grouping (same) - (cross) keeps a full table bitwise symmetric.
-    g = padded[:-1, :-1] + padded[1:, 1:]
-    g -= padded[:-1, 1:] + padded[1:, :-1]
-    g *= -0.5
-    return g
-
-
-def _coupling_table(a: np.ndarray) -> np.ndarray:
-    """The coupling table of a symmetric energy matrix ``a``; see :func:`couplings_from_energy`."""
-    n = a.shape[0]
-    padded = np.zeros((n + 2, n + 2))
-    padded[1 : n + 1, 1 : n + 1] = a
-    g = _second_difference(padded)
-    np.fill_diagonal(g, 0.0)
+    n = energy.shape[1]
+    first = max(start - 1, 0)
+    g = np.empty((stop - start, n + 1))
+    for lo in range(start, stop, 256):  # blocks of 256 rows bound the padded copy and the temporaries
+        hi = min(lo + 256, stop)
+        a, b = max(lo - 1, 0), min(hi, n)  # energy rows lo - 1 .. hi - 1 that exist, zero-padded
+        padded = np.pad(energy[a - first : b - first], ((a - lo + 1, hi - b), (1, 1)))
+        block = g[lo - start : hi - start]
+        np.add(padded[:-1, :-1], padded[1:, 1:], out=block)
+        block -= padded[:-1, 1:] + padded[1:, :-1]
+        block *= -0.5
+    g[np.arange(stop - start), np.arange(start, stop)] = 0.0
     return g
 
 
@@ -76,7 +75,8 @@ def couplings_from_energy(a: np.ndarray) -> np.ndarray:
     The returned (n + 1) x (n + 1) table is exactly symmetric with a zero
     diagonal.
     """
-    return _coupling_table(linalg.require_symmetric(a))
+    a = linalg.require_symmetric(a)
+    return _coupling_rows(a, 0, a.shape[0] + 1)
 
 
 def energy_from_couplings(g: np.ndarray) -> np.ndarray:
@@ -120,41 +120,28 @@ def coupling_slice(g: np.ndarray, center: int) -> list[tuple[int, float]]:
     return [(i, float(g[center, i])) for i in range(size) if i != center]
 
 
-def _check_chain_hurst(hurst: float) -> None:
+def chain_coupling_rows(monomers: int, hurst: float, start: int, stop: int) -> np.ndarray:
+    """Couplings of monomers ``start <= k < stop`` (0-based) to every monomer: rows of the chain's table.
+
+    The same bits as :func:`chain_coupling_matrix`'s rows, holding only the
+    energy rows the band needs (:func:`~fbmspring.linalg.toeplitz_inverse_rows`),
+    in O(n^2) time; one row costs O(n) memory.
+    """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"chain couplings need 0 < hurst < 1 (a rigid rod at 1), got hurst = {hurst}")
+    n = monomers - 1
+    row = kernels.chain_increment_row(n, hurst)
+    if not 0 <= start <= stop <= monomers:
+        raise IndexError(f"rows {start}..{stop} outside 0..{monomers}")
+    return _coupling_rows(linalg.toeplitz_inverse_rows(row, max(start - 1, 0), min(stop, n)), start, stop)
 
 
 def chain_coupling_matrix(monomers: int, hurst: float) -> np.ndarray:
-    """Full coupling table of a fractional Brownian chain.
+    """Full coupling table of a fractional Brownian chain, all rows of :func:`chain_coupling_rows`.
 
     Pipeline: Toeplitz increment covariance -> inverse (energy matrix) ->
     couplings, in O(n^2) time from the covariance's first row. ``monomers``
     counts positions, so the covariance has monomers - 1 rows. The
-    Gohberg-Semencul inverse is exactly symmetric, so nothing is checked
-    after it. :func:`chain_coupling_row` gives one row of it in O(n) memory.
+    Gohberg-Semencul inverse is exactly symmetric, so nothing is checked.
     """
-    _check_chain_hurst(hurst)
-    return _coupling_table(linalg.toeplitz_inverse(kernels.chain_increment_row(monomers - 1, hurst)))
-
-
-def chain_coupling_row(monomers: int, hurst: float, center: int) -> np.ndarray:
-    """Couplings of monomer ``center`` (0-based) to every monomer, zero at ``center``.
-
-    The same bits as row ``center`` of :func:`chain_coupling_matrix`, from rows
-    center - 1 and center of the energy matrix (zero beyond the chain ends) in
-    O(n^2) time and O(n) memory.
-    """
-    _check_chain_hurst(hurst)
-    if not 0 <= center < monomers:
-        raise IndexError(f"center must lie in [0, {monomers}), got {center}")
-    n = monomers - 1
-    rows = linalg.toeplitz_inverse_rows(kernels.chain_increment_row(n, hurst), max(center - 1, 0), min(center + 1, n))
-    padded = np.zeros((2, n + 2))  # energy rows center - 1 and center, zero beyond the chain ends
-    if center > 0:
-        padded[0, 1:-1] = rows[0]
-    if center < n:
-        padded[1, 1:-1] = rows[-1]
-    g = _second_difference(padded)[0]
-    g[center] = 0.0
-    return g
+    return chain_coupling_rows(monomers, hurst, 0, monomers)

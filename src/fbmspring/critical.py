@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .couplings import chain_coupling_row
+from .couplings import chain_coupling_rows
 from .errors import NoSignChange
 
 #: Smallest accepted ``tol``, in ulps of the larger bracket end.
@@ -92,7 +92,7 @@ def coupling_at(monomers: int, hurst: float, center: int | None, offset: int) ->
     ill-conditioned request rather than an invalid model.
     """
     center = _center_index(monomers, center, offset)
-    return float(chain_coupling_row(monomers, hurst, center)[center + offset])
+    return float(chain_coupling_rows(monomers, hurst, center, center + 1)[0, center + offset])
 
 
 def find_critical_hurst(query: SignChangeQuery) -> tuple[float, int]:

@@ -21,9 +21,9 @@ first row is the chain row folded at floor(N/2), the one lag with its own term.
 Both covariances are stationary, so the pipelines work from their first rows
 (:func:`chain_increment_row`, :func:`ring_increment_row`): chain couplings
 through the Toeplitz solver in ``linalg``, ring spectra and couplings through
-the FFT in ``circulant``. The dense matrices are gathered from those rows,
-entry (i, j) = row[|j - i|] or row[(j - i) mod N], for the dense consumers:
-sampling and the chain covariance spectrum.
+the FFT in ``circulant``, and the chain covariance spectrum from a view of
+the first row. Sampling, the one dense consumer left, gathers the matrices,
+entry (i, j) = row[|j - i|] or row[(j - i) mod N].
 
 The builders take plain scalars and check them where the row is built: a
 chain needs n >= 1 increments, a ring N >= 3 sites, and H may lie anywhere in

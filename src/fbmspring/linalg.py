@@ -4,11 +4,12 @@ Chain covariances are symmetric Toeplitz, so :func:`toeplitz_inverse` works
 from their first row in O(n^2) time, and :func:`toeplitz_inverse_rows` gives
 the leading rows of the same inverse, bit for bit, holding only the rows asked
 for. Chains are also centrosymmetric, so :func:`centrosymmetric_eigenvalues`
-splits them into two half-size blocks; symmetric matrices without such
-structure go through ``eigh``. Dense inputs must be *exactly* symmetric
-(``a[i, k] == a[k, i]`` bitwise); builders elsewhere construct them so, and
-:func:`require_symmetric` is the guard at every entry point. What this layer
-adds to numpy is the package's positive-definiteness tolerance and its errors.
+splits their leading half of rows into two half-size blocks; symmetric
+matrices without such structure go through ``eigh``. Dense inputs must be
+*exactly* symmetric (``a[i, k] == a[k, i]`` bitwise); builders elsewhere
+construct them so, and :func:`require_symmetric` is the guard at every entry
+point. What this layer adds to numpy is the package's positive-definiteness
+tolerance and its errors.
 """
 
 from __future__ import annotations
@@ -138,32 +139,36 @@ def eigen_sym(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NoConvergence(f"LAPACK eigh did not converge: {exc}") from exc
 
 
-def centrosymmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a matrix that is exactly symmetric and centrosymmetric.
+def centrosymmetric_eigenvalues(rows: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric centrosymmetric n x n matrix from its first ceil(n/2) rows.
 
-    Such a matrix commutes with the exchange matrix J (``a[::-1, ::-1] == a``),
-    so the basis (x + Jx)/sqrt(2), (x - Jx)/sqrt(2) splits it into the
-    half-size blocks A + CJ (even modes) and A - CJ (odd modes), with A the
-    leading block and C the block to its right (Cantoni & Butler 1976). An odd
-    size's middle row and column join the even block, scaled by sqrt(2). LAPACK
-    ``eigvalsh`` on the two blocks costs about a quarter of one dense solve.
+    The basis (x ± Jx)/sqrt(2) splits it into the half-size blocks A ± CJ
+    (Cantoni & Butler 1976), with A the leading block and C the block to its
+    right; an odd size's middle row joins the even block, scaled by sqrt(2).
+    The rows' leading square block must be exactly symmetric. CJ enters as
+    (CJ + (CJ).T)/2, the same bits for a Toeplitz matrix. The two blocks share
+    one n^2/4 array; ``eigvalsh`` on them costs a quarter of one dense solve.
     """
-    a = require_symmetric(a)
-    if not np.array_equal(a, a[::-1, ::-1]):
-        dev = float(np.abs(a - a[::-1, ::-1]).max())
-        raise ValueError(f"matrix is not centrosymmetric (max |a - JaJ| = {dev:.3e})")
-    half = a.shape[0] // 2
-    leading, mirrored = a[:half, :half], a[:half, : -half - 1 : -1]  # mirrored[i, j] = a[i, n-1-j]
-    even, odd = leading + mirrored, leading - mirrored
-    if a.shape[0] % 2:
-        middle = math.sqrt(2.0) * a[:half, half]
-        even = np.block([[even, middle[:, None]], [middle, a[half, half]]])
+    rows = np.asarray(rows, dtype=float)
+    n = rows.shape[-1]
+    half = n // 2
+    if rows.ndim != 2 or n < 1 or rows.shape[0] != n - half:
+        raise ValueError(f"expected the leading ceil(n/2) rows of an n x n matrix, got shape {rows.shape}")
+    leading, mirrored = rows[:half, :half], rows[:half, : -half - 1 : -1]  # mirrored[i, j] = a[i, n-1-j]
+    block = require_symmetric(rows[:, : n - half]).copy()  # the even block, then its leading part the odd one
+    block[half:, :half] *= math.sqrt(2.0)  # an odd size's middle row and column
+    block[:half, half:] *= math.sqrt(2.0)
+    part = block[:half, :half]
+    spectra = []
     try:
-        w = np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)))
+        for scale, matrix in ((0.5, block), (-0.5, part)):
+            np.add(mirrored, mirrored.T, out=part)
+            part *= scale
+            part += leading
+            spectra.append(np.linalg.eigvalsh(matrix))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK eigvalsh did not converge: {exc}") from exc
-    w.sort()
-    return w
+    return np.sort(np.concatenate(spectra))
 
 
 def classify_definiteness(a: np.ndarray) -> DefinitenessVerdict:

@@ -141,20 +141,17 @@ def power_law_ring(
     )
 
 
-def ring_coupling_profile(sites: int, hurst: float) -> np.ndarray:
-    """Couplings g_1..g_{floor(N/2)} of a periodic fractional Brownian ring, by distance.
+def ring_energy_eigenvalues(sites: int, hurst: float) -> np.ndarray:
+    """Energy eigenvalues lambda_1..lambda_{floor(N/2)} of a periodic fractional Brownian ring.
 
-    The energy matrix is the inverse covariance of the first N - 1 increments.
-    With mu_m the eigenvalues of the circulant increment covariance and
-    theta_m = 2 pi m / N, the couplings are the closed form
-
-        g_k = -1/2 IDFT[2 (1 - cos theta_m) / mu_m]_k,  k = 1..floor(N/2),
-
-    with the m = 0 term zero. Raises MissingRingModes (a NotPositiveDefinite)
-    naming each mode m <= N/2 with mu_m <= spectrum_tol(c), the FFT's rounding
-    error times a safety factor: then no Gaussian ring exists. That is every
-    even ring at H >= 1/2, and an odd ring above its H_c(N), which falls from
-    H_c(3) = 1 through H_c(5) = 0.694 and H_c(9) = 0.548 toward 1/2.
+    The energy matrix is the inverse covariance of the first N - 1 increments,
+    so lambda_m = 2 sin^2(theta_m/2) / mu_m, with mu_m the eigenvalues of the
+    circulant increment covariance, theta_m = 2 pi m / N and lambda_0 = 0.
+    Raises MissingRingModes (a NotPositiveDefinite) naming each mode m <= N/2
+    with mu_m <= spectrum_tol(c), the FFT's rounding error times a safety
+    factor: then no Gaussian ring exists. That is every even ring at H >= 1/2,
+    and an odd ring above its H_c(N), which falls from H_c(3) = 1 through
+    H_c(5) = 0.694 and H_c(9) = 0.548 toward 1/2.
     """
     row = kernels.ring_increment_row(sites, hurst)
     modes = np.arange(1, sites // 2 + 1)
@@ -163,5 +160,14 @@ def ring_coupling_profile(sites: int, hurst: float) -> np.ndarray:
     missing = mu <= tol
     if missing.any():
         raise MissingRingModes([int(m) for m in modes[missing]], float(mu.min()), tol, sites, hurst)
-    lam = (1.0 - np.cos(2.0 * np.pi * modes / sites)) / mu
-    return -_cosine_transform(np.concatenate(([0.0], mirrored_distance_row(lam, sites))))[modes] / sites
+    return 2.0 * np.sin(np.pi * modes / sites) ** 2 / mu
+
+
+def ring_coupling_profile(sites: int, hurst: float) -> np.ndarray:
+    """Couplings g_1..g_{floor(N/2)} of a periodic fractional Brownian ring, by distance.
+
+    g_k = -1/N sum_m lambda_m cos(theta_m k), the inverse cosine transform of
+    :func:`ring_energy_eigenvalues` over all N modes; raises as it does.
+    """
+    g = _cosine_transform(np.concatenate(([0.0], mirrored_distance_row(ring_energy_eigenvalues(sites, hurst), sites))))
+    return -g[1 : sites // 2 + 1] / sites

@@ -44,10 +44,29 @@ def same_bits(x, y):
     return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
-def symmetrized_chain_laplacian(monomers, hurst):
-    """(L + JLJ) / 2 of a chain's coupling Laplacian L, the matrix whose spectrum the CLI prints."""
-    lap = coupling_laplacian(chain_coupling_matrix(monomers, hurst))
-    return 0.5 * (lap + lap[::-1, ::-1])
+def chain_laplacian_rows(monomers, hurst):
+    """Leading ceil(n/2) rows of a chain's coupling Laplacian, sliced from the whole table."""
+    return coupling_laplacian(chain_coupling_matrix(monomers, hurst))[: monomers - monomers // 2]
+
+
+def full_matrix_split(a):
+    """Eigenvalues of an exactly centrosymmetric matrix by the reflection split, read from the whole matrix.
+
+    The blocks A + CJ and A - CJ as ``linalg.centrosymmetric_eigenvalues``
+    built them from the full matrix before it took leading rows; the oracle
+    for spectra that must keep their bits.
+    """
+    a = np.asarray(a, dtype=float)
+    assert np.array_equal(a, a.T) and np.array_equal(a, a[::-1, ::-1])
+    half = a.shape[0] // 2
+    leading, mirrored = a[:half, :half], a[:half, : -half - 1 : -1]
+    even, odd = leading + mirrored, leading - mirrored
+    if a.shape[0] % 2:
+        middle = np.sqrt(2.0) * a[:half, half]
+        even = np.block([[even, middle[:, None]], [middle, a[half, half]]])
+    w = np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)))
+    w.sort()
+    return w
 
 
 # Dense and Monte Carlo oracles. The package works from first rows and sums

@@ -30,7 +30,8 @@ from fbmspring.errors import (
     QuadratureFailure,
 )
 from fbmspring.linalg import centrosymmetric_eigenvalues
-from fbmspring.rings import ring_coupling_profile
+from fbmspring.kernels import chain_increment_cov
+from fbmspring.rings import ring_coupling_profile, ring_energy_eigenvalues
 from fbmspring.sampling import (
     brownian_bridge_ring,
     fourier_mode_energy,
@@ -39,7 +40,7 @@ from fbmspring.sampling import (
     uniform_ring_grid,
 )
 
-from conftest import empirical_covariance, symmetrized_chain_laplacian
+from conftest import chain_laplacian_rows, empirical_covariance, full_matrix_split
 
 
 def read_csv(path):
@@ -118,7 +119,7 @@ class TestCouplingsCommand:
     def test_small_odd_ring_above_half_exists(self, capsys):
         # the hint above H = 1/2 must not contradict a ring the package accepts
         assert main(["couplings", "--mode", "ring", "--monomers", "5", "--hurst", "0.6"]) == 0
-        assert capsys.readouterr().out.endswith("distance,g\n1,1.5931360501913541\n2,-0.51934263029149808\n")
+        assert capsys.readouterr().out.endswith("distance,g\n1,1.5931360501913538\n2,-0.51934263029149785\n")
 
     def test_large_low_hurst_ring_exists(self, tmp_path):
         # mu_1 = 4.4e-5 here; a tolerance of 1e-9 N max|c| once called it a missing mode
@@ -214,6 +215,40 @@ class TestSpectrumCommand:
         lam = np.array([float(v) for _, v in rows])
         theta = 2 * np.pi * np.arange(12) / 12
         np.testing.assert_allclose(lam, (1 - np.cos(theta)) ** 2, atol=1e-12)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--out", "m.txt"], "--out would overwrite --g-file m.txt"),
+        (["--out", "m.csv", "--gnuplot"], "the gnuplot script would overwrite --g-file m.gp"),
+        (["--out", "m.csv"], "the manifest would overwrite --g-file m.manifest.json"),
+    ], ids=["out", "gnuplot", "manifest"])
+    def test_g_file_is_never_overwritten(self, tmp_path, monkeypatch, capsys, argv, message):
+        # a replay of the manifest's command must still find its model file
+        monkeypatch.chdir(tmp_path)
+        model = Path(message.rsplit(" ", 1)[1])
+        model.write_text("N=12\ng1=1.0\ng2 -0.25\n")
+        assert main(["spectrum", "--g-file", str(model), *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert model.read_text() == "N=12\ng1=1.0\ng2 -0.25\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [model.name]
+
+    @pytest.mark.parametrize("hurst", [0.05, 0.7])
+    @pytest.mark.parametrize("monomers", [2, 3, 4, 17, 64, 65])
+    def test_chain_covariance_spectrum_keeps_the_full_matrix_bits(self, tmp_path, monomers, hurst):
+        out = tmp_path / "s.csv"
+        argv = ["spectrum", "--mode", "chain", "--monomers", str(monomers), "--hurst", str(hurst), "--cov"]
+        assert main(argv + ["--out", str(out)]) == 0
+        lam = np.array([float(v) for _, v in read_csv(out)[2]])
+        assert np.array_equal(lam, full_matrix_split(chain_increment_cov(monomers - 1, hurst)))
+
+    @pytest.mark.parametrize("sites", [3, 8, 9, 64])
+    def test_ring_energy_spectrum_is_the_mirrored_eigenvalues(self, tmp_path, sites):
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--mode", "ring", "--monomers", str(sites), "--hurst", "0.3", "--out", str(out)]) == 0
+        lam = np.array([float(v) for _, v in read_csv(out)[2]])
+        half = ring_energy_eigenvalues(sites, 0.3)
+        assert lam[0] == 0.0
+        assert np.array_equal(lam[1 : half.size + 1], half)
+        assert np.array_equal(lam[1:], lam[:0:-1])
 
     def test_malformed_g_file_reports_line(self, tmp_path, capsys):
         model = tmp_path / "model.txt"
@@ -438,7 +473,7 @@ SERIES = {
     ),
     "spectrum-chain": (
         ["spectrum", "--mode", "chain", "--monomers", "33", "--hurst", "0.7"],
-        lambda: list(enumerate(map(float, centrosymmetric_eigenvalues(symmetrized_chain_laplacian(33, 0.7))))),
+        lambda: list(enumerate(map(float, centrosymmetric_eigenvalues(chain_laplacian_rows(33, 0.7))))),
     ),
     "spectrum-g": (
         ["spectrum", "--sites", "12", "--g", "1,-0.05"],

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from fbmspring.couplings import (
     chain_coupling_matrix,
-    chain_coupling_row,
+    chain_coupling_rows,
     coupling_laplacian,
     coupling_slice,
     couplings_from_energy,
     energy_from_couplings,
 )
-from fbmspring.kernels import chain_increment_cov
+from fbmspring.kernels import chain_increment_cov, chain_increment_row
 from fbmspring import linalg
 from fbmspring.linalg import classify_definiteness, eigen_sym
 from fbmspring.sampling import sample_gaussian
@@ -244,6 +244,20 @@ class TestChainPipeline:
         assert np.array_equal(g, g.T)
         assert not np.diag(g).any()
 
+def padded_table(a):
+    """The coupling formula on a whole zero-padded energy matrix, in one step, with a zero diagonal."""
+    p = np.pad(a, 1)
+    g = p[:-1, :-1] + p[1:, 1:]
+    g -= p[:-1, 1:] + p[1:, :-1]
+    g *= -0.5
+    np.fill_diagonal(g, 0.0)
+    return g
+
+
+def chain_coupling_row(monomers, hurst, center):
+    return chain_coupling_rows(monomers, hurst, center, center + 1)[0]
+
+
 class TestChainCouplingRow:
     """One row from two energy rows: the same bits as the table, without building it."""
 
@@ -262,11 +276,35 @@ class TestChainCouplingRow:
 
     def test_checks_hurst_and_center(self):
         with pytest.raises(ValueError, match="chain couplings need 0 < hurst < 1"):
-            chain_coupling_row(11, 1.0, 5)
-        with pytest.raises(IndexError, match=r"center must lie in \[0, 11\), got 11"):
-            chain_coupling_row(11, 0.4, 11)
+            chain_coupling_rows(11, 1.0, 5, 6)
+        with pytest.raises(IndexError, match=r"rows 11\.\.12 outside 0\.\.11"):
+            chain_coupling_rows(11, 0.4, 11, 12)
         with pytest.raises(IndexError):
-            chain_coupling_row(11, 0.4, -1)
+            chain_coupling_rows(11, 0.4, -1, 0)
+        with pytest.raises(IndexError, match=r"rows 6\.\.5 outside 0\.\.11"):
+            chain_coupling_rows(11, 0.4, 6, 5)
+        with pytest.raises(ValueError, match="chain needs at least one increment"):
+            chain_coupling_rows(1, 0.4, 0, 1)
+
+
+class TestChainCouplingRows:
+    """Any contiguous band of rows is the same bits as those rows of the table."""
+
+    @pytest.mark.parametrize("monomers", [*range(2, 18), 65])
+    def test_every_band_equals_the_table(self, monomers):
+        for hurst in (0.3, 0.7):
+            g = chain_coupling_matrix(monomers, hurst)
+            for start in range(monomers + 1):
+                for stop in range(start, monomers + 1):
+                    band = chain_coupling_rows(monomers, hurst, start, stop)
+                    assert same_bits(band, g[start:stop]), (hurst, start, stop)
+
+    @pytest.mark.parametrize("monomers, hurst", [(2, 0.5), (61, 0.3), (600, 0.7)])
+    def test_blocked_table_equals_the_whole_padded_formula(self, monomers, hurst):
+        # 600 monomers build the table in three blocks of rows
+        energy = linalg.toeplitz_inverse(chain_increment_row(monomers - 1, hurst))
+        assert same_bits(chain_coupling_matrix(monomers, hurst), padded_table(energy))
+        assert same_bits(couplings_from_energy(energy), padded_table(energy))
 
 
 class TestSpectraSideBySide:
@@ -319,7 +357,7 @@ class TestCheckedOnce:
 
     def test_chain_pipeline_checks_nothing(self, checks):
         chain_coupling_matrix(61, 0.7)
-        chain_coupling_row(61, 0.7, 30)
+        chain_coupling_rows(61, 0.7, 0, 31)
         assert checks == []
 
     @pytest.mark.parametrize("call", [

@@ -128,7 +128,7 @@ class TestFindCriticalHurst:
 
     def test_tolerance_below_the_floor_is_rejected(self, monkeypatch):
         # adjacent floats bound the bracket width away from 0; the query fails before any chain is built
-        monkeypatch.setattr(critical, "chain_coupling_row", None)
+        monkeypatch.setattr(critical, "chain_coupling_rows", None)
         for tol in (1e-300, 1e-17, 1.11e-16, 2.22e-16, math.nextafter(4 * math.ulp(0.9), 0.0)):
             with pytest.raises(ValueError, match=r"tol .* below the floor 4\.441e-16 \(4 ulps"):
                 SignChangeQuery(monomers=11, offset=3, bracket=(0.6, 0.9), tol=tol)

@@ -20,7 +20,7 @@ from fbmspring.linalg import (
     toeplitz_inverse_rows,
 )
 
-from conftest import random_symmetric, same_bits, symmetrized_chain_laplacian
+from conftest import chain_laplacian_rows, full_matrix_split, random_symmetric, same_bits
 
 
 def loop_cholesky(a, tol_pd):
@@ -307,42 +307,56 @@ def centrosymmetric(a):
     return a + a[::-1, ::-1]
 
 
+def leading_rows(a):
+    """The first ceil(n/2) rows of an n x n matrix, the input of the reflection split."""
+    return a[: a.shape[0] - a.shape[0] // 2]
+
+
 class TestCentrosymmetricEigenvalues:
-    """The reflection split against one dense ``eigh`` of the same matrix."""
+    """The reflection split from leading rows against one dense ``eigh`` of the whole matrix."""
 
     @pytest.mark.parametrize("hurst", [0.05, 0.5, 0.7, 0.95])
     @pytest.mark.parametrize("monomers", [2, 3, 4, 5, 16, 17, 64, 65, 256, 257])
     def test_chain_spectra_match_dense(self, monomers, hurst):
-        for a in (symmetrized_chain_laplacian(monomers, hurst), chain_increment_cov(monomers - 1, hurst)):
+        laplacian = coupling_laplacian(chain_coupling_matrix(monomers, hurst))
+        covariance = chain_increment_cov(monomers - 1, hurst)
+        for rows, a in ((chain_laplacian_rows(monomers, hurst), laplacian), (leading_rows(covariance), covariance)):
             dense = np.linalg.eigh(a)[0]
-            split = centrosymmetric_eigenvalues(a)
+            split = centrosymmetric_eigenvalues(rows)
             assert split.shape == dense.shape
             assert np.all(np.diff(split) >= 0.0)
             assert np.abs(split - dense).max() <= 1e-14 * np.abs(dense).max()
-
-    def test_symmetrized_laplacian_is_near_the_table_laplacian(self):
-        # the Gohberg-Semencul table misses centrosymmetry only by rounding
-        lap = coupling_laplacian(chain_coupling_matrix(257, 0.7))
-        assert np.abs(symmetrized_chain_laplacian(257, 0.7) - lap).max() <= 1e-15 * np.abs(lap).max()
+        # a Toeplitz matrix's mirrored block is exactly symmetric, so (M + M.T)/2 is M
+        assert same_bits(centrosymmetric_eigenvalues(leading_rows(covariance)), full_matrix_split(covariance))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 40, 41])
     def test_random_matrices_match_dense(self, rng, n):
         a = centrosymmetric(random_symmetric(rng, n, scale=2.0))
         dense = np.linalg.eigh(a)[0]
-        assert np.abs(centrosymmetric_eigenvalues(a) - dense).max() <= 1e-14 * np.abs(dense).max()
+        assert np.abs(centrosymmetric_eigenvalues(leading_rows(a)) - dense).max() <= 1e-14 * np.abs(dense).max()
 
     def test_middle_row_joins_the_even_block(self):
         # [[1, x, 0], [x, m, x], [0, x, 1]]: odd mode 1, even modes of [[1, sqrt(2) x], [sqrt(2) x, m]]
-        a = np.array([[1.0, 3.0, 0.0], [3.0, 2.0, 3.0], [0.0, 3.0, 1.0]])
+        rows = np.array([[1.0, 3.0, 0.0], [3.0, 2.0, 3.0]])
         root = np.sqrt(0.25 + 18.0)
-        np.testing.assert_allclose(centrosymmetric_eigenvalues(a), [1.5 - root, 1.0, 1.5 + root], rtol=1e-15)
+        np.testing.assert_allclose(centrosymmetric_eigenvalues(rows), [1.5 - root, 1.0, 1.5 + root], rtol=1e-15)
 
-    def test_rejects_a_matrix_that_is_not_centrosymmetric(self):
-        a = np.array([[1.0, 0.5], [0.5, 2.0]])
-        with pytest.raises(ValueError, match=r"not centrosymmetric \(max \|a - JaJ\| = 1.000e\+00\)"):
-            centrosymmetric_eigenvalues(a)
-        with pytest.raises(ValueError, match="not symmetric"):
-            centrosymmetric_eigenvalues(np.array([[1.0, 0.5], [0.4, 1.0]]))
+    def test_mirrored_block_is_symmetrized(self):
+        # [[2, 0, e, 1], [0, 2, 1, 0], ...]: the mirrored block [[1, e], [0, 1]] enters as [[1, e/2], [e/2, 1]]
+        e = 1e-3
+        rows = np.array([[2.0, 0.0, e, 1.0], [0.0, 2.0, 1.0, 0.0]])
+        expected = np.concatenate([np.linalg.eigvalsh(2.0 * np.eye(2) + s * np.array([[1.0, e / 2], [e / 2, 1.0]]))
+                                   for s in (1.0, -1.0)])
+        np.testing.assert_allclose(centrosymmetric_eigenvalues(rows), np.sort(expected), rtol=1e-15)
+
+    def test_rejects_a_leading_block_that_is_not_symmetric(self):
+        with pytest.raises(ValueError, match=r"not symmetric \(max \|a - a.T\| = 1.000e-01\)"):
+            centrosymmetric_eigenvalues(np.array([[1.0, 0.5, 0.0, 0.0], [0.4, 1.0, 0.0, 0.0]]))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 4), (2, 5), (4,), (0, 0)])
+    def test_rejects_anything_but_the_leading_rows(self, shape):
+        with pytest.raises(ValueError, match=r"expected the leading ceil\(n/2\) rows of an n x n matrix"):
+            centrosymmetric_eigenvalues(np.zeros(shape))
 
     def test_lapack_failure_is_no_convergence(self, monkeypatch):
         def fail(a):
@@ -350,7 +364,7 @@ class TestCentrosymmetricEigenvalues:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(NoConvergence, match="LAPACK eigvalsh did not converge"):
-            centrosymmetric_eigenvalues(np.eye(4))
+            centrosymmetric_eigenvalues(np.eye(4)[:2])
 
 
 class TestEigenSym:

@@ -20,6 +20,7 @@ from fbmspring.rings import (
     check_admissible,
     power_law_ring,
     ring_coupling_profile,
+    ring_energy_eigenvalues,
     single_distance_bound,
     stiff_sufficient_bound,
     zeta_minus_one_tail,
@@ -362,12 +363,13 @@ class TestRingCouplingProfile:
             assert np.isfinite(ring_coupling_profile(sites, hurst)).all()
 
     def test_large_ring_couplings_invert_the_spectrum(self):
-        # lambda_m mu_m = 1 - cos theta_m mode by mode, at 2^16 sites and H = 0.05
+        # lambda_m mu_m = 1 - cos theta_m mode by mode, at 2^16 sites and H = 0.05; the
+        # reference is 2 sin^2(theta_m/2), since 1 - cos theta_m itself loses 4.5e-9 at m = 1
         sites, hurst = 2**16, 0.05
         mu = circulant_eigenvalues(ring_increment_row(sites, hurst))
         lam = ring_mode_spectrum(ring_coupling_profile(sites, hurst), sites)
         m = np.arange(1, sites)
-        assert np.abs(lam[m] * mu[m] / (1.0 - np.cos(2.0 * np.pi * m / sites)) - 1.0).max() <= 1e-10
+        assert np.abs(lam[m] * mu[m] / (2.0 * np.sin(np.pi * m / sites) ** 2) - 1.0).max() <= 1e-10
 
     def test_every_mode_below_zero_above_half_is_missing(self):
         for sites in (5, 6, 7, 64, 65, 4096):
@@ -386,6 +388,49 @@ class TestRingCouplingProfile:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20  # a dense (N-1)^2 inverse alone takes 32 MB
+
+
+class TestRingEnergyEigenvalues:
+    """lambda_m = 2 sin^2(theta_m/2) / mu_m, computed straight from the covariance spectrum."""
+
+    @staticmethod
+    def mpmath_eigenvalues(sites, hurst):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            h2 = 2 * mp.mpf(hurst)
+            dpow = [mp.mpf(min(j % sites, sites - j % sites)) ** h2 for j in range(-1, sites + 1)]
+            row = [(dpow[j + 2] + dpow[j] - 2 * dpow[j + 1]) / 2 for j in range(sites)]
+            theta = [2 * mp.pi * m / sites for m in range(1, sites // 2 + 1)]
+            return np.array([float((1 - mp.cos(t)) / mp.fsum(c * mp.cos(t * k) for k, c in enumerate(row)))
+                             for t in theta])
+
+    @pytest.mark.parametrize("sites, hurst", [(3, 0.45), (5, 0.6), (9, 0.3), (64, 0.05), (64, 0.45), (65, 0.3)])
+    def test_matches_extended_precision(self, sites, hurst):
+        expected = self.mpmath_eigenvalues(sites, hurst)
+        assert np.abs(ring_energy_eigenvalues(sites, hurst) / expected - 1.0).max() <= 1e-13
+
+    @pytest.mark.parametrize("sites", [9, 64, 1025])
+    @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.45])
+    def test_is_minus_one_over_the_geodesic_power_transform(self, sites, hurst):
+        # mu_m = 2 sin^2(theta_m/2) (-s_m) with s the cosine transform of d_j^{2H}
+        j = np.arange(sites)
+        s = np.fft.rfft(np.minimum(j, sites - j).astype(float) ** (2.0 * hurst)).real[1:]
+        lam = ring_energy_eigenvalues(sites, hurst)
+        assert np.abs(lam * -s - 1.0).max() <= 1e-9
+
+    @pytest.mark.parametrize("sites", [5, 8, 64, 257])
+    def test_couplings_return_the_eigenvalues(self, sites):
+        # ring_coupling_profile is the inverse cosine transform; the forward one gives lambda back
+        lam = ring_energy_eigenvalues(sites, 0.3)
+        back = ring_mode_spectrum(ring_coupling_profile(sites, 0.3), sites)[1 : sites // 2 + 1]
+        assert np.abs(back - lam).max() <= 1e-13 * lam.max()
+
+    def test_missing_modes_raise(self):
+        with pytest.raises(MissingRingModes) as info:
+            ring_energy_eigenvalues(32, 0.8)
+        with pytest.raises(MissingRingModes) as again:
+            ring_coupling_profile(32, 0.8)
+        assert str(info.value) == str(again.value)
 
 
 def dense_inverse(a):
