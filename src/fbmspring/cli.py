@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands build models from flags, run the library pipelines, and emit
-figure-ready CSV series plus machine-readable JSON reports. A subcommand's
-handler returns the files it wrote; ``main`` then writes the run manifest
+figure-ready CSV series plus machine-readable JSON reports. Once a handler
+has written the files ``_files`` names, ``main`` writes the run manifest
 (``<out>.manifest.json``) when ``--out`` is set, recording the command,
 parameters, package version, seed, and output list, and sets the exit status.
 Re-running the recorded command reproduces the outputs byte for byte.
@@ -222,8 +222,13 @@ def _format_rows(block: np.ndarray) -> bytes:
 
 
 @contextlib.contextmanager
-def _replace_when_done(path: Path):
-    """Binary file that appears at ``path`` only once the block exits without an exception."""
+def _output(path: Path | None):
+    """``write(bytes)`` onto stdout for None, or into a file that appears at ``path`` only once the block succeeds."""
+    if path is None:
+        sys.stdout.flush()  # text already written to stdout goes first
+        buffer = getattr(sys.stdout, "buffer", None)  # an io.StringIO redirect has none
+        yield buffer.write if buffer is not None else lambda data: sys.stdout.write(data.decode())
+        return
     partial = path.with_name(path.name + ".partial")
     try:
         out = partial.open("wb")
@@ -231,33 +236,21 @@ def _replace_when_done(path: Path):
         raise FileNotFoundError(exc.errno, exc.strerror, str(path)) from None
     try:
         with out:
-            yield out
+            yield out.write
         os.replace(partial, path)
     except BaseException:  # KeyboardInterrupt too: never leave a truncated file behind
         partial.unlink(missing_ok=True)
         raise
 
 
-@contextlib.contextmanager
-def _output(path: Path | None):
-    """``write(bytes)`` into a file that appears whole at ``path``, or onto stdout for None."""
-    if path is not None:
-        with _replace_when_done(path) as out:
-            yield out.write
-        return
-    sys.stdout.flush()  # text already written to stdout goes first
-    buffer = getattr(sys.stdout, "buffer", None)  # an io.StringIO redirect has none
-    yield buffer.write if buffer is not None else lambda data: sys.stdout.write(data.decode())
-
-
-def _write_csv(path: Path | None, echo: dict, header: str, blocks) -> list[Path]:
+def _write_csv(path: Path | None, echo: dict, header: str, blocks) -> None:
     """Echo lines and header, then one ``%.17g``-formatted line per row of each 2-D block.
 
     Each block is formatted by ``_format_rows`` in pieces of about
     ``_BLOCK_VALUES`` values and written as bytes to the file (or stdout), so
     no text copy of the table is ever held and a block may be produced after
     the ones before it are written. Integral floats below 2**53, such as
-    series indices, print as plain integers. Returns the files written.
+    series indices, print as plain integers.
     """
     with _output(path) as write:
         write("".join([*(f"# {key}={value}\n" for key, value in echo.items()), f"{header}\n"]).encode())
@@ -265,17 +258,15 @@ def _write_csv(path: Path | None, echo: dict, header: str, blocks) -> list[Path]
             step = max(1, _BLOCK_VALUES // block.shape[1])
             for start in range(0, len(block), step):
                 write(_format_rows(block[start : start + step]))
-    return [] if path is None else [path]
 
 
-def _write_json(path: Path | None, payload: dict) -> list[Path]:
+def _write_json(path: Path | None, payload: dict) -> None:
     with _output(path) as write:
         write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
-    return [] if path is None else [path]
 
 
 def _files(args: argparse.Namespace) -> dict[str, Path]:
-    """Every file the run writes, by the name an error gives it: --out and the files beside it."""
+    """Every file the run writes, by the name an error gives it: --out, the files beside it, the manifest last."""
     out, files = args.out, {}
     if out is not None:
         files["--out"] = out
@@ -302,7 +293,8 @@ def _check_distinct(args: argparse.Namespace) -> None:
             raise CliInputError(f"{first} and {name} would both be written to {path}")
 
 
-def _write_manifest(args: argparse.Namespace, outputs: list[Path]) -> None:
+def _write_manifest(args: argparse.Namespace) -> None:
+    *outputs, manifest_path = _files(args).values()  # the manifest comes last
     params = {
         key: (str(value) if isinstance(value, Path) else value)
         for key, value in sorted(vars(args).items())
@@ -315,12 +307,12 @@ def _write_manifest(args: argparse.Namespace, outputs: list[Path]) -> None:
         "seed": getattr(args, "seed", None),
         "outputs": [p.name for p in outputs],
     }
-    _write_json(_files(args)["the manifest"], manifest)
+    _write_json(manifest_path, manifest)
 
 
-def _write_series(args: argparse.Namespace, echo: dict, xlabel: str, ylabel: str, x, y) -> list[Path]:
+def _write_series(args: argparse.Namespace, echo: dict, xlabel: str, ylabel: str, x, y) -> None:
     """Integer ``x`` and float ``y`` as a two-column CSV, plus a gnuplot script on --out with --gnuplot."""
-    outputs = _write_csv(args.out, echo, f"{xlabel},{ylabel}", [np.column_stack((x, y))])
+    _write_csv(args.out, echo, f"{xlabel},{ylabel}", [np.column_stack((x, y))])
     script = _files(args).get("the gnuplot script")
     if script is not None:
         with _output(script) as write:
@@ -332,8 +324,6 @@ def _write_series(args: argparse.Namespace, echo: dict, xlabel: str, ylabel: str
                 f"set title '{args.out.name}'\n"
                 f"plot '{args.out.name}' using 1:2 with linespoints pt 7\n"
             ).encode())
-        outputs.append(script)
-    return outputs
 
 
 def _resolve_center(monomers: int, center_flag: int | None) -> int:
@@ -347,7 +337,7 @@ def _resolve_center(monomers: int, center_flag: int | None) -> int:
 
 # ----------------------------------------------------------------- couplings
 
-def _cmd_couplings(args: argparse.Namespace) -> list[Path]:
+def _cmd_couplings(args: argparse.Namespace) -> None:
     if args.monomers < 3:
         raise CliInputError("--monomers must be >= 3")
     echo = {
@@ -367,7 +357,7 @@ def _cmd_couplings(args: argparse.Namespace) -> list[Path]:
         y = ring_coupling_profile(args.monomers, args.hurst)
         x = np.arange(1, y.size + 1)
         xlabel = "distance"
-    return _write_series(args, echo, xlabel, "g", x, y)
+    _write_series(args, echo, xlabel, "g", x, y)
 
 
 # ------------------------------------------------------------------ spectrum
@@ -440,14 +430,21 @@ def _ring_model_from_args(args: argparse.Namespace) -> tuple[int, np.ndarray]:
     return sites, g
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> list[Path]:
+def _cmd_spectrum(args: argparse.Namespace) -> None:
     echo: dict = {"command": "spectrum"}
-    if args.g is not None or args.g_file is not None:
+    ring = [flag for flag, value in (("--g", args.g), ("--g-file", args.g_file)) if value is not None]
+    if not ring and args.mode is None:
+        raise CliInputError("spectrum needs either --g/--g-file or --mode with --monomers/--hurst")
+    # --sites sizes a --g/--g-file ring and the rest build a --mode model: a flag of the other model is rejected
+    flags = {"--sites": args.sites, "--mode": args.mode, "--monomers": args.monomers, "--hurst": args.hurst,
+             "--cov": args.cov or None}
+    unused = [flag for flag, value in flags.items() if value is not None and (flag == "--sites") != bool(ring)]
+    if unused:
+        raise CliInputError(f"{' and '.join(ring or ['--mode'])} cannot be combined with {', '.join(unused)}")
+    if ring:
         sites, g = _ring_model_from_args(args)
         lam = ring_mode_spectrum(g, sites)
         echo.update(sites=sites, g=",".join(_fmt(v) for v in g))
-    elif args.mode is None:
-        raise CliInputError("spectrum needs either --g/--g-file or --mode with --monomers/--hurst")
     elif args.monomers is None or args.hurst is None:
         raise CliInputError(f"{args.mode} spectrum needs --monomers and --hurst")
     else:
@@ -469,12 +466,12 @@ def _cmd_spectrum(args: argparse.Namespace) -> list[Path]:
             sums = rows.sum(axis=1)
             np.fill_diagonal(np.subtract(0.0, rows, out=rows), sums)  # Laplacian rows diag(sums) - g, in place
             lam = centrosymmetric_eigenvalues(rows)
-    return _write_series(args, echo, "mode", "lambda", np.arange(lam.size), lam)
+    _write_series(args, echo, "mode", "lambda", np.arange(lam.size), lam)
 
 
 # ------------------------------------------------------------------ critical
 
-def _cmd_critical(args: argparse.Namespace) -> list[Path]:
+def _cmd_critical(args: argparse.Namespace) -> None:
     center = _resolve_center(args.monomers, args.center)
     try:
         query = SignChangeQuery(
@@ -501,12 +498,12 @@ def _cmd_critical(args: argparse.Namespace) -> list[Path]:
         "iterations": iterations,
         "residual_coupling": residual,
     }
-    return _write_json(args.out, payload)
+    _write_json(args.out, payload)
 
 
 # --------------------------------------------------------------- ring design
 
-def _cmd_ring_design(args: argparse.Namespace) -> list[Path]:
+def _cmd_ring_design(args: argparse.Namespace) -> None:
     design = power_law_ring(
         sites=args.sites,
         g1=args.g1,
@@ -529,7 +526,7 @@ def _cmd_ring_design(args: argparse.Namespace) -> list[Path]:
         "lambda_min": report.lambda_min_nonzero,
         "violating_modes": report.violating_modes,
     }
-    return _write_json(args.out, payload)
+    _write_json(args.out, payload)
 
 
 # -------------------------------------------------------------------- sample
@@ -539,7 +536,7 @@ def _cmd_ring_design(args: argparse.Namespace) -> list[Path]:
 _CHUNK_VALUES = 131_072
 
 
-def _cmd_sample(args: argparse.Namespace) -> list[Path]:
+def _cmd_sample(args: argparse.Namespace) -> None:
     if args.paths < 1:
         raise CliInputError("--paths must be >= 1")
     echo: dict = {"command": "sample", "model": args.model, "paths": args.paths, "seed": args.seed}
@@ -574,7 +571,7 @@ def _cmd_sample(args: argparse.Namespace) -> list[Path]:
             gram[...] += batch.values.T @ batch.values
             yield batch.values
 
-    outputs = _write_csv(args.out, echo, ",".join(f"v{i}" for i in range(dim)), blocks())
+    _write_csv(args.out, echo, ",".join(f"v{i}" for i in range(dim)), blocks())
     empirical = gram / args.paths
     bound = covariance_bound(reference, args.paths)
     error = np.abs(empirical - reference)
@@ -589,19 +586,18 @@ def _cmd_sample(args: argparse.Namespace) -> list[Path]:
     }
     report_path = _files(args).get("--report")
     if report_path is not None:  # stdout mode emits the CSV only
-        outputs += _write_json(report_path, report)
-    return outputs
+        _write_json(report_path, report)
 
 
 # ------------------------------------------------------------ fourier energy
 
-def _cmd_fourier_energy(args: argparse.Namespace) -> list[Path]:
+def _cmd_fourier_energy(args: argparse.Namespace) -> None:
     if args.mode_max < 1:
         raise CliInputError("--mode-max must be >= 1")
     echo = {"command": "fourier-energy", "hurst": _fmt(args.hurst), "mode_max": args.mode_max}
     modes = range(1, args.mode_max + 1)
     energies = [fourier_mode_energy(args.hurst, mode) for mode in modes]
-    return _write_series(args, echo, "mode", "value", modes, energies)
+    _write_series(args, echo, "mode", "value", modes, energies)
 
 
 # -------------------------------------------------------------------- parser
@@ -693,9 +689,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_distinct(args)
-        outputs = args.handler(args)
+        args.handler(args)
         if args.out is not None:
-            _write_manifest(args, outputs)
+            _write_manifest(args)
     except tuple(cls for group in _FAILURES for cls in group) as exc:
         prefix, code = next(status for group, status in _FAILURES.items() if isinstance(exc, group))
         print(f"{prefix}: {exc}", file=sys.stderr)

@@ -11,9 +11,10 @@ attractive spring between monomers k and l, negative g_kl a repulsive one.
 Both directions of the transform are implemented here, together with the
 position-space quadratic form matrix (the weighted Laplacian of the coupling
 graph) and the figure-style slice of one monomer's couplings to all others.
-For a fractional Brownian chain, :func:`chain_coupling_rows` builds any band
-of the table's rows from the energy rows it needs: one monomer's couplings in
-O(n) memory, the leading half for a spectrum, or the whole table.
+One builder writes any band of coupling rows from energy rows read in order,
+a dense matrix's or, in :func:`chain_coupling_rows`, the chain's stream of
+:func:`~fbmspring.linalg.toeplitz_inverse_rows`: it holds two energy rows and
+stops reading after the band, so one monomer's couplings cost O(n) memory.
 
 Tables and energy matrices are plain arrays. Each function checks the array
 its caller passes once (square, exactly symmetric, and for a coupling table a
@@ -28,6 +29,8 @@ by :func:`coupling_laplacian` represents the unordered-pair sum, hence
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from . import kernels, linalg
@@ -41,25 +44,26 @@ def _check_table(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def _coupling_rows(energy: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows ``start <= k < stop`` of :func:`couplings_from_energy` from energy rows max(start-1, 0)..min(stop, n)-1.
+def _coupling_rows(energy_rows: Iterator[np.ndarray], n: int, start: int, stop: int) -> np.ndarray:
+    """Rows ``start <= k < stop`` of :func:`couplings_from_energy` from an n x n energy matrix's rows, in order.
 
-    Row k needs energy rows k - 1 and k (zero beyond the chain ends). The
-    formula is elementwise, so blocks of rows give the same bits as the whole
-    table, and grouping (same) - (cross) keeps a whole table bitwise symmetric.
+    Row k needs energy rows k - 1 and k (zero beyond the chain ends): those two
+    are held, zero-padded, and nothing is read after row stop - 1. The formula
+    is elementwise, so a band is the same bits as the whole table, and grouping
+    (same) - (cross) keeps a whole table bitwise symmetric.
     """
-    n = energy.shape[1]
-    first = max(start - 1, 0)
     g = np.empty((stop - start, n + 1))
-    for lo in range(start, stop, 256):  # blocks of 256 rows bound the padded copy and the temporaries
-        hi = min(lo + 256, stop)
-        a, b = max(lo - 1, 0), min(hi, n)  # energy rows lo - 1 .. hi - 1 that exist, zero-padded
-        padded = np.pad(energy[a - first : b - first], ((a - lo + 1, hi - b), (1, 1)))
-        block = g[lo - start : hi - start]
-        np.add(padded[:-1, :-1], padded[1:, 1:], out=block)
-        block -= padded[:-1, 1:] + padded[1:, :-1]
-        block *= -0.5
-    g[np.arange(stop - start), np.arange(start, stop)] = 0.0
+    previous = current = np.zeros(n + 2)  # padded energy rows k - 1 and k
+    for k in range(stop):
+        previous, current = current, np.zeros(n + 2)
+        if k < n:
+            current[1:-1] = next(energy_rows)
+        if k >= start:
+            row = g[k - start]
+            np.add(previous[:-1], current[1:], out=row)
+            row -= previous[1:] + current[:-1]
+            row *= -0.5
+            row[k] = 0.0
     return g
 
 
@@ -76,7 +80,7 @@ def couplings_from_energy(a: np.ndarray) -> np.ndarray:
     diagonal.
     """
     a = linalg.require_symmetric(a)
-    return _coupling_rows(a, 0, a.shape[0] + 1)
+    return _coupling_rows(iter(a), a.shape[0], 0, a.shape[0] + 1)
 
 
 def energy_from_couplings(g: np.ndarray) -> np.ndarray:
@@ -123,9 +127,9 @@ def coupling_slice(g: np.ndarray, center: int) -> list[tuple[int, float]]:
 def chain_coupling_rows(monomers: int, hurst: float, start: int, stop: int) -> np.ndarray:
     """Couplings of monomers ``start <= k < stop`` (0-based) to every monomer: rows of the chain's table.
 
-    The same bits as :func:`chain_coupling_matrix`'s rows, holding only the
-    energy rows the band needs (:func:`~fbmspring.linalg.toeplitz_inverse_rows`),
-    in O(n^2) time; one row costs O(n) memory.
+    The same bits as :func:`chain_coupling_matrix`'s rows, from the stream of
+    energy rows (:func:`~fbmspring.linalg.toeplitz_inverse_rows`) read up to
+    row stop - 1, in O(n^2) time; beside the band it holds O(n) memory.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"chain couplings need 0 < hurst < 1 (a rigid rod at 1), got hurst = {hurst}")
@@ -133,7 +137,7 @@ def chain_coupling_rows(monomers: int, hurst: float, start: int, stop: int) -> n
     row = kernels.chain_increment_row(n, hurst)
     if not 0 <= start <= stop <= monomers:
         raise IndexError(f"rows {start}..{stop} outside 0..{monomers}")
-    return _coupling_rows(linalg.toeplitz_inverse_rows(row, max(start - 1, 0), min(stop, n)), start, stop)
+    return _coupling_rows(linalg.toeplitz_inverse_rows(row), n, start, stop)
 
 
 def chain_coupling_matrix(monomers: int, hurst: float) -> np.ndarray:

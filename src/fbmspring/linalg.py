@@ -1,9 +1,10 @@
 """Linear algebra: one Toeplitz solver, a reflection split, and numpy's LAPACK elsewhere.
 
-Chain covariances are symmetric Toeplitz, so :func:`toeplitz_inverse` works
-from their first row in O(n^2) time, and :func:`toeplitz_inverse_rows` gives
-the leading rows of the same inverse, bit for bit, holding only the rows asked
-for. Chains are also centrosymmetric, so :func:`centrosymmetric_eigenvalues`
+Chain covariances are symmetric Toeplitz, so :func:`toeplitz_inverse_rows`
+works from their first row: it runs the Durbin recursion, then streams the
+rows of the inverse in order, one O(n) row at a time, and its consumer decides
+how many rows to read. :func:`toeplitz_inverse` is every row of that stream.
+Chains are also centrosymmetric, so :func:`centrosymmetric_eigenvalues`
 splits their leading half of rows into two half-size blocks; symmetric
 matrices without such structure go through ``eigh``. Dense inputs must be
 *exactly* symmetric (``a[i, k] == a[k, i]`` bitwise); builders elsewhere
@@ -15,6 +16,7 @@ tolerance and its errors.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -88,46 +90,44 @@ def _durbin(first_row: np.ndarray) -> tuple[np.ndarray, float]:
     return a, e
 
 
-def toeplitz_inverse_rows(first_row: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Rows ``start <= i < stop`` of the inverse of the SPD Toeplitz matrix with ``first_row``.
+def toeplitz_inverse_rows(first_row: np.ndarray) -> Iterator[np.ndarray]:
+    """The rows of the inverse of the SPD Toeplitz matrix with ``first_row``, one at a time, in order.
 
-    ``stop`` defaults to the size n of the matrix. The inverse is the Gohberg-Semencul (1972) sum
+    The inverse is the Gohberg-Semencul (1972) sum
     (L(a) L(a).T - L(b) L(b).T) / e with ``a``, ``e`` from the Durbin recursion,
     b = (0, a_{n-1}, ..., a_1) and L(v) lower-triangular Toeplitz of first
     column v. Its undivided row i is a_i a - b_i b plus row i - 1 shifted one
-    place right, so one recurrence gives the rows in order and stops after row
-    stop - 1, holding only the rows asked for and two more; the Durbin
-    recursion costs O(n^2) time either way. :func:`toeplitz_inverse` takes
-    every row, so a row read alone is the same bits as the table's. Raises
-    NotPositiveDefinite as the Durbin recursion does.
+    place right, so the iterator holds one undivided row and computes the next
+    only when it is asked for; a consumer that stops early stops the
+    recurrence. The Durbin recursion runs at the call, in O(n^2) time, and
+    raises NotPositiveDefinite there.
     """
     a, e = _durbin(first_row)
-    n = a.size
-    stop = n if stop is None else stop
-    if not 0 <= start <= stop <= n:
-        raise IndexError(f"rows {start}..{stop} outside 0..{n}")
     b = np.concatenate(([0.0], a[:0:-1]))
-    rows, scratch = np.empty((stop - start, n)), np.empty((2, n))
-    for i in range(stop):
-        row = rows[i - start] if i >= start else scratch[i % 2]
-        np.multiply(a[i], a, out=row)
-        row -= b[i] * b
-        # Diagonal sums: entry (i, j) adds the terms of (i - k, j - k) in the same
-        # order as entry (j, i) does, so the table is exactly symmetric.
-        if i:
-            row[1:] += previous[:-1]
-        previous = row
-    return np.divide(rows, e, out=rows)
+
+    def rows() -> Iterator[np.ndarray]:
+        for i in range(a.size):
+            row = a[i] * a
+            row -= b[i] * b
+            # Diagonal sums: entry (i, j) adds the terms of (i - k, j - k) in the same
+            # order as entry (j, i) does, so the table is exactly symmetric.
+            if i:
+                row[1:] += previous[:-1]
+            previous = row
+            yield row / e
+
+    return rows()
 
 
 def toeplitz_inverse(first_row: np.ndarray) -> np.ndarray:
     """Inverse of the symmetric positive definite Toeplitz matrix with ``first_row``.
 
-    All rows of :func:`toeplitz_inverse_rows`; the result is exactly symmetric.
-    The first Durbin pivot ``e_k <=`` :func:`default_tol_pd` of the row raises
-    NotPositiveDefinite.
+    Every row :func:`toeplitz_inverse_rows` yields; the result is exactly
+    symmetric. The first Durbin pivot ``e_k <=`` :func:`default_tol_pd` of the
+    row raises NotPositiveDefinite.
     """
-    return toeplitz_inverse_rows(first_row)
+    n = np.size(first_row)
+    return np.fromiter(toeplitz_inverse_rows(first_row), dtype=(float, (n,)), count=n)
 
 
 def eigen_sym(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -269,6 +269,24 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--sites", "8", "--g", text]) == 2
         assert capsys.readouterr().err == f"error: could not parse --g value {text!r}: invalid float value: ''\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--sites", "12", "--g", "1", "--cov"], "--g cannot be combined with --cov"),
+        (["--g", "1", "--mode", "ring", "--monomers", "12", "--hurst", "0.3"],
+         "--g cannot be combined with --mode, --monomers, --hurst"),
+        (["--g-file", "m.txt", "--hurst", "0.3"], "--g-file cannot be combined with --hurst"),
+        (["--g", "1", "--g-file", "m.txt", "--monomers", "12"], "--g and --g-file cannot be combined with --monomers"),
+        (["--mode", "ring", "--monomers", "12", "--hurst", "0.3", "--sites", "12"],
+         "--mode cannot be combined with --sites"),
+        (["--mode", "chain", "--monomers", "12", "--hurst", "0.3", "--sites", "8", "--cov"],
+         "--mode cannot be combined with --sites"),
+    ], ids=["g-cov", "g-mode", "g-file-hurst", "both-monomers", "ring-sites", "chain-sites"])
+    def test_flags_the_model_would_ignore_are_rejected(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        Path("m.txt").write_text("N=12\ng1=1.0\n")
+        assert main(["spectrum", *argv, "--out", "s.csv", "--gnuplot"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt"]
+
 
 class TestCriticalCommand:
     def test_default_reproduces_published_value(self, tmp_path):

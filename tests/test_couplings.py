@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -300,11 +302,25 @@ class TestChainCouplingRows:
                     assert same_bits(band, g[start:stop]), (hurst, start, stop)
 
     @pytest.mark.parametrize("monomers, hurst", [(2, 0.5), (61, 0.3), (600, 0.7)])
-    def test_blocked_table_equals_the_whole_padded_formula(self, monomers, hurst):
-        # 600 monomers build the table in three blocks of rows
+    def test_streamed_table_equals_the_whole_padded_formula(self, rng, monomers, hurst):
         energy = linalg.toeplitz_inverse(chain_increment_row(monomers - 1, hurst))
         assert same_bits(chain_coupling_matrix(monomers, hurst), padded_table(energy))
         assert same_bits(couplings_from_energy(energy), padded_table(energy))
+        # a dense energy matrix with no Toeplitz structure goes through the same row builder
+        a = random_symmetric(rng, monomers - 1)
+        assert same_bits(couplings_from_energy(a), padded_table(a))
+
+    def test_half_band_holds_the_band_and_a_few_rows(self):
+        # the leading half of a spectrum's rows; every energy row beside it is dropped once it is used
+        monomers = 1025
+        chain_coupling_rows(5, 0.7, 0, 3)  # first-call allocations stay out of the measurement
+        tracemalloc.start()
+        try:
+            band = chain_coupling_rows(monomers, 0.7, 0, monomers - monomers // 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= band.nbytes + 16 * (monomers + 2) * 8, peak / 2**20
 
 
 class TestSpectraSideBySide:

@@ -8,7 +8,7 @@ from fbmspring.kernels import (
     ring_increment_cov,
 )
 from fbmspring import linalg
-from fbmspring.couplings import chain_coupling_matrix, coupling_laplacian
+from fbmspring.couplings import chain_coupling_matrix, chain_coupling_rows, coupling_laplacian
 from fbmspring.linalg import (
     Definiteness,
     centrosymmetric_eigenvalues,
@@ -273,7 +273,7 @@ def test_chain_inverse_matches_dense_oracle(n, hurst):
 
 
 class TestInverseRows:
-    """``toeplitz_inverse_rows`` runs the table's own row recurrence and stops where asked."""
+    """``toeplitz_inverse_rows`` streams the table's own row recurrence, one row per pull."""
 
     @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.7, 0.95])
     @pytest.mark.parametrize("n", [1, 2, 3, 60, 513])
@@ -285,21 +285,27 @@ class TestInverseRows:
     def test_rows_are_the_table_rows(self, rng, n):
         row = random_spd_row(rng, n)
         table = toeplitz_inverse(row)
-        ranges = [(0, n), (0, 0), (n, n), (0, 1), (n - 1, n), (n // 2, n // 2 + 1)]
-        ranges += [tuple(sorted(rng.integers(0, n + 1, size=2))) for _ in range(8)]
-        for start, stop in ranges:
-            assert same_bits(toeplitz_inverse_rows(row, start, stop), table[start:stop]), (start, stop)
-        assert same_bits(toeplitz_inverse_rows(row, n // 2), table[n // 2 :])
+        rows = list(toeplitz_inverse_rows(row))
+        assert len(rows) == n
+        for i, streamed in enumerate(rows):
+            assert same_bits(streamed, table[i]), i
 
-    @pytest.mark.parametrize("start, stop", [(-1, 2), (3, 2), (0, 6)])
-    def test_rows_outside_the_matrix_are_rejected(self, start, stop):
-        with pytest.raises(IndexError, match=r"outside 0\.\.5"):
-            toeplitz_inverse_rows(chain_increment_row(5, 0.3), start, stop)
-
-    def test_rows_report_the_failing_pivot(self):
+    def test_raises_at_the_call(self):
         with pytest.raises(NotPositiveDefinite) as info:
-            toeplitz_inverse_rows([1.0, 2.0, 0.0], 0, 1)
+            toeplitz_inverse_rows([1.0, 2.0, 0.0])  # not iterated: the Durbin recursion runs at the call
         assert info.value.pivot_index == 1
+
+    @pytest.mark.parametrize("start, stop, pulled", [(0, 0, 0), (0, 1, 1), (10, 12, 12), (30, 31, 31),
+                                                     (59, 60, 60), (60, 61, 60), (0, 61, 60)])
+    def test_an_early_stop_pulls_only_the_rows_it_needs(self, monkeypatch, start, stop, pulled):
+        # coupling rows start..stop-1 of 61 monomers read energy rows up to stop - 1, of the 60 there are
+        seen = []
+        stream = linalg.toeplitz_inverse_rows
+        monkeypatch.setattr(linalg, "toeplitz_inverse_rows",
+                            lambda first_row: (seen.append(i) or row for i, row in enumerate(stream(first_row))))
+        band = chain_coupling_rows(61, 0.7, start, stop)
+        assert seen == list(range(pulled))
+        assert same_bits(band, chain_coupling_matrix(61, 0.7)[start:stop])
 
 
 def centrosymmetric(a):
