@@ -7,7 +7,7 @@ chain coupling changes sign; designs stiff ring models with controlled
 long-range repulsion; and samples conformations exactly.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .circulant import circulant_eigenvalues, mirrored_distance_row, ring_mode_spectrum
 from .couplings import (

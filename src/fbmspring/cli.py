@@ -9,9 +9,10 @@ Re-running the recorded command reproduces the outputs byte for byte.
 
 CSV conventions: ``#``-prefixed model echo lines, then a header, then rows
 with full round-trip precision (17 significant digits) and LF line endings.
-Every CSV goes through one writer: it turns blocks of about 16k values into
-ASCII with numpy, byte for byte what ``'%.17g' %`` prints for each float, and
-writes the bytes to the file or stdout, so no text copy of a table is held.
+Every CSV goes through one writer: it turns blocks of 16384 values into ASCII
+with numpy, in scratch arrays that every block reuses, byte for byte what
+``'%.17g' %`` prints for each float, and writes the bytes to the file or
+stdout, so no text copy of a table is held.
 Every file (CSV, JSON report, gnuplot script, manifest) is written as
 ``<name>.partial`` and renamed to ``<name>`` only when it is complete; a run
 that fails or is interrupted removes the partial file.
@@ -21,7 +22,8 @@ chunks of about 1 MiB taken from one Philox stream, so its memory depends on
 
 Exit codes: 0 success, 2 invalid input or model (a ``ValueError``, including
 the package errors that reject a model), 3 no result (the bracketed coupling
-has no sign change), 4 numerical failure.
+has no sign change), 4 numerical failure, 141 (128 + SIGPIPE) when the reader
+of stdout closes the pipe early, as in ``fbmspring sample ... | head -1``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import gc
 import json
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +62,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NO_RESULT = 3
 EXIT_NUMERICAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer whose reader left
 
 
 class CliInputError(ValueError):
@@ -91,134 +95,272 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-#: Values formatted per block: bounds the text and temporaries held at once.
+#: Values per formatted block: sets the size of ``_BlockFormatter``'s scratch arrays.
 _BLOCK_VALUES = 16_384
 _U64 = np.uint64
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp splits a double into two 26-bit halves
 
 
-def _split(a):
-    c = a * _SPLIT
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _words(table) -> np.ndarray:
-    return np.array(table, dtype=_U64)
-
-
-def _low_bytes(k: int) -> int:
-    """Mask of the low ``k`` bytes of a word (k clipped to 0..8)."""
-    return (1 << (8 * min(max(k, 0), 8))) - 1
-
-
-_POW10 = np.array([float(10**k) for k in range(22)])  # every 10**k, k <= 22, is an exact double
-_POW10_HI, _POW10_LO = _split(_POW10)
+# Indexed by k = 16 - x for decimal exponents x in -5..16: every 10**k, k <= 22,
+# is an exact double; and its two Veltkamp halves.
+_POW10 = np.array([float(10**k) for k in range(22)])
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
 _QUADS = np.arange(10_000, dtype=np.int64)
-# "%04d" of 0..9999 as four ASCII bytes, first digit lowest, and its trailing zero count
-_ASCII4 = sum((_QUADS // 10**(3 - i) % 10 + 48).astype(_U64) << _U64(8 * i) for i in range(4))
 _ZEROS4 = sum((_QUADS % 10**i == 0).astype(np.int64) for i in range(1, 5))
-# A cell is four little-endian words, NUL where nothing prints: byte 0 the
-# sign, bytes 1..5 the "0.000" prefix of exponents -4..-1, byte 7 the leading
-# digit, words 1 and 2 the other 16 digits, byte 25 the separator. Digits at
-# index >= keep are cleared; the point after digit s (0..15) moves the digits
-# behind it up one byte, into byte 24 at most, and s = 16 leaves the digits in
-# place with no point.
-_KEEP1 = _words([_low_bytes(k - 1) for k in range(18)])
-_KEEP2 = _words([_low_bytes(k - 9) for k in range(18)])
-_STAY1 = _words([_low_bytes(s) for s in range(17)])
-_MOVE1 = _words([~_low_bytes(s + 1) & _low_bytes(8) for s in range(17)])
-_STAY2 = _words([_low_bytes(s - 8) for s in range(17)])
-_MOVE2 = _words([~_low_bytes(s - 7) & _low_bytes(8) for s in range(17)])
-_POINT1 = _words([ord(".") << (8 * s) if s < 8 else 0 for s in range(17)])
-_POINT2 = _words([ord(".") << (8 * (s - 8)) if 8 <= s < 16 else 0 for s in range(17)])
-_MOVE3 = _words([0xFF if s < 16 else 0 for s in range(17)])
-_PREFIX = _words([int.from_bytes(b"\0" + b"0." + b"0" * (-1 - x), "little") if x < 0 else 0
-                  for x in range(-4, 17)])
+# "%04d" of 0..9999 as four ASCII bytes, first digit lowest, and in bits 32 and
+# up the number of digits up to the last nonzero one (-16 for 0000).
+_GROUP = (sum((_QUADS // 10**(3 - b) % 10 + 48) << (8 * b) for b in range(4))
+          | (np.where(_QUADS > 0, 4 - _ZEROS4, -16) << 32))
 
 
-def _scaled(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``a * 10**(16 - x)`` as ``p + t`` exactly, with ``p`` the rounded product (Dekker)."""
-    k = 16 - x
-    p = a * np.take(_POW10, k)
-    ah, al = _split(a)
-    sh, sl = np.take(_POW10_HI, k), np.take(_POW10_LO, k)
-    return p, ((ah * sh - p) + ah * sl + al * sh) + al * sl
+def _cell_masks() -> list[np.ndarray]:
+    """The masks that lay out a cell, one array per mask, row 17 * k + last for exponent x = 16 - k.
 
-
-def _format_rows(block: np.ndarray) -> bytes:
-    """ASCII of ``",".join(["%.17g"] * dim) + "\n"`` for each row of a 2-D float block.
-
-    ``%.17g`` prints a finite value in fixed notation when its decimal
-    exponent x after rounding to 17 digits lies in -4..16. For those values and
-    for zeros the digits come from integer arithmetic: ``|v| * 10**(16 - x)``
-    is split exactly into a double and its error, rounded half to even as
-    Python's ``dtoa`` does, and laid out through the byte tables above. Every
-    other value (nan, inf, exponent notation, subnormals) is formatted with
-    ``%`` on its own and spliced in.
+    A cell is 26 bytes, NUL where nothing prints, read as three little-endian
+    words and two bytes: byte 0 the sign, bytes 1..5 the "0.000" prefix of
+    exponents -4..-1, byte 7 the leading digit (digit 0), words 1 and 2
+    (``q1``, ``q2``) digits 1..16 and byte 25 the separator. Digits behind
+    digit ``last`` are cleared, and the point after digit s = x < ``last``
+    moves the digits behind it up one byte, into byte 24 at most.
     """
-    rows, dim = block.shape
-    flat = np.ascontiguousarray(block, dtype=np.float64).ravel()
-    a = np.abs(flat)
-    zero = a == 0.0
-    fast = ((a >= 9e-5) & (a < 1e17)) | zero
-    a = np.where(fast & ~zero, a, 1.0)
-    x = np.clip(np.floor(np.log10(a)), -5, 16).astype(np.int64)  # 10**(16 - x) stays exact
-    p, t = _scaled(a, x)
-    # log10 can miss by one next to a power of ten: move x until p + t lies in [1e16, 1e17)
+    k, last = np.divmod(np.arange(22 * 17), 17)
+    x = 16 - k
+    s = np.where((x >= 0) & (x < last), x, 16)
+    low_bytes = np.array([(1 << (8 * b)) - 1 for b in range(9)], dtype=_U64)  # the low b bytes of a word
+
+    def low(b):
+        return low_bytes[np.clip(b, 0, 8)]
+
+    def point(at):  # "." at byte ``at`` of a word, and nothing where ``at`` lies outside 0..7
+        return np.where((at >= 0) & (at < 8), _U64(ord(".")) << (8 * np.clip(at, 0, 7)).astype(_U64), _U64(0))
+
+    prefix = [int.from_bytes(b"\0" + b"0." + b"0" * (-1 - x), "little") if x < 0 else 0 for x in range(16, -6, -1)]
+    keep1, keep2 = low(last), low(last - 8)
+    move1, move2 = ~low(s + 1), ~low(s - 7)
+    eight, top = _U64(8), _U64(56)
+    return [
+        np.array(prefix, dtype=_U64)[k],  # word 0: the prefix
+        keep1 & low(s),  # word 1: the digits of q1 that stay,
+        (keep1 << eight) & move1,  # those that move up a byte,
+        point(s),  # and the point
+        keep2 & low(s - 8),  # word 2: the same for q2,
+        (keep2 << eight) & move2,
+        (keep1 >> top) & move2,  # with q1's last digit moving in,
+        point(np.where(s < 16, s - 8, -1)),
+        np.where(s < 16, keep2 >> top, _U64(0)),  # byte 24: q2's last digit, moved out of word 2
+    ]
+
+
+_PREFIX, _STAY1, _MOVE1, _POINT1, _STAY2, _MOVE2, _CARRY2, _POINT2, _CARRY3 = _cell_masks()
+
+
+def _scaled(a, k, p, t, u, v, w) -> None:
+    """``a * 10**k`` as ``p + t`` exactly, with ``p`` the rounded product (Dekker), written into ``p`` and ``t``.
+
+    ``u``, ``v`` and ``w`` are scratch arrays of ``a``'s size; ``a`` is left
+    holding its low Veltkamp half.
+    """
+    np.take(_POW10, k, out=u, mode="clip")
+    np.multiply(a, u, out=p)
+    np.multiply(a, _SPLIT, out=v)
+    np.subtract(v, a, out=w)
+    np.subtract(v, w, out=v)  # the high half of a
+    a -= v
+    np.take(_POW10_HI, k, out=u, mode="clip")
+    np.take(_POW10_LO, k, out=w, mode="clip")
+    np.multiply(v, u, out=t)
+    t -= p
+    v *= w
+    t += v
+    u *= a
+    t += u
+    w *= a
+    t += w
+
+
+def _product(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_scaled`` into new arrays, leaving ``a`` as it was."""
+    p, t, u, v, w = np.empty((5, a.size))
+    _scaled(a.copy(), k, p, t, u, v, w)
+    return p, t
+
+
+def _exact_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``n`` and ``k`` of values in [9e-5, 1e17) in size that the fast path cannot trust, and which ``%`` must print.
+
+    ``log10`` can miss x by one next to a power of ten, so x moves until
+    ``p + t`` lies in [1e16, 1e17), and a value that rounds up to 10**17
+    carries into x. The values whose x ends at -5 are flagged, with the n and
+    k of a zero.
+    """
+    a = np.abs(values)
+    k = 16 - np.clip(np.floor(np.log10(a)), -5, 16).astype(np.int64)
+    p, t = _product(a, k)
     low = (p < 1e16) | ((p == 1e16) & (t < 0.0))
     high = (p > 1e17) | ((p == 1e17) & (t >= 0.0))
     fix = np.flatnonzero(low | high)
     if fix.size:
-        x[fix] += high[fix].astype(np.int64) - low[fix].astype(np.int64)
-        p[fix], t[fix] = _scaled(a[fix], x[fix])
-    floor_t = np.floor(t)
-    n = p.astype(np.int64) + floor_t.astype(np.int64)
-    half = floor_t + 0.5
-    n += (t > half) | ((t == half) & (n & 1 == 1))
+        k[fix] += low[fix].astype(np.int64) - high[fix].astype(np.int64)
+        p[fix], t[fix] = _product(a[fix], k[fix])
+    n = p.astype(np.int64) + np.rint(t).astype(np.int64)  # p is even, so rint's ties to even are n's
     carry = n == 10**17
     n[carry] = 10**16
-    x += carry
-    slow = ~fast | (x < -4)
-    blank = zero | slow
-    n[blank] = 0
-    x[blank] = 0
-    # the 17 digits of n: a leading digit, then four groups of four
-    lead = n // 10**16
-    rest = n - lead * 10**16
-    hi = rest // 10**8
-    lo = rest - hi * 10**8
-    g1 = hi // 10**4
-    g2 = hi - g1 * 10**4
-    g3 = lo // 10**4
-    g4 = lo - g3 * 10**4
-    trailing = np.take(_ZEROS4, g4)
-    run = g4 == 0
-    for group in (g3, g2, g1):
-        trailing += run * np.take(_ZEROS4, group)
-        run &= group == 0
-    keep = np.maximum(17 - trailing, x + 1)  # integer digits always print
-    w1 = (np.take(_ASCII4, g1) | (np.take(_ASCII4, g2) << _U64(32))) & np.take(_KEEP1, keep)
-    w2 = (np.take(_ASCII4, g3) | (np.take(_ASCII4, g4) << _U64(32))) & np.take(_KEEP2, keep)
-    s = np.where((x >= 0) & (keep > x + 1), x, 16)
-    w0 = np.take(_PREFIX, x + 4) | ((lead.astype(_U64) + _U64(48)) << _U64(56))
-    w0 |= np.signbit(flat).astype(_U64) * _U64(ord("-"))
-    cells = np.empty((flat.size, 4), dtype="<u8")
-    cells[:, 0] = w0
-    moved1 = (w1 << _U64(8)) | (w0 >> _U64(56))
-    cells[:, 1] = (w1 & np.take(_STAY1, s)) | (moved1 & np.take(_MOVE1, s)) | np.take(_POINT1, s)
-    moved2 = (w2 << _U64(8)) | (w1 >> _U64(56))
-    cells[:, 2] = (w2 & np.take(_STAY2, s)) | (moved2 & np.take(_MOVE2, s)) | np.take(_POINT2, s)
-    separators = np.full(dim, ord(",") << 8, dtype=_U64)
-    separators[-1] = ord("\n") << 8
-    moved3 = (w2 >> _U64(56)) & np.take(_MOVE3, s)
-    cells.reshape(rows, dim, 4)[:, :, 3] = moved3.reshape(rows, dim) | separators
-    text = cells.view(np.uint8)
-    at = np.flatnonzero(slow)
-    if at.size:
-        spliced = b"".join((b"%.17g" % v).ljust(25, b"\0") for v in flat[at].tolist())
-        text[at, :25] = np.frombuffer(spliced, dtype=np.uint8).reshape(-1, 25)
-    return text[:, :26].tobytes().translate(None, b"\0")  # bytes 26..31 are always NUL
+    k -= carry
+    slow = k > 20
+    n[slow] = 0
+    k[slow] = 16
+    return n, k, slow
+
+
+class _BlockFormatter:
+    """Formats tables as CSV rows, block by block, in scratch arrays it keeps.
+
+    Every block of ``_BLOCK_VALUES`` values is formatted in the same arrays,
+    written with ``out=``, so the pages a block needs stay mapped from one
+    block to the next instead of going back to the kernel and being faulted
+    in again. The arrays hold the largest block formatted so far, so a short
+    table allocates only what it uses. ``text`` holds one 26-byte cell per
+    value, laid out as ``_cell_masks`` says, and ``words`` views it as each
+    cell's three words and its last two bytes.
+    """
+
+    size = 0
+
+    def rows(self, block: np.ndarray) -> Iterator[bytearray]:
+        """``",".join(["%.17g"] * dim) + "\n"`` of each row of a 2-D block, in pieces of ``_BLOCK_VALUES`` values."""
+        dim = block.shape[1]
+        flat = np.ascontiguousarray(block, dtype=np.float64).ravel()
+        if self.size < min(flat.size, _BLOCK_VALUES):
+            self._allocate(min(flat.size, _BLOCK_VALUES))
+        for start in range(0, flat.size, _BLOCK_VALUES):
+            yield self._format(flat[start : start + _BLOCK_VALUES], start % dim, dim)
+
+    def _allocate(self, size: int) -> None:
+        self.size = size
+        self.floats = np.empty((7, size))
+        self.ints = np.empty((9, size), dtype=np.int64)
+        self.flags = np.empty((2, size), dtype=bool)
+        self.text = bytearray(26 * size)
+        self.cells = np.frombuffer(self.text, dtype=np.uint8).reshape(size, 26)
+        self.words = [np.ndarray(size, dtype, self.text, offset, (26,))
+                      for dtype, offset in ((_U64, 0), (_U64, 8), (_U64, 16), (np.uint16, 24))]
+
+    def _format(self, values: np.ndarray, column: int, dim: int) -> bytearray:
+        """ASCII of at most ``_BLOCK_VALUES`` consecutive values of a row-major table of ``dim`` columns.
+
+        ``values[0]`` lies in ``column``; each value is followed by "," or, in
+        the last column, by a line feed. ``%.17g`` prints a finite value in
+        fixed notation when its decimal exponent x after rounding to 17 digits
+        lies in -4..16. For those values and for zeros the digits come from
+        integer arithmetic: ``|v| * 10**k``, k = 16 - x, is split exactly into
+        a double ``p`` and its error ``t``, rounded half to even as Python's
+        ``dtoa`` does, and laid out through the byte tables above. Where ``p``
+        lies inside (1e16, 1e17), as it does for almost every value,
+        ``log10``'s x is right, ``p`` is even and the digits are
+        ``p + rint(t)``, with no carry. Every other value goes through
+        ``_exact_digits``, and those it flags (nan, inf, exponent notation,
+        subnormals) are formatted with ``%`` one at a time and spliced in.
+        """
+        m = values.size
+        a, p, t, u, v, w, f = self.floats[:, :m]
+        k, n, lead, g1, g2, g3, g4, quad, c = self.ints[:, :m]
+        inside, flag = self.flags[:, :m]
+        word = [w[:m] for w in self.words]
+        np.abs(values, out=a)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # nan, inf and 0 are not inside
+            np.log10(a, out=f)
+            np.floor(f, out=f)
+            np.subtract(16.0, f, out=f)
+            np.clip(f, 0.0, 20.0, out=f)
+            np.copyto(k, f, casting="unsafe")  # nan casts to any k; its p is not inside
+            _scaled(a, k, p, t, u, v, w)
+            np.greater(p, 1e16, out=inside)
+            np.less(p, 1e17, out=flag)
+            inside &= flag
+            np.rint(t, out=t)
+            np.copyto(n, p, casting="unsafe")
+            np.copyto(g1, t, casting="unsafe")
+        n += g1
+        at = np.flatnonzero(np.logical_not(inside, out=flag))
+        n[at] = 0  # zeros print as "0", and so do the values % prints until they are spliced in
+        k[at] = 16
+        edge = np.abs(values[at])
+        fixed = (edge >= 9e-5) & (edge < 1e17)  # x lies in -5..16, and nan is not fixed
+        slow = at[~fixed & (edge != 0.0)]
+        at = at[fixed]
+        if at.size:
+            n[at], k[at], flagged = _exact_digits(values[at])
+            slow = np.concatenate((slow, at[flagged]))
+        # the 17 digits of n: a leading digit, then four groups of four
+        np.floor_divide(n, 10**16, out=lead)
+        np.multiply(lead, 10**16, out=g1)
+        n -= g1
+        np.floor_divide(n, 10**8, out=g2)
+        np.multiply(g2, 10**8, out=g1)
+        np.subtract(n, g1, out=g4)
+        np.floor_divide(g2, 10**4, out=g1)
+        np.multiply(g1, 10**4, out=g3)
+        g2 -= g3
+        np.floor_divide(g4, 10**4, out=g3)
+        np.multiply(g3, 10**4, out=n)
+        g4 -= n
+        # q1, q2: digits 1..8 and 9..16 as ASCII words; c: the layout row 17 * k + last
+        q1, q2, h = g1.view(_U64), g3.view(_U64), n.view(_U64)
+        np.subtract(16, k, out=c)  # x: the integer digits always print
+        np.maximum(c, 0, out=c)
+        for low, high, first in ((g1, g2, 0), (g3, g4, 8)):  # q1 from groups 1 and 2, q2 from 3 and 4
+            for group, digits in ((low, first), (high, first + 4)):
+                np.take(_GROUP, group, out=quad, mode="clip")
+                np.right_shift(quad, 32, out=n)
+                n += digits
+                np.maximum(c, n, out=c)
+                if group is low:
+                    np.bitwise_and(quad, 0xFFFFFFFF, out=low)
+            np.left_shift(quad.view(_U64), _U64(32), out=h)
+            np.bitwise_or(low.view(_U64), h, out=low.view(_U64))
+        np.multiply(k, 17, out=n)
+        c += n
+        r, s = g2.view(_U64), g4.view(_U64)
+        np.take(_PREFIX, c, out=r, mode="clip")
+        np.add(lead, 48, out=lead)
+        np.left_shift(lead.view(_U64), _U64(56), out=s)
+        r |= s
+        np.signbit(values, out=flag)
+        np.multiply(flag, _U64(ord("-")), out=s)
+        np.bitwise_or(r, s, out=word[0])
+        np.take(_STAY1, c, out=r, mode="clip")
+        r &= q1
+        np.take(_MOVE1, c, out=s, mode="clip")
+        np.left_shift(q1, _U64(8), out=h)
+        s &= h
+        r |= s
+        np.take(_POINT1, c, out=s, mode="clip")
+        np.bitwise_or(r, s, out=word[1])
+        np.take(_STAY2, c, out=r, mode="clip")
+        r &= q2
+        np.take(_MOVE2, c, out=s, mode="clip")
+        np.left_shift(q2, _U64(8), out=h)
+        s &= h
+        r |= s
+        np.take(_CARRY2, c, out=s, mode="clip")
+        np.right_shift(q1, _U64(56), out=h)
+        s &= h
+        r |= s
+        np.take(_POINT2, c, out=s, mode="clip")
+        np.bitwise_or(r, s, out=word[2])
+        np.take(_CARRY3, c, out=r, mode="clip")
+        np.right_shift(q2, _U64(56), out=h)
+        r &= h
+        r |= _U64(ord(",") << 8)
+        np.copyto(word[3], r, casting="unsafe")
+        word[3][(dim - 1 - column) % dim :: dim] ^= np.uint16((ord(",") ^ ord("\n")) << 8)
+        if slow.size:
+            spliced = b"".join((b"%.17g" % v).ljust(25, b"\0") for v in values[slow].tolist())
+            self.cells[slow, :25] = np.frombuffer(spliced, dtype=np.uint8).reshape(-1, 25)
+        # a bytearray keeps its buffer when translate shrinks it, so the heap keeps its pages too
+        text = self.text if m == self.size else self.text[: 26 * m]
+        return text.translate(None, b"\0")
 
 
 @contextlib.contextmanager
@@ -246,18 +388,18 @@ def _output(path: Path | None):
 def _write_csv(path: Path | None, echo: dict, header: str, blocks) -> None:
     """Echo lines and header, then one ``%.17g``-formatted line per row of each 2-D block.
 
-    Each block is formatted by ``_format_rows`` in pieces of about
-    ``_BLOCK_VALUES`` values and written as bytes to the file (or stdout), so
-    no text copy of the table is ever held and a block may be produced after
-    the ones before it are written. Integral floats below 2**53, such as
-    series indices, print as plain integers.
+    Each block is formatted by one ``_BlockFormatter`` in pieces of
+    ``_BLOCK_VALUES`` values, a row may straddle two, and written as bytes to
+    the file (or stdout), so no text copy of the table is ever held and a
+    block may be produced after the ones before it are written. Integral
+    floats below 2**53, such as series indices, print as plain integers.
     """
+    formatter = _BlockFormatter()
     with _output(path) as write:
         write("".join([*(f"# {key}={value}\n" for key, value in echo.items()), f"{header}\n"]).encode())
         for block in blocks:
-            step = max(1, _BLOCK_VALUES // block.shape[1])
-            for start in range(0, len(block), step):
-                write(_format_rows(block[start : start + step]))
+            for text in formatter.rows(block):
+                write(text)
 
 
 def _write_json(path: Path | None, payload: dict) -> None:
@@ -680,6 +822,17 @@ _FAILURES = {
 }
 
 
+def _stdout_to_devnull() -> None:
+    """Point file descriptor 1 at os.devnull, so that the interpreter's last flush of stdout has nowhere to fail."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # a redirect with no descriptor holds nothing to flush
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     # At exit, freeze what is left so the interpreter's final collections skip
     # the import-time objects instead of freeing them one by one; a process
@@ -692,6 +845,9 @@ def main(argv: list[str] | None = None) -> int:
         args.handler(args)
         if args.out is not None:
             _write_manifest(args)
+    except BrokenPipeError:  # the reader of stdout left: nothing is wrong with the run
+        _stdout_to_devnull()
+        return EXIT_BROKEN_PIPE
     except tuple(cls for group in _FAILURES for cls in group) as exc:
         prefix, code = next(status for group, status in _FAILURES.items() if isinstance(exc, group))
         print(f"{prefix}: {exc}", file=sys.stderr)

@@ -96,14 +96,65 @@ def geodesic_lags(sites, m):
     return np.minimum(r, sites - r)
 
 
-def ring_increment_row_geodesic(sites, hurst):
-    """Ring increment row straight from geodesic distances, the oracle for the folded chain row.
+def exact_chain_row(n, hurst):
+    """r(d) = ((d+1)^{2H} + |d-1|^{2H}) / 2 - d^{2H} for d < n in 40-digit mpmath, at the exact double ``hurst``."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        h2 = 2 * mp.mpf(hurst)
+        dpow = [mp.mpf(d) ** h2 for d in range(n + 1)]
+        return [(dpow[d + 1] + dpow[abs(d - 1)]) / 2 - dpow[d] for d in range(n)]
 
-    c_j = ((d(j+1)^{2H} + d(j-1)^{2H}) - 2 d(j)^{2H}) / 2, evaluated in that order.
+
+def exact_ring_row(sites, hurst):
+    """Ring increment row straight from geodesic distances in 40-digit mpmath, the oracle for the folded chain row.
+
+    c_j = (d(j+1)^{2H} + d(j-1)^{2H} - 2 d(j)^{2H}) / 2.
     """
-    j = np.arange(-1, sites + 1)
-    dpow = geodesic_lags(sites, j).astype(float) ** (2.0 * hurst)
-    return 0.5 * ((dpow[2:] + dpow[:-2]) - 2.0 * dpow[1:-1])
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        h2 = 2 * mp.mpf(hurst)
+        dpow = [mp.mpf(d) ** h2 for d in range(sites // 2 + 1)]
+        lags = geodesic_lags(sites, np.arange(-1, sites + 1)).tolist()
+        return [(dpow[lags[j + 2]] + dpow[lags[j]]) / 2 - dpow[lags[j + 1]] for j in range(sites)]
+
+
+def ulps_off(got, exact):
+    """How many units in the last place of each exact (mpmath) value a float64 array is off by."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        err = np.array([float(abs(mp.mpf(float(g)) - e)) for g, e in zip(got, exact)])
+    return err / np.spacing(np.abs(np.array([float(e) for e in exact])))
+
+
+def extended_center_couplings(row, center):
+    """Couplings of monomer ``center`` to every monomer of a chain with Toeplitz first row ``row``, in np.longdouble.
+
+    The package's pipeline run in extended precision: the Durbin recursion,
+    the Gohberg-Semencul rows of R^-1 up to row ``center``, and the second
+    difference of rows center - 1 and center. ``row`` holds exact numbers
+    (mpmath), each entered as the longdouble nearest its double-double. Where
+    longdouble is float64 this is the float64 pipeline fed an exact row.
+    """
+    r = np.array([np.longdouble(float(v)) + np.longdouble(float(v - float(v))) for v in row])
+    n = r.size
+    a, e = np.zeros(n, dtype=np.longdouble), r[0]
+    a[0] = 1
+    for k in range(1, n):
+        kappa = -(a[:k] @ r[k:0:-1]) / e
+        a[: k + 1] = a[: k + 1] + kappa * a[k::-1]
+        e = e * (1 - kappa * kappa)
+    b = np.concatenate(([np.longdouble(0)], a[:0:-1]))
+    padded = np.zeros((2, n + 2), dtype=np.longdouble)  # rows center - 1 and center, zero beyond the ends
+    energy = np.zeros(n, dtype=np.longdouble)
+    for i in range(min(center + 1, n)):
+        shifted = np.concatenate(([np.longdouble(0)], energy[:-1]))
+        energy = a[i] * a - b[i] * b + shifted
+        if i >= center - 1:
+            padded[i - center + 1, 1:-1] = energy / e
+    previous, current = padded
+    g = -((previous[:-1] + current[1:]) - (previous[1:] + current[:-1])) / 2
+    g[center] = 0
+    return g
 
 
 def ring_laplacian_circulant(g_by_distance, sites):

@@ -117,9 +117,10 @@ class TestCouplingsCommand:
         assert not out.exists()
 
     def test_small_odd_ring_above_half_exists(self, capsys):
-        # the hint above H = 1/2 must not contradict a ring the package accepts
+        # the hint above H = 1/2 must not contradict a ring the package accepts; the exact
+        # couplings (40-digit mpmath) are 1.59313605019135442... and -0.51934263029149813...
         assert main(["couplings", "--mode", "ring", "--monomers", "5", "--hurst", "0.6"]) == 0
-        assert capsys.readouterr().out.endswith("distance,g\n1,1.5931360501913538\n2,-0.51934263029149785\n")
+        assert capsys.readouterr().out.endswith("distance,g\n1,1.5931360501913541\n2,-0.51934263029149808\n")
 
     def test_large_low_hurst_ring_exists(self, tmp_path):
         # mu_1 = 4.4e-5 here; a tolerance of 1e-9 N max|c| once called it a missing mode
@@ -541,8 +542,13 @@ class TestCsvWriter:
         assert capsys.readouterr().out == ref.read_text()
 
 
+def formatted(block):
+    """Every row of a 2-D block as the CSV writer formats it."""
+    return b"".join(cli._BlockFormatter().rows(block))
+
+
 def percent_rows(values):
-    """The per-row ``%`` loop that ``_format_rows`` replaced, as bytes."""
+    """The per-row ``%`` loop that the block formatter replaced, as bytes."""
     template = ",".join(["%.17g"] * values.shape[1]) + "\n"
     return "".join(template % tuple(row) for row in values.tolist()).encode()
 
@@ -576,26 +582,26 @@ BOUNDARY = np.concatenate((
 
 
 class TestBlockFormatter:
-    """``_format_rows`` prints exactly what ``'%.17g' %`` prints, value by value."""
+    """The block formatter prints exactly what ``'%.17g' %`` prints, value by value."""
 
     def test_boundary_table(self):
         table = np.concatenate((BOUNDARY, -BOUNDARY, [np.nan, np.copysign(np.nan, -1.0)]))
         for dim in (1, 2, 16):
             block = np.resize(table, (-(-table.size // dim), dim))
-            assert cli._format_rows(block) == percent_rows(block)
+            assert formatted(block) == percent_rows(block)
 
     def test_exact_ties_round_half_even(self, rng):
         ties = exact_ties(rng)
         block = np.concatenate((ties, -ties)).reshape(-1, 8)
-        assert cli._format_rows(block) == percent_rows(block)
+        assert formatted(block) == percent_rows(block)
         pair = np.array([[1000000000000000.25, 1000000000000000.75]])
-        assert cli._format_rows(pair) == b"1000000000000000.2,1000000000000000.8\n"
+        assert formatted(pair) == b"1000000000000000.2,1000000000000000.8\n"
 
     @settings(max_examples=300)
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     def test_any_float(self, values):
         block = np.array(values, dtype=np.float64).reshape(1, -1)
-        assert cli._format_rows(block) == percent_rows(block)
+        assert formatted(block) == percent_rows(block)
 
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(17)
@@ -606,7 +612,7 @@ class TestBlockFormatter:
         fixed = rng.random(bits.size) < 0.75
         bits[fixed] = (bits[fixed] & ~exponent_field) | exponents[fixed]
         values = bits.view(np.float64).reshape(-1, 16)
-        assert b"".join(cli._format_rows(block) for block in np.array_split(values, 64)) == percent_rows(values)
+        assert b"".join(formatted(block) for block in np.array_split(values, 64)) == percent_rows(values)
 
     @pytest.mark.parametrize("dim", [1, 2, 16, 64])
     def test_writer_blocks_match_percent_loop(self, tmp_path, capsys, rng, dim):
@@ -620,6 +626,37 @@ class TestBlockFormatter:
         assert out.read_bytes() == expected
         cli._write_csv(None, {"command": "sample"}, "h", [values])
         assert capsys.readouterr().out.encode() == expected
+
+    @pytest.mark.parametrize("dim", [1, 2, 64, 257])
+    def test_every_block_boundary(self, rng, dim):
+        # three boundaries of the writer's blocks, each flanked by awkward values, and one
+        # block that holds nan, +-inf, +-0, subnormals and values next to powers of ten
+        block = cli._BLOCK_VALUES
+        rows = -(-(3 * block + 5) // dim)
+        flat = np.cumsum(rng.standard_normal(rows * dim)) * 10.0 ** rng.integers(-6, 18, size=rows * dim)
+        awkward = np.concatenate((BOUNDARY, -BOUNDARY, [np.nan, -np.nan, np.inf, -np.inf, -0.0, -5e-324]))
+        flat[block + 7 : block + 7 + awkward.size] = rng.permutation(awkward)
+        for edge in range(block, flat.size, block):
+            flat[edge - 3 : edge + 3] = [0.0, 1e16, np.nan, -0.0, 9.9999999999999991e-5, -1e17]
+        values = flat.reshape(rows, dim)
+        pieces = list(cli._BlockFormatter().rows(values))
+        assert [piece.endswith(b"\n") for piece in pieces[:-1]] == [block % dim == 0] * 3  # 257 straddles
+        assert b"".join(pieces) == percent_rows(values)
+
+
+def test_writer_keeps_its_working_set_mapped(monkeypatch):
+    # formatting a block reuses the pages of the one before instead of faulting in fresh ones
+    resource = pytest.importorskip("resource")
+    if not sys.platform.startswith("linux"):
+        pytest.skip("minor fault counts are read on Linux")
+    values = np.random.default_rng(5).standard_normal((31_250, 64))  # 2e6 values, 122 blocks
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        cli._write_csv(None, {}, "h", [values[:1000]])
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        cli._write_csv(None, {}, "h", [values])
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults <= 2_000
 
 
 @pytest.mark.parametrize("model", [
@@ -985,3 +1022,26 @@ def test_module_runs_as_a_script():
     version = subprocess.run([sys.executable, "-m", "fbmspring.cli", "--version"], env=env,
                              capture_output=True, text=True, timeout=120)
     assert (version.returncode, version.stdout) == (0, f"fbmspring {fbmspring.__version__}\n")
+
+
+def test_closed_pipe_exits_141_with_empty_stderr():
+    # `fbmspring sample ... | head -1`: the reader leaves after one line, and nothing is wrong with the run
+    src = Path(fbmspring.__file__).resolve().parents[1]
+    argv = ["sample", "--model", "reflected", "--grid", "64", "--paths", "100000"]
+    writer = subprocess.Popen([sys.executable, "-c", "from fbmspring.cli import run; run()", *argv],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert writer.stdout.readline() == b"# command=sample\n"
+    writer.stdout.close()
+    status = writer.wait(timeout=120)
+    assert (status, writer.stderr.read()) == (cli.EXIT_BROKEN_PIPE, b"")
+    writer.stderr.close()
+
+
+def test_broken_pipe_is_not_invalid_input(monkeypatch, capsys):
+    def reader_left(args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "_cmd_fourier_energy", reader_left)
+    assert main(["fourier-energy", "--hurst", "0.3"]) == 141
+    assert capsys.readouterr().err == ""

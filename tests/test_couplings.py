@@ -18,7 +18,7 @@ from fbmspring import linalg
 from fbmspring.linalg import classify_definiteness, eigen_sym
 from fbmspring.sampling import sample_gaussian
 
-from conftest import random_coupling_profile, random_symmetric, same_bits
+from conftest import exact_chain_row, extended_center_couplings, random_coupling_profile, random_symmetric, same_bits
 
 
 def forward_difference(x):
@@ -275,6 +275,16 @@ class TestChainCouplingRow:
         g = chain_coupling_matrix(monomers, hurst)
         for center in (0, 1, monomers // 3, (monomers - 1) // 2, monomers - 2, monomers - 1):
             assert same_bits(chain_coupling_row(monomers, hurst, center), g[center]), center
+
+    @pytest.mark.parametrize("hurst, attractive", [(0.7, 70), (0.9, 98), (0.95, 102)])
+    def test_center_signs_match_extended_precision(self, hurst, attractive):
+        # the cancelling row of earlier versions got 2, 60 and 166 of these signs wrong
+        # (68, 126 and 188 attractive partners)
+        monomers, center = 1025, 512
+        g = np.delete(chain_coupling_row(monomers, hurst, center), center)
+        oracle = np.delete(extended_center_couplings(exact_chain_row(monomers - 1, hurst), center), center)
+        assert np.array_equal(g > 0, oracle > 0) and np.count_nonzero(g > 0) == attractive
+        assert np.array_equal(g < 0, oracle < 0)
 
     def test_checks_hurst_and_center(self):
         with pytest.raises(ValueError, match="chain couplings need 0 < hurst < 1"):

@@ -11,7 +11,10 @@ from fbmspring.kernels import (
 )
 from fbmspring.linalg import Definiteness, classify_definiteness
 
-from conftest import geodesic_lags, ring_increment_row_geodesic, ring_position_cov
+from conftest import exact_chain_row, exact_ring_row, geodesic_lags, ring_position_cov, ulps_off
+
+#: Hurst indices of the accuracy tests: both sides of 1/2, near 0 and near 1.
+ACCURACY_HURSTS = (0.05, 0.3, 0.5, 0.7, 0.9, 0.95)
 
 
 class TestChainCov:
@@ -26,6 +29,14 @@ class TestChainCov:
         r = chain_increment_cov(2, 0.3)
         assert r[0, 1] == pytest.approx(2.0**0.6 / 2.0 - 1.0, abs=1e-12)
         assert r[0, 1] == pytest.approx(-0.24214, abs=5e-6)
+
+    @pytest.mark.parametrize("hurst", ACCURACY_HURSTS)
+    def test_row_within_4_ulps_of_mpmath(self, hurst):
+        # the formula as written cancels about log10(d^2) digits: 4.9e-10 relative at d = 1023, H = 0.7
+        row = chain_increment_row(1024, hurst)
+        assert ulps_off(row, exact_chain_row(1024, hurst)).max() <= 4
+        for n in (1, 2, 3, 17, 1000):  # every shorter row is the same bits
+            assert np.array_equal(chain_increment_row(n, hurst), row[:n])
 
     def test_unit_diagonal_exact(self):
         r = chain_increment_cov(9, 0.37)
@@ -114,13 +125,22 @@ class TestRingIncrementCov:
             ring_increment_row(6, 0.5), [1.0, 0.0, 0.0, -1.0, 0.0, 0.0]
         )
 
-    def test_row_is_the_geodesic_formula_bit_for_bit(self):
-        # the chain row folded at floor(N/2) against the second difference on geodesic distances
+    def test_row_is_the_chain_row_folded(self):
+        # bit for bit away from the fold lag N // 2 (and its mirror N - N // 2)
         sizes = [*range(3, 300), 511, 512, 1000, 1023, 1024, 4095, 4096, 65536, 65537]
-        hursts = np.linspace(0.01, 1.0, 15).tolist()
-        differ = [(sites, hurst) for sites in sizes for hurst in hursts
-                  if ring_increment_row(sites, hurst).tobytes() != ring_increment_row_geodesic(sites, hurst).tobytes()]
-        assert len(sizes) * len(hursts) == 4590 and differ == []
+        for sites in sizes:
+            lag = np.minimum(np.arange(sites), sites - np.arange(sites))
+            for hurst in np.linspace(0.01, 1.0, 15).tolist():
+                folded = chain_increment_row(sites // 2 + 1, hurst)[lag]
+                row = ring_increment_row(sites, hurst)
+                away = lag != sites // 2
+                assert np.array_equal(row[away], folded[away]), (sites, hurst)
+
+    @pytest.mark.parametrize("hurst", ACCURACY_HURSTS)
+    def test_row_within_4_ulps_of_the_geodesic_formula(self, hurst):
+        for sites in [*range(3, 65), 1023, 1024, 4095, 4096]:
+            ulps = ulps_off(ring_increment_row(sites, hurst), exact_ring_row(sites, hurst))
+            assert ulps.max() <= 4, (sites, ulps.argmax())
 
     def test_unit_diagonal(self):
         cov = ring_increment_cov(5, 0.5)

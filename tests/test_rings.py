@@ -277,6 +277,11 @@ class TestRingCouplingProfile:
         assert g[0] == pytest.approx(0.3269833, rel=1e-5)
         assert g[1] == pytest.approx(0.05475034, rel=1e-5)
 
+    def test_large_ring_attracts_at_every_distance_short_of_the_antipode(self):
+        # a cancelling fold and row once made 2760 of these couplings <= 0; the antipode's
+        # sign is left open, it needs an extended-precision oracle of its own
+        assert (ring_coupling_profile(65536, 0.45)[:-1] > 0).all()
+
     def test_profile_reproduces_an_admissible_ring(self):
         report = check_admissible(ring_coupling_profile(24, 0.35), 24)
         assert report.admissible
