@@ -7,7 +7,7 @@ chain coupling changes sign; designs stiff ring models with controlled
 long-range repulsion; and samples conformations exactly.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .circulant import circulant_eigenvalues, mirrored_distance_row, ring_mode_spectrum
 from .couplings import (
@@ -63,7 +63,8 @@ from .sampling import (
     fourier_mode_energy,
     piecewise_ring_cov_matrix,
     reflected_brownian_ring,
-    sample_gaussian,
+    sample_circulant,
+    sample_toeplitz,
     uniform_ring_grid,
 )
 
@@ -87,7 +88,7 @@ __all__ = [
     "SignChangeQuery", "coupling_at", "find_critical_hurst",
     # sampling
     "SampleBatch", "brownian_bridge_ring", "covariance_bound", "fourier_mode_energy",
-    "piecewise_ring_cov_matrix", "reflected_brownian_ring", "sample_gaussian",
+    "piecewise_ring_cov_matrix", "reflected_brownian_ring", "sample_circulant", "sample_toeplitz",
     "uniform_ring_grid",
     # errors
     "FbmSpringError", "DivergentSeries", "IndefiniteCovariance", "InvalidExponent",

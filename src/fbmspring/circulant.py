@@ -38,17 +38,22 @@ def _cosine_transform(row: np.ndarray) -> np.ndarray:
     return np.concatenate((half, half[1 : n - n // 2][::-1]))
 
 
-def circulant_eigenvalues(first_row: np.ndarray) -> np.ndarray:
-    """All N eigenvalues of the circulant with ``first_row``, in mode order m = 0..N-1.
-
-    The row must be 1-d, nonempty and symmetric (c[k] == c[N-k] bitwise).
-    """
+def _symmetric_row(first_row: np.ndarray) -> np.ndarray:
+    """The row as a float array, after checking it is 1-d, nonempty and symmetric (c[k] == c[N-k] bitwise)."""
     row = np.asarray(first_row, dtype=float)
     if row.ndim != 1 or row.size < 1:
         raise ValueError(f"first_row must be a nonempty 1-d array, got shape {row.shape}")
     if not np.array_equal(row[1:], row[:0:-1]):
         raise NotSymmetricCirculant("first row must satisfy c[k] == c[N-k] for a real spectrum")
-    return _cosine_transform(row)
+    return row
+
+
+def circulant_eigenvalues(first_row: np.ndarray) -> np.ndarray:
+    """All N eigenvalues of the circulant with ``first_row``, in mode order m = 0..N-1.
+
+    The row must be 1-d, nonempty and symmetric (c[k] == c[N-k] bitwise).
+    """
+    return _cosine_transform(_symmetric_row(first_row))
 
 
 def spectrum_tol(first_row: np.ndarray) -> float:

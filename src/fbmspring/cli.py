@@ -16,9 +16,11 @@ stdout, so no text copy of a table is held.
 Every file (CSV, JSON report, gnuplot script, manifest) is written as
 ``<name>.partial`` and renamed to ``<name>`` only when it is complete; a run
 that fails or is interrupted removes the partial file.
-``sample --model reflected|bridge`` draws, writes and checks its batch in row
-chunks of about 1 MiB taken from one Philox stream, so its memory depends on
-``--grid`` and not on ``--paths``; chain and ring batches are one chunk.
+``sample`` draws, writes and checks its batch in row chunks of about 1 MiB
+from one Philox stream, so its memory depends on the model's size and not on
+``--paths``; the first chunk is drawn before anything is written, and only a
+run that writes a report (``--out`` or ``--report``) sums the dim×dim Gram
+matrix and builds the reference covariance.
 
 Exit codes: 0 success, 2 invalid input or model (a ``ValueError``, including
 the package errors that reject a model), 3 no result (the bracketed coupling
@@ -31,7 +33,9 @@ from __future__ import annotations
 import argparse
 import atexit
 import contextlib
+import functools
 import gc
+import itertools
 import json
 import os
 import sys
@@ -54,7 +58,8 @@ from .sampling import (
     fourier_mode_energy,
     piecewise_ring_cov_matrix,
     reflected_brownian_ring,
-    sample_gaussian,
+    sample_circulant,
+    sample_toeplitz,
     uniform_ring_grid,
 )
 
@@ -101,9 +106,9 @@ _U64 = np.uint64
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp splits a double into two 26-bit halves
 
 
-# Indexed by k = 16 - x for decimal exponents x in -5..16: every 10**k, k <= 22,
+# Indexed by k = 16 - x for decimal exponents x in -4..16: every 10**k, k <= 22,
 # is an exact double; and its two Veltkamp halves.
-_POW10 = np.array([float(10**k) for k in range(22)])
+_POW10 = np.array([float(10**k) for k in range(21)])
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 _QUADS = np.arange(10_000, dtype=np.int64)
@@ -124,7 +129,7 @@ def _cell_masks() -> list[np.ndarray]:
     digit ``last`` are cleared, and the point after digit s = x < ``last``
     moves the digits behind it up one byte, into byte 24 at most.
     """
-    k, last = np.divmod(np.arange(22 * 17), 17)
+    k, last = np.divmod(np.arange(21 * 17), 17)
     x = 16 - k
     s = np.where((x >= 0) & (x < last), x, 16)
     low_bytes = np.array([(1 << (8 * b)) - 1 for b in range(9)], dtype=_U64)  # the low b bytes of a word
@@ -135,7 +140,7 @@ def _cell_masks() -> list[np.ndarray]:
     def point(at):  # "." at byte ``at`` of a word, and nothing where ``at`` lies outside 0..7
         return np.where((at >= 0) & (at < 8), _U64(ord(".")) << (8 * np.clip(at, 0, 7)).astype(_U64), _U64(0))
 
-    prefix = [int.from_bytes(b"\0" + b"0." + b"0" * (-1 - x), "little") if x < 0 else 0 for x in range(16, -6, -1)]
+    prefix = [int.from_bytes(b"\0" + b"0." + b"0" * (-1 - x), "little") if x < 0 else 0 for x in range(16, -5, -1)]
     keep1, keep2 = low(last), low(last - 8)
     move1, move2 = ~low(s + 1), ~low(s - 7)
     eight, top = _U64(8), _U64(56)
@@ -153,64 +158,6 @@ def _cell_masks() -> list[np.ndarray]:
 
 
 _PREFIX, _STAY1, _MOVE1, _POINT1, _STAY2, _MOVE2, _CARRY2, _POINT2, _CARRY3 = _cell_masks()
-
-
-def _scaled(a, k, p, t, u, v, w) -> None:
-    """``a * 10**k`` as ``p + t`` exactly, with ``p`` the rounded product (Dekker), written into ``p`` and ``t``.
-
-    ``u``, ``v`` and ``w`` are scratch arrays of ``a``'s size; ``a`` is left
-    holding its low Veltkamp half.
-    """
-    np.take(_POW10, k, out=u, mode="clip")
-    np.multiply(a, u, out=p)
-    np.multiply(a, _SPLIT, out=v)
-    np.subtract(v, a, out=w)
-    np.subtract(v, w, out=v)  # the high half of a
-    a -= v
-    np.take(_POW10_HI, k, out=u, mode="clip")
-    np.take(_POW10_LO, k, out=w, mode="clip")
-    np.multiply(v, u, out=t)
-    t -= p
-    v *= w
-    t += v
-    u *= a
-    t += u
-    w *= a
-    t += w
-
-
-def _product(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_scaled`` into new arrays, leaving ``a`` as it was."""
-    p, t, u, v, w = np.empty((5, a.size))
-    _scaled(a.copy(), k, p, t, u, v, w)
-    return p, t
-
-
-def _exact_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``n`` and ``k`` of values in [9e-5, 1e17) in size that the fast path cannot trust, and which ``%`` must print.
-
-    ``log10`` can miss x by one next to a power of ten, so x moves until
-    ``p + t`` lies in [1e16, 1e17), and a value that rounds up to 10**17
-    carries into x. The values whose x ends at -5 are flagged, with the n and
-    k of a zero.
-    """
-    a = np.abs(values)
-    k = 16 - np.clip(np.floor(np.log10(a)), -5, 16).astype(np.int64)
-    p, t = _product(a, k)
-    low = (p < 1e16) | ((p == 1e16) & (t < 0.0))
-    high = (p > 1e17) | ((p == 1e17) & (t >= 0.0))
-    fix = np.flatnonzero(low | high)
-    if fix.size:
-        k[fix] += low[fix].astype(np.int64) - high[fix].astype(np.int64)
-        p[fix], t[fix] = _product(a[fix], k[fix])
-    n = p.astype(np.int64) + np.rint(t).astype(np.int64)  # p is even, so rint's ties to even are n's
-    carry = n == 10**17
-    n[carry] = 10**16
-    k -= carry
-    slow = k > 20
-    n[slow] = 0
-    k[slow] = 16
-    return n, k, slow
 
 
 class _BlockFormatter:
@@ -258,9 +205,10 @@ class _BlockFormatter:
         ``dtoa`` does, and laid out through the byte tables above. Where ``p``
         lies inside (1e16, 1e17), as it does for almost every value,
         ``log10``'s x is right, ``p`` is even and the digits are
-        ``p + rint(t)``, with no carry. Every other value goes through
-        ``_exact_digits``, and those it flags (nan, inf, exponent notation,
-        subnormals) are formatted with ``%`` one at a time and spliced in.
+        ``p + rint(t)``, with no carry. Every other nonzero value (exact
+        powers of ten, values next to one that ``log10`` misses, nan, inf,
+        exponent notation, subnormals) is formatted with ``%`` one at a time
+        and spliced in.
         """
         m = values.size
         a, p, t, u, v, w, f = self.floats[:, :m]
@@ -274,7 +222,23 @@ class _BlockFormatter:
             np.subtract(16.0, f, out=f)
             np.clip(f, 0.0, 20.0, out=f)
             np.copyto(k, f, casting="unsafe")  # nan casts to any k; its p is not inside
-            _scaled(a, k, p, t, u, v, w)
+            # p + t = a * 10**k exactly, p the rounded product (Dekker), from Veltkamp halves of a and 10**k
+            np.take(_POW10, k, out=u, mode="clip")
+            np.multiply(a, u, out=p)
+            np.multiply(a, _SPLIT, out=v)
+            np.subtract(v, a, out=w)
+            np.subtract(v, w, out=v)  # the high half of a
+            a -= v  # and its low half
+            np.take(_POW10_HI, k, out=u, mode="clip")
+            np.take(_POW10_LO, k, out=w, mode="clip")
+            np.multiply(v, u, out=t)
+            t -= p
+            v *= w
+            t += v
+            u *= a
+            t += u
+            w *= a
+            t += w
             np.greater(p, 1e16, out=inside)
             np.less(p, 1e17, out=flag)
             inside &= flag
@@ -285,13 +249,7 @@ class _BlockFormatter:
         at = np.flatnonzero(np.logical_not(inside, out=flag))
         n[at] = 0  # zeros print as "0", and so do the values % prints until they are spliced in
         k[at] = 16
-        edge = np.abs(values[at])
-        fixed = (edge >= 9e-5) & (edge < 1e17)  # x lies in -5..16, and nan is not fixed
-        slow = at[~fixed & (edge != 0.0)]
-        at = at[fixed]
-        if at.size:
-            n[at], k[at], flagged = _exact_digits(values[at])
-            slow = np.concatenate((slow, at[flagged]))
+        slow = at[values[at] != 0.0]  # nan too
         # the 17 digits of n: a leading digit, then four groups of four
         np.floor_divide(n, 10**16, out=lead)
         np.multiply(lead, 10**16, out=g1)
@@ -673,8 +631,8 @@ def _cmd_ring_design(args: argparse.Namespace) -> None:
 
 # -------------------------------------------------------------------- sample
 
-#: Samples per row chunk of a reflected or bridge run (1 MiB of float64): a
-#: chunk is drawn, written and added to the report before the next is drawn.
+#: Samples per row chunk (1 MiB of float64): a chunk is drawn, written and
+#: added to the report before the next is drawn.
 _CHUNK_VALUES = 131_072
 
 
@@ -682,38 +640,41 @@ def _cmd_sample(args: argparse.Namespace) -> None:
     if args.paths < 1:
         raise CliInputError("--paths must be >= 1")
     echo: dict = {"command": "sample", "model": args.model, "paths": args.paths, "seed": args.seed}
-    # Chain and ring batches are one chunk: `z @ F.T` in row chunks is not
-    # bit-identical to one GEMM, and the FFT samplers of ROADMAP item 4 will
-    # replace both streams.
     if args.model == "chain":
         if args.monomers is None or args.hurst is None:
             raise CliInputError("chain sampling needs --monomers and --hurst")
         echo.update(monomers=args.monomers, hurst=_fmt(args.hurst))
-        reference = chain_increment_cov(args.monomers - 1, args.hurst)
-        batches = [sample_gaussian(reference, args.paths, args.seed)]
+        model, sampler = chain_increment_row(args.monomers - 1, args.hurst), sample_toeplitz
+        covariance = functools.partial(chain_increment_cov, args.monomers - 1, args.hurst)
     elif args.model == "ring":
         if args.sites is None or args.hurst is None:
             raise CliInputError("ring sampling needs --sites and --hurst")
         echo.update(sites=args.sites, hurst=_fmt(args.hurst))
-        reference = ring_increment_cov(args.sites, args.hurst)
-        batches = [sample_gaussian(reference, args.paths, args.seed)]
-    else:  # reflected | bridge positions on a uniform circle grid, in row chunks of one stream
-        grid = uniform_ring_grid(args.grid)
+        model, sampler = ring_increment_row(args.sites, args.hurst), sample_circulant
+        covariance = functools.partial(ring_increment_cov, args.sites, args.hurst)
+    else:  # reflected | bridge positions on a uniform circle grid
         echo.update(grid=args.grid)
-        reference = piecewise_ring_cov_matrix(grid)
+        model = uniform_ring_grid(args.grid)
         sampler = reflected_brownian_ring if args.model == "reflected" else brownian_bridge_ring
-        rng = np.random.Generator(np.random.Philox(key=args.seed))
-        rows = max(1, _CHUNK_VALUES // grid.size)
-        batches = (sampler(grid, min(rows, args.paths - start), rng) for start in range(0, args.paths, rows))
-    dim = reference.shape[0]
-    gram = np.zeros((dim, dim))
+        covariance = functools.partial(piecewise_ring_cov_matrix, model)
+    dim = model.size
+    rng = np.random.Generator(np.random.Philox(key=args.seed))
+    rows = max(1, _CHUNK_VALUES // dim)
+    chunks = (sampler(model, min(rows, args.paths - start), rng).values for start in range(0, args.paths, rows))
+    first = next(chunks)  # a model that cannot be sampled fails here, before any output
+    report_path = _files(args).get("--report")
+    gram = None if report_path is None else np.zeros((dim, dim))
 
     def blocks():
-        for batch in batches:
-            gram[...] += batch.values.T @ batch.values
-            yield batch.values
+        for values in itertools.chain((first,), chunks):
+            if gram is not None:
+                gram[...] += values.T @ values
+            yield values
 
     _write_csv(args.out, echo, ",".join(f"v{i}" for i in range(dim)), blocks())
+    if report_path is None:  # stdout mode emits the CSV only
+        return
+    reference = covariance()
     empirical = gram / args.paths
     bound = covariance_bound(reference, args.paths)
     error = np.abs(empirical - reference)
@@ -726,9 +687,7 @@ def _cmd_sample(args: argparse.Namespace) -> None:
         "max_error_over_bound": float(ratio.max()),
         "within_bound": bool((error <= bound + 1e-15).all()),
     }
-    report_path = _files(args).get("--report")
-    if report_path is not None:  # stdout mode emits the CSV only
-        _write_json(report_path, report)
+    _write_json(report_path, report)
 
 
 # ------------------------------------------------------------ fourier energy

@@ -10,18 +10,19 @@ elementwise bound of :func:`covariance_bound`.
 
 Randomness: every batch is drawn from a counter-based Philox bit generator
 keyed by the user seed (``numpy.random.Philox``), with normal variates from
-numpy's ziggurat transform. A batch is one contiguous vectorized draw, so
-results are bit-reproducible for fixed (seed, model, paths). A sampler also
+numpy's ziggurat transform, and each path uses only its own row of draws.
+Results are bit-reproducible for fixed (seed, model, paths). A sampler also
 accepts a ``numpy.random.Generator`` in place of the seed and continues its
 stream: one Generator passed to consecutive calls gives, row for row, the
 batch that the int seed gives in one call, so a large batch can be drawn in
 row chunks of bounded size.
 
-Covariance factorization is spectral: eigenvalues in [-tol_pd, 0] are clamped
-to zero (exactly semidefinite models such as the Brownian ring live on this
-boundary), anything below -tol_pd raises IndefiniteCovariance. Samples from a
-semidefinite covariance therefore carry exactly zero weight along its null
-directions.
+Rings (circulant) and chains (Toeplitz) are sampled by one FFT per path from
+the first row of their covariance (Davies & Harte 1987; Dietrich & Newsam
+1997), so a draw depends on the row only through the circulant's eigenvalues
+mu_m. A mode with mu_m below -tol_pd (``linalg.default_tol_pd`` of the
+circulant's row) raises IndefiniteCovariance; one with mu_m <= tol_pd gets
+exactly zero weight, so samples carry none along the null directions.
 
 The reflected construction of the periodic Brownian motion on a circle of
 circumference 2*pi runs an ordinary Wiener path up to its half point and
@@ -40,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .circulant import _cosine_transform, _symmetric_row
 from .errors import IndefiniteCovariance, QuadratureFailure
 
 TWO_PI = 2.0 * math.pi
@@ -59,24 +61,50 @@ def _normals(shape: tuple[int, int], seed: int | np.random.Generator) -> np.ndar
     return rng.standard_normal(shape)
 
 
-def sample_gaussian(cov: np.ndarray, paths: int, seed: int | np.random.Generator) -> SampleBatch:
-    """Exact zero-mean Gaussian samples with the given covariance.
+def _circulant_rows(row: np.ndarray, paths: int, seed: int | np.random.Generator) -> np.ndarray:
+    """``paths`` rows of zero-mean Gaussians whose covariance is the symmetric circulant with first ``row``.
 
-    ``cov`` must be positive semidefinite at tolerance tol_pd =
-    ``linalg.default_tol_pd(cov)``; a smaller eigenvalue raises
-    IndefiniteCovariance (e.g. a periodic model requested above its
-    admissible Hurst range). ``seed`` is a Philox key or a
-    Generator whose stream continues.
+    Each row is one ``np.fft.irfft`` of a complex normal per mode m = 0..N // 2,
+    weighted by sqrt(mu_m N / 2), or by sqrt(mu_m N) at the real modes 0 and
+    N / 2, whose imaginary parts ``irfft`` discards.
     """
     if paths < 1:
         raise ValueError("paths must be >= 1")
-    w, v = linalg.eigen_sym(cov)
-    tol = linalg.default_tol_pd(cov)
-    if w[0] < -tol:
-        raise IndefiniteCovariance(float(w[0]), tol)
-    factor = v * np.sqrt(np.clip(w, 0.0, None))
-    z = _normals((paths, w.size), seed)
-    return SampleBatch(values=z @ factor.T)
+    n = row.size
+    mu = _cosine_transform(row)[: n // 2 + 1]
+    tol = linalg.default_tol_pd(row)
+    if mu.min() < -tol:
+        raise IndefiniteCovariance(float(mu.min()), tol)
+    modes = np.arange(mu.size)
+    weight = np.sqrt(np.where(mu > tol, mu * np.where((modes == 0) | (2 * modes == n), n, n / 2), 0.0))
+    spectrum = _normals((paths, 2 * mu.size), seed).view(complex)
+    spectrum *= weight
+    return np.fft.irfft(spectrum, n=n)
+
+
+def sample_circulant(first_row: np.ndarray, paths: int, seed: int | np.random.Generator) -> SampleBatch:
+    """Exact zero-mean Gaussian samples with the symmetric circulant covariance of ``first_row``.
+
+    The row must be 1-d, nonempty and symmetric (c[k] == c[N-k] bitwise), as
+    ``kernels.ring_increment_row`` builds it. ``seed`` is a Philox key or a
+    Generator whose stream continues.
+    """
+    return SampleBatch(values=_circulant_rows(_symmetric_row(first_row), paths, seed))
+
+
+def sample_toeplitz(first_row: np.ndarray, paths: int, seed: int | np.random.Generator) -> SampleBatch:
+    """Exact zero-mean Gaussian samples with the symmetric Toeplitz covariance of ``first_row`` (r_0..r_{n-1}).
+
+    The first n coordinates of a sample of Davies & Harte's circulant embedding
+    (r_0..r_{n-1}, r_{n-2}..r_1), positive semidefinite for fractional Gaussian
+    noise at every Hurst index (Craigmile 2003); an indefinite one raises
+    IndefiniteCovariance. ``seed`` is a Philox key or a continued Generator.
+    """
+    row = np.asarray(first_row, dtype=float)
+    if row.ndim != 1 or row.size < 1:
+        raise ValueError(f"first_row must be a nonempty 1-d array, got shape {row.shape}")
+    embedding = np.concatenate((row, row[-2:0:-1]))
+    return SampleBatch(values=np.ascontiguousarray(_circulant_rows(embedding, paths, seed)[:, : row.size]))
 
 
 def covariance_bound(cov: np.ndarray, paths: int) -> np.ndarray:

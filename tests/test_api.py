@@ -28,7 +28,7 @@ PUBLIC = [
     "SignChangeQuery", "coupling_at", "find_critical_hurst",
     # sampling
     "SampleBatch", "brownian_bridge_ring", "covariance_bound", "fourier_mode_energy",
-    "piecewise_ring_cov_matrix", "reflected_brownian_ring", "sample_gaussian",
+    "piecewise_ring_cov_matrix", "reflected_brownian_ring", "sample_circulant", "sample_toeplitz",
     "uniform_ring_grid",
     # errors
     "FbmSpringError", "DivergentSeries", "IndefiniteCovariance", "InvalidExponent",
@@ -55,7 +55,7 @@ def referenced_names(module: str) -> set[str]:
 
 
 def test_all_is_the_pinned_list():
-    assert len(PUBLIC) == len(set(PUBLIC)) == 50
+    assert len(PUBLIC) == len(set(PUBLIC)) == 51
     assert fbmspring.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(fbmspring, name) is not None
@@ -84,6 +84,7 @@ def test_removed_names_stay_removed():
         "ChainModel", "RingGeometry", "CouplingProfile", "RingModel",
         "_geodesic_array", "_ring_profile", "piecewise_ring_cov",
         "CLOSED_FORM_MODE", "_endpoint_series", "_adaptive_cos_quad", "_gauss_kronrod_panel", "heapq",
+        "sample_gaussian", "_product", "_exact_digits",
     }
     for module in MODULES:
         assert removed.isdisjoint(vars(importlib.import_module(f"fbmspring.{module}"))), module

@@ -30,13 +30,15 @@ from fbmspring.errors import (
     QuadratureFailure,
 )
 from fbmspring.linalg import centrosymmetric_eigenvalues
-from fbmspring.kernels import chain_increment_cov
+from fbmspring.kernels import chain_increment_cov, chain_increment_row, ring_increment_cov, ring_increment_row
 from fbmspring.rings import ring_coupling_profile, ring_energy_eigenvalues
 from fbmspring.sampling import (
     brownian_bridge_ring,
     fourier_mode_energy,
     piecewise_ring_cov_matrix,
     reflected_brownian_ring,
+    sample_circulant,
+    sample_toeplitz,
     uniform_ring_grid,
 )
 
@@ -398,7 +400,9 @@ class TestSampleCommand:
             "--paths", "10", "--seed", "0",
         ])
         assert code == 2
-        assert "indefinite" in capsys.readouterr().err.lower()
+        out, err = capsys.readouterr()
+        assert out == ""  # the first chunk fails before the echo lines are written
+        assert "indefinite" in err.lower()
 
     def test_ring_above_half_names_the_covariance(self, tmp_path, capsys):
         # the library's own message, with no Hurst rule of the CLI's added to it
@@ -674,25 +678,65 @@ def test_sample_memory_is_a_few_batches(tmp_path, model):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the batch itself plus the draws and one gathered copy; no text copy of the table
+    # a few row chunks and the report's Gram matrix; no whole batch and no text copy of the table
     assert peak < 5 * paths * dim * 8
 
 
-@pytest.mark.parametrize("grid", [13, 64, 256])
-@pytest.mark.parametrize("model, sampler", [("reflected", reflected_brownian_ring), ("bridge", brownian_bridge_ring)])
-def test_chunked_sample_equals_one_call_batch(tmp_path, model, sampler, grid):
-    rows = cli._CHUNK_VALUES // grid
+def stream(model, dim):
+    """Flags and echo lines of a ``dim``-column ``model`` sample, its sampler and input, and the report's covariance."""
+    if model == "chain":
+        return (["--monomers", str(dim + 1), "--hurst", "0.7"], {"monomers": dim + 1, "hurst": cli._fmt(0.7)},
+                sample_toeplitz, chain_increment_row(dim, 0.7), chain_increment_cov(dim, 0.7))
+    if model == "ring":
+        return (["--sites", str(dim), "--hurst", "0.3"], {"sites": dim, "hurst": cli._fmt(0.3)},
+                sample_circulant, ring_increment_row(dim, 0.3), ring_increment_cov(dim, 0.3))
+    sampler = reflected_brownian_ring if model == "reflected" else brownian_bridge_ring
+    grid = uniform_ring_grid(dim)
+    return ["--grid", str(dim)], {"grid": dim}, sampler, grid, piecewise_ring_cov_matrix(grid)
+
+
+@pytest.mark.parametrize("dim", [13, 64, 256])
+@pytest.mark.parametrize("model", ["reflected", "bridge", "chain", "ring"])
+def test_chunked_sample_equals_one_call_batch(tmp_path, model, dim):
+    flags, echoed, sampler, first, reference = stream(model, dim)
+    rows = cli._CHUNK_VALUES // dim
     for paths in (1, rows + 1, 2 * rows + 3):  # none a whole number of chunks
         out = tmp_path / f"{paths}.csv"
-        assert main(["sample", "--model", model, "--grid", str(grid), "--paths", str(paths), "--seed", "7",
+        assert main(["sample", "--model", model, *flags, "--paths", str(paths), "--seed", "7",
                      "--out", str(out)]) == 0
-        batch = sampler(uniform_ring_grid(grid), paths, 7)
-        echo = f"# command=sample\n# model={model}\n# paths={paths}\n# seed=7\n# grid={grid}\n"
-        header = ",".join(f"v{i}" for i in range(grid)) + "\n"
+        batch = sampler(first, paths, 7)
+        echo = f"# command=sample\n# model={model}\n# paths={paths}\n# seed=7\n"
+        echo += "".join(f"# {key}={value}\n" for key, value in echoed.items())
+        header = ",".join(f"v{i}" for i in range(dim)) + "\n"
         assert out.read_bytes() == (echo + header).encode() + percent_rows(batch.values)
         report = json.loads(out.with_suffix(".report.json").read_text())
-        error = np.abs(empirical_covariance(batch) - piecewise_ring_cov_matrix(uniform_ring_grid(grid)))
+        error = np.abs(empirical_covariance(batch) - reference)
         assert report["max_abs_error"] == pytest.approx(error.max(), rel=1e-12)
+
+
+def test_stdout_ring_sample_holds_a_few_chunks(monkeypatch):
+    # 65536 sites: a dense reference or Gram matrix would take 34 GB, a chunk is two paths
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            assert main(["sample", "--model", "ring", "--sites", "65536", "--hurst", "0.3", "--paths", "6"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * cli._CHUNK_VALUES * 8
+
+
+@pytest.mark.parametrize("model", [["--model", "chain", "--monomers", "65", "--hurst", "0.7"],
+                                   ["--model", "ring", "--sites", "64", "--hurst", "0.3"]], ids=lambda m: m[1])
+def test_chain_and_ring_samples_need_no_eigensolver(tmp_path, monkeypatch, capsys, model):
+    def fail(*args, **kwargs):
+        raise AssertionError("sample called eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert main(["sample", *model, "--paths", "300", "--out", str(tmp_path / "s.csv")]) == 0
+    assert main(["sample", *model, "--paths", "300"]) == 0
+    assert json.loads((tmp_path / "s.report.json").read_text())["dim"] == 64
 
 
 def test_reflected_sample_memory_is_flat_in_paths(tmp_path):

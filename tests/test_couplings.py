@@ -16,7 +16,6 @@ from fbmspring.couplings import (
 from fbmspring.kernels import chain_increment_cov, chain_increment_row
 from fbmspring import linalg
 from fbmspring.linalg import classify_definiteness, eigen_sym
-from fbmspring.sampling import sample_gaussian
 
 from conftest import exact_chain_row, extended_center_couplings, random_coupling_profile, random_symmetric, same_bits
 
@@ -391,10 +390,9 @@ class TestCheckedOnce:
         lambda: energy_from_couplings(np.zeros((5, 5))),
         lambda: coupling_laplacian(np.zeros((5, 5))),
         lambda: coupling_slice(np.zeros((5, 5)), 2),
-        lambda: sample_gaussian(np.eye(5), paths=3, seed=0),
         lambda: classify_definiteness(np.eye(5)),
     ], ids=["couplings_from_energy", "energy_from_couplings", "coupling_laplacian", "coupling_slice",
-            "sample_gaussian", "classify_definiteness"])
+            "classify_definiteness"])
     def test_one_check_per_input(self, checks, call):
         call()
         assert checks == [(5, 5)]

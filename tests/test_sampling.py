@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from fbmspring import sampling
-from fbmspring.errors import IndefiniteCovariance, QuadratureFailure
-from fbmspring.kernels import ring_increment_cov
+from fbmspring.errors import IndefiniteCovariance, NotSymmetricCirculant, QuadratureFailure
+from fbmspring.kernels import chain_increment_cov, chain_increment_row, ring_increment_cov, ring_increment_row
 from fbmspring.linalg import default_tol_pd, eigen_sym
 from fbmspring.sampling import (
     TWO_PI,
@@ -15,58 +15,153 @@ from fbmspring.sampling import (
     fourier_mode_energy,
     piecewise_ring_cov_matrix,
     reflected_brownian_ring,
-    sample_gaussian,
+    sample_circulant,
+    sample_toeplitz,
     uniform_ring_grid,
 )
 
-from conftest import empirical_covariance, grid_increments, uniform_grid_increment_cov
+from conftest import empirical_covariance, grid_increments, sample_gaussian, uniform_grid_increment_cov
 
 
-class TestSampleGaussian:
+def chain_row(monomers, hurst):
+    return chain_increment_row(monomers - 1, hurst)
+
+
+def unit_draw_factor(sampler, row, n_modes, monkeypatch):
+    """The sampler's linear map from its normals to a path, one row per normal.
+
+    Feeding the sampler the identity matrix as its draws, one unit normal per
+    path, turns each path into one row F_j of the factor, so that F.T @ F is
+    the covariance the sampler draws from, with no sampling error.
+    """
+    monkeypatch.setattr(sampling, "_normals", lambda shape, seed: np.eye(shape[1]))
+    return sampler(row, 2 * n_modes, 0).values
+
+
+class TestStationarySamplers:
+    """sample_circulant (ring rows) and sample_toeplitz (chain rows) against dense oracles."""
+
     def test_identity_covariance_recovered(self):
-        batch = sample_gaussian(np.eye(4), paths=40_000, seed=101)
-        emp = empirical_covariance(batch)
+        row = np.array([1.0, 0.0, 0.0, 0.0])
+        batch = sample_circulant(row, paths=40_000, seed=101)
         bound = covariance_bound(np.eye(4), 40_000)
-        assert (np.abs(emp - np.eye(4)) <= bound).all()
+        assert (np.abs(empirical_covariance(batch) - np.eye(4)) <= bound).all()
 
-    def test_deterministic_per_seed(self):
-        a = sample_gaussian(np.eye(3), paths=50, seed=7)
-        b = sample_gaussian(np.eye(3), paths=50, seed=7)
-        c = sample_gaussian(np.eye(3), paths=50, seed=8)
+    @pytest.mark.parametrize("sampler, row", [(sample_circulant, ring_increment_row(9, 0.3)),
+                                              (sample_toeplitz, chain_row(9, 0.7))], ids=["ring", "chain"])
+    def test_deterministic_per_seed(self, sampler, row):
+        a = sampler(row, paths=50, seed=7)
+        b = sampler(row, paths=50, seed=7)
+        c = sampler(row, paths=50, seed=8)
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
+    @pytest.mark.parametrize("monomers", [2, 3, 4, 9, 33])
+    @pytest.mark.parametrize("hurst", [0.05, 0.5, 0.95, 1.0])
+    def test_chain_factor_is_the_toeplitz_covariance(self, monkeypatch, monomers, hurst):
+        n = monomers - 1
+        factor = unit_draw_factor(sample_toeplitz, chain_row(monomers, hurst), max(2 * n - 2, 1) // 2 + 1, monkeypatch)
+        cov = chain_increment_cov(n, hurst)
+        np.testing.assert_allclose(factor.T @ factor, cov, rtol=0, atol=1e-14 * n)
+
+    @pytest.mark.parametrize("sites", [3, 4, 6, 17, 64])
+    @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5])
+    def test_ring_factor_is_the_circulant_covariance(self, monkeypatch, sites, hurst):
+        factor = unit_draw_factor(sample_circulant, ring_increment_row(sites, hurst), sites // 2 + 1, monkeypatch)
+        np.testing.assert_allclose(factor.T @ factor, ring_increment_cov(sites, hurst), rtol=0, atol=1e-14 * sites)
+
+    @pytest.mark.parametrize("monomers", [2, 3, 33])
+    @pytest.mark.parametrize("hurst", [0.05, 0.5, 0.95])
+    def test_chain_empirical_covariance_within_bound(self, monomers, hurst):
+        cov = chain_increment_cov(monomers - 1, hurst)
+        batch = sample_toeplitz(chain_row(monomers, hurst), paths=20_000, seed=monomers)
+        assert batch.values.shape == (20_000, monomers - 1)
+        assert (np.abs(empirical_covariance(batch) - cov) <= covariance_bound(cov, 20_000)).all()
+
+    @pytest.mark.parametrize("sites", [3, 6, 17, 64])
+    @pytest.mark.parametrize("hurst", [0.05, 0.5, 0.95])
+    def test_ring_empirical_covariance_within_bound(self, sites, hurst):
+        # the dense oracle decides whether the ring exists; above H = 1/2 most do not
+        cov = ring_increment_cov(sites, hurst)
+        try:
+            sample_gaussian(cov, 1, 0)
+        except IndefiniteCovariance as dense:
+            with pytest.raises(IndefiniteCovariance) as info:
+                sample_circulant(ring_increment_row(sites, hurst), paths=10, seed=0)
+            assert info.value.tol == dense.tol
+            assert info.value.min_eigenvalue == pytest.approx(dense.min_eigenvalue, rel=1e-12)
+            return
+        batch = sample_circulant(ring_increment_row(sites, hurst), paths=20_000, seed=sites)
+        assert (np.abs(empirical_covariance(batch) - cov) <= covariance_bound(cov, 20_000)).all()
+
     def test_brownian_hexagon_zero_mode_is_exact(self):
-        cov = ring_increment_cov(6, 0.5)
-        batch = sample_gaussian(cov, paths=5_000, seed=3)
+        batch = sample_circulant(ring_increment_row(6, 0.5), paths=5_000, seed=3)
         # antipodal pairs cancel: (1,0,0,1,0,0) spans a null direction
         null = np.array([1.0, 0, 0, 1.0, 0, 0]) / math.sqrt(2)
         projections = batch.values @ null
-        assert np.abs(projections).max() <= 1e-10 * np.abs(batch.values).max()
+        assert np.abs(projections).max() <= 1e-15 * np.abs(batch.values).max()
 
     def test_samples_confined_to_covariance_range(self):
         cov = ring_increment_cov(8, 0.4)
         w, v = eigen_sym(cov)
-        batch = sample_gaussian(cov, paths=2_000, seed=11)
+        batch = sample_circulant(ring_increment_row(8, 0.4), paths=2_000, seed=11)
         null_vectors = v[:, np.abs(w) <= 1e-9 * 8 * np.abs(cov).max()]
         assert null_vectors.shape[1] >= 1
         components = batch.values @ null_vectors
-        assert np.abs(components).max() <= 1e-10 * np.abs(batch.values).max()
+        assert np.abs(components).max() <= 1e-15 * np.abs(batch.values).max()
+
+    def test_rigid_rod_moves_as_one(self):
+        # at H = 1 every increment covariance is 1: each path repeats one step
+        values = sample_toeplitz(chain_row(7, 1.0), paths=100, seed=4).values
+        assert np.array_equal(values, np.repeat(values[:, :1], 6, axis=1))
+        assert values[:, 0].std() == pytest.approx(1.0, abs=0.3)
 
     def test_indefinite_covariance_rejected(self):
-        cov = ring_increment_cov(8, 0.8)
+        row = ring_increment_row(8, 0.8)
         with pytest.raises(IndefiniteCovariance) as info:
-            sample_gaussian(cov, paths=10, seed=0)
+            sample_circulant(row, paths=10, seed=0)
         assert info.value.min_eigenvalue < -info.value.tol < 0
-        assert info.value.tol == default_tol_pd(cov)
+        assert info.value.tol == default_tol_pd(row) == default_tol_pd(ring_increment_cov(8, 0.8))
+        assert info.value.min_eigenvalue == pytest.approx(eigen_sym(ring_increment_cov(8, 0.8))[0][0], rel=1e-12)
         assert str(info.value) == (f"cannot sample: covariance is indefinite: smallest eigenvalue "
                                    f"{info.value.min_eigenvalue:.6e}, tolerance {info.value.tol:.6e}")
 
+    def test_indefinite_embedding_rejected(self):
+        # tridiag(0.6, 1, 0.6) is positive definite, its embedding (1, 0.6, 0, 0.6) has mode 2 at -0.2
+        with pytest.raises(IndefiniteCovariance):
+            sample_toeplitz(np.array([1.0, 0.6, 0.0]), paths=10, seed=0)
+
+    @pytest.mark.parametrize("sampler, row", [
+        (sample_circulant, ring_increment_row(6, 0.5)),
+        (sample_circulant, ring_increment_row(64, 0.3)),
+        (sample_circulant, ring_increment_row(17, 0.05)),
+        (sample_toeplitz, chain_row(33, 0.7)),
+        (sample_toeplitz, chain_row(2, 0.3)),
+        (sample_toeplitz, chain_row(9, 1.0)),
+    ], ids=["ring6", "ring64", "ring17", "chain33", "chain2", "rod9"])
+    def test_last_bits_of_the_row_do_not_redraw(self, sampler, row):
+        # the draws follow the row through its spectrum, with no basis chosen inside degenerate modes
+        a = sampler(row, paths=200, seed=5).values
+        b = sampler(row * (1.0 + 2.0**-52), paths=200, seed=5).values
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+
     def test_batch_shape_and_tag(self):
         # a batch carries its values only: no seed, model tag or derived sizes
-        batch = sample_gaussian(np.eye(3), paths=17, seed=0)
-        assert batch.values.shape == (17, 3)
+        batch = sample_toeplitz(chain_row(4, 0.3), paths=17, seed=0)
+        assert batch.values.shape == (17, 3) and batch.values.flags.c_contiguous
         assert [field.name for field in dataclasses.fields(batch)] == ["values"]
+        assert sample_circulant(ring_increment_row(5, 0.3), paths=17, seed=0).values.shape == (17, 5)
+
+    def test_rows_and_paths_validated(self):
+        with pytest.raises(NotSymmetricCirculant):
+            sample_circulant(np.array([2.0, 1.0, 0.0]), paths=3, seed=0)
+        for sampler in (sample_circulant, sample_toeplitz):
+            with pytest.raises(ValueError, match="nonempty 1-d"):
+                sampler(np.eye(3), paths=3, seed=0)
+            with pytest.raises(ValueError, match="nonempty 1-d"):
+                sampler(np.array([]), paths=3, seed=0)
+            with pytest.raises(ValueError, match="paths must be >= 1"):
+                sampler(np.ones(1), paths=0, seed=0)
 
 
 def pair_cov(s, t):
@@ -392,14 +487,13 @@ def test_one_generator_continues_the_seeded_batch(sampler, n, chunks):
     assert np.array_equal(np.concatenate(parts), sampler(grid, sum(chunks), n).values)
 
 
-def test_one_generator_continues_the_gaussian_draws():
-    # a diagonal covariance factors exactly, so the rows equal the one-call batch bit for bit
-    cov = np.diag([1.0, 2.0, 0.5, 3.0, 0.0])
+@pytest.mark.parametrize("sampler, row", [
+    (sample_circulant, ring_increment_row(6, 0.5)),
+    (sample_circulant, ring_increment_row(9, 0.3)),
+    (sample_toeplitz, chain_row(65, 0.7)),
+    (sample_toeplitz, chain_row(2, 0.3)),
+], ids=["ring6", "ring9", "chain65", "chain2"])
+def test_one_generator_continues_the_stationary_draws(sampler, row):
     rng = philox(11)
-    parts = [sample_gaussian(cov, rows, rng).values for rows in (1, 999, 38)]
-    assert np.array_equal(np.concatenate(parts), sample_gaussian(cov, 1038, 11).values)
-    # a full covariance multiplies the same draws by the same factor
-    cov = ring_increment_cov(9, 0.3)
-    rng = philox(12)
-    parts = [sample_gaussian(cov, rows, rng).values for rows in (500, 3)]
-    np.testing.assert_allclose(np.concatenate(parts), sample_gaussian(cov, 503, 12).values, rtol=0, atol=1e-13)
+    parts = [sampler(row, rows, rng).values for rows in (1, 999, 38)]
+    assert np.array_equal(np.concatenate(parts), sampler(row, 1038, 11).values)
