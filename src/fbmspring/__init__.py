@@ -1,13 +1,15 @@
 """Harmonic spring-network view of discretized fractional Brownian chains and rings.
 
-The package converts between covariance matrices, increment-energy matrices,
-and pairwise coupling constants; computes ring spectra through their circulant
-structure; classifies admissibility; locates the critical Hurst index where a
-chain coupling changes sign; designs stiff ring models with controlled
-long-range repulsion; and samples conformations exactly.
+The package builds the first rows of the chain (Toeplitz) and ring
+(circulant) increment covariances, and works from them: chain couplings and
+spectra through one Toeplitz layer, ring spectra, couplings and admissibility
+through one FFT circulant layer, and exact samples by FFT. It converts between
+increment-energy matrices and pairwise coupling constants; locates the
+critical Hurst index where a chain coupling changes sign; and designs stiff
+ring models with controlled long-range repulsion.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .circulant import circulant_eigenvalues, mirrored_distance_row, ring_mode_spectrum
 from .couplings import (
@@ -31,21 +33,8 @@ from .errors import (
     NotSymmetricCirculant,
     QuadratureFailure,
 )
-from .kernels import (
-    chain_increment_cov,
-    chain_increment_row,
-    ring_increment_cov,
-    ring_increment_row,
-)
-from .linalg import (
-    Definiteness,
-    DefinitenessVerdict,
-    classify_definiteness,
-    default_tol_pd,
-    eigen_sym,
-    require_symmetric,
-    toeplitz_inverse,
-)
+from .kernels import chain_increment_row, ring_increment_row
+from .linalg import default_tol_pd, require_symmetric
 from .rings import (
     AdmissibilityReport,
     PowerLawDesign,
@@ -71,10 +60,9 @@ from .sampling import (
 __all__ = [
     "__version__",
     # linalg
-    "Definiteness", "DefinitenessVerdict", "classify_definiteness", "default_tol_pd",
-    "eigen_sym", "require_symmetric", "toeplitz_inverse",
+    "default_tol_pd", "require_symmetric",
     # kernels
-    "chain_increment_cov", "chain_increment_row", "ring_increment_cov", "ring_increment_row",
+    "chain_increment_row", "ring_increment_row",
     # couplings
     "chain_coupling_matrix", "coupling_laplacian", "coupling_slice", "couplings_from_energy",
     "energy_from_couplings",

@@ -10,8 +10,9 @@ with the degeneracy lambda_m == lambda_{N-m}. The implementation takes the
 real FFT (``np.fft.rfft``) over modes 0..floor(N/2) and mirrors it onto
 N/2..N-1, which makes that degeneracy bitwise exact and costs O(N log N) time
 and O(N) memory. Its rounding error is about eps log2(N) sum_k |c_k|, which
-:func:`spectrum_tol` turns into the tolerance below which a computed
-eigenvalue cannot be told apart from zero.
+``_half_spectrum`` turns into the one tolerance, for ring verdicts and
+samples alike, at or below which a computed eigenvalue cannot be told apart
+from zero.
 """
 
 from __future__ import annotations
@@ -22,12 +23,14 @@ import numpy as np
 
 from .errors import NotSymmetricCirculant
 
-#: Safety factor of :func:`spectrum_tol` over the rfft error scale
+#: Safety factor of the spectrum tolerance over the rfft error scale
 #: eps log2(N) sum|c|. The smallest ring increment-covariance eigenvalue is at
 #: least 3.2e7 scales for N = 2^3..2^20 and H = 0.01..0.45, and at least 5.5e7
 #: scales below zero whenever one is negative above H = 1/2 (N <= 2^16 + 1); the
 #: exact zeros of the even Brownian rings (N = 6..2^16) come out at 0.51 scales
-#: at most.
+#: at most, a ring's mode 0 at 0.36 scales at most (N = 3..2^20), and the zero
+#: modes of a rigid rod's (H = 1) Davies-Harte embedding at 1.2e-3 of the
+#: tolerance at most (2..300, 1025, 4097 and 16385 monomers).
 SPECTRUM_TOL_SAFETY = 64
 
 
@@ -36,6 +39,17 @@ def _cosine_transform(row: np.ndarray) -> np.ndarray:
     n = row.size
     half = np.fft.rfft(row).real
     return np.concatenate((half, half[1 : n - n // 2][::-1]))
+
+
+def _half_spectrum(row: np.ndarray) -> tuple[np.ndarray, float]:
+    """Eigenvalues mu_0..mu_{N//2} of the circulant with a symmetric ``row``, and the tolerance on them.
+
+    The tolerance is SPECTRUM_TOL_SAFETY * eps * log2(N) * sum|c|: an
+    eigenvalue at or below it may be zero. Private, so that a caller on the
+    sampling route reaches no public function of this module.
+    """
+    tol = SPECTRUM_TOL_SAFETY * np.finfo(float).eps * math.log2(row.size) * float(np.abs(row).sum())
+    return np.fft.rfft(row).real, tol
 
 
 def _symmetric_row(first_row: np.ndarray) -> np.ndarray:
@@ -54,12 +68,6 @@ def circulant_eigenvalues(first_row: np.ndarray) -> np.ndarray:
     The row must be 1-d, nonempty and symmetric (c[k] == c[N-k] bitwise).
     """
     return _cosine_transform(_symmetric_row(first_row))
-
-
-def spectrum_tol(first_row: np.ndarray) -> float:
-    """SPECTRUM_TOL_SAFETY * eps * log2(N) * sum|c|: eigenvalues at or below it may be zero."""
-    row = np.asarray(first_row, dtype=float)
-    return SPECTRUM_TOL_SAFETY * np.finfo(float).eps * math.log2(row.size) * float(np.abs(row).sum())
 
 
 def mirrored_distance_row(g_by_distance: np.ndarray, sites: int) -> np.ndarray:

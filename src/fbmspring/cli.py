@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import contextlib
-import functools
 import gc
 import itertools
 import json
@@ -49,7 +48,7 @@ from .circulant import circulant_eigenvalues, mirrored_distance_row, ring_mode_s
 from .couplings import chain_coupling_rows
 from .critical import SignChangeQuery, coupling_at, find_critical_hurst
 from .errors import FbmSpringError, NoSignChange
-from .kernels import chain_increment_cov, chain_increment_row, ring_increment_cov, ring_increment_row
+from .kernels import chain_increment_row, ring_increment_row
 from .linalg import centrosymmetric_eigenvalues
 from .rings import check_admissible, power_law_ring, ring_coupling_profile, ring_energy_eigenvalues
 from .sampling import (
@@ -426,6 +425,13 @@ def _write_series(args: argparse.Namespace, echo: dict, xlabel: str, ylabel: str
             ).encode())
 
 
+def _reject_unused(model: str, flags: dict, used) -> None:
+    """Reject each flag of ``flags`` that was given (is not None) but is not in ``used``: ``model`` would ignore it."""
+    unused = [flag for flag, value in flags.items() if value is not None and flag not in used]
+    if unused:
+        raise CliInputError(f"{model} cannot be combined with {', '.join(unused)}")
+
+
 def _resolve_center(monomers: int, center_flag: int | None) -> int:
     """CLI centers are 1-based monomer labels; internal indices are 0-based."""
     if center_flag is None:
@@ -438,6 +444,8 @@ def _resolve_center(monomers: int, center_flag: int | None) -> int:
 # ----------------------------------------------------------------- couplings
 
 def _cmd_couplings(args: argparse.Namespace) -> None:
+    if args.mode == "ring":
+        _reject_unused("--mode ring", {"--center": args.center}, ())
     if args.monomers < 3:
         raise CliInputError("--monomers must be >= 3")
     echo = {
@@ -538,9 +546,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> None:
     # --sites sizes a --g/--g-file ring and the rest build a --mode model: a flag of the other model is rejected
     flags = {"--sites": args.sites, "--mode": args.mode, "--monomers": args.monomers, "--hurst": args.hurst,
              "--cov": args.cov or None}
-    unused = [flag for flag, value in flags.items() if value is not None and (flag == "--sites") != bool(ring)]
-    if unused:
-        raise CliInputError(f"{' and '.join(ring or ['--mode'])} cannot be combined with {', '.join(unused)}")
+    _reject_unused(" and ".join(ring or ["--mode"]), flags, {"--sites"} if ring else flags.keys() - {"--sites"})
     if ring:
         sites, g = _ring_model_from_args(args)
         lam = ring_mode_spectrum(g, sites)
@@ -639,24 +645,25 @@ _CHUNK_VALUES = 131_072
 def _cmd_sample(args: argparse.Namespace) -> None:
     if args.paths < 1:
         raise CliInputError("--paths must be >= 1")
+    # --grid has a default, so an explicit --grid cannot be told from an unused one
+    flags = {"--monomers": args.monomers, "--sites": args.sites, "--hurst": args.hurst}
+    used = {"chain": ("--monomers", "--hurst"), "ring": ("--sites", "--hurst")}.get(args.model, ())
+    _reject_unused(f"--model {args.model}", flags, used)
     echo: dict = {"command": "sample", "model": args.model, "paths": args.paths, "seed": args.seed}
     if args.model == "chain":
         if args.monomers is None or args.hurst is None:
             raise CliInputError("chain sampling needs --monomers and --hurst")
         echo.update(monomers=args.monomers, hurst=_fmt(args.hurst))
         model, sampler = chain_increment_row(args.monomers - 1, args.hurst), sample_toeplitz
-        covariance = functools.partial(chain_increment_cov, args.monomers - 1, args.hurst)
     elif args.model == "ring":
         if args.sites is None or args.hurst is None:
             raise CliInputError("ring sampling needs --sites and --hurst")
         echo.update(sites=args.sites, hurst=_fmt(args.hurst))
         model, sampler = ring_increment_row(args.sites, args.hurst), sample_circulant
-        covariance = functools.partial(ring_increment_cov, args.sites, args.hurst)
     else:  # reflected | bridge positions on a uniform circle grid
         echo.update(grid=args.grid)
         model = uniform_ring_grid(args.grid)
         sampler = reflected_brownian_ring if args.model == "reflected" else brownian_bridge_ring
-        covariance = functools.partial(piecewise_ring_cov_matrix, model)
     dim = model.size
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     rows = max(1, _CHUNK_VALUES // dim)
@@ -674,7 +681,11 @@ def _cmd_sample(args: argparse.Namespace) -> None:
     _write_csv(args.out, echo, ",".join(f"v{i}" for i in range(dim)), blocks())
     if report_path is None:  # stdout mode emits the CSV only
         return
-    reference = covariance()
+    if args.model in ("chain", "ring"):  # stationary: entry (i, j) = row[|i - j|], a ring's row being symmetric
+        lag = np.arange(dim)
+        reference = model[np.abs(np.subtract.outer(lag, lag))]
+    else:
+        reference = piecewise_ring_cov_matrix(model)
     empirical = gram / args.paths
     bound = covariance_bound(reference, args.paths)
     error = np.abs(empirical - reference)

@@ -9,7 +9,7 @@ class FbmSpringError(Exception):
 
 
 class NotPositiveDefinite(FbmSpringError):
-    """A Cholesky pivot fell at or below the positive-definiteness tolerance.
+    """A Cholesky pivot (a Durbin prediction error) fell at or below the positive-definiteness tolerance.
 
     ``pivot_index`` is the 0-based row at which factorization broke down.
     """
@@ -46,7 +46,7 @@ class MissingRingModes(NotPositiveDefinite, ValueError):
 
 
 class NoConvergence(FbmSpringError):
-    """LAPACK's symmetric eigensolver (``eigh``) did not converge."""
+    """LAPACK's symmetric eigensolver (``eigvalsh``) did not converge."""
 
 
 class NotSymmetricCirculant(FbmSpringError, ValueError):
@@ -58,7 +58,7 @@ class NoSignChange(FbmSpringError):
 
 
 class IndefiniteCovariance(FbmSpringError, ValueError):
-    """Requested sampling from a matrix with an eigenvalue below -tol."""
+    """Requested sampling from a circulant with an eigenvalue below -tol."""
 
     def __init__(self, min_eigenvalue: float, tol: float):
         self.min_eigenvalue, self.tol = min_eigenvalue, tol

@@ -29,9 +29,10 @@ half of it at h = (N-1)/2 for odd N.
 Both covariances are stationary, so the pipelines work from their first rows
 (:func:`chain_increment_row`, :func:`ring_increment_row`): chain couplings
 through the Toeplitz solver in ``linalg``, ring spectra and couplings through
-the FFT in ``circulant``, and the chain covariance spectrum from a view of
-the first row. Sampling, the one dense consumer left, gathers the matrices,
-entry (i, j) = row[|j - i|] or row[(j - i) mod N].
+the FFT in ``circulant``, the chain covariance spectrum from a view of the
+first row, and samples by FFT from the row. A dense matrix, where a report
+needs one, is the gather row[|j - i|]; a ring row is symmetric, so that is
+row[(j - i) mod N] too.
 
 The builders take plain scalars and check them where the row is built: a
 chain needs n >= 1 increments, a ring N >= 3 sites, and H may lie anywhere in
@@ -46,15 +47,8 @@ import numpy as np
 _EPS = float(np.finfo(float).eps)
 
 
-def chain_increment_cov(n: int, hurst: float) -> np.ndarray:
-    """Toeplitz increment covariance of an open chain of ``n`` increments, shape (n, n)."""
-    row = chain_increment_row(n, hurst)
-    idx = np.arange(n)
-    return row[np.abs(idx[:, None] - idx[None, :])]
-
-
 def chain_increment_row(n: int, hurst: float) -> np.ndarray:
-    """First row r(0), ..., r(n - 1) of :func:`chain_increment_cov`; needs n >= 1."""
+    """First row r(0), ..., r(n - 1) of the Toeplitz increment covariance of n chain increments; needs n >= 1."""
     if n < 1:
         raise ValueError("chain needs at least one increment")
     if not 0.0 < hurst <= 1.0:
@@ -93,21 +87,11 @@ def _even_binomial_sum(d: np.ndarray, h2: float) -> np.ndarray:
     return total
 
 
-def ring_increment_cov(sites: int, hurst: float) -> np.ndarray:
-    """Circulant increment covariance of the periodic process, shape (N, N).
-
-    First row c_j = (d(j+1)^{2H} + d(j-1)^{2H} - 2 d(j)^{2H}) / 2. Row sums
-    vanish (the increments around a closed ring sum to zero), so the matrix is
-    singular for every H; for H > 1/2 it generally stops being positive
-    semidefinite altogether.
-    """
-    row = ring_increment_row(sites, hurst)
-    idx = np.arange(sites)
-    return row[(idx[None, :] - idx[:, None]) % sites]
-
-
 def ring_increment_row(sites: int, hurst: float) -> np.ndarray:
-    """First row of :func:`ring_increment_cov` (length N), the chain row folded at N // 2; needs N >= 3."""
+    """First row c_0..c_{N-1} of an N-site ring's circulant increment covariance; needs N >= 3.
+
+    It is the chain row folded at N // 2, exactly symmetric (c_j == c_{N-j}).
+    """
     if sites < 3:
         raise ValueError("a ring needs at least 3 sites")
     half = sites // 2

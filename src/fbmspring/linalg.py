@@ -1,24 +1,21 @@
-"""Linear algebra: one Toeplitz solver, a reflection split, and numpy's LAPACK elsewhere.
+"""Linear algebra: one Toeplitz solver and one reflection split.
 
 Chain covariances are symmetric Toeplitz, so :func:`toeplitz_inverse_rows`
-works from their first row: it runs the Durbin recursion, then streams the
-rows of the inverse in order, one O(n) row at a time, and its consumer decides
-how many rows to read. :func:`toeplitz_inverse` is every row of that stream.
+works from their first row: it runs the Durbin recursion, whose pivots give
+the positive-definiteness verdict, then streams the rows of the inverse in
+order, one O(n) row at a time, and its consumer decides how many rows to read.
 Chains are also centrosymmetric, so :func:`centrosymmetric_eigenvalues`
-splits their leading half of rows into two half-size blocks; symmetric
-matrices without such structure go through ``eigh``. Dense inputs must be
-*exactly* symmetric (``a[i, k] == a[k, i]`` bitwise); builders elsewhere
-construct them so, and :func:`require_symmetric` is the guard at every entry
-point. What this layer adds to numpy is the package's positive-definiteness
-tolerance and its errors.
+splits their leading half of rows into two half-size blocks for ``eigvalsh``.
+Dense inputs must be *exactly* symmetric (``a[i, k] == a[k, i]`` bitwise);
+builders elsewhere construct them so, and :func:`require_symmetric` is the
+guard at every entry point. Ring verdicts come from the circulant spectrum
+(``rings.check_admissible``), not from here.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -26,26 +23,6 @@ from .errors import NoConvergence, NotPositiveDefinite
 
 #: Relative scale of the default positive-definiteness tolerance.
 DEFAULT_PD_SCALE = 1e-9
-
-
-class Definiteness(str, Enum):
-    POSITIVE_DEFINITE = "positive_definite"
-    POSITIVE_SEMIDEFINITE = "positive_semidefinite"
-    INDEFINITE = "indefinite"
-
-
-@dataclass(frozen=True)
-class DefinitenessVerdict:
-    """Classification of a symmetric matrix ``a`` at tol_pd = :func:`default_tol_pd` of ``a``.
-
-    ``positive_definite``      min eigenvalue >  tol_pd
-    ``positive_semidefinite``  |min eigenvalue| <= tol_pd (at least one zero mode)
-    ``indefinite``             min eigenvalue < -tol_pd
-    """
-
-    kind: Definiteness
-    min_eigenvalue: float
-    zero_mode_count: int
 
 
 def require_symmetric(a: np.ndarray) -> np.ndarray:
@@ -62,7 +39,10 @@ def require_symmetric(a: np.ndarray) -> np.ndarray:
 
 
 def default_tol_pd(a: np.ndarray) -> float:
-    """Default PD tolerance of a matrix or of a Toeplitz first row: 1e-9 n max|a|."""
+    """Positive-definiteness tolerance of a Toeplitz first row, the Durbin pivots' floor: 1e-9 n max|a|.
+
+    A whole matrix gives the same number as its first row.
+    """
     a = np.asarray(a, dtype=float)
     return DEFAULT_PD_SCALE * a.shape[0] * float(np.abs(a).max(initial=0.0))
 
@@ -119,25 +99,6 @@ def toeplitz_inverse_rows(first_row: np.ndarray) -> Iterator[np.ndarray]:
     return rows()
 
 
-def toeplitz_inverse(first_row: np.ndarray) -> np.ndarray:
-    """Inverse of the symmetric positive definite Toeplitz matrix with ``first_row``.
-
-    Every row :func:`toeplitz_inverse_rows` yields; the result is exactly
-    symmetric. The first Durbin pivot ``e_k <=`` :func:`default_tol_pd` of the
-    row raises NotPositiveDefinite.
-    """
-    n = np.size(first_row)
-    return np.fromiter(toeplitz_inverse_rows(first_row), dtype=(float, (n,)), count=n)
-
-
-def eigen_sym(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of ``a``."""
-    a = require_symmetric(a)
-    try:
-        return np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"LAPACK eigh did not converge: {exc}") from exc
-
 
 def centrosymmetric_eigenvalues(rows: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a symmetric centrosymmetric n x n matrix from its first ceil(n/2) rows.
@@ -169,18 +130,3 @@ def centrosymmetric_eigenvalues(rows: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK eigvalsh did not converge: {exc}") from exc
     return np.sort(np.concatenate(spectra))
-
-
-def classify_definiteness(a: np.ndarray) -> DefinitenessVerdict:
-    """Classify ``a`` as PD / PSD / indefinite at tolerance tol_pd = :func:`default_tol_pd`."""
-    w, _ = eigen_sym(a)
-    tol_pd = default_tol_pd(a)
-    min_eig = float(w[0])
-    zero_modes = int(np.count_nonzero(np.abs(w) <= tol_pd))
-    if min_eig > tol_pd:
-        kind = Definiteness.POSITIVE_DEFINITE
-    elif min_eig >= -tol_pd:
-        kind = Definiteness.POSITIVE_SEMIDEFINITE
-    else:
-        kind = Definiteness.INDEFINITE
-    return DefinitenessVerdict(kind=kind, min_eigenvalue=min_eig, zero_mode_count=zero_modes)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .circulant import _cosine_transform, mirrored_distance_row, spectrum_tol
+from .circulant import _cosine_transform, _half_spectrum, mirrored_distance_row
 from .errors import DivergentSeries, InvalidExponent, MissingRingModes, NonpositiveG1
 
 
@@ -48,16 +48,14 @@ class PowerLawDesign:
 def check_admissible(g_by_distance: np.ndarray, sites: int) -> AdmissibilityReport:
     """Sweep all nonzero modes; admissible iff every lambda_m exceeds the FFT's rounding.
 
-    The tolerance is :func:`~fbmspring.circulant.spectrum_tol` of the
-    spectrum's first row (0, mirrored g). Degenerate pairs (m, N-m) are
-    counted once, so violating modes are reported in 1..floor(N/2); a nan
-    lambda_m violates.
+    The tolerance is that of ``circulant._half_spectrum`` on the spectrum's
+    first row (0, mirrored g). Degenerate pairs (m, N-m) are counted once, so
+    violating modes are reported in 1..floor(N/2); a nan lambda_m violates.
     """
-    row = np.concatenate(([0.0], mirrored_distance_row(g_by_distance, sites)))
-    f = _cosine_transform(row)
+    f, tol = _half_spectrum(np.concatenate(([0.0], mirrored_distance_row(g_by_distance, sites))))
     modes = np.arange(1, sites // 2 + 1)
-    lam = f[0] - f[modes]
-    violating = modes[~(lam > spectrum_tol(row))].tolist()
+    lam = f[0] - f[1:]
+    violating = modes[~(lam > tol)].tolist()
     return AdmissibilityReport(
         admissible=not violating,
         lambda_min_nonzero=float(lam.min()),
@@ -148,15 +146,15 @@ def ring_energy_eigenvalues(sites: int, hurst: float) -> np.ndarray:
     so lambda_m = 2 sin^2(theta_m/2) / mu_m, with mu_m the eigenvalues of the
     circulant increment covariance, theta_m = 2 pi m / N and lambda_0 = 0.
     Raises MissingRingModes (a NotPositiveDefinite) naming each mode m <= N/2
-    with mu_m <= spectrum_tol(c), the FFT's rounding error times a safety
-    factor: then no Gaussian ring exists. That is every even ring at H >= 1/2,
-    and an odd ring above its H_c(N), which falls from H_c(3) = 1 through
-    H_c(5) = 0.694 and H_c(9) = 0.548 toward 1/2.
+    with mu_m at or below the tolerance of ``circulant._half_spectrum``, the
+    FFT's rounding error times a safety factor: then no Gaussian ring exists.
+    That is every even ring at H >= 1/2, and an odd ring above its H_c(N),
+    which falls from H_c(3) = 1 through H_c(5) = 0.694 and H_c(9) = 0.548
+    toward 1/2.
     """
-    row = kernels.ring_increment_row(sites, hurst)
+    mu, tol = _half_spectrum(kernels.ring_increment_row(sites, hurst))
+    mu = mu[1:]
     modes = np.arange(1, sites // 2 + 1)
-    mu = _cosine_transform(row)[modes]
-    tol = spectrum_tol(row)
     missing = mu <= tol
     if missing.any():
         raise MissingRingModes([int(m) for m in modes[missing]], float(mu.min()), tol, sites, hurst)

@@ -20,9 +20,11 @@ row chunks of bounded size.
 Rings (circulant) and chains (Toeplitz) are sampled by one FFT per path from
 the first row of their covariance (Davies & Harte 1987; Dietrich & Newsam
 1997), so a draw depends on the row only through the circulant's eigenvalues
-mu_m. A mode with mu_m below -tol_pd (``linalg.default_tol_pd`` of the
-circulant's row) raises IndefiniteCovariance; one with mu_m <= tol_pd gets
-exactly zero weight, so samples carry none along the null directions.
+mu_m. The tolerance on them is the one of every circulant spectrum in the
+package, the FFT's rounding error times a safety factor
+(``circulant._half_spectrum``): a mode with mu_m below -tol raises
+IndefiniteCovariance, and one with mu_m <= tol gets exactly zero weight, so
+samples carry none along the null directions.
 
 The reflected construction of the periodic Brownian motion on a circle of
 circumference 2*pi runs an ordinary Wiener path up to its half point and
@@ -40,8 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .circulant import _cosine_transform, _symmetric_row
+from .circulant import _half_spectrum, _symmetric_row
 from .errors import IndefiniteCovariance, QuadratureFailure
 
 TWO_PI = 2.0 * math.pi
@@ -71,8 +72,7 @@ def _circulant_rows(row: np.ndarray, paths: int, seed: int | np.random.Generator
     if paths < 1:
         raise ValueError("paths must be >= 1")
     n = row.size
-    mu = _cosine_transform(row)[: n // 2 + 1]
-    tol = linalg.default_tol_pd(row)
+    mu, tol = _half_spectrum(row)
     if mu.min() < -tol:
         raise IndefiniteCovariance(float(mu.min()), tol)
     modes = np.arange(mu.size)

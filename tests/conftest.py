@@ -4,10 +4,9 @@ from hypothesis import HealthCheck, settings
 
 from fbmspring.circulant import mirrored_distance_row
 from fbmspring.couplings import chain_coupling_matrix, coupling_laplacian
-from fbmspring.errors import IndefiniteCovariance
 from fbmspring.kernels import ring_increment_row
-from fbmspring.linalg import default_tol_pd, eigen_sym
-from fbmspring.sampling import TWO_PI, SampleBatch
+from fbmspring.linalg import toeplitz_inverse_rows
+from fbmspring.sampling import TWO_PI
 
 settings.register_profile(
     "ci",
@@ -79,6 +78,18 @@ def circulant_dense(row):
     row = np.asarray(row, dtype=float)
     idx = np.arange(row.size)
     return row[(idx[None, :] - idx[:, None]) % row.size]
+
+
+def toeplitz_dense(row):
+    """Dense symmetric Toeplitz matrix with first row ``row``: entry (i, j) is row[|i - j|]."""
+    row = np.asarray(row, dtype=float)
+    idx = np.arange(row.size)
+    return row[np.abs(idx[:, None] - idx[None, :])]
+
+
+def inverse_table(row):
+    """Every row ``linalg.toeplitz_inverse_rows`` yields, stacked: the inverse of the Toeplitz matrix of ``row``."""
+    return np.array(list(toeplitz_inverse_rows(row)))
 
 
 def ring_position_cov(sites, hurst):
@@ -174,23 +185,6 @@ def uniform_grid_increment_cov(n_increments, hurst=0.5):
     """
     scale = (TWO_PI / n_increments) ** (2.0 * hurst)
     return circulant_dense(scale * ring_increment_row(n_increments, hurst))
-
-
-def sample_gaussian(cov, paths, seed):
-    """Dense sampling oracle: ``paths`` zero-mean Gaussian rows with covariance ``cov``, from its ``eigh`` factor.
-
-    Eigenvalues in [-tol_pd, 0] are clamped to zero and a smaller one raises
-    IndefiniteCovariance, with tol_pd = ``default_tol_pd(cov)``. The rows
-    follow LAPACK's eigenvector basis, which inside a degenerate pair depends
-    on rounding: the oracle gives the right distribution, not reproducible
-    draws.
-    """
-    w, v = eigen_sym(cov)
-    tol = default_tol_pd(cov)
-    if w[0] < -tol:
-        raise IndefiniteCovariance(float(w[0]), tol)
-    z = np.random.Generator(np.random.Philox(key=seed)).standard_normal((paths, w.size))
-    return SampleBatch(values=z @ (v * np.sqrt(np.clip(w, 0.0, None))).T)
 
 
 def grid_increments(batch):

@@ -30,7 +30,7 @@ from fbmspring.errors import (
     QuadratureFailure,
 )
 from fbmspring.linalg import centrosymmetric_eigenvalues
-from fbmspring.kernels import chain_increment_cov, chain_increment_row, ring_increment_cov, ring_increment_row
+from fbmspring.kernels import chain_increment_row, ring_increment_row
 from fbmspring.rings import ring_coupling_profile, ring_energy_eigenvalues
 from fbmspring.sampling import (
     brownian_bridge_ring,
@@ -42,7 +42,13 @@ from fbmspring.sampling import (
     uniform_ring_grid,
 )
 
-from conftest import chain_laplacian_rows, empirical_covariance, full_matrix_split
+from conftest import (
+    chain_laplacian_rows,
+    circulant_dense,
+    empirical_covariance,
+    full_matrix_split,
+    toeplitz_dense,
+)
 
 
 def read_csv(path):
@@ -241,7 +247,7 @@ class TestSpectrumCommand:
         argv = ["spectrum", "--mode", "chain", "--monomers", str(monomers), "--hurst", str(hurst), "--cov"]
         assert main(argv + ["--out", str(out)]) == 0
         lam = np.array([float(v) for _, v in read_csv(out)[2]])
-        assert np.array_equal(lam, full_matrix_split(chain_increment_cov(monomers - 1, hurst)))
+        assert np.array_equal(lam, full_matrix_split(toeplitz_dense(chain_increment_row(monomers - 1, hurst))))
 
     @pytest.mark.parametrize("sites", [3, 8, 9, 64])
     def test_ring_energy_spectrum_is_the_mirrored_eigenvalues(self, tmp_path, sites):
@@ -410,7 +416,7 @@ class TestSampleCommand:
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             "error: cannot sample: covariance is indefinite: smallest eigenvalue -1.862725e+00, "
-            "tolerance 1.847094e-08\n"
+            "tolerance 1.968659e-13\n"
         )
         assert sorted(tmp_path.iterdir()) == []
 
@@ -686,10 +692,10 @@ def stream(model, dim):
     """Flags and echo lines of a ``dim``-column ``model`` sample, its sampler and input, and the report's covariance."""
     if model == "chain":
         return (["--monomers", str(dim + 1), "--hurst", "0.7"], {"monomers": dim + 1, "hurst": cli._fmt(0.7)},
-                sample_toeplitz, chain_increment_row(dim, 0.7), chain_increment_cov(dim, 0.7))
+                sample_toeplitz, chain_increment_row(dim, 0.7), toeplitz_dense(chain_increment_row(dim, 0.7)))
     if model == "ring":
         return (["--sites", str(dim), "--hurst", "0.3"], {"sites": dim, "hurst": cli._fmt(0.3)},
-                sample_circulant, ring_increment_row(dim, 0.3), ring_increment_cov(dim, 0.3))
+                sample_circulant, ring_increment_row(dim, 0.3), circulant_dense(ring_increment_row(dim, 0.3)))
     sampler = reflected_brownian_ring if model == "reflected" else brownian_bridge_ring
     grid = uniform_ring_grid(dim)
     return ["--grid", str(dim)], {"grid": dim}, sampler, grid, piecewise_ring_cov_matrix(grid)
@@ -727,16 +733,66 @@ def test_stdout_ring_sample_holds_a_few_chunks(monkeypatch):
     assert peak < 16 * cli._CHUNK_VALUES * 8
 
 
-@pytest.mark.parametrize("model", [["--model", "chain", "--monomers", "65", "--hurst", "0.7"],
-                                   ["--model", "ring", "--sites", "64", "--hurst", "0.3"]], ids=lambda m: m[1])
-def test_chain_and_ring_samples_need_no_eigensolver(tmp_path, monkeypatch, capsys, model):
-    def fail(*args, **kwargs):
-        raise AssertionError("sample called eigh")
+#: One job of each subcommand and mode, by model family, and the eigvalsh calls of the family: two per chain spectrum.
+GUARDED_JOBS = {
+    "chain": ([
+        ["couplings", "--mode", "chain", "--monomers", "33", "--hurst", "0.7"],
+        ["spectrum", "--mode", "chain", "--monomers", "33", "--hurst", "0.7"],
+        ["spectrum", "--mode", "chain", "--monomers", "33", "--hurst", "0.7", "--cov"],
+        ["critical", "--monomers", "33"],
+        ["sample", "--model", "chain", "--monomers", "65", "--hurst", "0.7", "--paths", "300"],
+    ], 4),
+    "ring": ([
+        ["couplings", "--mode", "ring", "--monomers", "64", "--hurst", "0.3"],
+        ["spectrum", "--mode", "ring", "--monomers", "64", "--hurst", "0.3"],
+        ["spectrum", "--mode", "ring", "--monomers", "64", "--hurst", "0.3", "--cov"],
+        ["spectrum", "--sites", "12", "--g", "1,-0.1"],
+        ["ring-design", "--g1", "1", "--c", "0.1", "--gamma", "4", "--sites", "64"],
+        ["fourier-energy", "--hurst", "0.3", "--mode-max", "20"],
+        ["sample", "--model", "reflected", "--grid", "64", "--paths", "300"],
+        ["sample", "--model", "bridge", "--grid", "64", "--paths", "300"],
+        ["sample", "--model", "ring", "--sites", "64", "--hurst", "0.3", "--paths", "300"],
+    ], 0),
+}
 
-    monkeypatch.setattr(np.linalg, "eigh", fail)
-    assert main(["sample", *model, "--paths", "300", "--out", str(tmp_path / "s.csv")]) == 0
-    assert main(["sample", *model, "--paths", "300"]) == 0
-    assert json.loads((tmp_path / "s.report.json").read_text())["dim"] == 64
+
+@pytest.mark.parametrize("family", ["chain", "ring"])
+def test_chain_and_ring_samples_need_no_eigensolver(tmp_path, monkeypatch, capsys, family):
+    # no CLI route factors a dense matrix: every np.linalg routine but eigvalsh raises, and
+    # eigvalsh serves only the two half blocks of a chain spectrum
+    def fail(*args, **kwargs):
+        raise AssertionError("a dense factorization was called")
+
+    for name, value in vars(np.linalg).items():
+        if callable(value) and not isinstance(value, type) and not name.startswith("_") and name != "eigvalsh":
+            monkeypatch.setattr(np.linalg, name, fail)
+    eigvalsh, shapes = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    jobs, eigvalsh_calls = GUARDED_JOBS[family]
+    for i, argv in enumerate(jobs):
+        assert main([*argv, "--out", str(tmp_path / f"{i}.out")]) == 0, argv
+    assert main(jobs[-1]) == 0  # the sample again, to stdout with no report
+    assert len(shapes) == eigvalsh_calls
+    assert json.loads((tmp_path / f"{len(jobs) - 1}.report.json").read_text())["dim"] == 64
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["couplings", "--mode", "ring", "--monomers", "64", "--hurst", "0.3", "--center", "5"],
+     "--mode ring cannot be combined with --center"),
+    (["sample", "--model", "ring", "--sites", "8", "--hurst", "0.3", "--monomers", "33"],
+     "--model ring cannot be combined with --monomers"),
+    (["sample", "--model", "chain", "--monomers", "9", "--hurst", "0.3", "--sites", "8"],
+     "--model chain cannot be combined with --sites"),
+    (["sample", "--model", "reflected", "--hurst", "0.3", "--monomers", "9"],
+     "--model reflected cannot be combined with --monomers, --hurst"),
+    (["sample", "--model", "bridge", "--grid", "8", "--sites", "8"], "--model bridge cannot be combined with --sites"),
+], ids=["couplings-ring-center", "ring-monomers", "chain-sites", "reflected-monomers-hurst", "bridge-sites"])
+def test_flags_a_model_would_ignore_are_rejected(tmp_path, monkeypatch, capsys, argv, message):
+    # as spectrum rejects them; --grid has a default, so it is never told to be unused
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "s.csv"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reflected_sample_memory_is_flat_in_paths(tmp_path):

@@ -13,11 +13,18 @@ from fbmspring.couplings import (
     couplings_from_energy,
     energy_from_couplings,
 )
-from fbmspring.kernels import chain_increment_cov, chain_increment_row
+from fbmspring.kernels import chain_increment_row
 from fbmspring import linalg
-from fbmspring.linalg import classify_definiteness, eigen_sym
 
-from conftest import exact_chain_row, extended_center_couplings, random_coupling_profile, random_symmetric, same_bits
+from conftest import (
+    exact_chain_row,
+    extended_center_couplings,
+    inverse_table,
+    random_coupling_profile,
+    random_symmetric,
+    same_bits,
+    toeplitz_dense,
+)
 
 
 def forward_difference(x):
@@ -134,7 +141,7 @@ class TestCouplingLaplacian:
         g = np.array([[0.0, 0.5], [0.5, 0.0]])
         lap = coupling_laplacian(g)
         np.testing.assert_allclose(lap, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
-        np.testing.assert_allclose(eigen_sym(lap)[0], [0.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(np.linalg.eigvalsh(lap), [0.0, 1.0], atol=1e-14)
 
     def test_zero_profile(self):
         lap = coupling_laplacian(np.zeros((3, 3)))
@@ -144,7 +151,7 @@ class TestCouplingLaplacian:
         g = np.zeros((3, 3))
         g[0, 1] = g[1, 0] = 0.5
         g[1, 2] = g[2, 1] = 0.5
-        w, _ = eigen_sym(coupling_laplacian(g))
+        w = np.linalg.eigvalsh(coupling_laplacian(g))
         np.testing.assert_allclose(w, [0.0, 0.5, 1.5], atol=1e-14)
 
     def test_zero_mode(self, rng):
@@ -153,7 +160,7 @@ class TestCouplingLaplacian:
             assert np.array_equal(lap, (lap + lap.T) / 2)  # exactly symmetric, no averaging needed
             scale = max(np.abs(lap).max(), 1e-30)
             assert np.abs(lap @ np.ones(size)).max() <= 1e-10 * size * scale
-            w, v = eigen_sym(lap)
+            w, v = np.linalg.eigh(lap)
             zero_idx = int(np.argmin(np.abs(w)))
             assert abs(w[zero_idx]) <= 1e-10 * size * scale
             overlap = abs(v[:, zero_idx] @ (np.ones(size) / np.sqrt(size)))
@@ -225,7 +232,7 @@ class TestChainPipeline:
 
     def test_needs_no_dense_solver(self, monkeypatch):
         # the Toeplitz recursion alone, checked against a dense inverse taken beforehand
-        inv = np.linalg.inv(chain_increment_cov(60, 0.7))
+        inv = np.linalg.inv(toeplitz_dense(chain_increment_row(60, 0.7)))
         expected = couplings_from_energy((inv + inv.T) / 2)
 
         def fail(*args, **kwargs):
@@ -312,7 +319,7 @@ class TestChainCouplingRows:
 
     @pytest.mark.parametrize("monomers, hurst", [(2, 0.5), (61, 0.3), (600, 0.7)])
     def test_streamed_table_equals_the_whole_padded_formula(self, rng, monomers, hurst):
-        energy = linalg.toeplitz_inverse(chain_increment_row(monomers - 1, hurst))
+        energy = inverse_table(chain_increment_row(monomers - 1, hurst))
         assert same_bits(chain_coupling_matrix(monomers, hurst), padded_table(energy))
         assert same_bits(couplings_from_energy(energy), padded_table(energy))
         # a dense energy matrix with no Toeplitz structure goes through the same row builder
@@ -335,9 +342,9 @@ class TestChainCouplingRows:
 class TestSpectraSideBySide:
     def test_reports_both_spectra_without_equating_them(self):
         a = np.eye(2)
-        lap_spec = eigen_sym(coupling_laplacian(couplings_from_energy(a)))[0]
+        lap_spec = np.linalg.eigvalsh(coupling_laplacian(couplings_from_energy(a)))
         np.testing.assert_allclose(lap_spec, [0.0, 0.5, 1.5], atol=1e-12)
-        np.testing.assert_allclose(eigen_sym(a)[0], [1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(np.linalg.eigvalsh(a), [1.0, 1.0], atol=1e-12)
 
 
 class TestProfileValidation:
@@ -390,9 +397,7 @@ class TestCheckedOnce:
         lambda: energy_from_couplings(np.zeros((5, 5))),
         lambda: coupling_laplacian(np.zeros((5, 5))),
         lambda: coupling_slice(np.zeros((5, 5)), 2),
-        lambda: classify_definiteness(np.eye(5)),
-    ], ids=["couplings_from_energy", "energy_from_couplings", "coupling_laplacian", "coupling_slice",
-            "classify_definiteness"])
+    ], ids=["couplings_from_energy", "energy_from_couplings", "coupling_laplacian", "coupling_slice"])
     def test_one_check_per_input(self, checks, call):
         call()
         assert checks == [(5, 5)]

@@ -3,32 +3,39 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fbmspring.kernels import (
-    chain_increment_cov,
-    chain_increment_row,
-    ring_increment_cov,
-    ring_increment_row,
-)
-from fbmspring.linalg import Definiteness, classify_definiteness
+from fbmspring.circulant import _half_spectrum
+from fbmspring.kernels import chain_increment_row, ring_increment_row
+from fbmspring.linalg import default_tol_pd
 
-from conftest import exact_chain_row, exact_ring_row, geodesic_lags, ring_position_cov, ulps_off
+from conftest import (
+    circulant_dense,
+    exact_chain_row,
+    exact_ring_row,
+    geodesic_lags,
+    ring_position_cov,
+    same_bits,
+    toeplitz_dense,
+    ulps_off,
+)
 
 #: Hurst indices of the accuracy tests: both sides of 1/2, near 0 and near 1.
 ACCURACY_HURSTS = (0.05, 0.3, 0.5, 0.7, 0.9, 0.95)
 
 
 class TestChainCov:
+    """The chain's Toeplitz covariance, through its first row."""
+
     def test_brownian_is_identity(self):
-        np.testing.assert_array_equal(chain_increment_cov(4, 0.5), np.eye(4))
+        np.testing.assert_array_equal(chain_increment_row(4, 0.5), [1.0, 0.0, 0.0, 0.0])
 
     def test_ballistic_is_all_ones(self):
         # at H = 1: ((d+1)^2 + (d-1)^2)/2 - d^2 = 1 for every lag
-        np.testing.assert_allclose(chain_increment_cov(3, 1.0), np.ones((3, 3)), atol=1e-14)
+        np.testing.assert_allclose(chain_increment_row(3, 1.0), np.ones(3), atol=1e-14)
 
     def test_antipersistent_first_lag(self):
-        r = chain_increment_cov(2, 0.3)
-        assert r[0, 1] == pytest.approx(2.0**0.6 / 2.0 - 1.0, abs=1e-12)
-        assert r[0, 1] == pytest.approx(-0.24214, abs=5e-6)
+        r = chain_increment_row(2, 0.3)
+        assert r[1] == pytest.approx(2.0**0.6 / 2.0 - 1.0, abs=1e-12)
+        assert r[1] == pytest.approx(-0.24214, abs=5e-6)
 
     @pytest.mark.parametrize("hurst", ACCURACY_HURSTS)
     def test_row_within_4_ulps_of_mpmath(self, hurst):
@@ -39,27 +46,28 @@ class TestChainCov:
             assert np.array_equal(chain_increment_row(n, hurst), row[:n])
 
     def test_unit_diagonal_exact(self):
-        r = chain_increment_cov(9, 0.37)
-        assert np.array_equal(np.diag(r), np.ones(9))
+        for hurst in (0.01, 0.37, 0.5, 0.71, 1.0):
+            assert chain_increment_row(9, hurst)[0] == 1.0
 
     def test_toeplitz_exact(self):
-        r = chain_increment_cov(8, 0.71)
+        # the dense oracle the tests compare with, and the sample report's reference, gather row[|i - k|]
+        row = chain_increment_row(8, 0.71)
+        r = toeplitz_dense(row)
         for i in range(8):
             for k in range(8):
-                assert r[i, k] == r[0, abs(i - k)]
+                assert r[i, k] == row[abs(i - k)]
         assert np.array_equal(r, r.T)
 
     def test_model_validation(self):
-        # the row builder checks n, then hurst; the dense builder goes through it
-        for build in (chain_increment_row, chain_increment_cov):
-            with pytest.raises(ValueError, match="chain needs at least one increment"):
-                build(0, 0.5)
-            with pytest.raises(ValueError, match="chain needs at least one increment"):
-                build(0, 1.2)
-            with pytest.raises(ValueError, match=r"hurst must be in \(0, 1\], got 0.0"):
-                build(4, 0.0)
-            with pytest.raises(ValueError, match=r"hurst must be in \(0, 1\], got 1.2"):
-                build(4, 1.2)
+        # the row builder checks n, then hurst
+        with pytest.raises(ValueError, match="chain needs at least one increment"):
+            chain_increment_row(0, 0.5)
+        with pytest.raises(ValueError, match="chain needs at least one increment"):
+            chain_increment_row(0, 1.2)
+        with pytest.raises(ValueError, match=r"hurst must be in \(0, 1\], got 0.0"):
+            chain_increment_row(4, 0.0)
+        with pytest.raises(ValueError, match=r"hurst must be in \(0, 1\], got 1.2"):
+            chain_increment_row(4, 1.2)
 
 
 class TestGeodesic:
@@ -110,15 +118,16 @@ class TestRingPositionCov:
 
 
 class TestRingIncrementCov:
+    """The ring's circulant covariance, through its first row."""
+
     def test_model_validation(self):
-        # sites first, then hurst, for the row and the dense matrix alike
-        for build in (ring_increment_row, ring_increment_cov):
-            with pytest.raises(ValueError, match="a ring needs at least 3 sites"):
-                build(2, 0.5)
-            with pytest.raises(ValueError, match="a ring needs at least 3 sites"):
-                build(2, 1.5)
-            with pytest.raises(ValueError, match=r"hurst must be in \(0, 1\], got 1.5"):
-                build(6, 1.5)
+        # sites first, then hurst
+        with pytest.raises(ValueError, match="a ring needs at least 3 sites"):
+            ring_increment_row(2, 0.5)
+        with pytest.raises(ValueError, match="a ring needs at least 3 sites"):
+            ring_increment_row(2, 1.5)
+        with pytest.raises(ValueError, match=r"hurst must be in \(0, 1\], got 1.5"):
+            ring_increment_row(6, 1.5)
 
     def test_brownian_hexagon_row(self):
         np.testing.assert_array_equal(
@@ -143,25 +152,28 @@ class TestRingIncrementCov:
             assert ulps.max() <= 4, (sites, ulps.argmax())
 
     def test_unit_diagonal(self):
-        cov = ring_increment_cov(5, 0.5)
-        assert np.array_equal(np.diag(cov), np.ones(5))
+        for sites in (3, 4, 5, 64, 65):
+            assert ring_increment_row(sites, 0.5)[0] == 1.0
 
     def test_circulant_exact(self):
-        cov = ring_increment_cov(9, 0.42)
-        row = cov[0]
-        for i in range(9):
-            for k in range(9):
-                assert cov[i, k] == row[(k - i) % 9]
-        assert np.array_equal(cov, cov.T)
+        # the row is exactly symmetric, so the sample report's gather row[|i - k|] is the circulant row[(k - i) mod N]
+        for sites in (3, 4, 7, 8, 9, 64, 65):
+            for hurst in (0.05, 0.42, 0.5, 0.9, 1.0):
+                row = ring_increment_row(sites, hurst)
+                assert np.array_equal(row[1:], row[:0:-1])
+                assert same_bits(toeplitz_dense(row), circulant_dense(row)), (sites, hurst)
 
     def test_row_sums_vanish(self):
+        # every row of a circulant sums to its first row's sum
         for sites, hurst in [(5, 0.2), (12, 0.5), (31, 0.45), (64, 0.9)]:
-            cov = ring_increment_cov(sites, hurst)
-            assert np.abs(cov.sum(axis=1)).max() <= 1e-12
+            assert abs(ring_increment_row(sites, hurst).sum()) <= 1e-12
 
     def test_low_hurst_is_semidefinite(self):
-        verdict = classify_definiteness(ring_increment_cov(8, 0.3))
-        assert verdict.kind is Definiteness.POSITIVE_SEMIDEFINITE
+        # one zero mode, mode 0, in the package's circulant tolerance; every other eigenvalue above it
+        row = ring_increment_row(8, 0.3)
+        mu, tol = _half_spectrum(row)
+        assert abs(mu[0]) <= tol < mu[1:].min()
+        assert np.linalg.eigvalsh(circulant_dense(row))[0] >= -tol
 
     def test_second_difference_of_position_cov(self):
         # increment covariance == cyclic second difference of the position
@@ -169,7 +181,7 @@ class TestRingIncrementCov:
         for sites in (4, 5, 7, 8):
             for hurst in (0.3, 0.5, 0.8):
                 pos = ring_position_cov(sites, hurst)
-                inc = ring_increment_cov(sites, hurst)
+                inc = circulant_dense(ring_increment_row(sites, hurst))
                 ext = np.empty((sites + 1, sites + 1))
                 ext[:sites, :sites] = pos
                 # site N coincides with site 0 on the closed ring
@@ -190,8 +202,8 @@ class TestAdmissibilityFrontier:
 
     @staticmethod
     def _is_psd(sites, hurst):
-        verdict = classify_definiteness(ring_increment_cov(sites, hurst))
-        return verdict.kind is not Definiteness.INDEFINITE
+        row = ring_increment_row(sites, hurst)
+        return np.linalg.eigvalsh(circulant_dense(row))[0] >= -default_tol_pd(row)
 
     def test_psd_for_low_hurst(self):
         for sites in range(4, 33):

@@ -2,25 +2,24 @@ import numpy as np
 import pytest
 
 from fbmspring.errors import NoConvergence, NotPositiveDefinite
-from fbmspring.kernels import (
-    chain_increment_cov,
-    chain_increment_row,
-    ring_increment_cov,
-)
+from fbmspring.kernels import chain_increment_row
 from fbmspring import linalg
 from fbmspring.couplings import chain_coupling_matrix, chain_coupling_rows, coupling_laplacian
 from fbmspring.linalg import (
-    Definiteness,
     centrosymmetric_eigenvalues,
-    classify_definiteness,
     default_tol_pd,
-    eigen_sym,
     require_symmetric,
-    toeplitz_inverse,
     toeplitz_inverse_rows,
 )
 
-from conftest import chain_laplacian_rows, full_matrix_split, random_symmetric, same_bits
+from conftest import (
+    chain_laplacian_rows,
+    full_matrix_split,
+    inverse_table,
+    random_symmetric,
+    same_bits,
+    toeplitz_dense,
+)
 
 
 def loop_cholesky(a, tol_pd):
@@ -53,11 +52,6 @@ def pivot_error_bound(a, k):
     return 4 * np.finfo(float).eps * k * np.linalg.cond(block) * (abs(a[k, k]) + abs(quad))
 
 
-def toeplitz(row):
-    idx = np.arange(len(row))
-    return np.asarray(row, dtype=float)[np.abs(np.subtract.outer(idx, idx))]
-
-
 def outer_product_inverse(row):
     """Gohberg-Semencul table from two outer products and one in-place diagonal sum over rows."""
     a, e = linalg._durbin(row)
@@ -72,63 +66,63 @@ def outer_product_inverse(row):
 def random_spd_row(rng, n):
     """First row of a random symmetric positive definite Toeplitz matrix, lambda_min = 1."""
     row = rng.normal(size=n) / (1.0 + np.arange(n))
-    row[0] -= np.linalg.eigvalsh(toeplitz(row))[0] - 1.0
+    row[0] -= np.linalg.eigvalsh(toeplitz_dense(row))[0] - 1.0
     return row
 
 
 class TestCholesky:
-    """The Durbin prediction errors of ``toeplitz_inverse`` are the Cholesky pivots."""
+    """The Durbin prediction errors of ``toeplitz_inverse_rows`` are the Cholesky pivots."""
 
     def test_identity(self, monkeypatch):
         # every pivot of the identity is 1: a tolerance of 1 stops at the first
         monkeypatch.setattr(linalg, "default_tol_pd", lambda row: 1.0)
         with pytest.raises(NotPositiveDefinite) as info:
-            toeplitz_inverse([1.0, 0.0, 0.0])
+            inverse_table([1.0, 0.0, 0.0])
         assert (info.value.pivot_index, info.value.pivot_value) == (0, 1.0)
         monkeypatch.setattr(linalg, "default_tol_pd", lambda row: np.nextafter(1.0, 0.0))
-        inv = toeplitz_inverse([1.0, 0.0, 0.0])
+        inv = inverse_table([1.0, 0.0, 0.0])
         np.testing.assert_array_equal(inv, np.eye(3))
 
     def test_hand_expanded_2x2(self, monkeypatch):
         # [[4,2],[2,4]]: l00^2 = 4, l10 = 2/2 = 1, l11^2 = 4 - 1 = 3
         monkeypatch.setattr(linalg, "default_tol_pd", lambda row: 3.0)
         with pytest.raises(NotPositiveDefinite) as info:
-            toeplitz_inverse([4.0, 2.0])
+            inverse_table([4.0, 2.0])
         assert (info.value.pivot_index, info.value.pivot_value) == (1, 3.0)
         # inverse [[4,-2],[-2,4]] / (4 * 4 - 2 * 2)
         monkeypatch.setattr(linalg, "default_tol_pd", lambda row: 2.9)
-        inv = toeplitz_inverse([4.0, 2.0])
+        inv = inverse_table([4.0, 2.0])
         np.testing.assert_allclose(inv, [[1 / 3, -1 / 6], [-1 / 6, 1 / 3]], atol=1e-15)
 
     def test_chain_covariance_is_pd(self):
         # oracle: all eigenvalues of the 6x6 are positive (independent solver)
-        r = chain_increment_cov(6, 0.6)
+        r = toeplitz_dense(chain_increment_row(6, 0.6))
         assert np.linalg.eigvalsh(r).min() > 0
-        inv = toeplitz_inverse(chain_increment_row(6, 0.6))
+        inv = inverse_table(chain_increment_row(6, 0.6))
         np.testing.assert_allclose(inv @ r, np.eye(6), atol=1e-12)
 
     def test_reconstruction_tolerance(self, rng):
         for n in (2, 5, 17, 40):
             row = random_spd_row(rng, n)
-            m = toeplitz(row)
-            inv = toeplitz_inverse(row)
+            m = toeplitz_dense(row)
+            inv = inverse_table(row)
             assert np.abs(inv @ m - np.eye(n)).max() <= 1e-15 * n * np.linalg.cond(m)
 
     def test_not_positive_definite_reports_pivot(self):
         # second pivot of [[1,2],[2,1]]: 1 - 2 * 2 / 1
         with pytest.raises(NotPositiveDefinite) as info:
-            toeplitz_inverse([1.0, 2.0])
+            inverse_table([1.0, 2.0])
         assert info.value.pivot_index == 1
         assert info.value.pivot_value == -3.0
 
     def test_semidefinite_matrix_rejected(self):
         with pytest.raises(NotPositiveDefinite) as info:
-            toeplitz_inverse([1.0, 1.0, 1.0])
+            inverse_table([1.0, 1.0, 1.0])
         assert info.value.pivot_index == 1
 
 
 class TestCholeskyAgainstLoop:
-    """Pivot index and value of ``toeplitz_inverse`` against ``loop_cholesky``."""
+    """Pivot index and value of ``toeplitz_inverse_rows`` against ``loop_cholesky``."""
 
     def test_random_symmetric_matrices(self, rng):
         # random symmetric Toeplitz rows whose diagonal shifts straddle the
@@ -137,12 +131,12 @@ class TestCholeskyAgainstLoop:
         for _ in range(2000):
             n = int(rng.integers(1, 40))
             row = rng.normal(size=n) / (1.0 + np.arange(n))
-            row[0] -= np.linalg.eigvalsh(toeplitz(row))[0] + rng.uniform(-2.0, 2.0)
-            m = toeplitz(row)
+            row[0] -= np.linalg.eigvalsh(toeplitz_dense(row))[0] + rng.uniform(-2.0, 2.0)
+            m = toeplitz_dense(row)
             tol = default_tol_pd(m)
             assert default_tol_pd(row) == tol
             expected = factor_or_error(loop_cholesky, m, tol)
-            got = factor_or_error(toeplitz_inverse, row)
+            got = factor_or_error(inverse_table, row)
             if isinstance(expected, NotPositiveDefinite):
                 failures += 1
                 assert isinstance(got, NotPositiveDefinite)
@@ -171,7 +165,7 @@ class TestCholeskyAgainstLoop:
         row[0] = 1.0
         for lag, value in lags.items():
             row[lag] = value
-        a = toeplitz(row)
+        a = toeplitz_dense(row)
         tol = default_tol_pd(a)
         try:
             np.linalg.cholesky(a)
@@ -181,7 +175,7 @@ class TestCholeskyAgainstLoop:
         assert dense_fails == lapack_fails
         expected = factor_or_error(loop_cholesky, a, tol)
         with pytest.raises(NotPositiveDefinite) as info:
-            toeplitz_inverse(row)
+            inverse_table(row)
         assert info.value.pivot_index == expected.pivot_index == expected_index
         assert info.value.pivot_value == pytest.approx(expected.pivot_value, rel=1e-6)
         if expected_index == 4:
@@ -193,81 +187,81 @@ class TestCholeskyAgainstLoop:
 
 
 class TestInvert:
-    """``toeplitz_inverse`` as an inverse."""
+    """The stacked rows of ``toeplitz_inverse_rows`` as an inverse."""
 
     def test_identity(self):
-        np.testing.assert_array_equal(toeplitz_inverse([1.0, 0.0, 0.0, 0.0, 0.0]), np.eye(5))
+        np.testing.assert_array_equal(inverse_table([1.0, 0.0, 0.0, 0.0, 0.0]), np.eye(5))
 
     def test_diagonal(self):
         # a diagonal Toeplitz matrix is a multiple of the identity
-        np.testing.assert_array_equal(toeplitz_inverse([2.0, 0.0]), np.diag([0.5, 0.5]))
-        np.testing.assert_allclose(toeplitz_inverse([4.0, 0.0, 0.0]), 0.25 * np.eye(3), atol=1e-15)
+        np.testing.assert_array_equal(inverse_table([2.0, 0.0]), np.diag([0.5, 0.5]))
+        np.testing.assert_allclose(inverse_table([4.0, 0.0, 0.0]), 0.25 * np.eye(3), atol=1e-15)
 
     def test_chain_residual(self):
         # the residual against the identity is the oracle here
         row = chain_increment_row(6, 0.6)
-        assert np.linalg.eigvalsh(toeplitz(row)).min() > 0
-        assert np.abs(toeplitz_inverse(row) @ toeplitz(row) - np.eye(6)).max() <= 1e-14
+        assert np.linalg.eigvalsh(toeplitz_dense(row)).min() > 0
+        assert np.abs(inverse_table(row) @ toeplitz_dense(row) - np.eye(6)).max() <= 1e-14
 
     def test_double_inverse_is_identity_map(self, rng):
         # the inverse of a Toeplitz matrix is not Toeplitz, so the second
         # inversion is a dense solve
         for n in (2, 7, 19, 32):
             row = random_spd_row(rng, n)
-            back = np.linalg.solve(toeplitz_inverse(row), np.eye(n))
-            assert np.abs(back - toeplitz(row)).max() <= 1e-7
+            back = np.linalg.solve(inverse_table(row), np.eye(n))
+            assert np.abs(back - toeplitz_dense(row)).max() <= 1e-7
 
     def test_output_exactly_symmetric(self, rng):
-        a = toeplitz_inverse(random_spd_row(rng, 12))
+        a = inverse_table(random_spd_row(rng, 12))
         assert np.array_equal(a, a.T)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
-            toeplitz_inverse([1.0, 3.0])
+            inverse_table([1.0, 3.0])
 
 
 class TestToeplitzInverse:
     def test_hand_expanded_3x3(self):
         # tridiagonal [[2,-1,0],[-1,2,-1],[0,-1,2]]: inverse [[3,2,1],[2,4,2],[1,2,3]] / 4
-        inv = toeplitz_inverse([2.0, -1.0, 0.0])
+        inv = inverse_table([2.0, -1.0, 0.0])
         np.testing.assert_allclose(inv, np.array([[3, 2, 1], [2, 4, 2], [1, 2, 3]]) / 4, atol=1e-15)
 
     def test_first_pivot_checked(self):
         with pytest.raises(NotPositiveDefinite) as info:
-            toeplitz_inverse([0.0, 0.5])
+            inverse_table([0.0, 0.5])
         assert (info.value.pivot_index, info.value.pivot_value) == (0, 0.0)
 
     def test_default_tolerance(self, monkeypatch):
         # second pivot 1 - (1 - 1e-12)^2 ~ 2e-12 lies below 1e-9 * 2 * 1
         row = np.array([1.0, 1.0 - 1e-12])
         with pytest.raises(NotPositiveDefinite) as info:
-            toeplitz_inverse(row)
-        assert 0.0 < info.value.pivot_value <= default_tol_pd(row) == default_tol_pd(toeplitz(row))
+            inverse_table(row)
+        assert 0.0 < info.value.pivot_value <= default_tol_pd(row) == default_tol_pd(toeplitz_dense(row))
         with pytest.raises(TypeError):  # the tolerance is not a parameter
-            toeplitz_inverse(row, tol_pd=0.0)
+            toeplitz_inverse_rows(row, tol_pd=0.0)
         monkeypatch.setattr(linalg, "default_tol_pd", lambda row: 0.0)
-        inv = toeplitz_inverse(row)
-        assert np.abs(inv @ toeplitz(row) - np.eye(2)).max() <= 1e-3
+        inv = inverse_table(row)
+        assert np.abs(inv @ toeplitz_dense(row) - np.eye(2)).max() <= 1e-3
 
     def test_nan_is_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
-            toeplitz_inverse([1.0, np.nan, 0.0])
+            inverse_table([1.0, np.nan, 0.0])
 
     @pytest.mark.parametrize("row", [[], [[1.0, 0.0], [0.0, 1.0]]], ids=["empty", "matrix"])
     def test_rejects_non_row(self, row):
         with pytest.raises(ValueError, match="first row"):
-            toeplitz_inverse(row)
+            inverse_table(row)
 
 
 @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.7, 0.95, 0.999])
 @pytest.mark.parametrize("n", [1, 2, 60, 512, 2048])
 def test_chain_inverse_matches_dense_oracle(n, hurst):
     row = chain_increment_row(n, hurst)
-    m = toeplitz(row)
+    m = toeplitz_dense(row)
     expected = np.linalg.inv(m)
     w = np.linalg.eigvalsh(m)
     cond = w[-1] / w[0]
-    got = toeplitz_inverse(row)
+    got = inverse_table(row)
     assert np.array_equal(got, got.T)
     assert np.abs(got - expected).max() <= 1e-15 * cond * np.abs(expected).max()
 
@@ -279,12 +273,12 @@ class TestInverseRows:
     @pytest.mark.parametrize("n", [1, 2, 3, 60, 513])
     def test_table_equals_outer_product_form(self, n, hurst):
         row = chain_increment_row(n, hurst)
-        assert same_bits(toeplitz_inverse(row), outer_product_inverse(row))
+        assert same_bits(inverse_table(row), outer_product_inverse(row))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 257])
     def test_rows_are_the_table_rows(self, rng, n):
         row = random_spd_row(rng, n)
-        table = toeplitz_inverse(row)
+        table = outer_product_inverse(row)
         rows = list(toeplitz_inverse_rows(row))
         assert len(rows) == n
         for i, streamed in enumerate(rows):
@@ -325,7 +319,7 @@ class TestCentrosymmetricEigenvalues:
     @pytest.mark.parametrize("monomers", [2, 3, 4, 5, 16, 17, 64, 65, 256, 257])
     def test_chain_spectra_match_dense(self, monomers, hurst):
         laplacian = coupling_laplacian(chain_coupling_matrix(monomers, hurst))
-        covariance = chain_increment_cov(monomers - 1, hurst)
+        covariance = toeplitz_dense(chain_increment_row(monomers - 1, hurst))
         for rows, a in ((chain_laplacian_rows(monomers, hurst), laplacian), (leading_rows(covariance), covariance)):
             dense = np.linalg.eigh(a)[0]
             split = centrosymmetric_eigenvalues(rows)
@@ -371,86 +365,6 @@ class TestCentrosymmetricEigenvalues:
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(NoConvergence, match="LAPACK eigvalsh did not converge"):
             centrosymmetric_eigenvalues(np.eye(4)[:2])
-
-
-class TestEigenSym:
-    def test_diagonal_sorted(self):
-        w, _ = eigen_sym(np.diag([3.0, 1.0, 2.0]))
-        np.testing.assert_allclose(w, [1.0, 2.0, 3.0], atol=1e-14)
-
-    def test_two_by_two(self):
-        # characteristic polynomial of [[1,-1],[-1,1]]: (1-l)^2 - 1 -> {0, 2}
-        w, _ = eigen_sym(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        np.testing.assert_allclose(w, [0.0, 2.0], atol=1e-14)
-
-    def test_brownian_ring_dense_spectrum(self):
-        cov = ring_increment_cov(6, hurst=0.5)
-        w, _ = eigen_sym(cov)
-        np.testing.assert_allclose(w, [0, 0, 0, 2, 2, 2], atol=1e-12)
-
-    def test_residual_and_orthonormality(self, rng):
-        m = random_symmetric(rng, 14, scale=3.0)
-        w, v = eigen_sym(m)
-        assert np.abs(m @ v - v * w).max() <= 1e-8 * np.abs(w).max()
-        assert np.abs(v.T @ v - np.eye(14)).max() <= 1e-10
-
-    def test_eigenvalue_sum_matches_trace(self, rng):
-        for n in (3, 9, 24):
-            m = random_symmetric(rng, n, scale=2.0)
-            w, _ = eigen_sym(m)
-            assert abs(w.sum() - np.trace(m)) <= 1e-9 * n * np.abs(m).max()
-
-    def test_lapack_failure_is_no_convergence(self, monkeypatch):
-        def fail(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigh", fail)
-        with pytest.raises(NoConvergence, match="LAPACK eigh did not converge"):
-            eigen_sym(np.eye(3))
-
-
-class TestClassify:
-    def test_identity_positive_definite(self):
-        verdict = classify_definiteness(np.eye(4))
-        assert verdict.kind is Definiteness.POSITIVE_DEFINITE
-        assert verdict.zero_mode_count == 0
-
-    def test_brownian_ring_semidefinite(self):
-        cov = ring_increment_cov(6, hurst=0.5)
-        verdict = classify_definiteness(cov)
-        assert verdict.kind is Definiteness.POSITIVE_SEMIDEFINITE
-        assert verdict.zero_mode_count == 3
-
-    def test_ring_above_half_indefinite(self):
-        # brute-force eigenvalues of the 8x8 circulant go negative at H = 0.8
-        cov = ring_increment_cov(8, hurst=0.8)
-        verdict = classify_definiteness(cov)
-        assert verdict.kind is Definiteness.INDEFINITE
-        assert verdict.min_eigenvalue < 0
-
-    def test_consistent_with_cholesky_on_random_matrices(self, rng):
-        # random spectra have no exact zeros, so: PD <=> cholesky succeeds
-        for n in (2, 5, 9, 16):
-            for _ in range(10):
-                m = random_symmetric(rng, n, scale=1.5)
-                if rng.random() < 0.5:
-                    m = m + (abs(np.linalg.eigvalsh(m).min()) + 1.0) * np.eye(n)
-                verdict = classify_definiteness(m)
-                outcome = factor_or_error(loop_cholesky, m, default_tol_pd(m))
-                factored = not isinstance(outcome, NotPositiveDefinite)
-                assert factored == (verdict.kind is Definiteness.POSITIVE_DEFINITE)
-                if verdict.kind is Definiteness.INDEFINITE:
-                    assert not factored
-
-    def test_tolerance_validation(self):
-        # the tolerance is default_tol_pd(a) (2e-9 here), not a parameter
-        tol = default_tol_pd(np.eye(2))
-        assert classify_definiteness(np.diag([1.0, tol])).kind is Definiteness.POSITIVE_SEMIDEFINITE
-        assert classify_definiteness(np.diag([1.0, np.nextafter(tol, 1.0)])).kind is Definiteness.POSITIVE_DEFINITE
-        assert classify_definiteness(np.diag([1.0, -tol])).kind is Definiteness.POSITIVE_SEMIDEFINITE
-        assert classify_definiteness(np.diag([1.0, -2.0 * tol])).kind is Definiteness.INDEFINITE
-        with pytest.raises(TypeError):
-            classify_definiteness(np.eye(2), tol_pd=-1.0)
 
 
 class TestGuards:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta as scipy_zeta
 
-from fbmspring.circulant import circulant_eigenvalues, mirrored_distance_row, ring_mode_spectrum, spectrum_tol
+from fbmspring.circulant import _half_spectrum, circulant_eigenvalues, mirrored_distance_row, ring_mode_spectrum
 from fbmspring.couplings import couplings_from_energy
 from fbmspring.errors import (
     DivergentSeries,
@@ -14,8 +14,8 @@ from fbmspring.errors import (
     NonpositiveG1,
     NotPositiveDefinite,
 )
-from fbmspring.kernels import ring_increment_cov, ring_increment_row
-from fbmspring.linalg import default_tol_pd, eigen_sym
+from fbmspring.kernels import ring_increment_row
+from fbmspring.linalg import default_tol_pd
 from fbmspring.rings import (
     check_admissible,
     power_law_ring,
@@ -74,7 +74,7 @@ class TestBuilders:
             lam_formula = ring_mode_spectrum(g, sites)
             lam_circ = circulant_eigenvalues(row)
             np.testing.assert_allclose(lam_formula, lam_circ, atol=1e-10 * max(1, np.abs(lam_circ).max()))
-            lam_dense = eigen_sym(circulant_dense(row))[0]
+            lam_dense = np.linalg.eigvalsh(circulant_dense(row))
             scale = max(np.abs(lam_dense).max(), 1e-30)
             assert np.abs(np.sort(lam_formula) - lam_dense).max() <= 1e-9 * scale
 
@@ -123,7 +123,7 @@ class TestAdmissibility:
         report = check_admissible(g, sites)
         assert report.admissible and report.violating_modes == []
         assert report.lambda_min_nonzero == pytest.approx(2.0 * (1.0 - math.cos(2.0 * math.pi / sites)), rel=1e-6)
-        assert spectrum_tol(np.concatenate(([0.0], mirrored_distance_row(g, sites)))) < 1e-12
+        assert _half_spectrum(np.concatenate(([0.0], mirrored_distance_row(g, sites))))[1] < 1e-12
 
     def test_design_with_negative_modes_stays_inadmissible(self):
         report = check_admissible(power_law_ring(sites=64, g1=1.0, c=2.0, gamma=4.0).g_by_distance, 64)
@@ -303,7 +303,7 @@ class TestRingCouplingProfile:
         # increment energy of the first N-1 increments, for arbitrary x
         sites, hurst = 12, 0.4
         lap = circulant_dense(ring_laplacian_circulant(ring_coupling_profile(sites, hurst), sites))
-        energy = dense_inverse(ring_increment_cov(sites, hurst)[: sites - 1, : sites - 1])
+        energy = dense_inverse(circulant_dense(ring_increment_row(sites, hurst))[: sites - 1, : sites - 1])
         rng = np.random.default_rng(6)
         for _ in range(5):
             x = rng.normal(size=sites)
@@ -353,12 +353,12 @@ class TestRingCouplingProfile:
 
     @pytest.mark.parametrize("sites", [6, 64, 1024, 65536])
     def test_brownian_zeros_stay_below_the_fft_tolerance(self, sites):
-        # the even modes are exact zeros; rounding leaves them far under spectrum_tol
+        # the even modes are exact zeros; rounding leaves them far under the FFT tolerance
         row = ring_increment_row(sites, 0.5)
         with pytest.raises(MissingRingModes) as info:
             ring_coupling_profile(sites, 0.5)
         assert info.value.modes == list(range(2, sites // 2 + 1, 2))
-        assert info.value.tol == spectrum_tol(row) > 100 * abs(info.value.min_eigenvalue)
+        assert info.value.tol == _half_spectrum(row)[1] > 100 * abs(info.value.min_eigenvalue)
         assert f"tolerance {info.value.tol:.6e}" in str(info.value)
 
     @pytest.mark.parametrize("sites", [2**15, 2**16, 2**17])
@@ -454,7 +454,7 @@ def dense_inverse(a):
 def dense_ring_coupling_profile(sites, hurst):
     """Reference pipeline: invert the (N-1) increment block, take the pairwise
     couplings, and average each geodesic distance class."""
-    cov = ring_increment_cov(sites, hurst)
+    cov = circulant_dense(ring_increment_row(sites, hurst))
     table = couplings_from_energy(dense_inverse(cov[: sites - 1, : sites - 1]))
     idx = np.arange(sites)
     return np.array([table[idx, (idx + d) % sites].mean() for d in range(1, sites // 2 + 1)])

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from fbmspring import sampling
+from fbmspring.circulant import _half_spectrum
 from fbmspring.errors import IndefiniteCovariance, NotSymmetricCirculant, QuadratureFailure
-from fbmspring.kernels import chain_increment_cov, chain_increment_row, ring_increment_cov, ring_increment_row
-from fbmspring.linalg import default_tol_pd, eigen_sym
+from fbmspring.kernels import chain_increment_row, ring_increment_row
 from fbmspring.sampling import (
     TWO_PI,
     brownian_bridge_ring,
@@ -20,7 +20,13 @@ from fbmspring.sampling import (
     uniform_ring_grid,
 )
 
-from conftest import empirical_covariance, grid_increments, sample_gaussian, uniform_grid_increment_cov
+from conftest import (
+    circulant_dense,
+    empirical_covariance,
+    grid_increments,
+    toeplitz_dense,
+    uniform_grid_increment_cov,
+)
 
 
 def chain_row(monomers, hurst):
@@ -61,19 +67,20 @@ class TestStationarySamplers:
     def test_chain_factor_is_the_toeplitz_covariance(self, monkeypatch, monomers, hurst):
         n = monomers - 1
         factor = unit_draw_factor(sample_toeplitz, chain_row(monomers, hurst), max(2 * n - 2, 1) // 2 + 1, monkeypatch)
-        cov = chain_increment_cov(n, hurst)
+        cov = toeplitz_dense(chain_row(monomers, hurst))
         np.testing.assert_allclose(factor.T @ factor, cov, rtol=0, atol=1e-14 * n)
 
     @pytest.mark.parametrize("sites", [3, 4, 6, 17, 64])
     @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5])
     def test_ring_factor_is_the_circulant_covariance(self, monkeypatch, sites, hurst):
         factor = unit_draw_factor(sample_circulant, ring_increment_row(sites, hurst), sites // 2 + 1, monkeypatch)
-        np.testing.assert_allclose(factor.T @ factor, ring_increment_cov(sites, hurst), rtol=0, atol=1e-14 * sites)
+        cov = circulant_dense(ring_increment_row(sites, hurst))
+        np.testing.assert_allclose(factor.T @ factor, cov, rtol=0, atol=1e-14 * sites)
 
     @pytest.mark.parametrize("monomers", [2, 3, 33])
     @pytest.mark.parametrize("hurst", [0.05, 0.5, 0.95])
     def test_chain_empirical_covariance_within_bound(self, monomers, hurst):
-        cov = chain_increment_cov(monomers - 1, hurst)
+        cov = toeplitz_dense(chain_row(monomers, hurst))
         batch = sample_toeplitz(chain_row(monomers, hurst), paths=20_000, seed=monomers)
         assert batch.values.shape == (20_000, monomers - 1)
         assert (np.abs(empirical_covariance(batch) - cov) <= covariance_bound(cov, 20_000)).all()
@@ -81,17 +88,17 @@ class TestStationarySamplers:
     @pytest.mark.parametrize("sites", [3, 6, 17, 64])
     @pytest.mark.parametrize("hurst", [0.05, 0.5, 0.95])
     def test_ring_empirical_covariance_within_bound(self, sites, hurst):
-        # the dense oracle decides whether the ring exists; above H = 1/2 most do not
-        cov = ring_increment_cov(sites, hurst)
-        try:
-            sample_gaussian(cov, 1, 0)
-        except IndefiniteCovariance as dense:
+        # a dense eigensolver decides whether the ring exists; above H = 1/2 most do not
+        row = ring_increment_row(sites, hurst)
+        cov = circulant_dense(row)
+        smallest, tol = np.linalg.eigvalsh(cov)[0], _half_spectrum(row)[1]
+        if smallest < -tol:
             with pytest.raises(IndefiniteCovariance) as info:
-                sample_circulant(ring_increment_row(sites, hurst), paths=10, seed=0)
-            assert info.value.tol == dense.tol
-            assert info.value.min_eigenvalue == pytest.approx(dense.min_eigenvalue, rel=1e-12)
+                sample_circulant(row, paths=10, seed=0)
+            assert info.value.tol == tol
+            assert info.value.min_eigenvalue == pytest.approx(smallest, rel=1e-12)
             return
-        batch = sample_circulant(ring_increment_row(sites, hurst), paths=20_000, seed=sites)
+        batch = sample_circulant(row, paths=20_000, seed=sites)
         assert (np.abs(empirical_covariance(batch) - cov) <= covariance_bound(cov, 20_000)).all()
 
     def test_brownian_hexagon_zero_mode_is_exact(self):
@@ -102,8 +109,8 @@ class TestStationarySamplers:
         assert np.abs(projections).max() <= 1e-15 * np.abs(batch.values).max()
 
     def test_samples_confined_to_covariance_range(self):
-        cov = ring_increment_cov(8, 0.4)
-        w, v = eigen_sym(cov)
+        cov = circulant_dense(ring_increment_row(8, 0.4))
+        w, v = np.linalg.eigh(cov)
         batch = sample_circulant(ring_increment_row(8, 0.4), paths=2_000, seed=11)
         null_vectors = v[:, np.abs(w) <= 1e-9 * 8 * np.abs(cov).max()]
         assert null_vectors.shape[1] >= 1
@@ -121,10 +128,22 @@ class TestStationarySamplers:
         with pytest.raises(IndefiniteCovariance) as info:
             sample_circulant(row, paths=10, seed=0)
         assert info.value.min_eigenvalue < -info.value.tol < 0
-        assert info.value.tol == default_tol_pd(row) == default_tol_pd(ring_increment_cov(8, 0.8))
-        assert info.value.min_eigenvalue == pytest.approx(eigen_sym(ring_increment_cov(8, 0.8))[0][0], rel=1e-12)
+        # the FFT's rounding rule of every circulant spectrum in the package, not a matrix tolerance
+        assert info.value.tol == _half_spectrum(row)[1] == 64 * 2.0**-52 * 3 * np.abs(row).sum()
+        assert info.value.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(circulant_dense(row))[0], rel=1e-12)
         assert str(info.value) == (f"cannot sample: covariance is indefinite: smallest eigenvalue "
                                    f"{info.value.min_eigenvalue:.6e}, tolerance {info.value.tol:.6e}")
+
+    def test_small_positive_modes_carry_variance(self):
+        # at H = 0.01 a 65536-site ring has modes with mu_m of a few 1e-6; a matrix tolerance
+        # (1e-9 N max|c| = 6.6e-5) would zero them, the FFT rounding rule keeps them
+        row = ring_increment_row(65536, 0.01)
+        mu, tol = _half_spectrum(row)
+        assert tol < 1e-12 < mu[1] < 1e-5
+        values = sample_circulant(row, paths=8, seed=0).values
+        # E|rfft(x)_m|^2 = N mu_m: the mean over 8 paths is a chi-square of 16 degrees over 16
+        power = np.abs(np.fft.rfft(values, axis=1)[:, 1]) ** 2 / (row.size * mu[1])
+        assert 0.25 < power.mean() < 4.0
 
     def test_indefinite_embedding_rejected(self):
         # tridiag(0.6, 1, 0.6) is positive definite, its embedding (1, 0.6, 0, 0.6) has mode 2 at -0.2
@@ -294,7 +313,7 @@ class TestUniformGridCov:
         # by the spacing to the power 2H
         for n, hurst in [(8, 0.5), (12, 0.3), (9, 0.45)]:
             arc_cov = uniform_grid_increment_cov(n, hurst)
-            integer_cov = ring_increment_cov(n, hurst)
+            integer_cov = circulant_dense(ring_increment_row(n, hurst))
             scale = (TWO_PI / n) ** (2 * hurst)
             np.testing.assert_allclose(arc_cov, scale * integer_cov, atol=1e-12)
 
