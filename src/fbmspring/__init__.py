@@ -9,7 +9,7 @@ critical Hurst index where a chain coupling changes sign; and designs stiff
 ring models with controlled long-range repulsion.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .circulant import circulant_eigenvalues, mirrored_distance_row, ring_mode_spectrum
 from .couplings import (
@@ -21,16 +21,12 @@ from .couplings import (
 )
 from .critical import SignChangeQuery, coupling_at, find_critical_hurst
 from .errors import (
-    DivergentSeries,
     FbmSpringError,
     IndefiniteCovariance,
-    InvalidExponent,
     MissingRingModes,
     NoConvergence,
-    NonpositiveG1,
     NoSignChange,
     NotPositiveDefinite,
-    NotSymmetricCirculant,
     QuadratureFailure,
 )
 from .kernels import chain_increment_row, ring_increment_row
@@ -79,7 +75,6 @@ __all__ = [
     "piecewise_ring_cov_matrix", "reflected_brownian_ring", "sample_circulant", "sample_toeplitz",
     "uniform_ring_grid",
     # errors
-    "FbmSpringError", "DivergentSeries", "IndefiniteCovariance", "InvalidExponent",
-    "MissingRingModes", "NoConvergence", "NonpositiveG1", "NoSignChange",
-    "NotPositiveDefinite", "NotSymmetricCirculant", "QuadratureFailure",
+    "FbmSpringError", "IndefiniteCovariance", "MissingRingModes", "NoConvergence", "NoSignChange",
+    "NotPositiveDefinite", "QuadratureFailure",
 ]

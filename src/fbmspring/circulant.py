@@ -21,8 +21,6 @@ import math
 
 import numpy as np
 
-from .errors import NotSymmetricCirculant
-
 #: Safety factor of the spectrum tolerance over the rfft error scale
 #: eps log2(N) sum|c|. The smallest ring increment-covariance eigenvalue is at
 #: least 3.2e7 scales for N = 2^3..2^20 and H = 0.01..0.45, and at least 5.5e7
@@ -58,7 +56,7 @@ def _symmetric_row(first_row: np.ndarray) -> np.ndarray:
     if row.ndim != 1 or row.size < 1:
         raise ValueError(f"first_row must be a nonempty 1-d array, got shape {row.shape}")
     if not np.array_equal(row[1:], row[:0:-1]):
-        raise NotSymmetricCirculant("first row must satisfy c[k] == c[N-k] for a real spectrum")
+        raise ValueError("first row must satisfy c[k] == c[N-k] for a real spectrum")
     return row
 
 

@@ -20,7 +20,9 @@ that fails or is interrupted removes the partial file.
 from one Philox stream, so its memory depends on the model's size and not on
 ``--paths``; the first chunk is drawn before anything is written, and only a
 run that writes a report (``--out`` or ``--report``) sums the dim×dim Gram
-matrix and builds the reference covariance.
+matrix and builds the reference covariance. A run whose dense intermediate
+(that report, or a chain spectrum's half blocks) would exceed ``_DENSE_BUDGET``
+exits 2 before it draws, allocates or writes anything.
 
 Exit codes: 0 success, 2 invalid input or model (a ``ValueError``, including
 the package errors that reject a model), 3 no result (the bracketed coupling
@@ -67,10 +69,6 @@ EXIT_INVALID = 2
 EXIT_NO_RESULT = 3
 EXIT_NUMERICAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer whose reader left
-
-
-class CliInputError(ValueError):
-    """Invalid flags, files, or model parameters (exit code 2)."""
 
 
 def _finite(text: str) -> float:
@@ -387,9 +385,9 @@ def _check_distinct(args: argparse.Namespace) -> None:
     for name, path in _files(args).items():
         first = seen.setdefault(os.path.abspath(path), name)
         if first == "--g-file":
-            raise CliInputError(f"{name} would overwrite --g-file {path}")
+            raise ValueError(f"{name} would overwrite --g-file {path}")
         if first != name:
-            raise CliInputError(f"{first} and {name} would both be written to {path}")
+            raise ValueError(f"{first} and {name} would both be written to {path}")
 
 
 def _write_manifest(args: argparse.Namespace) -> None:
@@ -429,7 +427,27 @@ def _reject_unused(model: str, flags: dict, used) -> None:
     """Reject each flag of ``flags`` that was given (is not None) but is not in ``used``: ``model`` would ignore it."""
     unused = [flag for flag, value in flags.items() if value is not None and flag not in used]
     if unused:
-        raise CliInputError(f"{model} cannot be combined with {', '.join(unused)}")
+        raise ValueError(f"{model} cannot be combined with {', '.join(unused)}")
+
+
+#: Largest dense intermediate a run may build, in bytes; a fixed constant, not a flag.
+#: The estimates compared with it follow each child process's peak RSS
+#: (``ru_maxrss``, 1 BLAS thread, 2-vCPU x86-64 Linux; a bare run peaks at 31 MB):
+#: the sample report holds about eight dim x dim float64 arrays, 64 dim^2 bytes
+#: (peaks of 110, 303 and 1096 MB at dim 1024, 2048 and 4096, 50 paths); a chain
+#: spectrum of m monomers about 8 m^2 bytes, or 4 m^2 with --cov (peaks of 65 and
+#: 161 MB, and of 48 and 97 MB, at 2049 and 4097 monomers).
+_DENSE_BUDGET = 2 * 2**30
+
+
+def _check_budget(what: str, estimate: int, way_out: str) -> None:
+    """Reject (exit 2) a run whose dense intermediate, ``estimate`` bytes, exceeds _DENSE_BUDGET.
+
+    Called before the run draws, allocates or writes anything.
+    """
+    if estimate > _DENSE_BUDGET:
+        raise ValueError(f"{what} would need about {estimate / 2**30:.1f} GiB, over the "
+                         f"{_DENSE_BUDGET // 2**30} GiB budget for dense intermediates; {way_out}")
 
 
 def _resolve_center(monomers: int, center_flag: int | None) -> int:
@@ -437,7 +455,7 @@ def _resolve_center(monomers: int, center_flag: int | None) -> int:
     if center_flag is None:
         return (monomers - 1) // 2
     if not 1 <= center_flag <= monomers:
-        raise CliInputError(f"--center must lie in 1..{monomers}, got {center_flag}")
+        raise ValueError(f"--center must lie in 1..{monomers}, got {center_flag}")
     return center_flag - 1
 
 
@@ -446,8 +464,6 @@ def _resolve_center(monomers: int, center_flag: int | None) -> int:
 def _cmd_couplings(args: argparse.Namespace) -> None:
     if args.mode == "ring":
         _reject_unused("--mode ring", {"--center": args.center}, ())
-    if args.monomers < 3:
-        raise CliInputError("--monomers must be >= 3")
     echo = {
         "command": "couplings",
         "mode": args.mode,
@@ -474,7 +490,7 @@ def _parse_g_list(text: str) -> list[float]:
     try:
         return [_finite(tok) for tok in text.split(",")]
     except argparse.ArgumentTypeError as exc:
-        raise CliInputError(f"could not parse --g value {text!r}: {exc}") from exc
+        raise ValueError(f"could not parse --g value {text!r}: {exc}") from exc
 
 
 def _parse_g_file(path: Path) -> tuple[int | None, dict[int, float]]:
@@ -484,7 +500,7 @@ def _parse_g_file(path: Path) -> tuple[int | None, dict[int, float]]:
     try:
         raw = path.read_text()
     except OSError as exc:
-        raise CliInputError(f"cannot read --g-file {path}: {exc}") from exc
+        raise ValueError(f"cannot read --g-file {path}: {exc}") from exc
     for lineno, line in enumerate(raw.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -505,7 +521,7 @@ def _parse_g_file(path: Path) -> tuple[int | None, dict[int, float]]:
             key = parts[0][1:] if parts[0].startswith("g") else parts[0]
             table[int(key)] = _finite(parts[1])
         except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise CliInputError(f"--g-file {path}:{lineno}: malformed model line {body!r}: {exc}") from exc
+            raise ValueError(f"--g-file {path}:{lineno}: malformed model line {body!r}: {exc}") from exc
     return sites, table
 
 
@@ -517,23 +533,19 @@ def _ring_model_from_args(args: argparse.Namespace) -> tuple[int, np.ndarray]:
         file_sites, table = _parse_g_file(args.g_file)
         sites = sites if sites is not None else file_sites
     if sites is None:
-        raise CliInputError("ring size missing: pass --sites or an N= line in --g-file")
+        raise ValueError("ring size missing: pass --sites or an N= line in --g-file")
     if sites < 3:
-        raise CliInputError("ring size must be >= 3")
+        raise ValueError("ring size must be >= 3")
     g = np.zeros(sites // 2)
     if args.g is not None:
         values = _parse_g_list(args.g)
         if len(values) > g.size:
-            raise CliInputError(
-                f"got {len(values)} couplings but a ring of {sites} sites has "
-                f"only {g.size} distinct distances"
-            )
+            raise ValueError(f"got {len(values)} couplings but a ring of {sites} sites has "
+                             f"only {g.size} distinct distances")
         g[: len(values)] = values
     for dist, value in table.items():
         if not 1 <= dist <= g.size:
-            raise CliInputError(
-                f"coupling distance {dist} outside 1..{g.size} for {sites} sites"
-            )
+            raise ValueError(f"coupling distance {dist} outside 1..{g.size} for {sites} sites")
         g[dist - 1] = value
     return sites, g
 
@@ -542,7 +554,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> None:
     echo: dict = {"command": "spectrum"}
     ring = [flag for flag, value in (("--g", args.g), ("--g-file", args.g_file)) if value is not None]
     if not ring and args.mode is None:
-        raise CliInputError("spectrum needs either --g/--g-file or --mode with --monomers/--hurst")
+        raise ValueError("spectrum needs either --g/--g-file or --mode with --monomers/--hurst")
     # --sites sizes a --g/--g-file ring and the rest build a --mode model: a flag of the other model is rejected
     flags = {"--sites": args.sites, "--mode": args.mode, "--monomers": args.monomers, "--hurst": args.hurst,
              "--cov": args.cov or None}
@@ -552,9 +564,13 @@ def _cmd_spectrum(args: argparse.Namespace) -> None:
         lam = ring_mode_spectrum(g, sites)
         echo.update(sites=sites, g=",".join(_fmt(v) for v in g))
     elif args.monomers is None or args.hurst is None:
-        raise CliInputError(f"{args.mode} spectrum needs --monomers and --hurst")
+        raise ValueError(f"{args.mode} spectrum needs --monomers and --hurst")
     else:
         monomers, hurst = args.monomers, args.hurst
+        if args.mode == "chain":
+            per = 4 if args.cov else 8
+            _check_budget(f"the chain spectrum of {monomers} monomers", per * monomers**2,
+                          f"a chain of at most {int((_DENSE_BUDGET / per) ** 0.5)} monomers fits")
         series = "increment-covariance eigenvalues" if args.cov else "energy eigenvalues"
         echo.update(mode=args.mode, monomers=monomers, hurst=_fmt(hurst),
                     series=series if args.mode == "ring" else f"{series} (ascending)")
@@ -588,8 +604,8 @@ def _cmd_critical(args: argparse.Namespace) -> None:
             tol=args.tol,
         )
     except IndexError:  # the center is on the chain, so its partner is not: name both 1-based
-        raise CliInputError(f"--center {center + 1} and --offset {args.offset} name monomer "
-                            f"{center + 1 + args.offset}, outside 1..{args.monomers}") from None
+        raise ValueError(f"--center {center + 1} and --offset {args.offset} name monomer "
+                         f"{center + 1 + args.offset}, outside 1..{args.monomers}") from None
     h_star, iterations = find_critical_hurst(query)
     residual = coupling_at(args.monomers, h_star, center, args.offset)
     payload = {
@@ -644,7 +660,7 @@ _CHUNK_VALUES = 131_072
 
 def _cmd_sample(args: argparse.Namespace) -> None:
     if args.paths < 1:
-        raise CliInputError("--paths must be >= 1")
+        raise ValueError("--paths must be >= 1")
     # --grid has a default, so an explicit --grid cannot be told from an unused one
     flags = {"--monomers": args.monomers, "--sites": args.sites, "--hurst": args.hurst}
     used = {"chain": ("--monomers", "--hurst"), "ring": ("--sites", "--hurst")}.get(args.model, ())
@@ -652,12 +668,12 @@ def _cmd_sample(args: argparse.Namespace) -> None:
     echo: dict = {"command": "sample", "model": args.model, "paths": args.paths, "seed": args.seed}
     if args.model == "chain":
         if args.monomers is None or args.hurst is None:
-            raise CliInputError("chain sampling needs --monomers and --hurst")
+            raise ValueError("chain sampling needs --monomers and --hurst")
         echo.update(monomers=args.monomers, hurst=_fmt(args.hurst))
         model, sampler = chain_increment_row(args.monomers - 1, args.hurst), sample_toeplitz
     elif args.model == "ring":
         if args.sites is None or args.hurst is None:
-            raise CliInputError("ring sampling needs --sites and --hurst")
+            raise ValueError("ring sampling needs --sites and --hurst")
         echo.update(sites=args.sites, hurst=_fmt(args.hurst))
         model, sampler = ring_increment_row(args.sites, args.hurst), sample_circulant
     else:  # reflected | bridge positions on a uniform circle grid
@@ -665,11 +681,14 @@ def _cmd_sample(args: argparse.Namespace) -> None:
         model = uniform_ring_grid(args.grid)
         sampler = reflected_brownian_ring if args.model == "reflected" else brownian_bridge_ring
     dim = model.size
+    report_path = _files(args).get("--report")
+    if report_path is not None:
+        _check_budget(f"the covariance report of {dim} values per path", 64 * dim**2,
+                      "write the samples to stdout, without --out or --report, to stream them without a report")
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     rows = max(1, _CHUNK_VALUES // dim)
     chunks = (sampler(model, min(rows, args.paths - start), rng).values for start in range(0, args.paths, rows))
     first = next(chunks)  # a model that cannot be sampled fails here, before any output
-    report_path = _files(args).get("--report")
     gram = None if report_path is None else np.zeros((dim, dim))
 
     def blocks():
@@ -705,7 +724,7 @@ def _cmd_sample(args: argparse.Namespace) -> None:
 
 def _cmd_fourier_energy(args: argparse.Namespace) -> None:
     if args.mode_max < 1:
-        raise CliInputError("--mode-max must be >= 1")
+        raise ValueError("--mode-max must be >= 1")
     echo = {"command": "fourier-energy", "hurst": _fmt(args.hurst), "mode_max": args.mode_max}
     modes = range(1, args.mode_max + 1)
     energies = [fourier_mode_energy(args.hurst, mode) for mode in modes]

@@ -1,6 +1,9 @@
 """Exception types shared across the package.
 
-An error that rejects its input or model is also a ``ValueError``.
+A class exists only where a caller can tell its failure apart: it carries
+fields a caller reads, or the CLI gives it an exit status of its own. A class
+that rejects its input or model is also a ``ValueError``; every other
+rejection is a plain ``ValueError``.
 """
 
 
@@ -22,22 +25,19 @@ class NotPositiveDefinite(FbmSpringError):
         )
 
 
-class MissingRingModes(NotPositiveDefinite, ValueError):
+class MissingRingModes(FbmSpringError, ValueError):
     """No Gaussian ring: covariance modes (in 1..floor(N/2)) without positive weight.
 
     ``min_eigenvalue`` is the smallest covariance eigenvalue among ``modes``
-    and ``tol`` the tolerance it was compared with; there is no Cholesky
-    pivot, so ``pivot_index`` is None. Above H = 1/2 the message adds that only
-    some odd rings have one.
+    and ``tol`` the tolerance it was compared with. Above H = 1/2 the message
+    adds that only some odd rings have one.
     """
 
     def __init__(self, modes: list[int], min_eigenvalue: float, tol: float, sites: int, hurst: float):
         self.modes, self.min_eigenvalue, self.tol = modes, min_eigenvalue, tol
-        self.pivot_index, self.pivot_value = None, min_eigenvalue
         shown = ", ".join(str(m) for m in modes[:8]) + (", ..." if len(modes) > 8 else "")
         hint = "; above hurst = 0.5 only some odd rings have one" if hurst > 0.5 else ""
-        FbmSpringError.__init__(
-            self,
+        super().__init__(
             f"no Gaussian ring model with {sites} sites at hurst = {hurst}: "
             f"ring increment covariance is not positive definite: no positive weight on "
             f"modes {shown} ({len(modes)} modes; smallest eigenvalue {min_eigenvalue:.6e}, "
@@ -47,10 +47,6 @@ class MissingRingModes(NotPositiveDefinite, ValueError):
 
 class NoConvergence(FbmSpringError):
     """LAPACK's symmetric eigensolver (``eigvalsh``) did not converge."""
-
-
-class NotSymmetricCirculant(FbmSpringError, ValueError):
-    """First row violates c[k] == c[N-k]; real eigenvalues are not guaranteed."""
 
 
 class NoSignChange(FbmSpringError):
@@ -76,15 +72,3 @@ class QuadratureFailure(FbmSpringError):
         super().__init__(
             f"Fourier mode energy error estimate {error:.3e} exceeds tolerance {tol:.3e}"
         )
-
-
-class DivergentSeries(FbmSpringError, ValueError):
-    """Zeta-type series evaluated at an exponent where it diverges (s <= 1)."""
-
-
-class NonpositiveG1(FbmSpringError, ValueError):
-    """Stability bounds are stated relative to a positive nearest-neighbor coupling."""
-
-
-class InvalidExponent(FbmSpringError, ValueError):
-    """Power-law decay too slow for the size-independent admissibility guarantee."""

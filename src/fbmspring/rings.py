@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .circulant import _cosine_transform, _half_spectrum, mirrored_distance_row
-from .errors import DivergentSeries, InvalidExponent, MissingRingModes, NonpositiveG1
+from .errors import MissingRingModes
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def single_distance_bound(k: int, g1: float, gk: float) -> bool:
     if k < 2:
         raise ValueError("the bound concerns distances k >= 2")
     if g1 <= 0.0:
-        raise NonpositiveG1(f"nearest-neighbor coupling must be positive, got {g1}")
+        raise ValueError(f"nearest-neighbor coupling must be positive, got {g1}")
     return k * k * gk / g1 >= -1.0
 
 
@@ -93,7 +93,7 @@ def zeta_minus_one_tail(s: float) -> float:
     1e-12 relative for every s > 1.
     """
     if s <= 1.0:
-        raise DivergentSeries(f"series diverges for s <= 1, got s = {s}")
+        raise ValueError(f"series diverges for s <= 1, got s = {s}")
     cutoff = 1000
     k = np.arange(2, cutoff, dtype=float)
     head = float((k**-s).sum())
@@ -121,9 +121,7 @@ def power_law_ring(
     if not c >= 0.0:
         raise ValueError("repulsion amplitude c must be nonnegative")
     if infinite_guarantee and not gamma > 3.0:
-        raise InvalidExponent(
-            f"size-independent guarantee needs gamma > 3, got gamma = {gamma}"
-        )
+        raise ValueError(f"size-independent guarantee needs gamma > 3, got gamma = {gamma}")
     half = sites // 2
     g = np.empty(half)
     g[0] = g1
@@ -145,9 +143,9 @@ def ring_energy_eigenvalues(sites: int, hurst: float) -> np.ndarray:
     The energy matrix is the inverse covariance of the first N - 1 increments,
     so lambda_m = 2 sin^2(theta_m/2) / mu_m, with mu_m the eigenvalues of the
     circulant increment covariance, theta_m = 2 pi m / N and lambda_0 = 0.
-    Raises MissingRingModes (a NotPositiveDefinite) naming each mode m <= N/2
-    with mu_m at or below the tolerance of ``circulant._half_spectrum``, the
-    FFT's rounding error times a safety factor: then no Gaussian ring exists.
+    Raises MissingRingModes naming each mode m <= N/2 with mu_m at or below
+    the tolerance of ``circulant._half_spectrum``, the FFT's rounding error
+    times a safety factor: then no Gaussian ring exists.
     That is every even ring at H >= 1/2, and an odd ring above its H_c(N),
     which falls from H_c(3) = 1 through H_c(5) = 0.694 and H_c(9) = 0.548
     toward 1/2.

@@ -15,18 +15,14 @@ from hypothesis import strategies as st
 
 import fbmspring
 from fbmspring import cli, errors
-from fbmspring.cli import CliInputError, main
+from fbmspring.cli import main
 from fbmspring.couplings import chain_coupling_matrix
 from fbmspring.errors import (
-    DivergentSeries,
     IndefiniteCovariance,
-    InvalidExponent,
     MissingRingModes,
     NoConvergence,
-    NonpositiveG1,
     NoSignChange,
     NotPositiveDefinite,
-    NotSymmetricCirculant,
     QuadratureFailure,
 )
 from fbmspring.linalg import centrosymmetric_eigenvalues
@@ -795,6 +791,65 @@ def test_flags_a_model_would_ignore_are_rejected(tmp_path, monkeypatch, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--g-file", "none.txt"],
+     "cannot read --g-file none.txt: [Errno 2] No such file or directory: 'none.txt'"),
+    (["spectrum", "--g-file", "m.txt", "--sites", "8"], "--g-file m.txt:2: malformed model line 'x=1': unknown key 'x'"),
+    (["spectrum", "--g", "1"], "ring size missing: pass --sites or an N= line in --g-file"),
+    (["spectrum", "--sites", "2", "--g", "1"], "ring size must be >= 3"),
+    (["spectrum", "--sites", "6", "--g", "1,2,3,4"], "got 4 couplings but a ring of 6 sites has only 3 distinct distances"),
+    (["spectrum", "--mode", "chain", "--monomers", "9"], "chain spectrum needs --monomers and --hurst"),
+    (["sample", "--model", "reflected", "--paths", "0"], "--paths must be >= 1"),
+    (["sample", "--model", "chain", "--hurst", "0.3"], "chain sampling needs --monomers and --hurst"),
+    (["sample", "--model", "ring", "--sites", "8"], "ring sampling needs --sites and --hurst"),
+    (["sample", "--model", "bridge", "--grid", "1"], "need at least 2 grid points"),
+    (["fourier-energy", "--hurst", "0.3", "--mode-max", "0"], "--mode-max must be >= 1"),
+], ids=["g-file-unreadable", "g-file-unknown-key", "ring-size-missing", "ring-size-below-3", "too-many-g",
+        "chain-spectrum-no-hurst", "paths-0", "chain-sample-no-flags", "ring-sample-no-flags", "grid-1", "mode-max-0"])
+def test_rejected_input_writes_nothing(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    Path("m.txt").write_text("N=8\nx=1\n")
+    assert main([*argv, "--out", "o.csv"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--model", "ring", "--sites", "65536", "--hurst", "0.3", "--paths", "1"],
+     "the covariance report of 65536 values per path would need about 256.0 GiB, over the 2 GiB budget for "
+     "dense intermediates; write the samples to stdout, without --out or --report, to stream them without a report"),
+    (["spectrum", "--mode", "chain", "--monomers", "65537", "--hurst", "0.3"],
+     "the chain spectrum of 65537 monomers would need about 32.0 GiB, over the 2 GiB budget for dense "
+     "intermediates; a chain of at most 16384 monomers fits"),
+    (["spectrum", "--mode", "chain", "--monomers", "65537", "--hurst", "0.3", "--cov"],
+     "the chain spectrum of 65537 monomers would need about 16.0 GiB, over the 2 GiB budget for dense "
+     "intermediates; a chain of at most 23170 monomers fits"),
+], ids=["ring-report", "chain-spectrum", "chain-cov-spectrum"])
+def test_oversized_dense_intermediate_is_rejected_before_anything_runs(tmp_path, argv, message):
+    # in a child capped at 4 GiB of address space, so that a run that does allocate fails fast;
+    # numpy's own "Unable to allocate" message is not the budget message and fails the test
+    src = Path(fbmspring.__file__).resolve().parents[1]
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
+            "from fbmspring.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    result = subprocess.run([sys.executable, "-c", code, *argv, "--out", "big.csv"], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_largest_chain_within_the_budget_passes_the_check(monkeypatch, capsys):
+    # 8 m^2 bytes: 16384 monomers is exactly 2 GiB and passes; one more is rejected
+    def stop(monomers, hurst, start, stop):
+        raise ValueError("past the budget check")
+
+    monkeypatch.setattr(cli, "chain_coupling_rows", stop)
+    assert main(["spectrum", "--mode", "chain", "--monomers", "16384", "--hurst", "0.3"]) == 2
+    assert capsys.readouterr().err == "error: past the budget check\n"
+    assert main(["spectrum", "--mode", "chain", "--monomers", "16385", "--hurst", "0.3"]) == 2
+    assert "16385 monomers would need about 2.0 GiB, over the 2 GiB budget" in capsys.readouterr().err
+
+
 def test_reflected_sample_memory_is_flat_in_paths(tmp_path):
     peaks = []
     for paths in (20_000, 200_000):
@@ -927,7 +982,18 @@ def test_ring_sampling_leaves_numpy_ma_unimported(tmp_path, model):
 
 class TestArgumentValidation:
     def test_bad_monomer_count(self, capsys):
-        assert main(["couplings", "--mode", "chain", "--monomers", "2", "--hurst", "0.3"]) == 2
+        # the library owns the minimums: a chain needs one increment, a ring 3 sites
+        assert main(["couplings", "--mode", "chain", "--monomers", "1", "--hurst", "0.3"]) == 2
+        assert capsys.readouterr() == ("", "error: chain needs at least one increment\n")
+        assert main(["couplings", "--mode", "ring", "--monomers", "2", "--hurst", "0.3"]) == 2
+        assert capsys.readouterr() == ("", "error: a ring needs at least 3 sites\n")
+
+    @pytest.mark.parametrize("hurst", ["0.3", "0.7"])
+    def test_two_monomer_chain_has_one_coupling(self, capsys, hurst):
+        # as spectrum, critical and sample accept it: g_01 = 1/2 at every H
+        assert main(["couplings", "--mode", "chain", "--monomers", "2", "--hurst", hurst]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.splitlines()[-2:] == ["index,g", "2,0.5"]
 
     def test_bad_hurst(self, capsys):
         assert main(["couplings", "--mode", "chain", "--monomers", "11", "--hurst", "1.7"]) == 2
@@ -1029,11 +1095,7 @@ class TestSeedFlag:
 
 class TestExitStatus:
     @pytest.mark.parametrize("exc, prefix, code", [
-        (CliInputError("bad flag"), "error", 2),
         (IndefiniteCovariance(-1.0, 1e-9), "error", 2),
-        (NonpositiveG1("g1 <= 0"), "error", 2),
-        (InvalidExponent("gamma <= 3"), "error", 2),
-        (NotSymmetricCirculant("c[1] != c[N-1]"), "error", 2),
         (ValueError("out of range"), "error", 2),
         (IndexError("no such monomer"), "error", 2),
         (FileNotFoundError("no such file"), "error", 2),
@@ -1042,7 +1104,6 @@ class TestExitStatus:
         (MissingRingModes([2], 0.0, 1e-15, 6, 0.5), "error", 2),
         (NoConvergence("eigh"), "numerical failure", 4),
         (QuadratureFailure(1.0, 1.0, 1e-10), "numerical failure", 4),
-        (DivergentSeries("s <= 1"), "error", 2),
     ], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
     def test_error_class_sets_prefix_and_code(self, monkeypatch, capsys, exc, prefix, code):
         def fail(args):
@@ -1053,13 +1114,13 @@ class TestExitStatus:
         assert capsys.readouterr().err == f"{prefix}: {exc}\n"
 
     def test_errors_that_reject_a_model_are_value_errors(self):
-        rejecting = {CliInputError, DivergentSeries, IndefiniteCovariance, InvalidExponent, MissingRingModes,
-                     NonpositiveG1, NotSymmetricCirculant}
-        classes = [cls for cls in vars(errors).values() if isinstance(cls, type)] + [CliInputError]
-        assert len(classes) == 12
+        # one class per failure a caller can tell apart; every other rejection is a plain ValueError
+        classes = {cls for cls in vars(errors).values() if isinstance(cls, type)}
+        assert classes == {errors.FbmSpringError, IndefiniteCovariance, MissingRingModes, NoConvergence,
+                           NoSignChange, NotPositiveDefinite, QuadratureFailure}
         for cls in classes:
-            assert issubclass(cls, ValueError) == (cls in rejecting), cls.__name__
-        assert issubclass(MissingRingModes, NotPositiveDefinite)
+            assert issubclass(cls, ValueError) == (cls in {IndefiniteCovariance, MissingRingModes}), cls.__name__
+        assert not issubclass(MissingRingModes, NotPositiveDefinite)
 
     def test_out_of_memory_is_invalid_input(self, monkeypatch, capsys):
         message = "Unable to allocate 3.64 TiB for an array with shape (10000000000, 50) and data type float64"

@@ -119,6 +119,9 @@ class TestEnergyFromCouplings:
             energy_from_couplings(np.zeros((4, 4))), np.zeros((3, 3))
         )
 
+    def test_single_monomer_has_no_increments(self):
+        assert energy_from_couplings(np.zeros((1, 1))).shape == (0, 0)
+
     def test_roundtrip_energy_to_couplings(self, rng):
         for n in (1, 2, 5, 10, 16):
             a = random_symmetric(rng, n, scale=3.0)

@@ -376,6 +376,10 @@ class TestGuards:
         with pytest.raises(ValueError):
             require_symmetric(np.zeros((2, 3)))
 
+    def test_require_symmetric_rejects_empty_matrix(self):
+        with pytest.raises(ValueError, match="matrix dimension must be >= 1"):
+            require_symmetric(np.zeros((0, 0)))
+
     def test_default_tol_scales(self):
         assert default_tol_pd(np.eye(4)) == pytest.approx(4e-9)
         assert default_tol_pd(10.0 * np.eye(4)) == pytest.approx(4e-8)

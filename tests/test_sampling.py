@@ -6,7 +6,7 @@ import pytest
 
 from fbmspring import sampling
 from fbmspring.circulant import _half_spectrum
-from fbmspring.errors import IndefiniteCovariance, NotSymmetricCirculant, QuadratureFailure
+from fbmspring.errors import IndefiniteCovariance, QuadratureFailure
 from fbmspring.kernels import chain_increment_row, ring_increment_row
 from fbmspring.sampling import (
     TWO_PI,
@@ -172,7 +172,7 @@ class TestStationarySamplers:
         assert sample_circulant(ring_increment_row(5, 0.3), paths=17, seed=0).values.shape == (17, 5)
 
     def test_rows_and_paths_validated(self):
-        with pytest.raises(NotSymmetricCirculant):
+        with pytest.raises(ValueError, match=r"c\[k\] == c\[N-k\]"):
             sample_circulant(np.array([2.0, 1.0, 0.0]), paths=3, seed=0)
         for sampler in (sample_circulant, sample_toeplitz):
             with pytest.raises(ValueError, match="nonempty 1-d"):
@@ -261,6 +261,11 @@ class TestReflectedRing:
     def test_grid_range_validated(self):
         with pytest.raises(ValueError, match="grid out of range"):
             reflected_brownian_ring(np.array([1.0, 6.9]), paths=10, seed=0)
+
+    @pytest.mark.parametrize("sampler", [reflected_brownian_ring, brownian_bridge_ring])
+    def test_empty_grid_rejected(self, sampler):
+        with pytest.raises(ValueError, match="t_grid must be a nonempty 1-d array"):
+            sampler(np.array([]), paths=10, seed=0)
 
     def test_nan_time_rejected(self):
         with pytest.raises(ValueError, match="finite"):
