@@ -3,8 +3,13 @@
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import fbmspring
 
@@ -57,6 +62,38 @@ def test_all_is_the_pinned_list():
     assert fbmspring.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(fbmspring, name) is not None
+
+
+LAYERS = ("cli", "kernels", "linalg", "couplings", "critical", "circulant", "rings", "sampling")
+
+
+def test_import_loads_errors_and_kernels_only():
+    # every other layer is imported on first access, and numpy with kernels
+    script = ("import sys, fbmspring; "
+              "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'fbmspring'), 'numpy' in sys.modules); "
+              "fbmspring.ring_mode_spectrum; "
+              "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'fbmspring'))")
+    result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["fbmspring fbmspring.errors fbmspring.kernels True",
+                                          "fbmspring fbmspring.circulant fbmspring.errors fbmspring.kernels"]
+
+
+def test_every_name_is_its_module_object():
+    for name in PUBLIC[1:]:  # all but __version__
+        value = getattr(fbmspring, name)
+        module = importlib.import_module(value.__module__)
+        assert module.__name__.rsplit(".", 1)[1] in LAYERS + ("errors",), name
+        assert getattr(module, name) is value, name
+
+
+def test_layers_resolve_and_dir_covers_all():
+    for layer in LAYERS:
+        assert getattr(fbmspring, layer) is importlib.import_module(f"fbmspring.{layer}")
+    assert set(PUBLIC) <= set(dir(fbmspring))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        fbmspring.no_such_name
 
 
 def test_every_public_function_is_exported_or_called():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fbmspring
-from fbmspring import cli, errors
+from fbmspring import _blockformat, cli, couplings, critical, errors, sampling
 from fbmspring.cli import main
 from fbmspring.couplings import chain_coupling_matrix
 from fbmspring.errors import (
@@ -315,14 +315,14 @@ class TestCriticalCommand:
         assert err.startswith("error: ") and "offset 0" in err
 
     def test_tolerance_below_float_resolution_is_invalid_input(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "find_critical_hurst", None)  # rejected before any chain is built
+        monkeypatch.setattr(critical, "find_critical_hurst", None)  # rejected before any chain is built
         assert main(["critical", "--tol", "1e-17"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: tol 1.000e-17 is below the floor 4.441e-16")
 
     @pytest.mark.parametrize("center, offset, partner", [(60, 3, 63), (2, -3, -1)])
     def test_partner_off_the_chain_is_named_1_based(self, monkeypatch, capsys, center, offset, partner):
-        monkeypatch.setattr(cli, "find_critical_hurst", None)  # rejected before any chain is built
+        monkeypatch.setattr(critical, "find_critical_hurst", None)  # rejected before any chain is built
         argv = ["critical", "--monomers", "61", "--center", str(center), "--offset", str(offset)]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
@@ -508,6 +508,10 @@ SERIES = {
         ["fourier-energy", "--hurst", "0.3", "--mode-max", "12"],
         lambda: [(m, fourier_mode_energy(0.3, m)) for m in range(1, 13)],
     ),
+    "fourier-energy-blocks": (  # a series of two whole blocks and part of a third
+        ["fourier-energy", "--hurst", "0.3", "--mode-max", str(2 * cli._FOURIER_MODES + 5)],
+        lambda: [(m, fourier_mode_energy(0.3, m)) for m in range(1, 2 * cli._FOURIER_MODES + 6)],
+    ),
 }
 
 
@@ -550,7 +554,7 @@ class TestCsvWriter:
 
 def formatted(block):
     """Every row of a 2-D block as the CSV writer formats it."""
-    return b"".join(cli._BlockFormatter().rows(block))
+    return b"".join(_blockformat.BlockFormatter().rows(block))
 
 
 def percent_rows(values):
@@ -622,7 +626,7 @@ class TestBlockFormatter:
 
     @pytest.mark.parametrize("dim", [1, 2, 16, 64])
     def test_writer_blocks_match_percent_loop(self, tmp_path, capsys, rng, dim):
-        rows = 2 * (cli._BLOCK_VALUES // dim) + 3  # not a whole number of blocks
+        rows = 2 * (_blockformat.BLOCK_VALUES // dim) + 3  # not a whole number of blocks
         values = np.cumsum(rng.standard_normal((rows, dim)), axis=1)
         values[::5, -1] = 0.0
         values[1::5, 0] = -0.0
@@ -637,7 +641,7 @@ class TestBlockFormatter:
     def test_every_block_boundary(self, rng, dim):
         # three boundaries of the writer's blocks, each flanked by awkward values, and one
         # block that holds nan, +-inf, +-0, subnormals and values next to powers of ten
-        block = cli._BLOCK_VALUES
+        block = _blockformat.BLOCK_VALUES
         rows = -(-(3 * block + 5) // dim)
         flat = np.cumsum(rng.standard_normal(rows * dim)) * 10.0 ** rng.integers(-6, 18, size=rows * dim)
         awkward = np.concatenate((BOUNDARY, -BOUNDARY, [np.nan, -np.nan, np.inf, -np.inf, -0.0, -5e-324]))
@@ -645,7 +649,7 @@ class TestBlockFormatter:
         for edge in range(block, flat.size, block):
             flat[edge - 3 : edge + 3] = [0.0, 1e16, np.nan, -0.0, 9.9999999999999991e-5, -1e17]
         values = flat.reshape(rows, dim)
-        pieces = list(cli._BlockFormatter().rows(values))
+        pieces = list(_blockformat.BlockFormatter().rows(values))
         assert [piece.endswith(b"\n") for piece in pieces[:-1]] == [block % dim == 0] * 3  # 257 straddles
         assert b"".join(pieces) == percent_rows(values)
 
@@ -843,7 +847,7 @@ def test_largest_chain_within_the_budget_passes_the_check(monkeypatch, capsys):
     def stop(monomers, hurst, start, stop):
         raise ValueError("past the budget check")
 
-    monkeypatch.setattr(cli, "chain_coupling_rows", stop)
+    monkeypatch.setattr(couplings, "chain_coupling_rows", stop)
     assert main(["spectrum", "--mode", "chain", "--monomers", "16384", "--hurst", "0.3"]) == 2
     assert capsys.readouterr().err == "error: past the budget check\n"
     assert main(["spectrum", "--mode", "chain", "--monomers", "16385", "--hurst", "0.3"]) == 2
@@ -864,8 +868,24 @@ def test_reflected_sample_memory_is_flat_in_paths(tmp_path):
     assert peaks[1] <= 1.2 * peaks[0]
 
 
+def test_fourier_energy_memory_is_flat_in_modes(tmp_path, monkeypatch):
+    # the series goes out in blocks; a cheap stand-in for the energy keeps the traced run short
+    monkeypatch.setattr(sampling, "fourier_mode_energy", lambda hurst, mode: hurst / mode**2)
+    argv = ["fourier-energy", "--hurst", "0.3", "--out", str(tmp_path / "f.csv")]
+    assert main(argv + ["--mode-max", "1"]) == 0  # the formatter's tables are built before tracing
+    peaks = []
+    for modes in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--mode-max", str(modes)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
+
+
 def fail_on_second_chunk(monkeypatch, error):
-    """Make the CLI's reflected sampler raise ``error`` when asked for its second row chunk."""
+    """Make the reflected sampler the CLI calls raise ``error`` when asked for its second row chunk."""
     chunks = []
 
     def sampler(grid, paths, rng):
@@ -874,7 +894,7 @@ def fail_on_second_chunk(monkeypatch, error):
             raise error
         return reflected_brownian_ring(grid, paths, rng)
 
-    monkeypatch.setattr(cli, "reflected_brownian_ring", sampler)
+    monkeypatch.setattr(sampling, "reflected_brownian_ring", sampler)
     return chunks
 
 
@@ -978,6 +998,47 @@ def test_ring_sampling_leaves_numpy_ma_unimported(tmp_path, model):
     result = subprocess.run([sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": str(src)},
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr or "sampling imported numpy.ma"
+
+
+#: Each route's argv, exit code and the package modules it loads besides the package, cli, errors and kernels.
+ROUTES = {
+    "couplings-chain": (["couplings", "--mode", "chain", "--monomers", "61", "--hurst", "0.3"], 0,
+                        {"couplings", "linalg", "_blockformat"}),
+    "couplings-ring": (["couplings", "--mode", "ring", "--monomers", "64", "--hurst", "0.3"], 0,
+                       {"circulant", "rings", "_blockformat"}),
+    "couplings-ring-rejected": (["couplings", "--mode", "ring", "--monomers", "64", "--hurst", "0.7"], 2,
+                                {"circulant", "rings"}),
+    "spectrum-ring": (["spectrum", "--mode", "ring", "--monomers", "64", "--hurst", "0.3"], 0,
+                      {"circulant", "rings", "_blockformat"}),
+    "spectrum-ring-cov": (["spectrum", "--mode", "ring", "--monomers", "64", "--hurst", "0.3", "--cov"], 0,
+                          {"circulant", "_blockformat"}),
+    "spectrum-g": (["spectrum", "--sites", "12", "--g", "1,-0.05"], 0, {"circulant", "_blockformat"}),
+    "spectrum-chain": (["spectrum", "--mode", "chain", "--monomers", "61", "--hurst", "0.3"], 0,
+                       {"couplings", "linalg", "_blockformat"}),
+    "spectrum-chain-cov": (["spectrum", "--mode", "chain", "--monomers", "61", "--hurst", "0.3", "--cov"], 0,
+                           {"linalg", "_blockformat"}),
+    "critical": (["critical"], 0, {"couplings", "critical", "linalg"}),
+    "critical-no-sign-change": (["critical", "--offset", "1"], 3, {"couplings", "critical", "linalg"}),
+    "ring-design": (["ring-design", "--g1", "1", "--c", "0.1", "--gamma", "4", "--sites", "64"], 0,
+                    {"circulant", "rings"}),
+    "sample": (["sample", "--model", "chain", "--monomers", "17", "--hurst", "0.3", "--paths", "5"], 0,
+               {"circulant", "sampling", "_blockformat"}),
+    "fourier-energy": (["fourier-energy", "--hurst", "0.3"], 0, {"circulant", "sampling", "_blockformat"}),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_each_route_loads_only_the_layers_it_runs(route):
+    argv, code, layers = ROUTES[route]
+    src = Path(fbmspring.__file__).resolve().parents[1]
+    script = ("import sys; from fbmspring.cli import main; status = main(sys.argv[1:]); "
+              "print(status, *sorted(m for m in sys.modules if m.partition('.')[0] == 'fbmspring'), file=sys.stderr)")
+    result = subprocess.run([sys.executable, "-c", script, *argv], env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=120)
+    status, *modules = result.stderr.splitlines()[-1].split()
+    assert int(status) == code
+    always = {"fbmspring", "fbmspring.cli", "fbmspring.errors", "fbmspring.kernels"}
+    assert set(modules) == always | {f"fbmspring.{layer}" for layer in layers}
 
 
 class TestArgumentValidation:
@@ -1128,7 +1189,7 @@ class TestExitStatus:
         def fail(t_grid, paths, seed):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, "reflected_brownian_ring", fail)
+        monkeypatch.setattr(sampling, "reflected_brownian_ring", fail)
         assert main(["sample", "--model", "reflected", "--grid", "64", "--paths", "10000000000"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
