@@ -13,7 +13,7 @@ is imported the first time one of its names, or the layer itself, is looked
 up on the package (PEP 562).
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 import importlib
 

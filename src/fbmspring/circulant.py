@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from .kernels import _EPS, _first_row, _ring_half
+
 #: Safety factor of the spectrum tolerance over the rfft error scale
 #: eps log2(N) sum|c|. The smallest ring increment-covariance eigenvalue is at
 #: least 3.2e7 scales for N = 2^3..2^20 and H = 0.01..0.45, and at least 5.5e7
@@ -32,13 +34,6 @@ import numpy as np
 SPECTRUM_TOL_SAFETY = 64
 
 
-def _cosine_transform(row: np.ndarray) -> np.ndarray:
-    """sum_k row_k cos(2 pi k m / N), m = 0..N-1, of a symmetric row: rfft, mirrored."""
-    n = row.size
-    half = np.fft.rfft(row).real
-    return np.concatenate((half, half[1 : n - n // 2][::-1]))
-
-
 def _half_spectrum(row: np.ndarray) -> tuple[np.ndarray, float]:
     """Eigenvalues mu_0..mu_{N//2} of the circulant with a symmetric ``row``, and the tolerance on them.
 
@@ -46,50 +41,49 @@ def _half_spectrum(row: np.ndarray) -> tuple[np.ndarray, float]:
     eigenvalue at or below it may be zero. Private, so that a caller on the
     sampling route reaches no public function of this module.
     """
-    tol = SPECTRUM_TOL_SAFETY * np.finfo(float).eps * math.log2(row.size) * float(np.abs(row).sum())
+    tol = SPECTRUM_TOL_SAFETY * _EPS * math.log2(row.size) * float(np.abs(row).sum())
     return np.fft.rfft(row).real, tol
 
 
 def _symmetric_row(first_row: np.ndarray) -> np.ndarray:
     """The row as a float array, after checking it is 1-d, nonempty and symmetric (c[k] == c[N-k] bitwise)."""
-    row = np.asarray(first_row, dtype=float)
-    if row.ndim != 1 or row.size < 1:
-        raise ValueError(f"first_row must be a nonempty 1-d array, got shape {row.shape}")
+    row = _first_row(first_row)
     if not np.array_equal(row[1:], row[:0:-1]):
         raise ValueError("first row must satisfy c[k] == c[N-k] for a real spectrum")
     return row
 
 
 def circulant_eigenvalues(first_row: np.ndarray) -> np.ndarray:
-    """All N eigenvalues of the circulant with ``first_row``, in mode order m = 0..N-1.
+    """All N eigenvalues of the circulant with ``first_row``, in mode order m = 0..N-1: its rfft, mirrored.
 
     The row must be 1-d, nonempty and symmetric (c[k] == c[N-k] bitwise).
     """
-    return _cosine_transform(_symmetric_row(first_row))
+    row = _symmetric_row(first_row)
+    half = np.fft.rfft(row).real
+    return np.concatenate((half, half[1 : row.size - row.size // 2][::-1]))
 
 
 def mirrored_distance_row(g_by_distance: np.ndarray, sites: int) -> np.ndarray:
-    """Couplings by lag k = 1..N-1, mirroring g_k := g_{N-k} beyond N/2.
+    """The whole first row c_0..c_{N-1} of a ring's coupling circulant: c_0 = 0, c_k = g_{min(k, N-k)}.
 
     Needs N >= 3 and one coupling per distance 1..floor(N/2). For even N the
     antipodal coupling g_{N/2} maps onto itself and therefore appears once per
     row.
     """
-    if sites < 3:
-        raise ValueError("a ring needs at least 3 sites")
+    half = _ring_half(sites)
     g = np.asarray(g_by_distance, dtype=float)
-    if g.ndim != 1 or g.size != sites // 2:
-        raise ValueError(f"need floor(N/2) = {sites // 2} couplings, got shape {g.shape}")
-    k = np.arange(1, sites)
-    return g[np.minimum(k, sites - k) - 1]
+    if g.ndim != 1 or g.size != half:
+        raise ValueError(f"need floor(N/2) = {half} couplings, got shape {g.shape}")
+    k = np.arange(sites)
+    return np.concatenate(([0.0], g))[np.minimum(k, sites - k)]
 
 
 def ring_mode_spectrum(g_by_distance: np.ndarray, sites: int) -> np.ndarray:
     """Energy eigenvalues of a distance-coupled ring, all modes m = 0..N-1.
 
     lambda_m = sum_{k=1}^{N-1} g_k (1 - cos(2 pi k m / N)) over the mirrored
-    coupling row, i.e. F_0 - F_m with F the cosine transform of (0, row); the
-    m = 0 value is the structural zero of the Laplacian, exactly 0.0.
+    coupling row, i.e. F_0 - F_m with F the circulant eigenvalues of that row;
+    the m = 0 value is the structural zero of the Laplacian, exactly 0.0.
     """
-    f = _cosine_transform(np.concatenate(([0.0], mirrored_distance_row(g_by_distance, sites))))
+    f = circulant_eigenvalues(mirrored_distance_row(g_by_distance, sites))
     return f[0] - f

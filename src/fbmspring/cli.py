@@ -12,7 +12,8 @@ with full round-trip precision (17 significant digits) and LF line endings.
 Every CSV goes through one writer: it turns blocks of 16384 values into ASCII
 with numpy, in scratch arrays that every block reuses, byte for byte what
 ``'%.17g' %`` prints for each float, and writes the bytes to the file or
-stdout, so no text copy of a table is held.
+stdout, so no text copy of a table is held. It draws a table's first block
+before it opens the output: an input that fails there writes nothing.
 Each handler imports, in the branch that uses it, only the layers it calls,
 and only the CSV writer imports the formatter, so a run compiles and loads
 no other part of the package.
@@ -21,11 +22,10 @@ Every file (CSV, JSON report, gnuplot script, manifest) is written as
 that fails or is interrupted removes the partial file.
 ``sample`` draws, writes and checks its batch in row chunks of about 1 MiB
 from one Philox stream, so its memory depends on the model's size and not on
-``--paths``; the first chunk is drawn before anything is written, and only a
-run that writes a report (``--out`` or ``--report``) sums the dim×dim Gram
-matrix and builds the reference covariance. A run whose dense intermediate
-(that report, or a chain spectrum's half blocks) would exceed ``_DENSE_BUDGET``
-exits 2 before it draws, allocates or writes anything.
+``--paths``; only a run that writes a report (``--out`` or ``--report``) sums
+the dim×dim Gram matrix and views the reference covariance. A run whose dense
+intermediate (that report, or a chain spectrum's half blocks) would exceed
+``_DENSE_BUDGET`` exits 2 before it draws, allocates or writes anything.
 
 Exit codes: 0 success, 2 invalid input or model (a ``ValueError``, including
 the package errors that reject a model), 3 no result (the bracketed coupling
@@ -49,7 +49,7 @@ import numpy as np
 
 from . import __version__
 from .errors import FbmSpringError, NoSignChange
-from .kernels import chain_increment_row, ring_increment_row
+from .kernels import _ring_half, chain_increment_row, ring_increment_row, toeplitz_view
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -112,15 +112,18 @@ def _write_csv(path: Path | None, echo: dict, header: str, blocks) -> None:
     Each block is formatted by one ``BlockFormatter`` in pieces of
     ``BLOCK_VALUES`` values, a row may straddle two, and written as bytes to
     the file (or stdout), so no text copy of the table is ever held and a
-    block may be produced after the ones before it are written. Integral
-    floats below 2**53, such as series indices, print as plain integers.
+    block may be produced after the ones before it are written; the first (a
+    table has one or more) is drawn before the output opens. Integral floats
+    below 2**53, such as series indices, print as plain integers.
     """
     from ._blockformat import BlockFormatter
 
+    blocks = iter(blocks)
+    first = next(blocks)
     formatter = BlockFormatter()
     with _output(path) as write:
         write("".join([*(f"# {key}={value}\n" for key, value in echo.items()), f"{header}\n"]).encode())
-        for block in blocks:
+        for block in itertools.chain((first,), blocks):
             for text in formatter.rows(block):
                 write(text)
 
@@ -201,8 +204,8 @@ def _reject_unused(model: str, flags: dict, used) -> None:
 #: Largest dense intermediate a run may build, in bytes; a fixed constant, not a flag.
 #: The estimates compared with it follow each child process's peak RSS
 #: (``ru_maxrss``, 1 BLAS thread, 2-vCPU x86-64 Linux; a bare run peaks at 31 MB):
-#: the sample report holds about eight dim x dim float64 arrays, 64 dim^2 bytes
-#: (peaks of 110, 303 and 1096 MB at dim 1024, 2048 and 4096, 50 paths); a chain
+#: the sample report holds at most eight dim x dim float64 arrays, 64 dim^2 bytes
+#: (peaks of 102 and 270 MB at dim 1024 and 2048, 50 paths); a chain
 #: spectrum of m monomers about 8 m^2 bytes, or 4 m^2 with --cov (peaks of 65 and
 #: 161 MB, and of 48 and 97 MB, at 2049 and 4097 monomers).
 _DENSE_BUDGET = 2 * 2**30
@@ -306,9 +309,7 @@ def _ring_model_from_args(args: argparse.Namespace) -> tuple[int, np.ndarray]:
         sites = sites if sites is not None else file_sites
     if sites is None:
         raise ValueError("ring size missing: pass --sites or an N= line in --g-file")
-    if sites < 3:
-        raise ValueError("ring size must be >= 3")
-    g = np.zeros(sites // 2)
+    g = np.zeros(_ring_half(sites))
     if args.g is not None:
         values = _parse_g_list(args.g)
         if len(values) > g.size:
@@ -356,14 +357,12 @@ def _cmd_spectrum(args: argparse.Namespace) -> None:
             from .circulant import mirrored_distance_row
             from .rings import ring_energy_eigenvalues
 
-            lam = np.concatenate(([0.0], mirrored_distance_row(ring_energy_eigenvalues(monomers, hurst), monomers)))
+            lam = mirrored_distance_row(ring_energy_eigenvalues(monomers, hurst), monomers)
         # A chain read from the other end is the same chain: its leading half of rows holds the spectrum.
         elif args.cov:
             from .linalg import centrosymmetric_eigenvalues
 
-            r = chain_increment_row(monomers - 1, hurst)  # Toeplitz row i: r[i:0:-1], r[:n-i]
-            rows = np.lib.stride_tricks.sliding_window_view(np.concatenate((r[:0:-1], r)), r.size)[::-1]
-            lam = centrosymmetric_eigenvalues(rows[: r.size - r.size // 2])
+            lam = centrosymmetric_eigenvalues(toeplitz_view(chain_increment_row(monomers - 1, hurst))[: monomers // 2])
         else:
             from .couplings import chain_coupling_rows
             from .linalg import centrosymmetric_eigenvalues
@@ -471,15 +470,15 @@ def _cmd_sample(args: argparse.Namespace) -> None:
         if args.monomers is None or args.hurst is None:
             raise ValueError("chain sampling needs --monomers and --hurst")
         echo.update(monomers=args.monomers, hurst=_fmt(args.hurst))
-        model, sampler = chain_increment_row(args.monomers - 1, args.hurst), sample_toeplitz
+        model, sampler, covariance = chain_increment_row(args.monomers - 1, args.hurst), sample_toeplitz, toeplitz_view
     elif args.model == "ring":
         if args.sites is None or args.hurst is None:
             raise ValueError("ring sampling needs --sites and --hurst")
         echo.update(sites=args.sites, hurst=_fmt(args.hurst))
-        model, sampler = ring_increment_row(args.sites, args.hurst), sample_circulant
+        model, sampler, covariance = ring_increment_row(args.sites, args.hurst), sample_circulant, toeplitz_view
     else:  # reflected | bridge positions on a uniform circle grid
         echo.update(grid=args.grid)
-        model = uniform_ring_grid(args.grid)
+        model, covariance = uniform_ring_grid(args.grid), piecewise_ring_cov_matrix
         sampler = reflected_brownian_ring if args.model == "reflected" else brownian_bridge_ring
     dim = model.size
     report_path = _files(args).get("--report")
@@ -488,12 +487,11 @@ def _cmd_sample(args: argparse.Namespace) -> None:
                       "write the samples to stdout, without --out or --report, to stream them without a report")
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     rows = max(1, _CHUNK_VALUES // dim)
-    chunks = (sampler(model, min(rows, args.paths - start), rng).values for start in range(0, args.paths, rows))
-    first = next(chunks)  # a model that cannot be sampled fails here, before any output
     gram = None if report_path is None else np.zeros((dim, dim))
 
     def blocks():
-        for values in itertools.chain((first,), chunks):
+        for start in range(0, args.paths, rows):
+            values = sampler(model, min(rows, args.paths - start), rng).values
             if gram is not None:
                 gram[...] += values.T @ values
             yield values
@@ -501,11 +499,7 @@ def _cmd_sample(args: argparse.Namespace) -> None:
     _write_csv(args.out, echo, ",".join(f"v{i}" for i in range(dim)), blocks())
     if report_path is None:  # stdout mode emits the CSV only
         return
-    if args.model in ("chain", "ring"):  # stationary: entry (i, j) = row[|i - j|], a ring's row being symmetric
-        lag = np.arange(dim)
-        reference = model[np.abs(np.subtract.outer(lag, lag))]
-    else:
-        reference = piecewise_ring_cov_matrix(model)
+    reference = covariance(model)  # of a chain or ring: row[|i - j|], a ring's row being symmetric
     empirical = gram / args.paths
     bound = covariance_bound(reference, args.paths)
     error = np.abs(empirical - reference)
@@ -540,9 +534,7 @@ def _cmd_fourier_energy(args: argparse.Namespace) -> None:
             energies = np.fromiter((fourier_mode_energy(args.hurst, mode) for mode in modes), float, len(modes))
             yield np.column_stack((modes, energies))
 
-    blocks = series()
-    first = next(blocks)  # an input that fails does so here, before any output
-    _write_series(args, echo, "mode", "value", itertools.chain((first,), blocks))
+    _write_series(args, echo, "mode", "value", series())
 
 
 # -------------------------------------------------------------------- parser

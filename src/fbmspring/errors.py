@@ -63,7 +63,7 @@ class IndefiniteCovariance(FbmSpringError, ValueError):
 
 
 class QuadratureFailure(FbmSpringError):
-    """A Fourier mode energy did not reach the requested absolute tolerance."""
+    """A Fourier mode energy did not reach the absolute tolerance ``sampling.MODE_ENERGY_TOL``."""
 
     def __init__(self, estimate: float, error: float, tol: float):
         self.estimate = estimate

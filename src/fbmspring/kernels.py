@@ -29,15 +29,15 @@ half of it at h = (N-1)/2 for odd N.
 Both covariances are stationary, so the pipelines work from their first rows
 (:func:`chain_increment_row`, :func:`ring_increment_row`): chain couplings
 through the Toeplitz solver in ``linalg``, ring spectra and couplings through
-the FFT in ``circulant``, the chain covariance spectrum from a view of the
-first row, and samples by FFT from the row. A dense matrix, where a report
-needs one, is the gather row[|j - i|]; a ring row is symmetric, so that is
-row[(j - i) mod N] too.
+the FFT in ``circulant``, and samples by FFT from the row. A dense matrix,
+where one is needed, is the read-only view :func:`toeplitz_view`, row[|j - i|];
+a ring row is symmetric, so that is row[(j - i) mod N] too. ``_first_row`` is
+the one check of a first row a caller passes.
 
 The builders take plain scalars and check them where the row is built: a
-chain needs n >= 1 increments, a ring N >= 3 sites, and H may lie anywhere in
-(0, 1]. Whether a covariance is actually positive semidefinite is a runtime
-verdict, not an input check.
+chain needs n >= 1 increments, a ring N >= 3 sites (``_ring_half``, the one
+check of a ring size), and H may lie anywhere in (0, 1]. Whether a covariance
+is actually positive semidefinite is a runtime verdict, not an input check.
 """
 
 from __future__ import annotations
@@ -45,6 +45,27 @@ from __future__ import annotations
 import numpy as np
 
 _EPS = float(np.finfo(float).eps)
+
+
+def _first_row(first_row: np.ndarray, name: str = "first_row") -> np.ndarray:
+    """The row as a float array, after checking it is 1-d and nonempty; an error calls it ``name``."""
+    row = np.asarray(first_row, dtype=float)
+    if row.ndim != 1 or row.size < 1:
+        raise ValueError(f"{name} must be a nonempty 1-d array, got shape {row.shape}")
+    return row
+
+
+def _ring_half(sites: int) -> int:
+    """floor(N/2), a ring's number of distinct distances, after checking it has N >= 3 sites."""
+    if sites < 3:
+        raise ValueError("a ring needs at least 3 sites")
+    return sites // 2
+
+
+def toeplitz_view(first_row: np.ndarray) -> np.ndarray:
+    """Read-only n x n view row[|i - j|] of a first row: row i is a window of (r_{n-1}, ..., r_0, ..., r_{n-1})."""
+    row = _first_row(first_row)
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate((row[:0:-1], row)), row.size)[::-1]
 
 
 def chain_increment_row(n: int, hurst: float) -> np.ndarray:
@@ -92,9 +113,7 @@ def ring_increment_row(sites: int, hurst: float) -> np.ndarray:
 
     It is the chain row folded at N // 2, exactly symmetric (c_j == c_{N-j}).
     """
-    if sites < 3:
-        raise ValueError("a ring needs at least 3 sites")
-    half = sites // 2
+    half = _ring_half(sites)
     row = chain_increment_row(half + 1, hurst)
     h2 = 2.0 * hurst
     if half > 1:

@@ -20,6 +20,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .errors import NoConvergence, NotPositiveDefinite
+from .kernels import _first_row
 
 #: Relative scale of the default positive-definiteness tolerance.
 DEFAULT_PD_SCALE = 1e-9
@@ -54,9 +55,7 @@ def _durbin(first_row: np.ndarray) -> tuple[np.ndarray, float]:
     prediction-error variances ``e_k`` are the Cholesky pivots: the first
     ``e_k <=`` :func:`default_tol_pd` of the row raises NotPositiveDefinite.
     """
-    row = np.asarray(first_row, dtype=float)
-    if row.ndim != 1 or row.size < 1:
-        raise ValueError(f"expected a nonempty first row, got shape {row.shape}")
+    row = _first_row(first_row)
     tol_pd = default_tol_pd(row)
     a, e = np.zeros(row.size), row[0]
     a[0] = 1.0

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .circulant import _cosine_transform, _half_spectrum, mirrored_distance_row
+from .circulant import _half_spectrum, mirrored_distance_row
 from .errors import MissingRingModes
 
 
@@ -48,11 +48,11 @@ class PowerLawDesign:
 def check_admissible(g_by_distance: np.ndarray, sites: int) -> AdmissibilityReport:
     """Sweep all nonzero modes; admissible iff every lambda_m exceeds the FFT's rounding.
 
-    The tolerance is that of ``circulant._half_spectrum`` on the spectrum's
-    first row (0, mirrored g). Degenerate pairs (m, N-m) are counted once, so
-    violating modes are reported in 1..floor(N/2); a nan lambda_m violates.
+    The tolerance is that of ``circulant._half_spectrum`` on the first row
+    (0, mirrored g). Degenerate pairs (m, N-m) are counted once, so violating
+    modes are reported in 1..floor(N/2); a nan lambda_m violates.
     """
-    f, tol = _half_spectrum(np.concatenate(([0.0], mirrored_distance_row(g_by_distance, sites))))
+    f, tol = _half_spectrum(mirrored_distance_row(g_by_distance, sites))
     modes = np.arange(1, sites // 2 + 1)
     lam = f[0] - f[1:]
     violating = modes[~(lam > tol)].tolist()
@@ -114,15 +114,13 @@ def power_law_ring(
     size-independent bound g1 > c pi^2 (zeta(gamma-2) - 1) is meaningful;
     the bound itself is evaluated whenever gamma > 3.
     """
-    if sites < 3:
-        raise ValueError(f"sites must be >= 3 for a ring, got sites = {sites}")
+    half = kernels._ring_half(sites)
     if not g1 > 0.0:
         raise ValueError("g1 must be positive")
     if not c >= 0.0:
         raise ValueError("repulsion amplitude c must be nonnegative")
     if infinite_guarantee and not gamma > 3.0:
         raise ValueError(f"size-independent guarantee needs gamma > 3, got gamma = {gamma}")
-    half = sites // 2
     g = np.empty(half)
     g[0] = g1
     k = np.arange(2, half + 1, dtype=float)
@@ -165,5 +163,4 @@ def ring_coupling_profile(sites: int, hurst: float) -> np.ndarray:
     g_k = -1/N sum_m lambda_m cos(theta_m k), the inverse cosine transform of
     :func:`ring_energy_eigenvalues` over all N modes; raises as it does.
     """
-    g = _cosine_transform(np.concatenate(([0.0], mirrored_distance_row(ring_energy_eigenvalues(sites, hurst), sites))))
-    return -g[1 : sites // 2 + 1] / sites
+    return -_half_spectrum(mirrored_distance_row(ring_energy_eigenvalues(sites, hurst), sites))[0][1:] / sites

@@ -44,9 +44,9 @@ import numpy as np
 
 from .circulant import _half_spectrum, _symmetric_row
 from .errors import IndefiniteCovariance, QuadratureFailure
+from .kernels import _EPS, _first_row
 
 TWO_PI = 2.0 * math.pi
-_EPS = 2.0**-52  # double-precision machine epsilon
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,9 @@ class SampleBatch:
 
 
 def _normals(shape: tuple[int, int], seed: int | np.random.Generator) -> np.ndarray:
-    """Standard normals from a Philox stream keyed by ``seed``, or the next ones of a Generator."""
+    """Standard normals, one row per path, from a Philox stream keyed by ``seed``, or the next ones of a Generator."""
+    if shape[0] < 1:
+        raise ValueError("paths must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(np.random.Philox(key=seed))
     return rng.standard_normal(shape)
 
@@ -69,8 +71,6 @@ def _circulant_rows(row: np.ndarray, paths: int, seed: int | np.random.Generator
     weighted by sqrt(mu_m N / 2), or by sqrt(mu_m N) at the real modes 0 and
     N / 2, whose imaginary parts ``irfft`` discards.
     """
-    if paths < 1:
-        raise ValueError("paths must be >= 1")
     n = row.size
     mu, tol = _half_spectrum(row)
     if mu.min() < -tol:
@@ -100,9 +100,7 @@ def sample_toeplitz(first_row: np.ndarray, paths: int, seed: int | np.random.Gen
     noise at every Hurst index (Craigmile 2003); an indefinite one raises
     IndefiniteCovariance. ``seed`` is a Philox key or a continued Generator.
     """
-    row = np.asarray(first_row, dtype=float)
-    if row.ndim != 1 or row.size < 1:
-        raise ValueError(f"first_row must be a nonempty 1-d array, got shape {row.shape}")
+    row = _first_row(first_row)
     embedding = np.concatenate((row, row[-2:0:-1]))
     return SampleBatch(values=np.ascontiguousarray(_circulant_rows(embedding, paths, seed)[:, : row.size]))
 
@@ -133,9 +131,7 @@ def piecewise_ring_cov_matrix(grid: np.ndarray) -> np.ndarray:
 
 def _check_ring_times(t_grid: np.ndarray) -> np.ndarray:
     """The grid as a float array, after checking it is 1-d, nonempty and in [0, 2*pi]."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0:
-        raise ValueError("t_grid must be a nonempty 1-d array")
+    t_grid = _first_row(t_grid, "t_grid")
     if not np.all((t_grid >= 0.0) & (t_grid <= TWO_PI)):  # also false for nan
         raise ValueError("grid out of range: times must be finite and lie in [0, 2*pi]")
     return t_grid
@@ -198,6 +194,8 @@ def uniform_ring_grid(n_points: int) -> np.ndarray:
     return np.append(TWO_PI * np.arange(1, n_points) / n_points, TWO_PI)
 
 
+#: Absolute error allowed on a returned mode energy before it raises QuadratureFailure.
+MODE_ENERGY_TOL = 1e-10
 #: Terms of the incomplete-gamma continued fraction before a mode energy fails (72 suffice
 #: for mode 1, the slowest, over H in (0, 1]).
 _MAX_FRACTION_TERMS = 1_000
@@ -225,13 +223,13 @@ def _gamma_tail_fraction(s: float, z: complex) -> tuple[complex, float]:
     return h, math.inf
 
 
-def fourier_mode_energy(hurst: float, mode: int, tol: float = 1e-10) -> float:
+def fourier_mode_energy(hurst: float, mode: int) -> float:
     """Expected squared Fourier coefficient of the periodic model at ``mode``.
 
     Evaluates -(4 pi^2 / mode^{2H+1}) * integral_0^pi x^{2H} cos(mode x) dx to
-    absolute tolerance ``tol`` on the returned value. Nonnegative for
-    hurst <= 1/2. With a = 2H and z = -i pi mode the integral is the real part
-    of (-i mode)^{-a-1} (Gamma(a+1) - Gamma(a+1, z)); two steps of
+    absolute tolerance ``MODE_ENERGY_TOL`` on the returned value. Nonnegative
+    for hurst <= 1/2. With a = 2H and z = -i pi mode the integral is the real
+    part of (-i mode)^{-a-1} (Gamma(a+1) - Gamma(a+1, z)); two steps of
     Gamma(s, z) = (s-1) Gamma(s-1, z) + z^{s-1} e^{-z} (Abramowitz & Stegun
     6.5.22) turn it into
     -Gamma(a+1) sin(pi a/2) / mode^{a+1}
@@ -239,8 +237,8 @@ def fourier_mode_energy(hurst: float, mode: int, tol: float = 1e-10) -> float:
     h = Gamma(a-1, z) e^z z^{1-a} from Legendre's continued fraction
     (Abramowitz & Stegun 6.5.31; :func:`_gamma_tail_fraction`). The
     factor a - 1 makes H = 1/2 exact. QuadratureFailure is raised when the
-    fraction's error times its weight in the returned value exceeds ``tol``,
-    or when its terms run out.
+    fraction's error times its weight in the returned value exceeds
+    ``MODE_ENERGY_TOL``, or when its terms run out.
     """
     if not 0.0 < hurst <= 1.0:
         raise ValueError(f"hurst must be in (0, 1], got {hurst}")
@@ -254,6 +252,6 @@ def fourier_mode_energy(hurst: float, mode: int, tol: float = 1e-10) -> float:
     value = -math.gamma(a + 1.0) * math.sin(0.5 * math.pi * a) / mode ** (a + 1.0)
     value += tail if mode % 2 == 0 else -tail
     err = abs(prefactor) * scale * abs(a - 1.0) * abs(h) * rel_err
-    if not err <= tol:  # terms that ran out give inf, or nan (0 * inf) at H = 1/2
-        raise QuadratureFailure(estimate=prefactor * value, error=err, tol=tol)
+    if not err <= MODE_ENERGY_TOL:  # terms that ran out give inf, or nan (0 * inf) at H = 1/2
+        raise QuadratureFailure(estimate=prefactor * value, error=err, tol=MODE_ENERGY_TOL)
     return prefactor * value + 0.0  # an exact zero (even modes at H = 1/2) prints as 0, not -0

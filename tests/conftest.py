@@ -173,7 +173,7 @@ def extended_center_couplings(row, center):
 def ring_laplacian_circulant(g_by_distance, sites):
     """First row of the ring energy matrix g*I - G: (sum g_k, -g_1, ..., -g_1)."""
     g_row = mirrored_distance_row(g_by_distance, sites)
-    return np.concatenate(([g_row.sum()], -g_row))
+    return np.concatenate(([g_row.sum()], -g_row[1:]))
 
 
 def uniform_grid_increment_cov(n_increments, hurst=0.5):

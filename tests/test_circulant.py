@@ -157,7 +157,8 @@ class TestRingModeSpectrum:
         assert peak < 4 * 2**20  # an N x N cosine matrix would take 128 MB
 
     def test_mirror_extension(self):
-        np.testing.assert_array_equal(mirrored_distance_row(np.array([1.0, 2.0]), 4), [1, 2, 1])
-        np.testing.assert_array_equal(mirrored_distance_row(np.array([1.0, 2.0]), 5), [1, 2, 2, 1])
+        # the whole first row c_0..c_{N-1}, c_0 = 0 on the diagonal
+        np.testing.assert_array_equal(mirrored_distance_row(np.array([1.0, 2.0]), 4), [0, 1, 2, 1])
+        np.testing.assert_array_equal(mirrored_distance_row(np.array([1.0, 2.0]), 5), [0, 1, 2, 2, 1])
         with pytest.raises(ValueError):
             mirrored_distance_row(np.array([1.0]), 5)

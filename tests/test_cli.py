@@ -380,7 +380,7 @@ class TestRingDesignCommand:
     @pytest.mark.parametrize("sites", ["-5", "1"])
     def test_too_few_sites_named(self, capsys, sites):
         assert main(["ring-design", "--g1", "1", "--c", "0.1", "--gamma", "4", "--sites", sites]) == 2
-        assert capsys.readouterr().err == f"error: sites must be >= 3 for a ring, got sites = {sites}\n"
+        assert capsys.readouterr().err == "error: a ring needs at least 3 sites\n"
 
 
 class TestSampleCommand:
@@ -654,6 +654,20 @@ class TestBlockFormatter:
         assert b"".join(pieces) == percent_rows(values)
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+def test_writer_draws_the_first_block_before_any_output(tmp_path, capsys, to_file):
+    # a table whose first block fails leaves stdout empty and writes no file, partial or whole
+    def blocks():
+        raise errors.IndefiniteCovariance(-1.0, 1e-12)
+        yield np.zeros((1, 1))
+
+    out = tmp_path / "t.csv" if to_file else None
+    with pytest.raises(errors.IndefiniteCovariance):
+        cli._write_csv(out, {"command": "sample"}, "h", blocks())
+    assert capsys.readouterr() == ("", "")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_writer_keeps_its_working_set_mapped(monkeypatch):
     # formatting a block reuses the pages of the one before instead of faulting in fresh ones
     resource = pytest.importorskip("resource")
@@ -795,12 +809,27 @@ def test_flags_a_model_would_ignore_are_rejected(tmp_path, monkeypatch, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["couplings", "--mode", "ring", "--monomers", "2", "--hurst", "0.3"],
+    ["spectrum", "--mode", "ring", "--monomers", "2", "--hurst", "0.3"],
+    ["spectrum", "--mode", "ring", "--monomers", "2", "--hurst", "0.3", "--cov"],
+    ["spectrum", "--sites", "2", "--g", "1"],
+    ["sample", "--model", "ring", "--sites", "2", "--hurst", "0.3"],
+    ["ring-design", "--g1", "1", "--c", "0", "--gamma", "4", "--sites", "2"],
+], ids=["couplings", "spectrum-energy", "spectrum-cov", "spectrum-g", "sample", "ring-design"])
+def test_every_ring_route_names_the_ring_size_alike(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "o.out"]) == 2
+    assert capsys.readouterr() == ("", "error: a ring needs at least 3 sites\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, message", [
     (["spectrum", "--g-file", "none.txt"],
      "cannot read --g-file none.txt: [Errno 2] No such file or directory: 'none.txt'"),
     (["spectrum", "--g-file", "m.txt", "--sites", "8"], "--g-file m.txt:2: malformed model line 'x=1': unknown key 'x'"),
     (["spectrum", "--g", "1"], "ring size missing: pass --sites or an N= line in --g-file"),
-    (["spectrum", "--sites", "2", "--g", "1"], "ring size must be >= 3"),
+    (["spectrum", "--sites", "2", "--g", "1"], "a ring needs at least 3 sites"),
     (["spectrum", "--sites", "6", "--g", "1,2,3,4"], "got 4 couplings but a ring of 6 sites has only 3 distinct distances"),
     (["spectrum", "--mode", "chain", "--monomers", "9"], "chain spectrum needs --monomers and --hurst"),
     (["sample", "--model", "reflected", "--paths", "0"], "--paths must be >= 1"),

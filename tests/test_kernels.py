@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fbmspring.circulant import _half_spectrum
-from fbmspring.kernels import chain_increment_row, ring_increment_row
+from fbmspring.kernels import chain_increment_row, ring_increment_row, toeplitz_view
 from fbmspring.linalg import default_tol_pd
 
 from conftest import (
@@ -68,6 +68,30 @@ class TestChainCov:
             chain_increment_row(4, 0.0)
         with pytest.raises(ValueError, match=r"hurst must be in \(0, 1\], got 1.2"):
             chain_increment_row(4, 1.2)
+
+
+class TestToeplitzView:
+    """The one dense matrix of a first row: the read-only view row[|i - j|]."""
+
+    @pytest.mark.parametrize("row", [chain_increment_row(1, 0.3), chain_increment_row(9, 0.7),
+                                     ring_increment_row(8, 0.3), ring_increment_row(9, 0.45)],
+                             ids=["chain-1", "chain-9", "ring-8", "ring-9"])
+    def test_view_is_the_dense_toeplitz(self, row):
+        view = toeplitz_view(row)
+        assert same_bits(view, toeplitz_dense(row))
+        assert not view.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = 1.0
+
+    def test_ring_view_is_the_circulant(self):
+        # a ring row is symmetric, so row[|i - j|] is row[(j - i) mod N] too
+        row = ring_increment_row(12, 0.3)
+        assert same_bits(toeplitz_view(row), circulant_dense(row))
+
+    @pytest.mark.parametrize("row", [[], [[1.0, 0.0], [0.0, 1.0]]], ids=["empty", "matrix"])
+    def test_rejects_non_row(self, row):
+        with pytest.raises(ValueError, match=r"^first_row must be a nonempty 1-d array, got shape"):
+            toeplitz_view(row)
 
 
 class TestGeodesic:

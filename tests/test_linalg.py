@@ -249,7 +249,7 @@ class TestToeplitzInverse:
 
     @pytest.mark.parametrize("row", [[], [[1.0, 0.0], [0.0, 1.0]]], ids=["empty", "matrix"])
     def test_rejects_non_row(self, row):
-        with pytest.raises(ValueError, match="first row"):
+        with pytest.raises(ValueError, match=r"^first_row must be a nonempty 1-d array, got shape"):
             inverse_table(row)
 
 

@@ -117,7 +117,7 @@ class TestAdmissibility:
         report = check_admissible(g, sites)
         assert report.admissible and report.violating_modes == []
         assert report.lambda_min_nonzero == pytest.approx(2.0 * (1.0 - math.cos(2.0 * math.pi / sites)), rel=1e-6)
-        assert _half_spectrum(np.concatenate(([0.0], mirrored_distance_row(g, sites))))[1] < 1e-12
+        assert _half_spectrum(mirrored_distance_row(g, sites))[1] < 1e-12
 
     def test_design_with_negative_modes_stays_inadmissible(self):
         report = check_admissible(power_law_ring(sites=64, g1=1.0, c=2.0, gamma=4.0).g_by_distance, 64)

@@ -179,8 +179,13 @@ class TestStationarySamplers:
                 sampler(np.eye(3), paths=3, seed=0)
             with pytest.raises(ValueError, match="nonempty 1-d"):
                 sampler(np.array([]), paths=3, seed=0)
-            with pytest.raises(ValueError, match="paths must be >= 1"):
-                sampler(np.ones(1), paths=0, seed=0)
+        # every sampler draws through one normal stream, which checks the path count
+        models = ((sample_circulant, np.ones(1)), (sample_toeplitz, np.ones(1)),
+                  (reflected_brownian_ring, uniform_ring_grid(4)), (brownian_bridge_ring, uniform_ring_grid(4)))
+        for sampler, model in models:
+            for paths in (0, -1):
+                with pytest.raises(ValueError, match=r"^paths must be >= 1$"):
+                    sampler(model, paths=paths, seed=0)
 
 
 def pair_cov(s, t):
@@ -431,18 +436,22 @@ class TestFourierModeEnergy:
         with pytest.raises(ValueError):
             fourier_mode_energy(0.5, 0)
 
-    def test_failure_reports_tolerance(self):
+    def test_failure_reports_tolerance(self, monkeypatch):
+        monkeypatch.setattr(sampling, "MODE_ENERGY_TOL", 1e-30)
         with pytest.raises(QuadratureFailure) as info:
-            fourier_mode_energy(0.31, 6, tol=1e-30)
+            fourier_mode_energy(0.31, 6)
         assert info.value.tol == 1e-30 < info.value.error
 
-    def test_closed_form_failure_reports_tolerance(self):
+    def test_closed_form_failure_reports_tolerance(self, monkeypatch):
         # the error estimate is eps times the continued fraction's weight in the value
         message = r"^Fourier mode energy error estimate .* exceeds tolerance 1\.000e-30$"
+        value = fourier_mode_energy(0.31, 7)
+        assert sampling.MODE_ENERGY_TOL == 1e-10
+        monkeypatch.setattr(sampling, "MODE_ENERGY_TOL", 1e-30)
         with pytest.raises(QuadratureFailure, match=message) as info:
-            fourier_mode_energy(0.31, 7, tol=1e-30)
+            fourier_mode_energy(0.31, 7)
         assert 1e-30 < info.value.error < 1e-10
-        assert info.value.estimate == fourier_mode_energy(0.31, 7)
+        assert info.value.estimate == value
 
     @pytest.mark.parametrize("mode", [1, 2, 3, 6, 7, 8, 12, 100, 2000])
     def test_closed_form_matches_mpmath(self, mode):
