@@ -13,7 +13,7 @@ is imported the first time one of its names, or the layer itself, is looked
 up on the package (PEP 562).
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 import importlib
 
@@ -37,7 +37,7 @@ _EXPORTS = {
     "circulant": ("circulant_eigenvalues", "mirrored_distance_row", "ring_mode_spectrum"),
     "rings": ("AdmissibilityReport", "PowerLawDesign", "check_admissible", "power_law_ring",
               "ring_coupling_profile", "single_distance_bound", "stiff_sufficient_bound", "zeta_minus_one_tail"),
-    "critical": ("SignChangeQuery", "coupling_at", "find_critical_hurst"),
+    "critical": ("coupling_at", "find_critical_hurst"),
     "sampling": ("SampleBatch", "brownian_bridge_ring", "covariance_bound", "fourier_mode_energy",
                  "piecewise_ring_cov_matrix", "reflected_brownian_ring", "sample_circulant", "sample_toeplitz",
                  "uniform_ring_grid"),

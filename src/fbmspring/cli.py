@@ -49,7 +49,7 @@ import numpy as np
 
 from . import __version__
 from .errors import FbmSpringError, NoSignChange
-from .kernels import _ring_half, chain_increment_row, ring_increment_row, toeplitz_view
+from .kernels import _chain_increments, _chain_index, _ring_half, chain_increment_row, ring_increment_row, toeplitz_view
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -222,12 +222,12 @@ def _check_budget(what: str, estimate: int, way_out: str) -> None:
 
 
 def _resolve_center(monomers: int, center_flag: int | None) -> int:
-    """CLI centers are 1-based monomer labels; internal indices are 0-based."""
-    if center_flag is None:
-        return (monomers - 1) // 2
-    if not 1 <= center_flag <= monomers:
-        raise ValueError(f"--center must lie in 1..{monomers}, got {center_flag}")
-    return center_flag - 1
+    """0-based center of a 1-based --center label (None: the middle), after checking the chain's size first."""
+    _chain_increments(monomers)
+    try:
+        return _chain_index(monomers, None if center_flag is None else center_flag - 1)
+    except IndexError:
+        raise ValueError(f"--center must lie in 1..{monomers}, got {center_flag}") from None
 
 
 # ----------------------------------------------------------------- couplings
@@ -362,7 +362,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> None:
         elif args.cov:
             from .linalg import centrosymmetric_eigenvalues
 
-            lam = centrosymmetric_eigenvalues(toeplitz_view(chain_increment_row(monomers - 1, hurst))[: monomers // 2])
+            row = chain_increment_row(_chain_increments(monomers), hurst)
+            lam = centrosymmetric_eigenvalues(toeplitz_view(row)[: monomers // 2])
         else:
             from .couplings import chain_coupling_rows
             from .linalg import centrosymmetric_eigenvalues
@@ -377,24 +378,20 @@ def _cmd_spectrum(args: argparse.Namespace) -> None:
 # ------------------------------------------------------------------ critical
 
 def _cmd_critical(args: argparse.Namespace) -> None:
-    from .critical import SignChangeQuery, coupling_at, find_critical_hurst
+    from .critical import coupling_at, find_critical_hurst
 
-    for key in ("monomers", "offset", "bracket", "tol"):  # the flags left out take the query's defaults
+    # flags left out take its defaults, which a functools.wraps wrapper keeps on __wrapped__ only
+    for key, default in getattr(find_critical_hurst, "__wrapped__", find_critical_hurst).__kwdefaults__.items():
         if getattr(args, key) is None:
-            setattr(args, key, getattr(SignChangeQuery, key))
+            setattr(args, key, default)
     center = _resolve_center(args.monomers, args.center)
     try:
-        query = SignChangeQuery(
-            monomers=args.monomers,
-            offset=args.offset,
-            center=center,
-            bracket=(args.bracket[0], args.bracket[1]),
-            tol=args.tol,
+        h_star, iterations = find_critical_hurst(
+            monomers=args.monomers, offset=args.offset, center=center, bracket=tuple(args.bracket), tol=args.tol
         )
     except IndexError:  # the center is on the chain, so its partner is not: name both 1-based
         raise ValueError(f"--center {center + 1} and --offset {args.offset} name monomer "
                          f"{center + 1 + args.offset}, outside 1..{args.monomers}") from None
-    h_star, iterations = find_critical_hurst(query)
     residual = coupling_at(args.monomers, h_star, center, args.offset)
     payload = {
         "model": {
@@ -470,7 +467,8 @@ def _cmd_sample(args: argparse.Namespace) -> None:
         if args.monomers is None or args.hurst is None:
             raise ValueError("chain sampling needs --monomers and --hurst")
         echo.update(monomers=args.monomers, hurst=_fmt(args.hurst))
-        model, sampler, covariance = chain_increment_row(args.monomers - 1, args.hurst), sample_toeplitz, toeplitz_view
+        model = chain_increment_row(_chain_increments(args.monomers), args.hurst)
+        sampler, covariance = sample_toeplitz, toeplitz_view
     elif args.model == "ring":
         if args.sites is None or args.hurst is None:
             raise ValueError("ring sampling needs --sites and --hurst")
@@ -569,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("critical", help="bisect the Hurst index where a chain coupling changes sign")
-    # None stands for SignChangeQuery's default, filled in by the handler
+    # None stands for find_critical_hurst's default, filled in by the handler
     p.add_argument("--monomers", type=int, default=None)
     p.add_argument("--offset", type=int, default=None)
     p.add_argument("--center", type=int, default=None, help="1-based center monomer (default: middle)")

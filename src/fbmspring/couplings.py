@@ -118,10 +118,8 @@ def coupling_laplacian(g: np.ndarray) -> np.ndarray:
 def coupling_slice(g: np.ndarray, center: int) -> list[tuple[int, float]]:
     """Couplings of one monomer to all the others, in index order."""
     g = _check_table(g)
-    size = g.shape[0]
-    if not 0 <= center < size:
-        raise IndexError(f"center must lie in [0, {size}), got {center}")
-    return [(i, float(g[center, i])) for i in range(size) if i != center]
+    center = kernels._chain_index(g.shape[0], center)
+    return [(i, float(g[center, i])) for i in range(g.shape[0]) if i != center]
 
 
 def chain_coupling_rows(monomers: int, hurst: float, start: int, stop: int) -> np.ndarray:
@@ -133,7 +131,7 @@ def chain_coupling_rows(monomers: int, hurst: float, start: int, stop: int) -> n
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"chain couplings need 0 < hurst < 1 (a rigid rod at 1), got hurst = {hurst}")
-    n = monomers - 1
+    n = kernels._chain_increments(monomers)
     row = kernels.chain_increment_row(n, hurst)
     if not 0 <= start <= stop <= monomers:
         raise IndexError(f"rows {start}..{stop} outside 0..{monomers}")

@@ -35,9 +35,12 @@ a ring row is symmetric, so that is row[(j - i) mod N] too. ``_first_row`` is
 the one check of a first row a caller passes.
 
 The builders take plain scalars and check them where the row is built: a
-chain needs n >= 1 increments, a ring N >= 3 sites (``_ring_half``, the one
-check of a ring size), and H may lie anywhere in (0, 1]. Whether a covariance
-is actually positive semidefinite is a runtime verdict, not an input check.
+chain row needs n >= 1 increments, a ring N >= 3 sites (``_ring_half``, the
+one check of a ring size), and H may lie anywhere in (0, 1] (``_check_hurst``).
+Each chain rule has one owner, for every layer and the CLI: ``_chain_increments``
+(at least 2 monomers, n = monomers - 1) and ``_chain_index`` (the middle monomer
+by default, and an index on the chain). Whether a covariance is actually
+positive semidefinite is a runtime verdict, not an input check.
 """
 
 from __future__ import annotations
@@ -53,6 +56,27 @@ def _first_row(first_row: np.ndarray, name: str = "first_row") -> np.ndarray:
     if row.ndim != 1 or row.size < 1:
         raise ValueError(f"{name} must be a nonempty 1-d array, got shape {row.shape}")
     return row
+
+
+def _check_hurst(hurst: float) -> None:
+    """Reject a Hurst index outside (0, 1]."""
+    if not 0.0 < hurst <= 1.0:
+        raise ValueError(f"hurst must be in (0, 1], got {hurst}")
+
+
+def _chain_increments(monomers: int) -> int:
+    """n = monomers - 1, a chain's number of increments, after checking it has at least 2 monomers."""
+    if monomers < 2:
+        raise ValueError("a chain needs at least 2 monomers")
+    return monomers - 1
+
+
+def _chain_index(monomers: int, index: int | None, name: str = "center") -> int:
+    """A 0-based monomer index (None: the middle one), after checking it lies on the chain; errors call it ``name``."""
+    index = (monomers - 1) // 2 if index is None else index
+    if not 0 <= index < monomers:
+        raise IndexError(f"{name} {index} outside 0..{monomers - 1}")
+    return index
 
 
 def _ring_half(sites: int) -> int:
@@ -72,8 +96,7 @@ def chain_increment_row(n: int, hurst: float) -> np.ndarray:
     """First row r(0), ..., r(n - 1) of the Toeplitz increment covariance of n chain increments; needs n >= 1."""
     if n < 1:
         raise ValueError("chain needs at least one increment")
-    if not 0.0 < hurst <= 1.0:
-        raise ValueError(f"hurst must be in (0, 1], got {hurst}")
+    _check_hurst(hurst)
     h2 = 2.0 * hurst
     d = np.arange(n, dtype=float)
     row = 0.5 * np.abs(d + 1.0) ** h2 + 0.5 * np.abs(d - 1.0) ** h2 - d**h2  # exact enough at d <= 1

@@ -44,7 +44,7 @@ import numpy as np
 
 from .circulant import _half_spectrum, _symmetric_row
 from .errors import IndefiniteCovariance, QuadratureFailure
-from .kernels import _EPS, _first_row
+from .kernels import _EPS, _check_hurst, _first_row
 
 TWO_PI = 2.0 * math.pi
 
@@ -240,8 +240,7 @@ def fourier_mode_energy(hurst: float, mode: int) -> float:
     fraction's error times its weight in the returned value exceeds
     ``MODE_ENERGY_TOL``, or when its terms run out.
     """
-    if not 0.0 < hurst <= 1.0:
-        raise ValueError(f"hurst must be in (0, 1], got {hurst}")
+    _check_hurst(hurst)
     if mode < 1:
         raise ValueError(f"mode must be >= 1, got {mode}")
     a = 2.0 * hurst

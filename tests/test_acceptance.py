@@ -38,7 +38,7 @@ import numpy as np
 from fbmspring.circulant import _half_spectrum, circulant_eigenvalues
 from fbmspring.cli import main
 from fbmspring.couplings import chain_coupling_matrix, couplings_from_energy, energy_from_couplings
-from fbmspring.critical import SignChangeQuery, find_critical_hurst
+from fbmspring.critical import find_critical_hurst
 from fbmspring.errors import IndefiniteCovariance
 from fbmspring.kernels import ring_increment_row
 from fbmspring.rings import check_admissible, power_law_ring, zeta_minus_one_tail
@@ -104,7 +104,7 @@ def test_c03_high_hurst_sign_pattern_as_stated():
         float(np.abs(table - _dense_chain_couplings(monomers, hurst))[~np.eye(monomers, dtype=bool)].max())
         for table, hurst in ((g, 0.8), (g_low, 0.6))
     )
-    h_star, _ = find_critical_hurst(SignChangeQuery(monomers=monomers, offset=3))
+    h_star, _ = find_critical_hurst(monomers=monomers, offset=3)
 
     def both_sides(table, d):
         return [table[center, p] for p in (center - d, center + d)]

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -315,19 +316,33 @@ class TestCriticalCommand:
         assert err.startswith("error: ") and "offset 0" in err
 
     def test_tolerance_below_float_resolution_is_invalid_input(self, monkeypatch, capsys):
-        monkeypatch.setattr(critical, "find_critical_hurst", None)  # rejected before any chain is built
+        monkeypatch.setattr(critical, "chain_coupling_rows", None)  # rejected before any chain is built
         assert main(["critical", "--tol", "1e-17"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: tol 1.000e-17 is below the floor 4.441e-16")
 
     @pytest.mark.parametrize("center, offset, partner", [(60, 3, 63), (2, -3, -1)])
     def test_partner_off_the_chain_is_named_1_based(self, monkeypatch, capsys, center, offset, partner):
-        monkeypatch.setattr(critical, "find_critical_hurst", None)  # rejected before any chain is built
+        monkeypatch.setattr(critical, "chain_coupling_rows", None)  # rejected before any chain is built
         argv = ["critical", "--monomers", "61", "--center", str(center), "--offset", str(offset)]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             f"error: --center {center} and --offset {offset} name monomer {partner}, outside 1..61\n"
         )
+
+    @pytest.mark.parametrize("center", [0, 62])
+    def test_center_off_the_chain_is_named_1_based(self, monkeypatch, capsys, center):
+        monkeypatch.setattr(critical, "chain_coupling_rows", None)  # rejected before any chain is built
+        assert main(["critical", "--monomers", "61", "--center", str(center)]) == 2
+        assert capsys.readouterr() == ("", f"error: --center must lie in 1..61, got {center}\n")
+
+    def test_defaults_survive_a_wrapped_search(self, monkeypatch, capsys):
+        # a decorator made with functools.wraps hides __kwdefaults__ but keeps __wrapped__
+        search = critical.find_critical_hurst
+        monkeypatch.setattr(critical, "find_critical_hurst", functools.wraps(search)(lambda **kw: search(**kw)))
+        assert main(["critical", "--tol", "0.01"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["model"] == {"monomers": 61, "center": 31, "offset": 3, "bracket": [0.6, 0.9], "tol": 0.01}
 
     def test_nearest_neighbor_exit_code(self, capsys):
         code = main(["critical", "--offset", "1", "--bracket", "0.55", "0.95"])
@@ -824,6 +839,21 @@ def test_every_ring_route_names_the_ring_size_alike(tmp_path, monkeypatch, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("monomers", ["0", "1"])
+@pytest.mark.parametrize("argv", [
+    ["critical"],
+    ["couplings", "--mode", "chain", "--hurst", "0.3"],
+    ["spectrum", "--mode", "chain", "--hurst", "0.3"],
+    ["spectrum", "--mode", "chain", "--hurst", "0.3", "--cov"],
+    ["sample", "--model", "chain", "--hurst", "0.3"],
+], ids=["critical", "couplings", "spectrum-energy", "spectrum-cov", "sample"])
+def test_every_chain_route_names_the_chain_size_alike(tmp_path, monkeypatch, capsys, argv, monomers):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--monomers", monomers, "--out", "o.out"]) == 2
+    assert capsys.readouterr() == ("", "error: a chain needs at least 2 monomers\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, message", [
     (["spectrum", "--g-file", "none.txt"],
      "cannot read --g-file none.txt: [Errno 2] No such file or directory: 'none.txt'"),
@@ -1072,9 +1102,9 @@ def test_each_route_loads_only_the_layers_it_runs(route):
 
 class TestArgumentValidation:
     def test_bad_monomer_count(self, capsys):
-        # the library owns the minimums: a chain needs one increment, a ring 3 sites
+        # the library owns the minimums: a chain needs 2 monomers, a ring 3 sites
         assert main(["couplings", "--mode", "chain", "--monomers", "1", "--hurst", "0.3"]) == 2
-        assert capsys.readouterr() == ("", "error: chain needs at least one increment\n")
+        assert capsys.readouterr() == ("", "error: a chain needs at least 2 monomers\n")
         assert main(["couplings", "--mode", "ring", "--monomers", "2", "--hurst", "0.3"]) == 2
         assert capsys.readouterr() == ("", "error: a ring needs at least 3 sites\n")
 
@@ -1096,6 +1126,12 @@ class TestArgumentValidation:
             "couplings", "--mode", "chain", "--monomers", "11",
             "--hurst", "0.3", "--center", "12",
         ]) == 2
+
+    @pytest.mark.parametrize("center", [0, 62])
+    def test_center_off_a_61_monomer_chain(self, capsys, center):
+        argv = ["couplings", "--mode", "chain", "--monomers", "61", "--hurst", "0.3", "--center", str(center)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: --center must lie in 1..61, got {center}\n")
 
     @pytest.mark.parametrize("command", [
         ["couplings", "--mode", "chain", "--monomers", "11", "--hurst", "1.0"],

@@ -202,6 +202,12 @@ class TestCouplingSlice:
         g = random_coupling_profile(rng, 4)
         with pytest.raises(IndexError):
             coupling_slice(g, 4)
+        # on a 61-monomer table the kernels owner of "this index lies on the chain" words the error
+        g = chain_coupling_matrix(61, 0.3)
+        for center in (61, -1):
+            with pytest.raises(IndexError, match=rf"^center {center} outside 0\.\.60$"):
+                coupling_slice(g, center)
+        assert len(coupling_slice(g, 60)) == 60
 
 
 class TestChainPipeline:
@@ -304,7 +310,7 @@ class TestChainCouplingRow:
             chain_coupling_rows(11, 0.4, -1, 0)
         with pytest.raises(IndexError, match=r"rows 6\.\.5 outside 0\.\.11"):
             chain_coupling_rows(11, 0.4, 6, 5)
-        with pytest.raises(ValueError, match="chain needs at least one increment"):
+        with pytest.raises(ValueError, match="^a chain needs at least 2 monomers$"):
             chain_coupling_rows(1, 0.4, 0, 1)
 
 

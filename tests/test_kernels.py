@@ -4,7 +4,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fbmspring.circulant import _half_spectrum
-from fbmspring.kernels import chain_increment_row, ring_increment_row, toeplitz_view
+from fbmspring.kernels import (
+    _chain_increments,
+    _chain_index,
+    chain_increment_row,
+    ring_increment_row,
+    toeplitz_view,
+)
 from fbmspring.linalg import default_tol_pd
 
 from conftest import (
@@ -68,6 +74,27 @@ class TestChainCov:
             chain_increment_row(4, 0.0)
         with pytest.raises(ValueError, match=r"hurst must be in \(0, 1\], got 1.2"):
             chain_increment_row(4, 1.2)
+
+
+class TestChainRules:
+    """One owner each for a chain's size, its default center and an index on it."""
+
+    def test_size_and_increments(self):
+        assert _chain_increments(2) == 1 and _chain_increments(61) == 60
+        for monomers in (1, 0, -5):
+            with pytest.raises(ValueError, match="^a chain needs at least 2 monomers$"):
+                _chain_increments(monomers)
+
+    @pytest.mark.parametrize("monomers, middle", [(2, 0), (3, 1), (61, 30), (62, 30)])
+    def test_default_center_is_the_middle(self, monomers, middle):
+        assert _chain_index(monomers, None) == middle
+
+    def test_index_on_the_chain(self):
+        assert [_chain_index(61, i) for i in (0, 60)] == [0, 60]
+        with pytest.raises(IndexError, match=r"^center 61 outside 0\.\.60$"):
+            _chain_index(61, 61)
+        with pytest.raises(IndexError, match=r"^partner -1 outside 0\.\.60$"):
+            _chain_index(61, -1, "partner")
 
 
 class TestToeplitzView:
