@@ -13,7 +13,7 @@ is imported the first time one of its names, or the layer itself, is looked
 up on the package (PEP 562).
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 import importlib
 
@@ -21,7 +21,6 @@ from .errors import (
     FbmSpringError,
     IndefiniteCovariance,
     MissingRingModes,
-    NoConvergence,
     NoSignChange,
     NotPositiveDefinite,
     QuadratureFailure,
@@ -41,8 +40,8 @@ _EXPORTS = {
     "sampling": ("SampleBatch", "brownian_bridge_ring", "covariance_bound", "fourier_mode_energy",
                  "piecewise_ring_cov_matrix", "reflected_brownian_ring", "sample_circulant", "sample_toeplitz",
                  "uniform_ring_grid"),
-    "errors": ("FbmSpringError", "IndefiniteCovariance", "MissingRingModes", "NoConvergence", "NoSignChange",
-               "NotPositiveDefinite", "QuadratureFailure"),
+    "errors": ("FbmSpringError", "IndefiniteCovariance", "MissingRingModes", "NoSignChange", "NotPositiveDefinite",
+               "QuadratureFailure"),
 }
 _LAYERS = (*_EXPORTS, "cli")
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

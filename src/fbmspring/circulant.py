@@ -6,13 +6,13 @@ k > 0, and then its eigenvalues are the real cosine transform of the first row,
 
     lambda_m = sum_k c_k cos(2 pi k m / N),  m = 0..N-1,
 
-with the degeneracy lambda_m == lambda_{N-m}. The implementation takes the
-real FFT (``np.fft.rfft``) over modes 0..floor(N/2) and mirrors it onto
-N/2..N-1, which makes that degeneracy bitwise exact and costs O(N log N) time
-and O(N) memory. Its rounding error is about eps log2(N) sum_k |c_k|, which
-``_half_spectrum`` turns into the one tolerance, for ring verdicts and
-samples alike, at or below which a computed eigenvalue cannot be told apart
-from zero.
+with the degeneracy lambda_m == lambda_{N-m}. ``_half_spectrum`` is the one
+forward FFT (``np.fft.rfft``), over modes 0..floor(N/2); ``kernels._mirror``
+mirrors it onto N/2..N-1, which makes that degeneracy bitwise exact and costs
+O(N log N) time and O(N) memory. Its rounding error is about
+eps log2(N) sum_k |c_k|, which ``_half_spectrum`` turns into the one
+tolerance, for ring verdicts and samples alike, at or below which a computed
+eigenvalue cannot be told apart from zero.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .kernels import _EPS, _first_row, _ring_half
+from .kernels import _EPS, _first_row, _mirror, _ring_half
 
 #: Safety factor of the spectrum tolerance over the rfft error scale
 #: eps log2(N) sum|c|. The smallest ring increment-covariance eigenvalue is at
@@ -59,8 +59,7 @@ def circulant_eigenvalues(first_row: np.ndarray) -> np.ndarray:
     The row must be 1-d, nonempty and symmetric (c[k] == c[N-k] bitwise).
     """
     row = _symmetric_row(first_row)
-    half = np.fft.rfft(row).real
-    return np.concatenate((half, half[1 : row.size - row.size // 2][::-1]))
+    return _mirror(_half_spectrum(row)[0], row.size)
 
 
 def mirrored_distance_row(g_by_distance: np.ndarray, sites: int) -> np.ndarray:
@@ -74,8 +73,7 @@ def mirrored_distance_row(g_by_distance: np.ndarray, sites: int) -> np.ndarray:
     g = np.asarray(g_by_distance, dtype=float)
     if g.ndim != 1 or g.size != half:
         raise ValueError(f"need floor(N/2) = {half} couplings, got shape {g.shape}")
-    k = np.arange(sites)
-    return np.concatenate(([0.0], g))[np.minimum(k, sites - k)]
+    return _mirror(np.concatenate(([0.0], g)), sites)
 
 
 def ring_mode_spectrum(g_by_distance: np.ndarray, sites: int) -> np.ndarray:

@@ -283,7 +283,7 @@ def _parse_g_file(path: Path) -> tuple[int | None, dict[int, float]]:
         try:
             if "=" in body:
                 key, value = (part.strip() for part in body.split("=", 1))
-                if key in ("N", "n", "sites"):
+                if key == "N":
                     sites = int(value)
                     continue
                 if not key.startswith("g"):

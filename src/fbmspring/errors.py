@@ -45,10 +45,6 @@ class MissingRingModes(FbmSpringError, ValueError):
         )
 
 
-class NoConvergence(FbmSpringError):
-    """LAPACK's symmetric eigensolver (``eigvalsh``) did not converge."""
-
-
 class NoSignChange(FbmSpringError):
     """Bisection bracket endpoints do not have strictly opposite signs."""
 

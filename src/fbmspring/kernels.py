@@ -32,7 +32,8 @@ through the Toeplitz solver in ``linalg``, ring spectra and couplings through
 the FFT in ``circulant``, and samples by FFT from the row. A dense matrix,
 where one is needed, is the read-only view :func:`toeplitz_view`, row[|j - i|];
 a ring row is symmetric, so that is row[(j - i) mod N] too. ``_first_row`` is
-the one check of a first row a caller passes.
+the one check of a first row a caller passes, ``_mirror`` the one layout of a
+symmetric circulant row (ring, coupling, spectrum, Davies-Harte embedding).
 
 The builders take plain scalars and check them where the row is built: a
 chain row needs n >= 1 increments, a ring N >= 3 sites (``_ring_half``, the
@@ -84,6 +85,12 @@ def _ring_half(sites: int) -> int:
     if sites < 3:
         raise ValueError("a ring needs at least 3 sites")
     return sites // 2
+
+
+def _mirror(half: np.ndarray, size: int) -> np.ndarray:
+    """The symmetric circulant row c_0..c_{size-1} with c_k = half[min(k, size - k)], from half[0..size // 2]."""
+    k = np.arange(size)
+    return half[np.minimum(k, size - k)]
 
 
 def toeplitz_view(first_row: np.ndarray) -> np.ndarray:
@@ -145,5 +152,4 @@ def ring_increment_row(sites: int, hurst: float) -> np.ndarray:
         fold = (half - 1.0) ** h2 - half**h2
     # lag N // 2 + 1 wraps back to N/2 - 1, or to (N - 1)/2 and half the difference
     row[half] = fold if sites % 2 == 0 else 0.5 * fold
-    j = np.arange(sites)
-    return row[np.minimum(j, sites - j)]
+    return _mirror(row, sites)

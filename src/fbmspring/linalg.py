@@ -19,7 +19,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import NoConvergence, NotPositiveDefinite
+from .errors import FbmSpringError, NotPositiveDefinite
 from .kernels import _first_row
 
 #: Relative scale of the default positive-definiteness tolerance.
@@ -127,5 +127,5 @@ def centrosymmetric_eigenvalues(rows: np.ndarray) -> np.ndarray:
             part += leading
             spectra.append(np.linalg.eigvalsh(matrix))
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"LAPACK eigvalsh did not converge: {exc}") from exc
+        raise FbmSpringError(f"LAPACK eigvalsh did not converge: {exc}") from exc
     return np.sort(np.concatenate(spectra))

@@ -44,7 +44,7 @@ import numpy as np
 
 from .circulant import _half_spectrum, _symmetric_row
 from .errors import IndefiniteCovariance, QuadratureFailure
-from .kernels import _EPS, _check_hurst, _first_row
+from .kernels import _EPS, _check_hurst, _first_row, _mirror
 
 TWO_PI = 2.0 * math.pi
 
@@ -101,7 +101,7 @@ def sample_toeplitz(first_row: np.ndarray, paths: int, seed: int | np.random.Gen
     IndefiniteCovariance. ``seed`` is a Philox key or a continued Generator.
     """
     row = _first_row(first_row)
-    embedding = np.concatenate((row, row[-2:0:-1]))
+    embedding = _mirror(row, max(2 * row.size - 2, 1))
     return SampleBatch(values=np.ascontiguousarray(_circulant_rows(embedding, paths, seed)[:, : row.size]))
 
 

@@ -39,6 +39,10 @@ def random_coupling_profile(rng, size, scale=1.0):
     return g
 
 
+#: Ring sizes at which each use of ``kernels._mirror`` is checked against the expression it replaced.
+MIRRORED_SIZES = (3, 4, 7, 64, 1025, 65536)
+
+
 def same_bits(x, y):
     """Equal shapes and equal float64 bit patterns (so -0.0 differs from 0.0)."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)

@@ -6,8 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fbmspring.circulant import circulant_eigenvalues, mirrored_distance_row, ring_mode_spectrum
+from fbmspring.kernels import ring_increment_row
+from fbmspring.rings import ring_coupling_profile
 
-from conftest import circulant_dense
+from conftest import MIRRORED_SIZES, circulant_dense, same_bits
 
 
 @st.composite
@@ -68,6 +70,18 @@ class TestEigenvalues:
             lam = circulant_eigenvalues(row)
             for m in range(1, n):
                 assert lam[m] == lam[n - m]
+
+    @pytest.mark.parametrize("sites", MIRRORED_SIZES)
+    def test_spectrum_is_the_mirrored_rfft_it_replaced(self, sites):
+        row = ring_increment_row(sites, 0.3)
+        half = np.fft.rfft(row).real
+        assert same_bits(circulant_eigenvalues(row), np.concatenate((half, half[1 : sites - sites // 2][::-1])))
+
+    @pytest.mark.parametrize("sites", MIRRORED_SIZES)
+    def test_coupling_row_is_the_gather_it_replaced(self, sites):
+        g = ring_coupling_profile(sites, 0.3)
+        k = np.arange(sites)
+        assert same_bits(mirrored_distance_row(g, sites), np.concatenate(([0.0], g))[np.minimum(k, sites - k)])
 
     @given(symmetric_circulants())
     def test_multiset_matches_dense_solver(self, row):

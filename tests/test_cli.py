@@ -21,7 +21,6 @@ from fbmspring.couplings import chain_coupling_matrix
 from fbmspring.errors import (
     IndefiniteCovariance,
     MissingRingModes,
-    NoConvergence,
     NoSignChange,
     NotPositiveDefinite,
     QuadratureFailure,
@@ -213,14 +212,22 @@ class TestSpectrumCommand:
         np.testing.assert_allclose(lam, 2 * 0.7 * (1 - np.cos(theta)), atol=1e-12)
 
     def test_g_file_model(self, tmp_path):
-        model = tmp_path / "model.txt"
-        model.write_text("# two-coupling ring\nN=12\ng1=1.0\ng2 -0.25\n")
-        out = tmp_path / "s.csv"
-        assert main(["spectrum", "--g-file", str(model), "--out", str(out)]) == 0
-        _, _, rows = read_csv(out)
-        lam = np.array([float(v) for _, v in rows])
+        # each documented coupling form: g<k>=<value>, g<k> <value> and <k> <value>
+        model, out = tmp_path / "model.txt", tmp_path / "s.csv"
         theta = 2 * np.pi * np.arange(12) / 12
-        np.testing.assert_allclose(lam, (1 - np.cos(theta)) ** 2, atol=1e-12)
+        for line in ("g2=-0.25", "g2 -0.25", "2 -0.25"):
+            model.write_text(f"# two-coupling ring\nN=12\ng1=1.0\n{line}\n")
+            assert main(["spectrum", "--g-file", str(model), "--out", str(out)]) == 0
+            lam = np.array([float(v) for _, v in read_csv(out)[2]])
+            np.testing.assert_allclose(lam, (1 - np.cos(theta)) ** 2, atol=1e-12)
+
+    @pytest.mark.parametrize("key", ["n", "sites"])
+    def test_g_file_ring_size_is_only_n_equals(self, tmp_path, capsys, key):
+        model = tmp_path / "model.txt"
+        model.write_text(f"{key}=12\ng1=1.0\n")
+        assert main(["spectrum", "--g-file", str(model)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --g-file {model}:1: malformed model line '{key}=12': unknown key '{key}'\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["--out", "m.txt"], "--out would overwrite --g-file m.txt"),
@@ -1228,7 +1235,7 @@ class TestExitStatus:
         (NoSignChange("same sign"), "no result", 3),
         (NotPositiveDefinite(pivot_index=1, pivot_value=0.0), "numerical failure", 4),
         (MissingRingModes([2], 0.0, 1e-15, 6, 0.5), "error", 2),
-        (NoConvergence("eigh"), "numerical failure", 4),
+        (errors.FbmSpringError("LAPACK eigvalsh did not converge"), "numerical failure", 4),
         (QuadratureFailure(1.0, 1.0, 1e-10), "numerical failure", 4),
     ], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
     def test_error_class_sets_prefix_and_code(self, monkeypatch, capsys, exc, prefix, code):
@@ -1242,8 +1249,8 @@ class TestExitStatus:
     def test_errors_that_reject_a_model_are_value_errors(self):
         # one class per failure a caller can tell apart; every other rejection is a plain ValueError
         classes = {cls for cls in vars(errors).values() if isinstance(cls, type)}
-        assert classes == {errors.FbmSpringError, IndefiniteCovariance, MissingRingModes, NoConvergence,
-                           NoSignChange, NotPositiveDefinite, QuadratureFailure}
+        assert classes == {errors.FbmSpringError, IndefiniteCovariance, MissingRingModes, NoSignChange,
+                           NotPositiveDefinite, QuadratureFailure}
         for cls in classes:
             assert issubclass(cls, ValueError) == (cls in {IndefiniteCovariance, MissingRingModes}), cls.__name__
         assert not issubclass(MissingRingModes, NotPositiveDefinite)

@@ -7,6 +7,7 @@ from fbmspring.circulant import _half_spectrum
 from fbmspring.kernels import (
     _chain_increments,
     _chain_index,
+    _mirror,
     chain_increment_row,
     ring_increment_row,
     toeplitz_view,
@@ -14,6 +15,7 @@ from fbmspring.kernels import (
 from fbmspring.linalg import default_tol_pd
 
 from conftest import (
+    MIRRORED_SIZES,
     circulant_dense,
     exact_chain_row,
     exact_ring_row,
@@ -95,6 +97,22 @@ class TestChainRules:
             _chain_index(61, 61)
         with pytest.raises(IndexError, match=r"^partner -1 outside 0\.\.60$"):
             _chain_index(61, -1, "partner")
+
+
+class TestMirror:
+    """``_mirror``, the one layout c_k = half[min(k, N - k)] of a symmetric circulant row."""
+
+    def test_equals_a_per_index_loop(self):
+        rng = np.random.default_rng(5)
+        for size in range(1, 11):
+            half = rng.normal(size=size // 2 + 1)
+            assert same_bits(_mirror(half, size), [half[min(k, size - k)] for k in range(size)]), size
+
+    @pytest.mark.parametrize("sites", MIRRORED_SIZES)
+    def test_ring_row_is_the_gather_it_replaced(self, sites):
+        row = ring_increment_row(sites, 0.3)
+        j = np.arange(sites)
+        assert same_bits(row, row[: sites // 2 + 1][np.minimum(j, sites - j)])
 
 
 class TestToeplitzView:

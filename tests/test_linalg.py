@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fbmspring.errors import NoConvergence, NotPositiveDefinite
+from fbmspring.errors import FbmSpringError, NotPositiveDefinite
 from fbmspring.kernels import chain_increment_row
 from fbmspring import linalg
 from fbmspring.couplings import chain_coupling_matrix, chain_coupling_rows, coupling_laplacian
@@ -363,7 +363,7 @@ class TestCentrosymmetricEigenvalues:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        with pytest.raises(NoConvergence, match="LAPACK eigvalsh did not converge"):
+        with pytest.raises(FbmSpringError, match="LAPACK eigvalsh did not converge"):
             centrosymmetric_eigenvalues(np.eye(4)[:2])
 
 

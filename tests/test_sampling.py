@@ -10,6 +10,7 @@ from fbmspring.errors import IndefiniteCovariance, QuadratureFailure
 from fbmspring.kernels import chain_increment_row, ring_increment_row
 from fbmspring.sampling import (
     TWO_PI,
+    _circulant_rows,
     brownian_bridge_ring,
     covariance_bound,
     fourier_mode_energy,
@@ -24,6 +25,7 @@ from conftest import (
     circulant_dense,
     empirical_covariance,
     grid_increments,
+    same_bits,
     toeplitz_dense,
     uniform_grid_increment_cov,
 )
@@ -52,6 +54,13 @@ class TestStationarySamplers:
         batch = sample_circulant(row, paths=40_000, seed=101)
         bound = covariance_bound(np.eye(4), 40_000)
         assert (np.abs(empirical_covariance(batch) - np.eye(4)) <= bound).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4096])
+    def test_toeplitz_draws_are_those_of_the_concatenated_embedding(self, n):
+        # the embedding (r_0..r_{n-1}, r_{n-2}..r_1) that kernels._mirror now lays out, of size 1 at n = 1
+        row = chain_increment_row(n, 0.3)
+        embedding = np.concatenate((row, row[-2:0:-1]))
+        assert same_bits(sample_toeplitz(row, 5, 11).values, _circulant_rows(embedding, 5, 11)[:, :n])
 
     @pytest.mark.parametrize("sampler, row", [(sample_circulant, ring_increment_row(9, 0.3)),
                                               (sample_toeplitz, chain_row(9, 0.7))], ids=["ring", "chain"])
