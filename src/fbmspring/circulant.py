@@ -39,9 +39,14 @@ def _half_spectrum(row: np.ndarray) -> tuple[np.ndarray, float]:
 
     The tolerance is SPECTRUM_TOL_SAFETY * eps * log2(N) * sum|c|: an
     eigenvalue at or below it may be zero. Private, so that a caller on the
-    sampling route reaches no public function of this module.
+    sampling route reaches no public function of this module. Raises
+    ValueError when 2 * sum|c|, a bound on every |mu_0 - mu_m|, overflows.
     """
-    tol = SPECTRUM_TOL_SAFETY * _EPS * math.log2(row.size) * float(np.abs(row).sum())
+    with np.errstate(over="ignore"):  # an overflowing sum is reported below, not warned about
+        scale = float(np.abs(row).sum())
+    if 2.0 * scale == math.inf:
+        raise ValueError(f"the circulant spectrum overflows: 2 * sum|c_k| over its first row is {2.0 * scale}")
+    tol = SPECTRUM_TOL_SAFETY * _EPS * math.log2(row.size) * scale
     return np.fft.rfft(row).real, tol
 
 

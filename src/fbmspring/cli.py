@@ -39,6 +39,7 @@ import argparse
 import atexit
 import contextlib
 import gc
+import inspect
 import itertools
 import json
 import os
@@ -380,15 +381,14 @@ def _cmd_spectrum(args: argparse.Namespace) -> None:
 def _cmd_critical(args: argparse.Namespace) -> None:
     from .critical import coupling_at, find_critical_hurst
 
-    # flags left out take its defaults, which a functools.wraps wrapper keeps on __wrapped__ only
-    for key, default in getattr(find_critical_hurst, "__wrapped__", find_critical_hurst).__kwdefaults__.items():
-        if getattr(args, key) is None:
-            setattr(args, key, default)
+    # flags left out take its defaults, which inspect reads through a functools.wraps wrapper
+    given = {key: v for key in ("monomers", "offset", "bracket", "tol") if (v := getattr(args, key)) is not None}
+    bound = inspect.signature(find_critical_hurst).bind(**given)
+    bound.apply_defaults()
+    vars(args).update(bound.arguments, center=args.center)  # --center stays 1-based
     center = _resolve_center(args.monomers, args.center)
     try:
-        h_star, iterations = find_critical_hurst(
-            monomers=args.monomers, offset=args.offset, center=center, bracket=tuple(args.bracket), tol=args.tol
-        )
+        h_star, iterations = find_critical_hurst(**(bound.arguments | dict(center=center, bracket=tuple(args.bracket))))
     except IndexError:  # the center is on the chain, so its partner is not: name both 1-based
         raise ValueError(f"--center {center + 1} and --offset {args.offset} name monomer "
                          f"{center + 1 + args.offset}, outside 1..{args.monomers}") from None

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from fbmspring.circulant import circulant_eigenvalues, mirrored_distance_row, ring_mode_spectrum
 from fbmspring.kernels import ring_increment_row
-from fbmspring.rings import ring_coupling_profile
+from fbmspring.rings import check_admissible, ring_coupling_profile
+from fbmspring.sampling import sample_circulant
 
 from conftest import MIRRORED_SIZES, circulant_dense, same_bits
 
@@ -176,3 +178,30 @@ class TestRingModeSpectrum:
         np.testing.assert_array_equal(mirrored_distance_row(np.array([1.0, 2.0]), 5), [0, 1, 2, 2, 1])
         with pytest.raises(ValueError):
             mirrored_distance_row(np.array([1.0]), 5)
+
+
+class TestOverflow:
+    """2 sum|c| bounds every |mu_0 - mu_m|: a row whose bound overflows is rejected before the FFT runs."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: circulant_eigenvalues(np.array([0.0, 1e308, 1e308])),
+        lambda: ring_mode_spectrum(np.array([6e307]), 3),
+        lambda: ring_mode_spectrum(np.array([1e308]), 3),
+        lambda: check_admissible(np.array([6e307]), 3),
+        lambda: sample_circulant(np.array([1e308, -6e307, -6e307]), 1, 0),
+    ], ids=["eigenvalues", "ring-spectrum-inf", "ring-spectrum-nan", "admissible", "sample"])
+    def test_overflowing_row_is_rejected_without_warnings(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                call()
+        assert str(info.value) == "the circulant spectrum overflows: 2 * sum|c_k| over its first row is inf"
+
+    def test_largest_finite_bound_passes(self):
+        # 2 sum|c| = 1.6e308: every eigenvalue, and the tolerance, stays finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = ring_mode_spectrum(np.array([4e307]), 3)
+            report = check_admissible(np.array([4e307]), 3)
+        assert lam.tolist() == [0.0, 1.2e308, 1.2e308]
+        assert report.admissible and report.lambda_min_nonzero == 1.2e308

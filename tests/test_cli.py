@@ -124,7 +124,8 @@ class TestCouplingsCommand:
         # the hint above H = 1/2 must not contradict a ring the package accepts; the exact
         # couplings (40-digit mpmath) are 1.59313605019135442... and -0.51934263029149813...
         assert main(["couplings", "--mode", "ring", "--monomers", "5", "--hurst", "0.6"]) == 0
-        assert capsys.readouterr().out.endswith("distance,g\n1,1.5931360501913541\n2,-0.51934263029149808\n")
+        out, err = capsys.readouterr()
+        assert err == "" and out.endswith("distance,g\n1,1.5931360501913541\n2,-0.51934263029149808\n")
 
     def test_large_low_hurst_ring_exists(self, tmp_path):
         # mu_1 = 4.4e-5 here; a tolerance of 1e-9 N max|c| once called it a missing mode
@@ -302,9 +303,13 @@ class TestSpectrumCommand:
 
 
 class TestCriticalCommand:
-    def test_default_reproduces_published_value(self, tmp_path):
+    def test_default_reproduces_published_value(self, tmp_path, capsys):
         out = tmp_path / "crit.json"
         assert main(["critical", "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        # every file is whole, none is left as .partial, and the manifest lists what the run wrote
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["crit.json", "crit.manifest.json"]
+        assert json.loads((tmp_path / "crit.manifest.json").read_text())["outputs"] == ["crit.json"]
         payload = json.loads(out.read_text())
         assert payload["h_star"] == pytest.approx(0.75964, abs=1e-4)
         assert payload["iterations"] == math.ceil(math.log2(0.3 / 1e-6))
@@ -344,7 +349,7 @@ class TestCriticalCommand:
         assert capsys.readouterr() == ("", f"error: --center must lie in 1..61, got {center}\n")
 
     def test_defaults_survive_a_wrapped_search(self, monkeypatch, capsys):
-        # a decorator made with functools.wraps hides __kwdefaults__ but keeps __wrapped__
+        # a functools.wraps wrapper taking **kw has no defaults of its own; its signature is the search's
         search = critical.find_critical_hurst
         monkeypatch.setattr(critical, "find_critical_hurst", functools.wraps(search)(lambda **kw: search(**kw)))
         assert main(["critical", "--tol", "0.01"]) == 0
@@ -429,13 +434,14 @@ class TestSampleCommand:
         assert "indefinite" in err.lower()
 
     def test_ring_above_half_names_the_covariance(self, tmp_path, capsys):
-        # the library's own message, with no Hurst rule of the CLI's added to it
-        argv = ["sample", "--model", "ring", "--sites", "8", "--hurst", "0.7", "--out", str(tmp_path / "s.csv")]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            "error: cannot sample: covariance is indefinite: smallest eigenvalue -1.862725e+00, "
-            "tolerance 1.968659e-13\n"
-        )
+        # the library's own message, with no Hurst rule of the CLI's added to it, on stdout and with --out
+        argv = ["sample", "--model", "ring", "--sites", "8", "--hurst", "0.7"]
+        for out in ([], ["--out", str(tmp_path / "s.csv")]):
+            assert main(argv + out) == 2
+            assert capsys.readouterr() == ("", (
+                "error: cannot sample: covariance is indefinite: smallest eigenvalue -1.862725e+00, "
+                "tolerance 1.968659e-13\n"
+            ))
         assert sorted(tmp_path.iterdir()) == []
 
     def test_reflected_ring_report(self, tmp_path):
@@ -473,15 +479,23 @@ class TestSampleCommand:
 
 
 class TestFourierEnergyCommand:
-    def test_series_and_closed_form(self, tmp_path):
+    def test_series_and_closed_form(self, tmp_path, capsys):
+        # at H = 1/2 even modes print exactly 0 and odd modes are 8 pi^2 / n^4 within 1e-15
+        argv = ["fourier-energy", "--hurst", "0.5", "--mode-max", "12"]
         out = tmp_path / "fourier.csv"
-        assert main(["fourier-energy", "--hurst", "0.5", "--mode-max", "6", "--out", str(out)]) == 0
+        assert main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == (out.read_text(), "")
         _, header, rows = read_csv(out)
         assert header == "mode,value"
-        values = {int(m): float(v) for m, v in rows}
-        assert values[1] == pytest.approx(8 * math.pi**2, rel=1e-9)
-        assert abs(values[2]) < 1e-9
-        assert values[3] == pytest.approx(8 * math.pi**2 / 81, rel=1e-9)
+        assert [int(m) for m, _ in rows] == list(range(1, 13))
+        for m, value in rows:
+            n = int(m)
+            if n % 2 == 0:
+                assert value == "0", n
+            else:
+                assert abs(float(value) * n**4 / (8 * math.pi**2) - 1) <= 1e-15, n
 
 
 def per_value_write_csv(path, echo, header, rows):
@@ -742,15 +756,23 @@ def stream(model, dim):
 def test_chunked_sample_equals_one_call_batch(tmp_path, model, dim):
     flags, echoed, sampler, first, reference = stream(model, dim)
     rows = cli._CHUNK_VALUES // dim
-    for paths in (1, rows + 1, 2 * rows + 3):  # none a whole number of chunks
+    runs = [(1, 7), (rows + 1, 7), (2 * rows + 3, 7)]  # none a whole number of chunks
+    if (model, dim) == ("reflected", 64):
+        runs.append((100_000, 5))  # the 1e5 x 64 table of the sample_stream benchmark
+    for paths, seed in runs:
         out = tmp_path / f"{paths}.csv"
-        assert main(["sample", "--model", model, *flags, "--paths", str(paths), "--seed", "7",
+        assert main(["sample", "--model", model, *flags, "--paths", str(paths), "--seed", str(seed),
                      "--out", str(out)]) == 0
-        batch = sampler(first, paths, 7)
-        echo = f"# command=sample\n# model={model}\n# paths={paths}\n# seed=7\n"
+        batch = sampler(first, paths, seed)
+        echo = f"# command=sample\n# model={model}\n# paths={paths}\n# seed={seed}\n"
         echo += "".join(f"# {key}={value}\n" for key, value in echoed.items())
         header = ",".join(f"v{i}" for i in range(dim)) + "\n"
-        assert out.read_bytes() == (echo + header).encode() + percent_rows(batch.values)
+        with out.open("rb") as written:  # a chunk of rows at a time: no text copy of a large table is held
+            assert written.read(len(echo + header)) == (echo + header).encode()
+            for start in range(0, paths, rows):
+                expected = percent_rows(batch.values[start : start + rows])
+                assert written.read(len(expected)) == expected, start
+            assert written.read() == b""
         report = json.loads(out.with_suffix(".report.json").read_text())
         error = np.abs(empirical_covariance(batch) - reference)
         assert report["max_abs_error"] == pytest.approx(error.max(), rel=1e-12)
@@ -826,8 +848,9 @@ def test_chain_and_ring_samples_need_no_eigensolver(tmp_path, monkeypatch, capsy
 def test_flags_a_model_would_ignore_are_rejected(tmp_path, monkeypatch, capsys, argv, message):
     # as spectrum rejects them; --grid has a default, so it is never told to be unused
     monkeypatch.chdir(tmp_path)
-    assert main([*argv, "--out", "s.csv"]) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    for out in ([], ["--out", "s.csv"]):
+        assert main(argv + out) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -841,8 +864,9 @@ def test_flags_a_model_would_ignore_are_rejected(tmp_path, monkeypatch, capsys, 
 ], ids=["couplings", "spectrum-energy", "spectrum-cov", "spectrum-g", "sample", "ring-design"])
 def test_every_ring_route_names_the_ring_size_alike(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
-    assert main([*argv, "--out", "o.out"]) == 2
-    assert capsys.readouterr() == ("", "error: a ring needs at least 3 sites\n")
+    for out in ([], ["--out", "o.out"]):
+        assert main(argv + out) == 2
+        assert capsys.readouterr() == ("", "error: a ring needs at least 3 sites\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -856,9 +880,13 @@ def test_every_ring_route_names_the_ring_size_alike(tmp_path, monkeypatch, capsy
 ], ids=["critical", "couplings", "spectrum-energy", "spectrum-cov", "sample"])
 def test_every_chain_route_names_the_chain_size_alike(tmp_path, monkeypatch, capsys, argv, monomers):
     monkeypatch.chdir(tmp_path)
-    assert main([*argv, "--monomers", monomers, "--out", "o.out"]) == 2
-    assert capsys.readouterr() == ("", "error: a chain needs at least 2 monomers\n")
+    for out in ([], ["--out", "o.out"]):
+        assert main([*argv, "--monomers", monomers, *out]) == 2
+        assert capsys.readouterr() == ("", "error: a chain needs at least 2 monomers\n")
     assert list(tmp_path.iterdir()) == []
+
+
+SPECTRUM_OVERFLOWS = "the circulant spectrum overflows: 2 * sum|c_k| over its first row is inf"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -874,13 +902,32 @@ def test_every_chain_route_names_the_chain_size_alike(tmp_path, monkeypatch, cap
     (["sample", "--model", "ring", "--sites", "8"], "ring sampling needs --sites and --hurst"),
     (["sample", "--model", "bridge", "--grid", "1"], "need at least 2 grid points"),
     (["fourier-energy", "--hurst", "0.3", "--mode-max", "0"], "--mode-max must be >= 1"),
+    (["couplings", "--mode", "ring", "--monomers", "64", "--hurst", "0.7"],
+     "no Gaussian ring model with 64 sites at hurst = 0.7: ring increment covariance is not positive definite: "
+     "no positive weight on modes 2, 4, 6, 8, 10, 12, 14, 16, ... (16 modes; smallest eigenvalue -5.022319e+00, "
+     "tolerance 9.489631e-13); above hurst = 0.5 only some odd rings have one"),
+    (["couplings", "--mode", "ring", "--monomers", "7", "--hurst", "0.9"],
+     "no Gaussian ring model with 7 sites at hurst = 0.9: ring increment covariance is not positive definite: "
+     "no positive weight on modes 2 (1 modes; smallest eigenvalue -2.798678e+00, tolerance 2.986112e-13); "
+     "above hurst = 0.5 only some odd rings have one"),
+    (["spectrum", "--mode", "ring", "--monomers", "6", "--hurst", "0.5"],
+     "no Gaussian ring model with 6 sites at hurst = 0.5: ring increment covariance is not positive definite: "
+     "no positive weight on modes 2 (1 modes; smallest eigenvalue 1.110223e-16, tolerance 7.346905e-14)"),
+    # 2 sum|g| bounds every |lambda_m|; numpy would print inf or nan, with overflow warnings
+    (["spectrum", "--sites", "3", "--g", "6e307"], SPECTRUM_OVERFLOWS),
+    (["spectrum", "--sites", "3", "--g", "1e308"], SPECTRUM_OVERFLOWS),
+    (["ring-design", "--g1", "6e307", "--c", "0", "--gamma", "4", "--sites", "3"], SPECTRUM_OVERFLOWS),
+    (["ring-design", "--g1", "1e308", "--c", "1e308", "--gamma", "3.5", "--sites", "8"], SPECTRUM_OVERFLOWS),
 ], ids=["g-file-unreadable", "g-file-unknown-key", "ring-size-missing", "ring-size-below-3", "too-many-g",
-        "chain-spectrum-no-hurst", "paths-0", "chain-sample-no-flags", "ring-sample-no-flags", "grid-1", "mode-max-0"])
+        "chain-spectrum-no-hurst", "paths-0", "chain-sample-no-flags", "ring-sample-no-flags", "grid-1", "mode-max-0",
+        "ring-64-above-half", "ring-7-above-half", "spectrum-ring-brownian-even", "spectrum-g-overflow",
+        "spectrum-g-overflow-nan", "ring-design-overflow", "ring-design-overflow-all-modes"])
 def test_rejected_input_writes_nothing(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     Path("m.txt").write_text("N=8\nx=1\n")
-    assert main([*argv, "--out", "o.csv"]) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    for out in ([], ["--out", "o.csv"]):
+        assert main(argv + out) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt"]
 
 
@@ -1070,6 +1117,8 @@ def test_ring_sampling_leaves_numpy_ma_unimported(tmp_path, model):
 ROUTES = {
     "couplings-chain": (["couplings", "--mode", "chain", "--monomers", "61", "--hurst", "0.3"], 0,
                         {"couplings", "linalg", "_blockformat"}),
+    "couplings-chain-2049": (["couplings", "--mode", "chain", "--monomers", "2049", "--hurst", "0.95"], 0,
+                             {"couplings", "linalg", "_blockformat"}),
     "couplings-ring": (["couplings", "--mode", "ring", "--monomers", "64", "--hurst", "0.3"], 0,
                        {"circulant", "rings", "_blockformat"}),
     "couplings-ring-rejected": (["couplings", "--mode", "ring", "--monomers", "64", "--hurst", "0.7"], 2,
@@ -1083,13 +1132,18 @@ ROUTES = {
                        {"couplings", "linalg", "_blockformat"}),
     "spectrum-chain-cov": (["spectrum", "--mode", "chain", "--monomers", "61", "--hurst", "0.3", "--cov"], 0,
                            {"linalg", "_blockformat"}),
+    "spectrum-chain-cov-2049": (["spectrum", "--mode", "chain", "--monomers", "2049", "--hurst", "0.7", "--cov"], 0,
+                                {"linalg", "_blockformat"}),
     "critical": (["critical"], 0, {"couplings", "critical", "linalg"}),
     "critical-no-sign-change": (["critical", "--offset", "1"], 3, {"couplings", "critical", "linalg"}),
+    "critical-257": (["critical", "--monomers", "257", "--tol", "1e-9"], 0, {"couplings", "critical", "linalg"}),
     "ring-design": (["ring-design", "--g1", "1", "--c", "0.1", "--gamma", "4", "--sites", "64"], 0,
                     {"circulant", "rings"}),
     "sample": (["sample", "--model", "chain", "--monomers", "17", "--hurst", "0.3", "--paths", "5"], 0,
                {"circulant", "sampling", "_blockformat"}),
     "fourier-energy": (["fourier-energy", "--hurst", "0.3"], 0, {"circulant", "sampling", "_blockformat"}),
+    "fourier-energy-2000": (["fourier-energy", "--hurst", "0.3", "--mode-max", "2000"], 0,
+                            {"circulant", "sampling", "_blockformat"}),
 }
 
 

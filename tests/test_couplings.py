@@ -291,10 +291,13 @@ class TestChainCouplingRow:
         for center in (0, 1, monomers // 3, (monomers - 1) // 2, monomers - 2, monomers - 1):
             assert same_bits(chain_coupling_row(monomers, hurst, center), g[center]), center
 
-    @pytest.mark.parametrize("hurst, attractive", [(0.7, 70), (0.9, 98), (0.95, 102)])
+    @pytest.mark.parametrize("hurst, attractive", [
+        (0.3, 1024), (0.5, 2), (0.55, 24), (0.7, 70), (0.9, 98), (0.95, 102),
+    ])
     def test_center_signs_match_extended_precision(self, hurst, attractive):
-        # the cancelling row of earlier versions got 2, 60 and 166 of these signs wrong
-        # (68, 126 and 188 attractive partners)
+        # every partner attracts below H = 1/2, only the nearest two at 1/2, and most repel above it;
+        # the cancelling row of earlier versions got 2, 60 and 166 of the signs at 0.7, 0.9 and 0.95
+        # wrong (68, 126 and 188 attractive partners)
         monomers, center = 1025, 512
         g = np.delete(chain_coupling_row(monomers, hurst, center), center)
         oracle = np.delete(extended_center_couplings(exact_chain_row(monomers - 1, hurst), center), center)
