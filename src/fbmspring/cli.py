@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Subcommands build models from flags, run the library pipelines, and emit
-figure-ready CSV series plus machine-readable JSON reports. Once a handler
+figure-ready CSV series plus machine-readable JSON reports. The CLI holds
+flags, files, budgets and exit codes; the formula behind each value it
+prints, every spectrum and the sample report's verdict included, has its
+owner in a library layer. Once a handler
 has written the files ``_files`` names, ``main`` writes the run manifest
 (``<out>.manifest.json``) when ``--out`` is set, recording the command,
 parameters, package version, seed, and output list, and sets the exit status.
@@ -269,10 +272,12 @@ def _parse_g_list(text: str) -> list[float]:
         raise ValueError(f"could not parse --g value {text!r}: {exc}") from exc
 
 
-def _parse_g_file(path: Path) -> tuple[int | None, dict[int, float]]:
-    """Model file: ``N=...`` plus ``g<k>=<v>`` / ``g<k> <v>`` / ``<k> <v>`` lines."""
-    sites: int | None = None
-    table: dict[int, float] = {}
+def _parse_g_file(path: Path) -> dict:
+    """Model file: ``N=...`` plus ``g<k>=<v>`` / ``g<k> <v>`` / ``<k> <v>`` lines, each key at most once.
+
+    Each value with its line number, under ``"N"`` or its coupling distance.
+    """
+    entries: dict = {}
     try:
         raw = path.read_text()
     except OSError as exc:
@@ -284,42 +289,46 @@ def _parse_g_file(path: Path) -> tuple[int | None, dict[int, float]]:
         try:
             if "=" in body:
                 key, value = (part.strip() for part in body.split("=", 1))
-                if key == "N":
-                    sites = int(value)
-                    continue
-                if not key.startswith("g"):
+                if key != "N" and not key.startswith("g"):
                     raise ValueError(f"unknown key {key!r}")
-                table[int(key[1:])] = _finite(value)
-                continue
-            parts = body.split()
-            if len(parts) != 2:
-                raise ValueError("expected '<k> <value>' pair")
-            key = parts[0][1:] if parts[0].startswith("g") else parts[0]
-            table[int(key)] = _finite(parts[1])
+            else:
+                parts = body.split()
+                if len(parts) != 2:
+                    raise ValueError("expected '<k> <value>' pair")
+                key, value = parts[0] if parts[0].startswith("g") else "g" + parts[0], parts[1]
+            key, value = ("N", int(value)) if key == "N" else (int(key[1:]), _finite(value))
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"--g-file {path}:{lineno}: malformed model line {body!r}: {exc}") from exc
-    return sites, table
+        if key in entries:
+            name = "N" if key == "N" else f"coupling distance {key}"
+            raise ValueError(f"--g-file {path}:{lineno}: {name} given twice, first on line {entries[key][1]}")
+        entries[key] = value, lineno
+    return entries
 
 
 def _ring_model_from_args(args: argparse.Namespace) -> tuple[int, np.ndarray]:
-    """Ring size and couplings by distance from --sites, --g and --g-file."""
+    """Ring size and couplings by distance from --sites, --g and --g-file, none of which may give a value twice."""
+    entries = {} if args.g_file is None else _parse_g_file(args.g_file)
     sites = args.sites
-    table: dict[int, float] = {}
-    if args.g_file is not None:
-        file_sites, table = _parse_g_file(args.g_file)
-        sites = sites if sites is not None else file_sites
+    if "N" in entries:
+        file_sites, lineno = entries.pop("N")
+        if sites not in (None, file_sites):
+            raise ValueError(f"--sites {sites} and --g-file {args.g_file}:{lineno} give two ring sizes, "
+                             f"{sites} and {file_sites}")
+        sites = file_sites
     if sites is None:
         raise ValueError("ring size missing: pass --sites or an N= line in --g-file")
     g = np.zeros(_ring_half(sites))
-    if args.g is not None:
-        values = _parse_g_list(args.g)
-        if len(values) > g.size:
-            raise ValueError(f"got {len(values)} couplings but a ring of {sites} sites has "
-                             f"only {g.size} distinct distances")
-        g[: len(values)] = values
-    for dist, value in table.items():
+    values = [] if args.g is None else _parse_g_list(args.g)
+    if len(values) > g.size:
+        raise ValueError(f"got {len(values)} couplings but a ring of {sites} sites has "
+                         f"only {g.size} distinct distances")
+    g[: len(values)] = values
+    for dist, (value, lineno) in entries.items():
         if not 1 <= dist <= g.size:
             raise ValueError(f"coupling distance {dist} outside 1..{g.size} for {sites} sites")
+        if dist <= len(values):
+            raise ValueError(f"coupling distance {dist} given by --g and by --g-file {args.g_file}:{lineno}")
         g[dist - 1] = value
     return sites, g
 
@@ -355,24 +364,17 @@ def _cmd_spectrum(args: argparse.Namespace) -> None:
 
             lam = circulant_eigenvalues(ring_increment_row(monomers, hurst))
         elif args.mode == "ring":
-            from .circulant import mirrored_distance_row
             from .rings import ring_energy_eigenvalues
 
-            lam = mirrored_distance_row(ring_energy_eigenvalues(monomers, hurst), monomers)
-        # A chain read from the other end is the same chain: its leading half of rows holds the spectrum.
+            lam = ring_energy_eigenvalues(monomers, hurst)
         elif args.cov:
-            from .linalg import centrosymmetric_eigenvalues
+            from .linalg import chain_covariance_eigenvalues
 
-            row = chain_increment_row(_chain_increments(monomers), hurst)
-            lam = centrosymmetric_eigenvalues(toeplitz_view(row)[: monomers // 2])
+            lam = chain_covariance_eigenvalues(monomers, hurst)
         else:
-            from .couplings import chain_coupling_rows
-            from .linalg import centrosymmetric_eigenvalues
+            from .couplings import chain_energy_eigenvalues
 
-            rows = chain_coupling_rows(monomers, hurst, 0, monomers - monomers // 2)
-            sums = rows.sum(axis=1)
-            np.fill_diagonal(np.subtract(0.0, rows, out=rows), sums)  # Laplacian rows diag(sums) - g, in place
-            lam = centrosymmetric_eigenvalues(rows)
+            lam = chain_energy_eigenvalues(monomers, hurst)
     _write_series(args, echo, "mode", "lambda", [np.column_stack((np.arange(lam.size), lam))])
 
 
@@ -454,7 +456,7 @@ def _cmd_sample(args: argparse.Namespace) -> None:
     _reject_unused(f"--model {args.model}", flags, used)
     from .sampling import (
         brownian_bridge_ring,
-        covariance_bound,
+        covariance_report,
         piecewise_ring_cov_matrix,
         reflected_brownian_ring,
         sample_circulant,
@@ -497,20 +499,9 @@ def _cmd_sample(args: argparse.Namespace) -> None:
     _write_csv(args.out, echo, ",".join(f"v{i}" for i in range(dim)), blocks())
     if report_path is None:  # stdout mode emits the CSV only
         return
-    reference = covariance(model)  # of a chain or ring: row[|i - j|], a ring's row being symmetric
-    empirical = gram / args.paths
-    bound = covariance_bound(reference, args.paths)
-    error = np.abs(empirical - reference)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(bound > 0, error / np.where(bound > 0, bound, 1.0), np.where(error > 0, np.inf, 0.0))
-    report = {
-        "model": {k: v for k, v in echo.items() if k != "command"},
-        "dim": dim,
-        "max_abs_error": float(error.max()),
-        "max_error_over_bound": float(ratio.max()),
-        "within_bound": bool((error <= bound + 1e-15).all()),
-    }
-    _write_json(report_path, report)
+    # the reference of a chain or ring is the view row[|i - j|], a ring's row being symmetric
+    _write_json(report_path, {"model": {k: v for k, v in echo.items() if k != "command"}, "dim": dim,
+                              **covariance_report(gram, args.paths, covariance(model))})
 
 
 # ------------------------------------------------------------ fourier energy

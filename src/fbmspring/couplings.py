@@ -10,7 +10,9 @@ with a symmetric, zero-diagonal coupling table g. Positive g_kl is an
 attractive spring between monomers k and l, negative g_kl a repulsive one.
 Both directions of the transform are implemented here, together with the
 position-space quadratic form matrix (the weighted Laplacian of the coupling
-graph) and the figure-style slice of one monomer's couplings to all others.
+graph, written by one routine for a whole table or a chain's leading band of
+rows, whose spectrum :func:`chain_energy_eigenvalues` gives) and the
+figure-style slice of one monomer's couplings to all others.
 One builder writes any band of coupling rows from energy rows read in order,
 a dense matrix's or, in :func:`chain_coupling_rows`, the chain's stream of
 :func:`~fbmspring.linalg.toeplitz_inverse_rows`: it holds two energy rows and
@@ -94,8 +96,6 @@ def energy_from_couplings(g: np.ndarray) -> np.ndarray:
     """
     g = _check_table(g)
     n = g.shape[0] - 1
-    if n == 0:
-        return np.zeros((0, 0))
     # suffix sum over columns, then prefix sum over rows:
     # w[r, c] = sum_{i <= r} sum_{k >= c} g[i, k]
     w = np.cumsum(np.cumsum(g[:, ::-1], axis=1)[:, ::-1], axis=0)
@@ -111,8 +111,14 @@ def coupling_laplacian(g: np.ndarray) -> np.ndarray:
     over unordered pairs. The constant vector is always a zero mode: shifting
     every monomer together costs nothing. L is exactly symmetric because g is.
     """
-    g = _check_table(g)
-    return np.diag(g.sum(axis=1)) - g
+    return _laplacian_rows(_check_table(g).copy())
+
+
+def _laplacian_rows(g: np.ndarray) -> np.ndarray:
+    """diag(row sums) - g in place, over leading rows 0..k of a zero-diagonal coupling table: row i's sum at (i, i)."""
+    sums = g.sum(axis=1)
+    np.fill_diagonal(np.subtract(0.0, g, out=g), sums)
+    return g
 
 
 def coupling_slice(g: np.ndarray, center: int) -> list[tuple[int, float]]:
@@ -147,3 +153,16 @@ def chain_coupling_matrix(monomers: int, hurst: float) -> np.ndarray:
     Gohberg-Semencul inverse is exactly symmetric, so nothing is checked.
     """
     return chain_coupling_rows(monomers, hurst, 0, monomers)
+
+
+def chain_energy_eigenvalues(monomers: int, hurst: float) -> np.ndarray:
+    """Ascending eigenvalues of a chain's coupling Laplacian, the first its structural zero mode.
+
+    A chain read from the other end is the same chain, so the Laplacian is
+    centrosymmetric: its leading ceil(m/2) rows, from that band of
+    :func:`chain_coupling_rows`, hold the whole spectrum, which
+    :func:`~fbmspring.linalg.centrosymmetric_eigenvalues` splits into two
+    half-size blocks. About 8 m^2 bytes, in O(m^3) time.
+    """
+    rows = chain_coupling_rows(monomers, hurst, 0, monomers - monomers // 2)
+    return linalg.centrosymmetric_eigenvalues(_laplacian_rows(rows))

@@ -40,7 +40,7 @@ class MissingRingModes(FbmSpringError, ValueError):
         super().__init__(
             f"no Gaussian ring model with {sites} sites at hurst = {hurst}: "
             f"ring increment covariance is not positive definite: no positive weight on "
-            f"modes {shown} ({len(modes)} modes; smallest eigenvalue {min_eigenvalue:.6e}, "
+            f"modes {shown} ({len(modes)} mode{'s' * (len(modes) != 1)}; smallest eigenvalue {min_eigenvalue:.6e}, "
             f"tolerance {tol:.6e}){hint}",
         )
 

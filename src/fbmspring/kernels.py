@@ -146,10 +146,8 @@ def ring_increment_row(sites: int, hurst: float) -> np.ndarray:
     half = _ring_half(sites)
     row = chain_increment_row(half + 1, hurst)
     h2 = 2.0 * hurst
-    if half > 1:
+    with np.errstate(divide="ignore"):  # N = 3: log1p(-1) = -inf, and expm1 gives 0^{2H} - 1 = -1
         fold = half**h2 * np.expm1(h2 * np.log1p(-1.0 / half))  # (half - 1)^{2H} - half^{2H}
-    else:
-        fold = (half - 1.0) ** h2 - half**h2
     # lag N // 2 + 1 wraps back to N/2 - 1, or to (N - 1)/2 and half the difference
     row[half] = fold if sites % 2 == 0 else 0.5 * fold
     return _mirror(row, sites)

@@ -5,7 +5,8 @@ works from their first row: it runs the Durbin recursion, whose pivots give
 the positive-definiteness verdict, then streams the rows of the inverse in
 order, one O(n) row at a time, and its consumer decides how many rows to read.
 Chains are also centrosymmetric, so :func:`centrosymmetric_eigenvalues`
-splits their leading half of rows into two half-size blocks for ``eigvalsh``.
+splits their leading half of rows into two half-size blocks for ``eigvalsh``;
+:func:`chain_covariance_eigenvalues` applies it to a chain's covariance.
 Dense inputs must be *exactly* symmetric (``a[i, k] == a[k, i]`` bitwise);
 builders elsewhere construct them so, and :func:`require_symmetric` is the
 guard at every entry point. Ring verdicts come from the circulant spectrum
@@ -20,7 +21,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .errors import FbmSpringError, NotPositiveDefinite
-from .kernels import _first_row
+from .kernels import _chain_increments, _first_row, chain_increment_row, toeplitz_view
 
 #: Relative scale of the default positive-definiteness tolerance.
 DEFAULT_PD_SCALE = 1e-9
@@ -98,7 +99,6 @@ def toeplitz_inverse_rows(first_row: np.ndarray) -> Iterator[np.ndarray]:
     return rows()
 
 
-
 def centrosymmetric_eigenvalues(rows: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a symmetric centrosymmetric n x n matrix from its first ceil(n/2) rows.
 
@@ -129,3 +129,14 @@ def centrosymmetric_eigenvalues(rows: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise FbmSpringError(f"LAPACK eigvalsh did not converge: {exc}") from exc
     return np.sort(np.concatenate(spectra))
+
+
+def chain_covariance_eigenvalues(monomers: int, hurst: float) -> np.ndarray:
+    """Ascending eigenvalues of a chain's n x n increment covariance, n = monomers - 1.
+
+    The split of its leading ceil(n/2) rows, a read-only :func:`~fbmspring.kernels.toeplitz_view`
+    of the first row: about 4 m^2 bytes, in O(m^3) time, the same bits as the
+    split of the whole matrix.
+    """
+    n = _chain_increments(monomers)
+    return centrosymmetric_eigenvalues(toeplitz_view(chain_increment_row(n, hurst))[: n - n // 2])

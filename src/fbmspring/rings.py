@@ -136,11 +136,13 @@ def power_law_ring(
 
 
 def ring_energy_eigenvalues(sites: int, hurst: float) -> np.ndarray:
-    """Energy eigenvalues lambda_1..lambda_{floor(N/2)} of a periodic fractional Brownian ring.
+    """Energy eigenvalues lambda_0..lambda_{N-1} of a periodic fractional Brownian ring, in mode order.
 
     The energy matrix is the inverse covariance of the first N - 1 increments,
     so lambda_m = 2 sin^2(theta_m/2) / mu_m, with mu_m the eigenvalues of the
-    circulant increment covariance, theta_m = 2 pi m / N and lambda_0 = 0.
+    circulant increment covariance, theta_m = 2 pi m / N and lambda_0 = 0;
+    modes 1..floor(N/2) are computed and ``kernels._mirror`` lays them out
+    with lambda_m == lambda_{N-m} bitwise.
     Raises MissingRingModes naming each mode m <= N/2 with mu_m at or below
     the tolerance of ``circulant._half_spectrum``, the FFT's rounding error
     times a safety factor: then no Gaussian ring exists.
@@ -154,7 +156,7 @@ def ring_energy_eigenvalues(sites: int, hurst: float) -> np.ndarray:
     missing = mu <= tol
     if missing.any():
         raise MissingRingModes([int(m) for m in modes[missing]], float(mu.min()), tol, sites, hurst)
-    return 2.0 * np.sin(np.pi * modes / sites) ** 2 / mu
+    return kernels._mirror(np.concatenate(([0.0], 2.0 * np.sin(np.pi * modes / sites) ** 2 / mu)), sites)
 
 
 def ring_coupling_profile(sites: int, hurst: float) -> np.ndarray:
@@ -163,4 +165,4 @@ def ring_coupling_profile(sites: int, hurst: float) -> np.ndarray:
     g_k = -1/N sum_m lambda_m cos(theta_m k), the inverse cosine transform of
     :func:`ring_energy_eigenvalues` over all N modes; raises as it does.
     """
-    return -_half_spectrum(mirrored_distance_row(ring_energy_eigenvalues(sites, hurst), sites))[0][1:] / sites
+    return -_half_spectrum(ring_energy_eigenvalues(sites, hurst))[0][1:] / sites

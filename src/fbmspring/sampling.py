@@ -5,8 +5,9 @@ closed form in the incomplete gamma function, evaluated by its continued
 fraction; see :func:`fourier_mode_energy`.
 
 A batch is checked against its model through the zero-mean covariance
-estimate values.T @ values / paths, which callers sum over row chunks, and the
-elementwise bound of :func:`covariance_bound`.
+estimate values.T @ values / paths, whose Gram matrix callers sum over row
+chunks, and the elementwise bound of :func:`covariance_bound`;
+:func:`covariance_report` gives the error and the verdict.
 
 Randomness: every batch is drawn from a counter-based Philox bit generator
 keyed by the user seed (``numpy.random.Philox``), with normal variates from
@@ -113,6 +114,25 @@ def covariance_bound(cov: np.ndarray, paths: int) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     d = np.diag(cov)
     return 5.0 * np.sqrt((np.outer(d, d) + cov**2) / paths)
+
+
+def covariance_report(gram: np.ndarray, paths: int, reference: np.ndarray) -> dict:
+    """The largest error of the estimate gram / paths against ``reference``, and its verdict.
+
+    ``gram`` is values.T @ values summed over a batch of ``paths`` rows. Returns
+    ``max_abs_error``, ``max_error_over_bound`` (the error over
+    :func:`covariance_bound` elementwise; inf where the bound is 0 and the error
+    is not) and ``within_bound``, every error within its bound up to 1e-15.
+    """
+    bound = covariance_bound(reference, paths)
+    error = np.abs(gram / paths - reference)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(bound > 0, error / np.where(bound > 0, bound, 1.0), np.where(error > 0, np.inf, 0.0))
+    return {
+        "max_abs_error": float(error.max()),
+        "max_error_over_bound": float(ratio.max()),
+        "within_bound": bool((error <= bound + 1e-15).all()),
+    }
 
 
 def piecewise_ring_cov_matrix(grid: np.ndarray) -> np.ndarray:

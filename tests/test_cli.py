@@ -259,9 +259,8 @@ class TestSpectrumCommand:
         out = tmp_path / "s.csv"
         assert main(["spectrum", "--mode", "ring", "--monomers", str(sites), "--hurst", "0.3", "--out", str(out)]) == 0
         lam = np.array([float(v) for _, v in read_csv(out)[2]])
-        half = ring_energy_eigenvalues(sites, 0.3)
+        assert np.array_equal(lam, ring_energy_eigenvalues(sites, 0.3))
         assert lam[0] == 0.0
-        assert np.array_equal(lam[1 : half.size + 1], half)
         assert np.array_equal(lam[1:], lam[:0:-1])
 
     def test_malformed_g_file_reports_line(self, tmp_path, capsys):
@@ -889,10 +888,28 @@ def test_every_chain_route_names_the_chain_size_alike(tmp_path, monkeypatch, cap
 SPECTRUM_OVERFLOWS = "the circulant spectrum overflows: 2 * sum|c_k| over its first row is inf"
 
 
+#: Model files that test_rejected_input_writes_nothing writes before each input.
+MODEL_FILES = {"m.txt": "N=8\nx=1\n", "n12.txt": "N=12\ng1=1\n", "twice.txt": "N=12\ng2=-0.25\n2 -0.5\n",
+               "sizes.txt": "N=12\nN=8\n"}
+
+
 @pytest.mark.parametrize("argv, message", [
+    (["couplings", "--mode", "chain", "--monomers", "11", "--hurst", "1.7"],
+     "chain couplings need 0 < hurst < 1 (a rigid rod at 1), got hurst = 1.7"),
+    (["couplings", "--mode", "chain", "--monomers", "11", "--hurst", "0.3", "--center", "12"],
+     "--center must lie in 1..11, got 12"),
+    (["spectrum", "--sites", "12"], "spectrum needs either --g/--g-file or --mode with --monomers/--hurst"),
     (["spectrum", "--g-file", "none.txt"],
      "cannot read --g-file none.txt: [Errno 2] No such file or directory: 'none.txt'"),
     (["spectrum", "--g-file", "m.txt", "--sites", "8"], "--g-file m.txt:2: malformed model line 'x=1': unknown key 'x'"),
+    # a ring model that gives one value twice, whichever would win
+    (["spectrum", "--g-file", "n12.txt", "--sites", "8"],
+     "--sites 8 and --g-file n12.txt:1 give two ring sizes, 8 and 12"),
+    (["spectrum", "--g-file", "sizes.txt"], "--g-file sizes.txt:2: N given twice, first on line 1"),
+    (["spectrum", "--g-file", "twice.txt"],
+     "--g-file twice.txt:3: coupling distance 2 given twice, first on line 2"),
+    (["spectrum", "--g-file", "n12.txt", "--g", "1,-0.25"],
+     "coupling distance 1 given by --g and by --g-file n12.txt:2"),
     (["spectrum", "--g", "1"], "ring size missing: pass --sites or an N= line in --g-file"),
     (["spectrum", "--sites", "2", "--g", "1"], "a ring needs at least 3 sites"),
     (["spectrum", "--sites", "6", "--g", "1,2,3,4"], "got 4 couplings but a ring of 6 sites has only 3 distinct distances"),
@@ -908,27 +925,30 @@ SPECTRUM_OVERFLOWS = "the circulant spectrum overflows: 2 * sum|c_k| over its fi
      "tolerance 9.489631e-13); above hurst = 0.5 only some odd rings have one"),
     (["couplings", "--mode", "ring", "--monomers", "7", "--hurst", "0.9"],
      "no Gaussian ring model with 7 sites at hurst = 0.9: ring increment covariance is not positive definite: "
-     "no positive weight on modes 2 (1 modes; smallest eigenvalue -2.798678e+00, tolerance 2.986112e-13); "
+     "no positive weight on modes 2 (1 mode; smallest eigenvalue -2.798678e+00, tolerance 2.986112e-13); "
      "above hurst = 0.5 only some odd rings have one"),
     (["spectrum", "--mode", "ring", "--monomers", "6", "--hurst", "0.5"],
      "no Gaussian ring model with 6 sites at hurst = 0.5: ring increment covariance is not positive definite: "
-     "no positive weight on modes 2 (1 modes; smallest eigenvalue 1.110223e-16, tolerance 7.346905e-14)"),
+     "no positive weight on modes 2 (1 mode; smallest eigenvalue 1.110223e-16, tolerance 7.346905e-14)"),
     # 2 sum|g| bounds every |lambda_m|; numpy would print inf or nan, with overflow warnings
     (["spectrum", "--sites", "3", "--g", "6e307"], SPECTRUM_OVERFLOWS),
     (["spectrum", "--sites", "3", "--g", "1e308"], SPECTRUM_OVERFLOWS),
     (["ring-design", "--g1", "6e307", "--c", "0", "--gamma", "4", "--sites", "3"], SPECTRUM_OVERFLOWS),
     (["ring-design", "--g1", "1e308", "--c", "1e308", "--gamma", "3.5", "--sites", "8"], SPECTRUM_OVERFLOWS),
-], ids=["g-file-unreadable", "g-file-unknown-key", "ring-size-missing", "ring-size-below-3", "too-many-g",
+], ids=["chain-hurst-1.7", "center-12-of-11", "spectrum-no-model", "g-file-unreadable", "g-file-unknown-key",
+        "sites-and-n-differ", "g-file-n-twice", "g-file-distance-twice", "g-and-g-file-distance", "ring-size-missing",
+        "ring-size-below-3", "too-many-g",
         "chain-spectrum-no-hurst", "paths-0", "chain-sample-no-flags", "ring-sample-no-flags", "grid-1", "mode-max-0",
         "ring-64-above-half", "ring-7-above-half", "spectrum-ring-brownian-even", "spectrum-g-overflow",
         "spectrum-g-overflow-nan", "ring-design-overflow", "ring-design-overflow-all-modes"])
 def test_rejected_input_writes_nothing(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
-    Path("m.txt").write_text("N=8\nx=1\n")
+    for name, text in MODEL_FILES.items():
+        Path(name).write_text(text)
     for out in ([], ["--out", "o.csv"]):
         assert main(argv + out) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(MODEL_FILES)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1162,31 +1182,12 @@ def test_each_route_loads_only_the_layers_it_runs(route):
 
 
 class TestArgumentValidation:
-    def test_bad_monomer_count(self, capsys):
-        # the library owns the minimums: a chain needs 2 monomers, a ring 3 sites
-        assert main(["couplings", "--mode", "chain", "--monomers", "1", "--hurst", "0.3"]) == 2
-        assert capsys.readouterr() == ("", "error: a chain needs at least 2 monomers\n")
-        assert main(["couplings", "--mode", "ring", "--monomers", "2", "--hurst", "0.3"]) == 2
-        assert capsys.readouterr() == ("", "error: a ring needs at least 3 sites\n")
-
     @pytest.mark.parametrize("hurst", ["0.3", "0.7"])
     def test_two_monomer_chain_has_one_coupling(self, capsys, hurst):
         # as spectrum, critical and sample accept it: g_01 = 1/2 at every H
         assert main(["couplings", "--mode", "chain", "--monomers", "2", "--hurst", hurst]) == 0
         out, err = capsys.readouterr()
         assert err == "" and out.splitlines()[-2:] == ["index,g", "2,0.5"]
-
-    def test_bad_hurst(self, capsys):
-        assert main(["couplings", "--mode", "chain", "--monomers", "11", "--hurst", "1.7"]) == 2
-
-    def test_spectrum_needs_a_model(self, capsys):
-        assert main(["spectrum", "--sites", "12"]) == 2
-
-    def test_center_bounds(self, capsys):
-        assert main([
-            "couplings", "--mode", "chain", "--monomers", "11",
-            "--hurst", "0.3", "--center", "12",
-        ]) == 2
 
     @pytest.mark.parametrize("center", [0, 62])
     def test_center_off_a_61_monomer_chain(self, capsys, center):

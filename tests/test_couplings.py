@@ -146,6 +146,13 @@ class TestCouplingLaplacian:
         np.testing.assert_allclose(lap, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
         np.testing.assert_allclose(np.linalg.eigvalsh(lap), [0.0, 1.0], atol=1e-14)
 
+    def test_is_diag_of_row_sums_minus_the_table(self, rng):
+        for size in (1, 2, 7, 64):
+            g = random_coupling_profile(rng, size)
+            before = g.copy()
+            assert same_bits(coupling_laplacian(g), np.diag(g.sum(axis=1)) - g)
+            assert same_bits(g, before)  # the caller's table is left as it was
+
     def test_zero_profile(self):
         lap = coupling_laplacian(np.zeros((3, 3)))
         np.testing.assert_array_equal(lap, np.zeros((3, 3)))

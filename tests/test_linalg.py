@@ -4,7 +4,7 @@ import pytest
 from fbmspring.errors import FbmSpringError, NotPositiveDefinite
 from fbmspring.kernels import chain_increment_row
 from fbmspring import linalg
-from fbmspring.couplings import chain_coupling_matrix, chain_coupling_rows, coupling_laplacian
+from fbmspring.couplings import chain_coupling_matrix, chain_coupling_rows, chain_energy_eigenvalues, coupling_laplacian
 from fbmspring.linalg import (
     centrosymmetric_eigenvalues,
     default_tol_pd,
@@ -328,6 +328,15 @@ class TestCentrosymmetricEigenvalues:
             assert np.abs(split - dense).max() <= 1e-14 * np.abs(dense).max()
         # a Toeplitz matrix's mirrored block is exactly symmetric, so (M + M.T)/2 is M
         assert same_bits(centrosymmetric_eigenvalues(leading_rows(covariance)), full_matrix_split(covariance))
+
+    @pytest.mark.parametrize("hurst", [0.05, 0.7])
+    @pytest.mark.parametrize("monomers", [2, 3, 4, 17, 64, 65])
+    def test_chain_spectra_owners_split_the_leading_rows(self, monomers, hurst):
+        # the same bits as the split of leading rows sliced from the whole covariance and Laplacian
+        covariance = toeplitz_dense(chain_increment_row(monomers - 1, hurst))
+        assert same_bits(linalg.chain_covariance_eigenvalues(monomers, hurst), full_matrix_split(covariance))
+        assert same_bits(chain_energy_eigenvalues(monomers, hurst),
+                         centrosymmetric_eigenvalues(chain_laplacian_rows(monomers, hurst)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 40, 41])
     def test_random_matrices_match_dense(self, rng, n):

@@ -19,7 +19,7 @@ from fbmspring.rings import (
     zeta_minus_one_tail,
 )
 
-from conftest import circulant_dense, ring_laplacian_circulant
+from conftest import MIRRORED_SIZES, circulant_dense, ring_laplacian_circulant, same_bits
 
 
 def two_coupling_model(sites, g1, g2):
@@ -322,7 +322,7 @@ class TestRingCouplingProfile:
         exc = info.value
         assert str(exc) == (
             f"no Gaussian ring model with 6 sites at hurst = {hurst}: ring increment covariance is not "
-            f"positive definite: no positive weight on modes 2 (1 modes; smallest eigenvalue "
+            f"positive definite: no positive weight on modes 2 (1 mode; smallest eigenvalue "
             f"{exc.min_eigenvalue:.6e}, tolerance {exc.tol:.6e}){hint}"
         )
         assert exc.modes == [2]
@@ -406,7 +406,7 @@ class TestRingEnergyEigenvalues:
     @pytest.mark.parametrize("sites, hurst", [(3, 0.45), (5, 0.6), (9, 0.3), (64, 0.05), (64, 0.45), (65, 0.3)])
     def test_matches_extended_precision(self, sites, hurst):
         expected = self.mpmath_eigenvalues(sites, hurst)
-        assert np.abs(ring_energy_eigenvalues(sites, hurst) / expected - 1.0).max() <= 1e-13
+        assert np.abs(ring_energy_eigenvalues(sites, hurst)[1 : sites // 2 + 1] / expected - 1.0).max() <= 1e-13
 
     @pytest.mark.parametrize("sites", [9, 64, 1025])
     @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.45])
@@ -414,15 +414,23 @@ class TestRingEnergyEigenvalues:
         # mu_m = 2 sin^2(theta_m/2) (-s_m) with s the cosine transform of d_j^{2H}
         j = np.arange(sites)
         s = np.fft.rfft(np.minimum(j, sites - j).astype(float) ** (2.0 * hurst)).real[1:]
-        lam = ring_energy_eigenvalues(sites, hurst)
+        lam = ring_energy_eigenvalues(sites, hurst)[1 : sites // 2 + 1]
         assert np.abs(lam * -s - 1.0).max() <= 1e-9
 
     @pytest.mark.parametrize("sites", [5, 8, 64, 257])
     def test_couplings_return_the_eigenvalues(self, sites):
         # ring_coupling_profile is the inverse cosine transform; the forward one gives lambda back
         lam = ring_energy_eigenvalues(sites, 0.3)
-        back = ring_mode_spectrum(ring_coupling_profile(sites, 0.3), sites)[1 : sites // 2 + 1]
+        back = ring_mode_spectrum(ring_coupling_profile(sites, 0.3), sites)
         assert np.abs(back - lam).max() <= 1e-13 * lam.max()
+
+    @pytest.mark.parametrize("sites", MIRRORED_SIZES)
+    def test_all_modes_in_mode_order(self, sites):
+        # lambda_0 = 0, then modes 1..N/2 from the covariance spectrum, mirrored bitwise onto N/2..N-1
+        mu = _half_spectrum(ring_increment_row(sites, 0.3))[0][1:]
+        half = 2.0 * np.sin(np.pi * np.arange(1, sites // 2 + 1) / sites) ** 2 / mu
+        k = np.arange(sites)
+        assert same_bits(ring_energy_eigenvalues(sites, 0.3), np.concatenate(([0.0], half))[np.minimum(k, sites - k)])
 
     def test_missing_modes_raise(self):
         with pytest.raises(MissingRingModes) as info:

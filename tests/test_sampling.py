@@ -13,6 +13,7 @@ from fbmspring.sampling import (
     _circulant_rows,
     brownian_bridge_ring,
     covariance_bound,
+    covariance_report,
     fourier_mode_energy,
     piecewise_ring_cov_matrix,
     reflected_brownian_ring,
@@ -506,6 +507,16 @@ class TestHelpers:
         bound = covariance_bound(cov, paths=100)  # five sigma
         assert bound[0, 1] == pytest.approx(5 * math.sqrt((2 * 3 + 1) / 100))
         assert bound[0, 0] == pytest.approx(5 * math.sqrt((4 + 4) / 100))
+
+    def test_covariance_report(self):
+        # estimate gram / 100 against diag(2, 0): a zero bound allows no error at all
+        reference = np.diag([2.0, 0.0])
+        bound = 5 * math.sqrt(8 / 100)
+        assert covariance_report(np.diag([250.0, 0.0]), 100, reference) == {
+            "max_abs_error": 0.5, "max_error_over_bound": 0.5 / bound, "within_bound": True}
+        gram = np.array([[250.0, 10.0], [10.0, 0.0]])
+        assert covariance_report(gram, 100, reference) == {
+            "max_abs_error": 0.5, "max_error_over_bound": math.inf, "within_bound": False}
 
 
 @pytest.mark.parametrize("n", [8, 13, 64, 256])
