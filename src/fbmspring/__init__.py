@@ -34,8 +34,8 @@ _EXPORTS = {
     "couplings": ("chain_coupling_matrix", "coupling_laplacian", "coupling_slice", "couplings_from_energy",
                   "energy_from_couplings"),
     "circulant": ("circulant_eigenvalues", "mirrored_distance_row", "ring_mode_spectrum"),
-    "rings": ("AdmissibilityReport", "PowerLawDesign", "check_admissible", "power_law_ring",
-              "ring_coupling_profile", "single_distance_bound", "stiff_sufficient_bound", "zeta_minus_one_tail"),
+    "rings": ("check_admissible", "power_law_ring", "ring_coupling_profile", "single_distance_bound",
+              "stiff_sufficient_bound", "zeta_minus_one_tail"),
     "critical": ("coupling_at", "find_critical_hurst"),
     "sampling": ("SampleBatch", "brownian_bridge_ring", "covariance_bound", "fourier_mode_energy",
                  "piecewise_ring_cov_matrix", "reflected_brownian_ring", "sample_circulant", "sample_toeplitz",

@@ -81,6 +81,16 @@ def mirrored_distance_row(g_by_distance: np.ndarray, sites: int) -> np.ndarray:
     return _mirror(np.concatenate(([0.0], g)), sites)
 
 
+def _ring_modes(g_by_distance: np.ndarray, sites: int) -> tuple[np.ndarray, float]:
+    """Energy eigenvalues lambda_0..lambda_{N//2} of a distance-coupled ring, and the tolerance on them.
+
+    lambda_m = F_0 - F_m, with F the circulant eigenvalues of the mirrored
+    coupling row and the tolerance that of ``_half_spectrum`` on that row.
+    """
+    f, tol = _half_spectrum(mirrored_distance_row(g_by_distance, sites))
+    return f[0] - f, tol
+
+
 def ring_mode_spectrum(g_by_distance: np.ndarray, sites: int) -> np.ndarray:
     """Energy eigenvalues of a distance-coupled ring, all modes m = 0..N-1.
 
@@ -88,5 +98,4 @@ def ring_mode_spectrum(g_by_distance: np.ndarray, sites: int) -> np.ndarray:
     coupling row, i.e. F_0 - F_m with F the circulant eigenvalues of that row;
     the m = 0 value is the structural zero of the Laplacian, exactly 0.0.
     """
-    f = circulant_eigenvalues(mirrored_distance_row(g_by_distance, sites))
-    return f[0] - f
+    return _mirror(_ring_modes(g_by_distance, sites)[0], sites)

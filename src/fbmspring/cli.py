@@ -415,29 +415,10 @@ def _cmd_critical(args: argparse.Namespace) -> None:
 def _cmd_ring_design(args: argparse.Namespace) -> None:
     from .rings import check_admissible, power_law_ring
 
-    design = power_law_ring(
-        sites=args.sites,
-        g1=args.g1,
-        c=args.c,
-        gamma=args.gamma,
-        infinite_guarantee=args.infinite_guarantee,
-    )
-    report = check_admissible(design.g_by_distance, args.sites)
-    payload = {
-        "model": {
-            "sites": args.sites,
-            "g1": args.g1,
-            "c": args.c,
-            "gamma": args.gamma,
-            "g_by_distance": [float(v) for v in design.g_by_distance],
-        },
-        "finite_bound": design.finite_bound_satisfied,
-        "zeta_bound": design.zeta_bound_satisfied,
-        "admissible": report.admissible,
-        "lambda_min": report.lambda_min_nonzero,
-        "violating_modes": report.violating_modes,
-    }
-    _write_json(args.out, payload)
+    design = power_law_ring(args.sites, args.g1, args.c, args.gamma, args.infinite_guarantee)
+    g = design.pop("g_by_distance")
+    model = {"sites": args.sites, "g1": args.g1, "c": args.c, "gamma": args.gamma, "g_by_distance": g.tolist()}
+    _write_json(args.out, {"model": model, **design, **check_admissible(g, args.sites)})
 
 
 # -------------------------------------------------------------------- sample

@@ -18,49 +18,27 @@ profiles (attractive nearest neighbor, repulsive farther couplings):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .circulant import _half_spectrum, mirrored_distance_row
+from .circulant import _half_spectrum, _ring_modes
 from .errors import MissingRingModes
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Outcome of the exact eigenvalue sweep over nonzero modes."""
-
-    admissible: bool
-    lambda_min_nonzero: float
-    violating_modes: list[int]
-
-
-@dataclass(frozen=True)
-class PowerLawDesign:
-    """Power-law ring model together with its two sufficient-bound verdicts."""
-
-    g_by_distance: np.ndarray
-    finite_bound_satisfied: bool
-    zeta_bound_satisfied: bool | None
-
-
-def check_admissible(g_by_distance: np.ndarray, sites: int) -> AdmissibilityReport:
+def check_admissible(g_by_distance: np.ndarray, sites: int) -> dict:
     """Sweep all nonzero modes; admissible iff every lambda_m exceeds the FFT's rounding.
 
-    The tolerance is that of ``circulant._half_spectrum`` on the first row
-    (0, mirrored g). Degenerate pairs (m, N-m) are counted once, so violating
-    modes are reported in 1..floor(N/2); a nan lambda_m violates.
+    Returns the record ``ring-design`` prints: ``admissible``, ``lambda_min``
+    (the smallest nonzero-mode lambda_m) and ``violating_modes``. The modes
+    and their tolerance are those of ``circulant._ring_modes``. Degenerate
+    pairs (m, N-m) are counted once, so violating modes are reported in
+    1..floor(N/2); a nan lambda_m violates.
     """
-    f, tol = _half_spectrum(mirrored_distance_row(g_by_distance, sites))
-    modes = np.arange(1, sites // 2 + 1)
-    lam = f[0] - f[1:]
-    violating = modes[~(lam > tol)].tolist()
-    return AdmissibilityReport(
-        admissible=not violating,
-        lambda_min_nonzero=float(lam.min()),
-        violating_modes=violating,
-    )
+    lam, tol = _ring_modes(g_by_distance, sites)
+    lam = lam[1:]
+    violating = (np.flatnonzero(~(lam > tol)) + 1).tolist()
+    return {"admissible": not violating, "lambda_min": float(lam.min()), "violating_modes": violating}
 
 
 def stiff_sufficient_bound(g_by_distance: np.ndarray) -> bool | None:
@@ -73,7 +51,8 @@ def stiff_sufficient_bound(g_by_distance: np.ndarray) -> bool | None:
     if g.size == 0 or g[0] <= 0.0 or np.any(g[1:] > 0.0):
         return None
     k = np.arange(2, g.size + 1, dtype=float)
-    return bool(g[0] > math.pi**2 * float((k**2 * np.abs(g[1:])).sum()))
+    with np.errstate(over="ignore"):  # an infinite sum fails the bound, as it should
+        return bool(g[0] > math.pi**2 * float((k**2 * np.abs(g[1:])).sum()))
 
 
 def single_distance_bound(k: int, g1: float, gk: float) -> bool:
@@ -107,12 +86,16 @@ def power_law_ring(
     c: float,
     gamma: float,
     infinite_guarantee: bool = False,
-) -> PowerLawDesign:
-    """Stiff ring with g_1 = g1 and g_k = -c k^{-gamma} for k >= 2.
+) -> dict:
+    """Stiff ring with g_1 = g1 and g_k = -c k^{-gamma} for k >= 2, with its two sufficient-bound verdicts.
 
-    When ``infinite_guarantee`` is set, gamma must exceed 3 so that the
-    size-independent bound g1 > c pi^2 (zeta(gamma-2) - 1) is meaningful;
-    the bound itself is evaluated whenever gamma > 3.
+    Returns the record ``ring-design`` prints besides its model echo:
+    ``g_by_distance`` (an array), ``finite_bound`` (:func:`stiff_sufficient_bound`)
+    and ``zeta_bound``. When ``infinite_guarantee`` is set, gamma must exceed 3
+    so that the size-independent bound g1 > c pi^2 (zeta(gamma-2) - 1) is
+    meaningful; the bound itself is evaluated whenever gamma > 3, and is None
+    otherwise. With c = 0 every g_k is -0.0, whatever gamma; a c > 0 whose
+    c k^{-gamma} is not finite raises ValueError.
     """
     half = kernels._ring_half(sites)
     if not g1 > 0.0:
@@ -123,16 +106,20 @@ def power_law_ring(
         raise ValueError(f"size-independent guarantee needs gamma > 3, got gamma = {gamma}")
     g = np.empty(half)
     g[0] = g1
-    k = np.arange(2, half + 1, dtype=float)
-    g[1:] = -c * k**-gamma
+    if c == 0.0:
+        g[1:] = -c  # -c * k**-gamma wherever k**-gamma is finite; where it overflows that is 0 * inf = nan
+    else:
+        k = np.arange(2, half + 1, dtype=float)
+        with np.errstate(over="ignore"):  # an infinite coupling is rejected below, not warned about
+            g[1:] = -c * k**-gamma
+        bad = np.flatnonzero(~np.isfinite(g[1:]))
+        if bad.size:
+            raise ValueError(f"the repulsion c k^-gamma is not finite at distance k = {bad[0] + 2}, "
+                             f"with c = {c} and gamma = {gamma}")
     zeta_bound = None
     if gamma > 3.0:
         zeta_bound = bool(g1 > c * math.pi**2 * zeta_minus_one_tail(gamma - 2.0))
-    return PowerLawDesign(
-        g_by_distance=g,
-        finite_bound_satisfied=stiff_sufficient_bound(g),
-        zeta_bound_satisfied=zeta_bound,
-    )
+    return {"g_by_distance": g, "finite_bound": stiff_sufficient_bound(g), "zeta_bound": zeta_bound}
 
 
 def ring_energy_eigenvalues(sites: int, hurst: float) -> np.ndarray:

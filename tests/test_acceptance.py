@@ -281,14 +281,14 @@ def test_c09_two_coupling_boundary_as_stated():
             expected = ratio == -0.25 or sites < first_bad
             if expected != bool(lam.min() > 0):
                 failures.append((sites, ratio, "threshold disagrees with closed form"))
-            if rep.admissible != expected:
-                failures.append((sites, ratio, f"admissible={rep.admissible}"))
-            if abs(rep.lambda_min_nonzero - lam.min()) > 1e-12:
-                failures.append((sites, ratio, f"lambda_min {rep.lambda_min_nonzero} vs {lam.min()}"))
-            if not rep.admissible and 1 not in rep.violating_modes:
-                failures.append((sites, ratio, f"violating modes {rep.violating_modes}"))
-            if ratio == -0.27 and rep.admissible:
-                exceptions.append((sites, round(rep.lambda_min_nonzero, 4)))
+            if rep["admissible"] != expected:
+                failures.append((sites, ratio, f"admissible={rep['admissible']}"))
+            if abs(rep["lambda_min"] - lam.min()) > 1e-12:
+                failures.append((sites, ratio, f"lambda_min {rep['lambda_min']} vs {lam.min()}"))
+            if not rep["admissible"] and 1 not in rep["violating_modes"]:
+                failures.append((sites, ratio, f"violating modes {rep['violating_modes']}"))
+            if ratio == -0.27 and rep["admissible"]:
+                exceptions.append((sites, round(rep["lambda_min"], 4)))
     report(9, f"two-coupling rings N=8..64: admissible at -0.25; at -0.27 inadmissible "
               f"iff cos(2pi/N) > -1 - 1/(2r), i.e. N >= {first_bad}",
            not failures,
@@ -302,8 +302,8 @@ def test_c10_power_law_zeta_bound_soundness():
     threshold = math.pi**2 * zeta_minus_one_tail(2.0)  # gamma = 4, c = 1
     all_admissible = True
     for sites in range(3, 65):
-        g = power_law_ring(sites=sites, g1=7.0, c=1.0, gamma=4.0).g_by_distance
-        if not check_admissible(g, sites).admissible:
+        g = power_law_ring(sites=sites, g1=7.0, c=1.0, gamma=4.0)["g_by_distance"]
+        if not check_admissible(g, sites)["admissible"]:
             all_admissible = False
     ok = zeta2_err < 1e-12 and zeta4_err < 1e-12 and 7.0 > threshold and all_admissible
     report(10, "power-law rings (gamma=4, g1=7 > zeta bound) admissible for N <= 64", ok,

@@ -204,4 +204,4 @@ class TestOverflow:
             lam = ring_mode_spectrum(np.array([4e307]), 3)
             report = check_admissible(np.array([4e307]), 3)
         assert lam.tolist() == [0.0, 1.2e308, 1.2e308]
-        assert report.admissible and report.lambda_min_nonzero == 1.2e308
+        assert report["admissible"] and report["lambda_min"] == 1.2e308

@@ -935,12 +935,17 @@ MODEL_FILES = {"m.txt": "N=8\nx=1\n", "n12.txt": "N=12\ng1=1\n", "twice.txt": "N
     (["spectrum", "--sites", "3", "--g", "1e308"], SPECTRUM_OVERFLOWS),
     (["ring-design", "--g1", "6e307", "--c", "0", "--gamma", "4", "--sites", "3"], SPECTRUM_OVERFLOWS),
     (["ring-design", "--g1", "1e308", "--c", "1e308", "--gamma", "3.5", "--sites", "8"], SPECTRUM_OVERFLOWS),
+    # k^2 |g_k| overflows in the summed bound, which then fails, as it should, without a warning
+    (["ring-design", "--g1", "1", "--c", "1e308", "--gamma", "0", "--sites", "5"], SPECTRUM_OVERFLOWS),
+    (["ring-design", "--g1", "1", "--c", "1", "--gamma", "-2000", "--sites", "4"],
+     "the repulsion c k^-gamma is not finite at distance k = 2, with c = 1.0 and gamma = -2000.0"),
 ], ids=["chain-hurst-1.7", "center-12-of-11", "spectrum-no-model", "g-file-unreadable", "g-file-unknown-key",
         "sites-and-n-differ", "g-file-n-twice", "g-file-distance-twice", "g-and-g-file-distance", "ring-size-missing",
         "ring-size-below-3", "too-many-g",
         "chain-spectrum-no-hurst", "paths-0", "chain-sample-no-flags", "ring-sample-no-flags", "grid-1", "mode-max-0",
         "ring-64-above-half", "ring-7-above-half", "spectrum-ring-brownian-even", "spectrum-g-overflow",
-        "spectrum-g-overflow-nan", "ring-design-overflow", "ring-design-overflow-all-modes"])
+        "spectrum-g-overflow-nan", "ring-design-overflow", "ring-design-overflow-all-modes",
+        "ring-design-bound-overflow", "ring-design-power-law-overflow"])
 def test_rejected_input_writes_nothing(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     for name, text in MODEL_FILES.items():
@@ -1167,16 +1172,22 @@ ROUTES = {
 }
 
 
+#: Routes whose records are plain dicts, so that they load no dataclasses.
+NO_DATACLASSES = {"couplings-ring", "spectrum-ring", "ring-design"}
+
+
 @pytest.mark.parametrize("route", ROUTES)
 def test_each_route_loads_only_the_layers_it_runs(route):
     argv, code, layers = ROUTES[route]
     src = Path(fbmspring.__file__).resolve().parents[1]
     script = ("import sys; from fbmspring.cli import main; status = main(sys.argv[1:]); "
-              "print(status, *sorted(m for m in sys.modules if m.partition('.')[0] == 'fbmspring'), file=sys.stderr)")
+              "print(status, 'dataclasses' in sys.modules, "
+              "*sorted(m for m in sys.modules if m.partition('.')[0] == 'fbmspring'), file=sys.stderr)")
     result = subprocess.run([sys.executable, "-c", script, *argv], env={**os.environ, "PYTHONPATH": str(src)},
                             capture_output=True, text=True, timeout=120)
-    status, *modules = result.stderr.splitlines()[-1].split()
+    status, dataclasses, *modules = result.stderr.splitlines()[-1].split()
     assert int(status) == code
+    assert route not in NO_DATACLASSES or dataclasses == "False"
     always = {"fbmspring", "fbmspring.cli", "fbmspring.errors", "fbmspring.kernels"}
     assert set(modules) == always | {f"fbmspring.{layer}" for layer in layers}
 

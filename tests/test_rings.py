@@ -61,8 +61,9 @@ class TestBuilders:
 
     def test_laplacian_spectrum_three_ways(self):
         rng = np.random.default_rng(4)
-        for sites in (6, 13, 24):
-            g = rng.normal(size=sites // 2)
+        # with g = (1, -1) mode 4 of 12 comes out at +1.1e-16, inside the tolerance, so it violates
+        models = [(sites, rng.normal(size=sites // 2)) for sites in (6, 13, 24)] + [(12, two_coupling_model(12, 1, -1))]
+        for sites, g in models:
             row = ring_laplacian_circulant(g, sites)
             lam_formula = ring_mode_spectrum(g, sites)
             lam_circ = circulant_eigenvalues(row)
@@ -70,6 +71,11 @@ class TestBuilders:
             lam_dense = np.linalg.eigvalsh(circulant_dense(row))
             scale = max(np.abs(lam_dense).max(), 1e-30)
             assert np.abs(np.sort(lam_formula) - lam_dense).max() <= 1e-9 * scale
+            # the admissibility sweep reads the same modes, and the tolerance of the same row
+            report, half = check_admissible(g, sites), lam_formula[1 : sites // 2 + 1]
+            assert same_bits(report["lambda_min"], half.min())
+            tol = _half_spectrum(mirrored_distance_row(g, sites))[1]
+            assert report["violating_modes"] == (np.flatnonzero(half <= tol) + 1).tolist()
 
     def test_model_validation(self):
         # every function that unpacks a (g, sites) pair checks it in mirrored_distance_row
@@ -85,26 +91,26 @@ class TestBuilders:
 class TestAdmissibility:
     def test_boundary_ratio_admissible(self):
         report = check_admissible(two_coupling_model(12, 1.0, -0.25), 12)
-        assert report.admissible
-        assert report.lambda_min_nonzero > 0
-        assert report.violating_modes == []
+        assert report["admissible"]
+        assert report["lambda_min"] > 0
+        assert report["violating_modes"] == []
 
     def test_below_boundary_inadmissible(self):
         # lambda_1 = 2(1 - cos(pi/6)) - 0.6(1 - cos(pi/3)) = -0.032...
         report = check_admissible(two_coupling_model(12, 1.0, -0.30), 12)
-        assert not report.admissible
-        assert 1 in report.violating_modes
+        assert not report["admissible"]
+        assert 1 in report["violating_modes"]
         expected = 2 * (1 - math.cos(math.pi / 6)) - 0.6 * (1 - math.cos(math.pi / 3))
-        assert report.lambda_min_nonzero == pytest.approx(expected, abs=1e-12)
+        assert report["lambda_min"] == pytest.approx(expected, abs=1e-12)
 
     def test_nan_coupling_violates_every_mode(self):
         # nan reaches every mode's lambda_m and the default tolerance alike
         report = check_admissible(np.array([math.nan, 0.1, 0.0, 0.0]), 8)
-        assert not report.admissible
-        assert report.violating_modes == [1, 2, 3, 4]
+        assert not report["admissible"]
+        assert report["violating_modes"] == [1, 2, 3, 4]
 
     def test_nearest_neighbor_ring(self):
-        assert check_admissible(np.array([1.0, 0.0, 0.0, 0.0]), 8).admissible
+        assert check_admissible(np.array([1.0, 0.0, 0.0, 0.0]), 8)["admissible"]
 
     def test_large_nearest_neighbor_ring(self):
         # lambda_1 = 2 (1 - cos(2 pi / N)) = 9.19e-09 at 65536 sites, far above the
@@ -114,24 +120,24 @@ class TestAdmissibility:
         g = np.zeros(sites // 2)
         g[0] = 1.0
         report = check_admissible(g, sites)
-        assert report.admissible and report.violating_modes == []
-        assert report.lambda_min_nonzero == pytest.approx(2.0 * (1.0 - math.cos(2.0 * math.pi / sites)), rel=1e-6)
+        assert report["admissible"] and report["violating_modes"] == []
+        assert report["lambda_min"] == pytest.approx(2.0 * (1.0 - math.cos(2.0 * math.pi / sites)), rel=1e-6)
         assert _half_spectrum(mirrored_distance_row(g, sites))[1] < 1e-12
 
     def test_design_with_negative_modes_stays_inadmissible(self):
-        report = check_admissible(power_law_ring(sites=64, g1=1.0, c=2.0, gamma=4.0).g_by_distance, 64)
-        assert not report.admissible
-        assert report.violating_modes == [1, 2, 3]
-        assert report.lambda_min_nonzero < 0
+        report = check_admissible(power_law_ring(sites=64, g1=1.0, c=2.0, gamma=4.0)["g_by_distance"], 64)
+        assert not report["admissible"]
+        assert report["violating_modes"] == [1, 2, 3]
+        assert report["lambda_min"] < 0
 
     def test_two_coupling_family_boundary(self):
         """The ratio -1/4 is admissible for every size; below it the smallest
         mode goes negative once the ring is large enough for the long-wave
         expansion to bite (N >= 12 at ratio -0.27)."""
         for sites in range(8, 65):
-            assert check_admissible(two_coupling_model(sites, 1.0, -0.25), sites).admissible, sites
+            assert check_admissible(two_coupling_model(sites, 1.0, -0.25), sites)["admissible"], sites
             report = check_admissible(two_coupling_model(sites, 1.0, -0.27), sites)
-            assert report.admissible == (sites < 12), sites
+            assert report["admissible"] == (sites < 12), sites
 
     def test_sufficient_bound_soundness(self):
         # whenever the summed bound holds the exact sweep must pass
@@ -145,7 +151,7 @@ class TestAdmissibility:
             g[1:reach] = -(10.0 ** rng.uniform(-4, -0.5, size=reach - 1))
             if stiff_sufficient_bound(g):
                 checked += 1
-                assert check_admissible(g, sites).admissible
+                assert check_admissible(g, sites)["admissible"]
         assert checked > 30  # the sweep actually exercised the bound
 
     def test_bound_not_applicable_for_attractive_tails(self):
@@ -209,27 +215,30 @@ class TestPowerLawRing:
         threshold = math.pi**2 * (math.pi**2 / 6 - 1)  # ~6.3653 at gamma = 4, c = 1
         design = power_law_ring(sites=32, g1=7.0, c=1.0, gamma=4.0, infinite_guarantee=True)
         assert 7.0 > threshold
-        assert design.zeta_bound_satisfied is True
-        assert design.finite_bound_satisfied is True
+        assert design["zeta_bound"] is True
+        assert design["finite_bound"] is True
         for sites in range(4, 65):
-            g = power_law_ring(sites=sites, g1=7.0, c=1.0, gamma=4.0).g_by_distance
-            assert check_admissible(g, sites).admissible, sites
+            g = power_law_ring(sites=sites, g1=7.0, c=1.0, gamma=4.0)["g_by_distance"]
+            assert check_admissible(g, sites)["admissible"], sites
 
     def test_coupling_values(self):
         np.testing.assert_allclose(
-            power_law_ring(sites=10, g1=2.0, c=0.5, gamma=4.0).g_by_distance,
+            power_law_ring(sites=10, g1=2.0, c=0.5, gamma=4.0)["g_by_distance"],
             [2.0, -0.5 * 2.0**-4, -0.5 * 3.0**-4, -0.5 * 4.0**-4, -0.5 * 5.0**-4],
             atol=1e-15,
         )
 
     def test_zero_repulsion_trivially_admissible(self):
         design = power_law_ring(sites=16, g1=1.0, c=0.0, gamma=5.0)
-        assert design.finite_bound_satisfied is True
-        assert check_admissible(design.g_by_distance, 16).admissible
+        assert design["finite_bound"] is True
+        assert check_admissible(design["g_by_distance"], 16)["admissible"]
+        # k^2000 overflows, and -0 * inf would be nan: every g_k is still -0.0
+        overflowing = power_law_ring(sites=16, g1=1.0, c=0.0, gamma=-2000.0)["g_by_distance"]
+        assert same_bits(overflowing, power_law_ring(sites=16, g1=1.0, c=0.0, gamma=4.0)["g_by_distance"])
 
     def test_slow_decay_needs_no_guarantee(self):
         design = power_law_ring(sites=16, g1=1.0, c=0.05, gamma=2.5)
-        assert design.zeta_bound_satisfied is None
+        assert design["zeta_bound"] is None
 
     def test_slow_decay_rejected_with_guarantee(self):
         with pytest.raises(ValueError, match="size-independent guarantee needs gamma > 3, got gamma = 2.5"):
@@ -242,8 +251,8 @@ class TestPowerLawRing:
         k = np.arange(2, sites // 2 + 1, dtype=float)
         c_at_bound = 1.0 / (math.pi**2 * float((k**2 * k**-gamma).sum()))
         design = power_law_ring(sites=sites, g1=1.0, c=1.05 * c_at_bound, gamma=gamma)
-        assert design.finite_bound_satisfied is False
-        assert check_admissible(design.g_by_distance, sites).admissible
+        assert design["finite_bound"] is False
+        assert check_admissible(design["g_by_distance"], sites)["admissible"]
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -278,7 +287,7 @@ class TestRingCouplingProfile:
 
     def test_profile_reproduces_an_admissible_ring(self):
         report = check_admissible(ring_coupling_profile(24, 0.35), 24)
-        assert report.admissible
+        assert report["admissible"]
 
     def test_inadmissible_hurst_raises(self):
         with pytest.raises(MissingRingModes):
