@@ -39,7 +39,7 @@ closes as well but has the wrong covariance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ from .kernels import _EPS, _check_hurst, _first_row, _mirror
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class SampleBatch:
+class SampleBatch(NamedTuple):
     """A block of samples: ``values`` has one row per path and one column per coordinate."""
 
     values: np.ndarray

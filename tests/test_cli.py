@@ -1166,30 +1166,36 @@ ROUTES = {
                     {"circulant", "rings"}),
     "sample": (["sample", "--model", "chain", "--monomers", "17", "--hurst", "0.3", "--paths", "5"], 0,
                {"circulant", "sampling", "_blockformat"}),
+    "sample-reflected": (["sample", "--model", "reflected", "--grid", "13", "--paths", "5"], 0,
+                         {"circulant", "sampling", "_blockformat"}),
     "fourier-energy": (["fourier-energy", "--hurst", "0.3"], 0, {"circulant", "sampling", "_blockformat"}),
     "fourier-energy-2000": (["fourier-energy", "--hurst", "0.3", "--mode-max", "2000"], 0,
                             {"circulant", "sampling", "_blockformat"}),
 }
 
 
-#: Routes whose records are plain dicts, so that they load no dataclasses.
-NO_DATACLASSES = {"couplings-ring", "spectrum-ring", "ring-design"}
+#: Routes that load numpy.fft: ring couplings and spectra, ring designs and the FFT samplers; chain couplings
+#: and spectra, critical, fourier-energy and the reflected and bridge samplers do not.
+NUMPY_FFT = {"couplings-ring", "couplings-ring-rejected", "spectrum-ring", "spectrum-ring-cov", "spectrum-g",
+             "ring-design", "sample"}
 
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_each_route_loads_only_the_layers_it_runs(route):
+    # no route loads dataclasses, and only sample loads numpy.random (with secrets, hashlib and hmac)
     argv, code, layers = ROUTES[route]
     src = Path(fbmspring.__file__).resolve().parents[1]
     script = ("import sys; from fbmspring.cli import main; status = main(sys.argv[1:]); "
-              "print(status, 'dataclasses' in sys.modules, "
-              "*sorted(m for m in sys.modules if m.partition('.')[0] == 'fbmspring'), file=sys.stderr)")
+              "print(status, *sorted(m for m in sys.modules if m.partition('.')[0] == 'fbmspring' "
+              "or m in {'dataclasses', 'numpy.random', 'numpy.fft'}), file=sys.stderr)")
     result = subprocess.run([sys.executable, "-c", script, *argv], env={**os.environ, "PYTHONPATH": str(src)},
                             capture_output=True, text=True, timeout=120)
-    status, dataclasses, *modules = result.stderr.splitlines()[-1].split()
+    status, *modules = result.stderr.splitlines()[-1].split()
     assert int(status) == code
-    assert route not in NO_DATACLASSES or dataclasses == "False"
     always = {"fbmspring", "fbmspring.cli", "fbmspring.errors", "fbmspring.kernels"}
-    assert set(modules) == always | {f"fbmspring.{layer}" for layer in layers}
+    heavy = {"numpy.random"} if argv[0] == "sample" else set()
+    heavy |= {"numpy.fft"} if route in NUMPY_FFT else set()
+    assert set(modules) == always | {f"fbmspring.{layer}" for layer in layers} | heavy
 
 
 class TestArgumentValidation:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -178,7 +177,9 @@ class TestStationarySamplers:
         # a batch carries its values only: no seed, model tag or derived sizes
         batch = sample_toeplitz(chain_row(4, 0.3), paths=17, seed=0)
         assert batch.values.shape == (17, 3) and batch.values.flags.c_contiguous
-        assert [field.name for field in dataclasses.fields(batch)] == ["values"]
+        assert batch._fields == ("values",)
+        with pytest.raises(AttributeError):
+            batch.values = np.zeros((17, 3))
         assert sample_circulant(ring_increment_row(5, 0.3), paths=17, seed=0).values.shape == (17, 5)
 
     def test_rows_and_paths_validated(self):
